@@ -35,6 +35,6 @@ pub mod viewer;
 pub use builder::{AnalysisBuilder, AnalysisTarget};
 pub use pipeline::{
     analyze, analyze_app, assemble, profile_one_scale, profile_one_scale_observed, profile_runs,
-    refined_psg, refined_psg_traced, replay_refined_psg, speedup_curve, Analysis, ProfiledRuns,
-    RunSummary, ScalAnaConfig,
+    refined_psg, refined_psg_traced, replay_refined_psg, scale_ppg, speedup_curve, Analysis,
+    ProfiledRuns, RunSummary, ScalAnaConfig,
 };

@@ -228,19 +228,19 @@ pub fn profile_runs(
     // Step 2b: profiled runs, one per scale, in parallel (each is an
     // independent [`profile_one_scale`] over the now-immutable PSG). The
     // platform model is shared behind one `Arc` — no per-run deep copy.
+    // The last (largest, slowest) scale runs on the calling thread, so a
+    // single-scale analysis spawns nothing.
     let machine = Arc::new(config.machine.clone());
     let mut profiles: Vec<Option<Result<ProfileData, SimError>>> =
         (0..scales.len()).map(|_| None).collect();
+    let run = |nprocs| profile_one_scale_on(program, &psg, config, &machine, nprocs);
     thread::scope(|scope| {
-        for (slot, &nprocs) in profiles.iter_mut().zip(scales) {
-            let psg = Arc::clone(&psg);
-            let machine = Arc::clone(&machine);
-            scope.spawn(move |_| {
-                *slot = Some(profile_one_scale_on(
-                    program, &psg, config, &machine, nprocs,
-                ));
-            });
+        let mut slots = profiles.iter_mut().zip(scales);
+        let last = slots.next_back().expect("at least one scale");
+        for (slot, &nprocs) in slots {
+            scope.spawn(move |_| *slot = Some(run(nprocs)));
         }
+        *last.0 = Some(run(*last.1));
     })
     .expect("scale-run threads do not panic");
 
@@ -255,6 +255,14 @@ pub fn profile_runs(
     })
 }
 
+/// One profiled scale as detection consumes it: the run summary and
+/// the assembled PPG. The single constructor behind both [`assemble`]
+/// and the service's cached path, so the two cannot drift apart.
+pub fn scale_ppg(psg: &Arc<Psg>, nprocs: usize, data: ProfileData) -> (RunSummary, Ppg) {
+    let summary = RunSummary::of_profile(nprocs, &data);
+    (summary, data.into_ppg(Arc::clone(psg)))
+}
+
 /// Detection stage (`ScalAna-detect`): assemble one PPG per profiled
 /// scale and run non-scalable/abnormal detection plus backtracking.
 /// Runs post-mortem — the profiles may come straight from
@@ -265,28 +273,13 @@ pub fn assemble(runs: ProfiledRuns, config: &ScalAnaConfig) -> Analysis {
         scales,
         profiles,
     } = runs;
-    let summaries: Vec<RunSummary> = profiles
-        .iter()
-        .zip(&scales)
-        .map(|(data, &nprocs)| RunSummary::of_profile(nprocs, data))
-        .collect();
-
-    // Per-scale PPG assembly is independent; fan out the same way
-    // `profile_runs` does instead of folding scale-by-scale.
-    let mut slots: Vec<Option<Ppg>> = (0..profiles.len()).map(|_| None).collect();
-    thread::scope(|scope| {
-        for (slot, data) in slots.iter_mut().zip(profiles) {
-            let psg = Arc::clone(&psg);
-            scope.spawn(move |_| {
-                *slot = Some(data.into_ppg(psg));
-            });
-        }
-    })
-    .expect("ppg-assembly threads do not panic");
-    let ppgs: Vec<Ppg> = slots
+    // PPG assembly is microseconds per scale — far below the cost of a
+    // thread — so it runs right here.
+    let (summaries, ppgs): (Vec<RunSummary>, Vec<Ppg>) = profiles
         .into_iter()
-        .map(|slot| slot.expect("thread filled its slot"))
-        .collect();
+        .zip(&scales)
+        .map(|(data, &nprocs)| scale_ppg(&psg, nprocs, data))
+        .unzip();
 
     // Step 3: ScalAna-detect (timed for Table IV).
     let started = Instant::now();

@@ -13,13 +13,16 @@
 //!    single large submission saturates every worker, and a job with one
 //!    cold scale occupies one.
 //!
-//! The worker that finishes a job's last outstanding scale assembles the
-//! report (`ScalAna-detect`) inline and completes the job; a job whose
-//! scales all hit the cache never touches the queue again. Outputs are
-//! byte-identical to a cold run: `scalana_core::profile_one_scale` is a
-//! pure function of (program, refined PSG, profile config, scale), and
-//! cached profiles round-trip losslessly through
-//! `scalana_profile::store`.
+//! The worker that finishes a job's last outstanding scale runs
+//! detection (`ScalAna-detect`) inline and completes the job; a job whose
+//! scales all hit the cache never touches the queue again — and when
+//! the entries it hits are already decoded it costs hashing, lookups,
+//! `detect` and rendering, nothing else. Outputs are byte-identical to a
+//! cold run: `scalana_core::profile_one_scale` is a pure function of
+//! (program, refined PSG, profile config, scale), cached profiles
+//! round-trip losslessly through `scalana_profile::store`, and every
+//! PPG, cached or fresh, comes out of `scalana_core::scale_ppg` — the
+//! constructor `scalana_core::assemble` uses.
 
 use crate::cache::Registry;
 use crate::federation::Federation;
@@ -27,16 +30,16 @@ use crate::job::JobOutput;
 use crate::json::Json;
 use crate::jsonify::{report_to_json, run_summary_to_json};
 use crate::metrics::ServiceMetrics;
-use crate::profile_cache::{ProfileCache, PsgCache};
+use crate::profile_cache::{CachedPsg, ProfileCache, PsgCache, ScaleGraph};
 use crate::queue::JobQueue;
 use crate::store::{self, DiskStore};
 use bytes::Bytes;
 use scalana_api::trace::TraceSpan;
 use scalana_core::{
-    assemble, profile_one_scale_observed, refined_psg_traced, replay_refined_psg, ProfiledRuns,
-    ScalAnaConfig,
+    profile_one_scale_observed, refined_psg_traced, replay_refined_psg, scale_ppg, ScalAnaConfig,
 };
-use scalana_graph::Psg;
+use scalana_detect::detect;
+use scalana_graph::{Ppg, Psg};
 use scalana_lang::Program;
 use scalana_mpisim::{
     CommDepEvent, CompEvent, Hook, IndirectCallEvent, MpiEnterEvent, MpiExitEvent,
@@ -118,9 +121,10 @@ pub struct JobWork {
     pub scales: Vec<usize>,
     /// Per-scale profile-cache keys, parallel to `scales`.
     pub profile_keys: Vec<String>,
-    /// Collected per-scale profiles plus their persisted images —
-    /// cache hits pre-filled at resolution, fresh runs as they finish.
-    slots: Mutex<Vec<Option<(ProfileData, Bytes)>>>,
+    /// Collected per-scale detection inputs plus their persisted
+    /// images — cache hits pre-filled at resolution, fresh runs as they
+    /// finish.
+    slots: Mutex<Vec<Option<ScaleSlot>>>,
     /// Scales still outstanding; the worker that decrements it to zero
     /// assembles and completes the job.
     remaining: AtomicUsize,
@@ -133,6 +137,10 @@ pub struct JobWork {
     /// Offsets are epoch nanoseconds; the registry rebases them.
     trace_spans: Mutex<Vec<TraceSpan>>,
 }
+
+/// One resolved scale of a job: what detection reads, and the image
+/// the result serves.
+type ScaleSlot = (Arc<ScaleGraph>, Bytes);
 
 impl JobWork {
     fn push_span(&self, span: TraceSpan) {
@@ -231,7 +239,8 @@ pub fn profile_one_scale_instrumented(
     });
     let span = TraceSpan::new("scale", stage.start_ns(), stage.elapsed_ns())
         .with_tag("nprocs", &nprocs.to_string())
-        .with_tag("cache", "miss");
+        .with_tag("cache", "miss")
+        .with_tag("decode", "fresh");
     (result, span)
 }
 
@@ -272,14 +281,17 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
 
     let prepared = guarded(|| {
         let stage = obs::span_timed(ctx.metrics.lbl_resolve, &ctx.metrics.resolve_ns);
-        let (program, config) = spec.resolve()?;
 
         // Refined PSG: program + PSG options + discovery scale. A hit
-        // skips ScalAna-static *and* the indirect-call discovery run.
-        let psg_key = spec.psg_key(&config);
-        let (psg, psg_verdict) = match ctx.psgs.lookup(&psg_key) {
-            Some(psg) => (psg, "hit"),
+        // skips the parse, ScalAna-static *and* the indirect-call
+        // discovery run.
+        let psg_key = spec.psg_key();
+        let (program, config, psg, psg_verdict, program_verdict) = match ctx.psgs.lookup(&psg_key) {
+            Some(CachedPsg { program, psg }) => {
+                (program, spec.resolve_config()?, psg, "hit", "reused")
+            }
             None => {
+                let (program, config) = spec.resolve()?;
                 // Warm restart: a persisted discovery trace rebuilds
                 // the identical refined PSG with zero simulation. Next
                 // tier: the trace's ring owner elsewhere in the fleet —
@@ -295,12 +307,8 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
                         let trace = store::decode_trace(federation.fetch_psg_trace(&psg_key)?)?;
                         Some((replay_refined_psg(&program, &config, &trace), "peer"))
                     });
-                match replayed {
-                    Some((psg, verdict)) => {
-                        let psg = Arc::new(psg);
-                        ctx.psgs.store(psg_key, Arc::clone(&psg));
-                        (psg, verdict)
-                    }
+                let (psg, verdict) = match replayed {
+                    Some(replayed) => replayed,
                     None => {
                         let (psg, trace) =
                             refined_psg_traced(&program, &config, spec.discovery_scale())
@@ -312,77 +320,37 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
                         if let Some(federation) = ctx.federation {
                             federation.publish_psg_trace(&psg_key, &encoded);
                         }
-                        let psg = Arc::new(psg);
-                        ctx.psgs.store(psg_key, Arc::clone(&psg));
                         (psg, "miss")
                     }
-                }
+                };
+                let entry = CachedPsg {
+                    program: Arc::new(program),
+                    psg: Arc::new(psg),
+                };
+                ctx.psgs.store(psg_key, entry.clone());
+                (entry.program, config, entry.psg, verdict, "parsed")
             }
         };
         let mut spans = vec![
             TraceSpan::new("resolve", stage.start_ns(), stage.elapsed_ns())
-                .with_tag("psg", psg_verdict),
+                .with_tag("psg", psg_verdict)
+                .with_tag("program", program_verdict),
         ];
         drop(stage);
 
-        // Resolve each requested scale; a hit reloads the persisted
-        // image (the exact bytes `ScalAna-prof` would leave on disk).
+        // Resolve each requested scale against the tiers that can
+        // answer it without simulating.
         let profile_keys: Vec<String> = spec
             .scales
             .iter()
             .map(|&nprocs| spec.profile_key(&config, nprocs))
             .collect();
-        let mut slots: Vec<Option<(ProfileData, Bytes)>> = Vec::with_capacity(spec.scales.len());
+        let mut slots: Vec<Option<ScaleSlot>> = Vec::with_capacity(spec.scales.len());
         for (pk, &nprocs) in profile_keys.iter().zip(&spec.scales) {
             let probe_start = obs::now_ns();
-            let tier = std::cell::Cell::new("hit");
-            let slot = ctx
-                .profiles
-                .lookup(pk)
-                .and_then(|image| {
-                    match scalana_profile::store::load(image.clone()) {
-                        Ok(data) => Some((data, image)),
-                        Err(_) => {
-                            // A corrupt image must not poison the job —
-                            // drop it and re-simulate the scale.
-                            ctx.profiles.invalidate(pk);
-                            None
-                        }
-                    }
-                })
-                .or_else(|| {
-                    // Memory miss: the durable tier may still have the
-                    // image (evicted, or written by a previous process
-                    // and not warm-loaded). Corrupt frames were already
-                    // quarantined inside `read_profile`.
-                    let image = ctx.store?.read_profile(pk)?;
-                    let data = scalana_profile::store::load(image.clone()).ok()?;
-                    ctx.profiles.store(pk.clone(), image.clone());
-                    Some((data, image))
-                })
-                .or_else(|| {
-                    // Fleet tier: ask the key's ring owner. A decodable
-                    // answer counts as a hit — no simulation ran — so
-                    // the recorded miss is redeemed. The image is *not*
-                    // admitted to the local cache: the owner already
-                    // retains it, and admitting remote keys here would
-                    // let a hot fleet working set evict this daemon's
-                    // own shard — collapsing the fleet's aggregate
-                    // capacity back to one daemon's. Re-reading a hot
-                    // remote key costs one local round trip, not a
-                    // simulator run. Every failure shape (we own the
-                    // key, a dead peer, a bad payload) just falls
-                    // through to simulation.
-                    let federation = ctx.federation?;
-                    let image = federation.fetch_profile(pk)?;
-                    let data = scalana_profile::store::load(image.clone()).ok()?;
-                    ctx.profiles.redeem_miss();
-                    tier.set("peer");
-                    Some((data, image))
-                });
-            if slot.is_some() {
-                // Cache-hit scales are answered right here; misses get
-                // their (simulating) span in `run_scale`.
+            // Cache-hit scales are answered right here; misses get
+            // their (simulating) span in `run_scale`.
+            let slot = cached_scale(ctx, &psg, pk, nprocs).map(|(slot, tier, decode)| {
                 spans.push(
                     TraceSpan::new(
                         "scale",
@@ -390,9 +358,11 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
                         obs::now_ns().saturating_sub(probe_start),
                     )
                     .with_tag("nprocs", &nprocs.to_string())
-                    .with_tag("cache", tier.get()),
+                    .with_tag("cache", tier)
+                    .with_tag("decode", decode),
                 );
-            }
+                slot
+            });
             slots.push(slot);
         }
 
@@ -410,7 +380,7 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
     let work = Arc::new(JobWork {
         key: key.to_string(),
         generation,
-        program: Arc::new(program),
+        program,
         psg,
         config,
         scales: spec.scales.clone(),
@@ -439,6 +409,56 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
     }
 }
 
+/// Answer one scale without simulating, from the first tier that has a
+/// decodable image: local memory, the durable store, the key's ring
+/// owner. Returns the slot with its `cache` and `decode` trace verdicts.
+fn cached_scale(
+    ctx: &ExecCtx<'_>,
+    psg: &Arc<Psg>,
+    key: &str,
+    nprocs: usize,
+) -> Option<(ScaleSlot, &'static str, &'static str)> {
+    let decode = |image: &Bytes| {
+        let data = scalana_profile::store::load(image.clone()).ok()?;
+        Some(scale_ppg(psg, nprocs, data))
+    };
+    if let Some(entry) = ctx.profiles.lookup(key) {
+        match entry.decoded(decode) {
+            (Some(graph), reused) => {
+                let verdict = if reused { "reused" } else { "fresh" };
+                return Some(((graph, entry.image.clone()), "hit", verdict));
+            }
+            // A corrupt image must not poison the job — drop it and
+            // fall through the lower tiers to re-simulating the scale.
+            (None, _) => ctx.profiles.invalidate(key),
+        }
+    }
+    // Memory miss: the durable tier may still have the image (evicted,
+    // or written by a previous process and not warm-loaded). Corrupt
+    // frames were already quarantined inside `read_profile`. Only the
+    // image is admitted: the PPG stays with this job until a later one
+    // hits the entry.
+    if let Some(image) = ctx.store.and_then(|store| store.read_profile(key)) {
+        if let Some(graph) = decode(&image) {
+            ctx.profiles.store(key.to_string(), image.clone());
+            return Some(((Arc::new(graph), image), "hit", "fresh"));
+        }
+    }
+    // Fleet tier: ask the key's ring owner. A decodable answer counts
+    // as a hit — no simulation ran — so the recorded miss is redeemed.
+    // The image is *not* admitted to the local cache: the owner already
+    // retains it, and admitting remote keys here would let a hot fleet
+    // working set evict this daemon's own shard — collapsing the
+    // fleet's aggregate capacity back to one daemon's. Re-reading a hot
+    // remote key costs one local round trip, not a simulator run. Every
+    // failure shape (we own the key, a dead peer, a bad payload) just
+    // falls through to simulation.
+    let image = ctx.federation?.fetch_profile(key)?;
+    let graph = decode(&image)?;
+    ctx.profiles.redeem_miss();
+    Some(((Arc::new(graph), image), "peer", "fresh"))
+}
+
 /// Simulate one scale; the worker that finishes the job's last
 /// outstanding scale assembles and completes it.
 fn run_scale(ctx: &ExecCtx<'_>, work: &Arc<JobWork>, index: usize) {
@@ -454,10 +474,17 @@ fn run_scale(ctx: &ExecCtx<'_>, work: &Arc<JobWork>, index: usize) {
             nprocs,
         );
         work.push_span(span);
-        match result {
-            Ok(data) => {
-                let key = &work.profile_keys[index];
+        // The worker that simulated the scale builds its PPG too; only
+        // the image outlives the job.
+        let built = result.and_then(|data| {
+            guarded(|| {
                 let image = scalana_profile::store::save(&data);
+                Ok((Arc::new(scale_ppg(&work.psg, nprocs, data)), image))
+            })
+        });
+        match built {
+            Ok((graph, image)) => {
+                let key = &work.profile_keys[index];
                 // Admission policy: local memory holds the daemon's own
                 // ring shard. A key owned elsewhere is written through
                 // to its owner instead of admitted here — caching it
@@ -477,7 +504,7 @@ fn run_scale(ctx: &ExecCtx<'_>, work: &Arc<JobWork>, index: usize) {
                 if let Some(federation) = ctx.federation {
                     federation.offer_profile(key, &image);
                 }
-                work.slots.lock().unwrap()[index] = Some((data, image));
+                work.slots.lock().unwrap()[index] = Some((graph, image));
             }
             Err(error) => {
                 work.failed.store(true, Ordering::Release);
@@ -504,8 +531,8 @@ fn attach_spans(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
         .attach_run_spans(&work.key, work.generation, spans);
 }
 
-/// `ScalAna-detect` over the collected profiles, then publish the
-/// result. Profile images are reused as collected/cached — byte-stable,
+/// `ScalAna-detect` over the collected PPGs, then publish the result.
+/// Profile images are reused as collected/cached — byte-stable,
 /// refcounted, never re-serialized.
 ///
 /// The terminal `complete`/`fail` inside does double duty: it wakes
@@ -515,10 +542,10 @@ fn attach_spans(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
 /// connection state directly.
 fn assemble_and_complete(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
     let filled = std::mem::take(&mut *work.slots.lock().unwrap());
-    let mut profiles = Vec::with_capacity(filled.len());
+    let mut graphs = Vec::with_capacity(filled.len());
     let mut images = Vec::with_capacity(filled.len());
     for (slot, &nprocs) in filled.into_iter().zip(&work.scales) {
-        let Some((data, image)) = slot else {
+        let Some((graph, image)) = slot else {
             // Unreachable by construction (every miss filled its slot or
             // failed the job); guard against stranding `Running` anyway.
             attach_spans(ctx, work);
@@ -529,22 +556,22 @@ fn assemble_and_complete(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
             );
             return;
         };
-        profiles.push(data);
+        graphs.push(graph);
         images.push((nprocs, image));
     }
 
     let stage = obs::span_timed(ctx.metrics.lbl_assemble, &ctx.metrics.assemble_ns);
     let result = guarded(|| {
-        let runs = ProfiledRuns {
-            psg: Arc::clone(&work.psg),
-            scales: work.scales.clone(),
-            profiles,
-        };
-        let analysis = assemble(runs, &work.config);
+        // Timed like `scalana_core::assemble` times it (Table IV).
+        let started = Instant::now();
+        let ppgs: Vec<&Ppg> = graphs.iter().map(|graph| &graph.1).collect();
+        let report = detect(&ppgs, &work.config.detect);
+        let detect_seconds = started.elapsed().as_secs_f64();
+        let runs = graphs.iter().map(|graph| run_summary_to_json(&graph.0));
         Ok(JobOutput {
-            report_json: report_to_json(&analysis.report).render(),
-            runs_json: Json::Arr(analysis.runs.iter().map(run_summary_to_json).collect()).render(),
-            detect_seconds: analysis.detect_seconds,
+            report_json: report_to_json(&report).render(),
+            runs_json: Json::Arr(runs.collect()).render(),
+            detect_seconds,
             profiles: images,
         })
     });
@@ -567,13 +594,28 @@ mod tests {
     use crate::cache::JobStatus;
     use crate::job::{JobProgram, JobSpec};
 
-    fn ctx_parts() -> (
+    type Parts = (
         Registry,
         JobQueue<Task>,
         ProfileCache,
         PsgCache,
         ServiceMetrics,
-    ) {
+    );
+
+    fn ctx_of<'a>(parts: &'a Parts, store: Option<&'a DiskStore>) -> ExecCtx<'a> {
+        let (registry, queue, profiles, psgs, metrics) = parts;
+        ExecCtx {
+            registry,
+            queue,
+            profiles,
+            psgs,
+            store,
+            federation: None,
+            metrics,
+        }
+    }
+
+    fn ctx_parts() -> Parts {
         (
             Registry::new(),
             JobQueue::new(16),
@@ -618,16 +660,9 @@ mod tests {
 
     #[test]
     fn overlapping_scale_sets_simulate_only_the_new_scale() {
-        let (registry, queue, profiles, psgs, metrics) = ctx_parts();
-        let ctx = ExecCtx {
-            registry: &registry,
-            queue: &queue,
-            profiles: &profiles,
-            psgs: &psgs,
-            store: None,
-            federation: None,
-            metrics: &metrics,
-        };
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, None);
+        let (registry, _, profiles, ..) = &parts;
 
         // Cold job over [2, 4]: both scales miss.
         let key1 = submit_and_run(&ctx, spec(&[2, 4], 3));
@@ -665,16 +700,9 @@ mod tests {
 
     #[test]
     fn failing_scale_fails_the_job_without_stranding_it() {
-        let (registry, queue, profiles, psgs, metrics) = ctx_parts();
-        let ctx = ExecCtx {
-            registry: &registry,
-            queue: &queue,
-            profiles: &profiles,
-            psgs: &psgs,
-            store: None,
-            federation: None,
-            metrics: &metrics,
-        };
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, None);
+        let registry = &parts.0;
         // Deadlocks at every scale: rank 0 waits on a recv nobody sends.
         let bad = JobSpec {
             program: JobProgram::Source {
@@ -689,5 +717,140 @@ mod tests {
         let view = registry.status(&key).unwrap();
         assert_eq!(view.status, JobStatus::Failed);
         assert!(view.error.is_some());
+    }
+
+    /// The served job equals a cold `profile_runs` + `assemble` of the
+    /// same spec: report, runs and every per-scale image.
+    fn assert_serves_cold_bytes(ctx: &ExecCtx<'_>, key: &str, spec: &JobSpec) {
+        let view = ctx.registry.status(key).unwrap();
+        assert_eq!(view.status, JobStatus::Done, "{:?}", view.error);
+        let served = view.result.unwrap();
+        let cold = spec.execute().unwrap();
+        assert_eq!(served.report_json, cold.report_json);
+        assert_eq!(served.runs_json, cold.runs_json);
+        assert_eq!(served.profiles, cold.profiles);
+    }
+
+    /// `(cache, decode)` of the job's scale spans, ascending by scale.
+    fn scale_verdicts(ctx: &ExecCtx<'_>, key: &str) -> Vec<(String, String)> {
+        let (_, trace) = ctx.registry.trace(key).unwrap();
+        trace
+            .unwrap()
+            .flatten()
+            .into_iter()
+            .filter(|span| span.name == "scale")
+            .map(|span| {
+                let tag = |name| span.tag(name).unwrap().to_string();
+                (tag("cache"), tag("decode"))
+            })
+            .collect()
+    }
+
+    fn verdicts(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(cache, decode)| (cache.to_string(), decode.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn already_decoded_entries_serve_cold_bytes_without_simulating() {
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, None);
+        let scales = [2, 4, 8];
+
+        // Cold job stores images only; the first job to hit them decodes.
+        let cold = submit_and_run(&ctx, spec(&scales, 3));
+        assert_eq!(
+            scale_verdicts(&ctx, &cold),
+            verdicts(&[("miss", "fresh"); 3])
+        );
+        let first_hit = submit_and_run(&ctx, spec(&scales, 2));
+        assert_eq!(
+            scale_verdicts(&ctx, &first_hit),
+            verdicts(&[("hit", "fresh"); 3])
+        );
+        let simulated = parts.4.sim_runs.get();
+        assert_eq!(simulated, 3);
+
+        // Every scale of the third job is served decoded — also a
+        // subset job, whose entries the same decoded values answer.
+        for (scales, top_k) in [(&scales[..], 1), (&scales[..2], 5)] {
+            let key = submit_and_run(&ctx, spec(scales, top_k));
+            assert_eq!(
+                scale_verdicts(&ctx, &key),
+                verdicts(&vec![("hit", "reused"); scales.len()])
+            );
+            assert_serves_cold_bytes(&ctx, &key, &spec(scales, top_k));
+        }
+        assert_eq!(parts.4.sim_runs.get(), simulated, "nothing re-simulated");
+    }
+
+    #[test]
+    fn evicted_entries_are_redecoded_from_the_memory_or_store_image() {
+        let dir =
+            std::env::temp_dir().join(format!("scalana-exec-redecode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (disk, warm) = DiskStore::open(Arc::new(crate::store::RealIo), &dir, 0);
+        assert!(warm.is_empty());
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, Some(&disk));
+        let scales = [2, 4];
+
+        let cold = submit_and_run(&ctx, spec(&scales, 3));
+        submit_and_run(&ctx, spec(&scales, 2));
+        let keys: Vec<String> = {
+            let job = spec(&scales, 3);
+            let config = job.resolve_config().unwrap();
+            scales
+                .iter()
+                .map(|&n| job.profile_key(&config, n))
+                .collect()
+        };
+        let images = ctx.registry.status(&cold).unwrap().result.unwrap();
+
+        // Scale 2's entry is dropped and its image stored again, as a
+        // store preload or a peer offer would: the decoded form went
+        // with the entry. Scale 4's is only dropped, so the store's
+        // image answers it.
+        parts.2.invalidate(&keys[0]);
+        parts.2.invalidate(&keys[1]);
+        parts.2.store(keys[0].clone(), images.profiles[0].1.clone());
+        let key = submit_and_run(&ctx, spec(&scales, 1));
+        assert_eq!(scale_verdicts(&ctx, &key), verdicts(&[("hit", "fresh"); 2]));
+        assert_serves_cold_bytes(&ctx, &key, &spec(&scales, 1));
+
+        // The re-admitted entries decode once more and are then reused.
+        // (Scale 4 came back as an image; the job that read it through
+        // kept its PPG to itself.)
+        let key = submit_and_run(&ctx, spec(&scales, 4));
+        assert_eq!(
+            scale_verdicts(&ctx, &key),
+            verdicts(&[("hit", "reused"), ("hit", "fresh")])
+        );
+        assert_serves_cold_bytes(&ctx, &key, &spec(&scales, 4));
+        assert_eq!(parts.4.sim_runs.get(), 2, "only the cold job simulated");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_planted_image_is_invalidated_and_the_scale_resimulates() {
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, None);
+        let job = spec(&[2, 4], 3);
+        let config = job.resolve_config().unwrap();
+        let planted = job.profile_key(&config, 4);
+        parts
+            .2
+            .store(planted.clone(), Bytes::from_static(b"not a profile image"));
+
+        let key = submit_and_run(&ctx, job.clone());
+        assert_serves_cold_bytes(&ctx, &key, &job);
+        assert_eq!(parts.4.sim_runs.get(), 2, "the planted scale re-simulated");
+        let stats = parts.2.stats();
+        assert_eq!(stats.evicted, 1, "the bad entry was invalidated");
+        assert_eq!(stats.entries, 2);
+        let image = parts.2.peek(&planted).unwrap();
+        assert!(scalana_profile::store::load(image).is_ok());
     }
 }

@@ -6,6 +6,7 @@ use crate::jsonify::{report_to_json, run_summary_to_json};
 use bytes::Bytes;
 use scalana_core::{assemble, pipeline, ScalAnaConfig};
 use scalana_lang::{parse_program, Program};
+use scalana_mpisim::MachineConfig;
 
 /// What program a job analyzes.
 #[derive(Debug, Clone)]
@@ -86,13 +87,16 @@ impl JobSpec {
 
     /// Content address of the *refined PSG* this job profiles over:
     /// program + PSG options + discovery scale. Discovery simulates with
-    /// a default machine/parameter setup, so nothing else contributes.
-    pub fn psg_key(&self, resolved: &ScalAnaConfig) -> String {
+    /// a default machine/parameter setup, so nothing else contributes —
+    /// in particular nothing resolution substitutes, which is what lets
+    /// the executor look the PSG (and the parsed program cached with
+    /// it) up before resolving anything.
+    pub fn psg_key(&self) -> String {
         let mut h = StableHasher::new();
         h.write_str("psg");
         self.program.hash_into(&mut h);
-        h.write_u64(u64::from(resolved.psg.max_loop_depth));
-        h.write_bool(resolved.psg.contract);
+        h.write_u64(u64::from(self.config.psg.max_loop_depth));
+        h.write_bool(self.config.psg.contract);
         h.write_usize(self.discovery_scale());
         h.hex()
     }
@@ -120,18 +124,29 @@ impl JobSpec {
     pub fn resolve(&self) -> Result<(Program, ScalAnaConfig), String> {
         match &self.program {
             JobProgram::App(name) => {
-                let app =
-                    scalana_apps::by_name(name).ok_or_else(|| format!("unknown app `{name}`"))?;
-                let config = ScalAnaConfig {
-                    machine: app.machine.clone(),
-                    ..self.config.clone()
-                };
-                Ok((app.program, config))
+                let app = app_by_name(name)?;
+                Ok((app.program, self.config_on(app.machine)))
             }
             JobProgram::Source { name, text } => {
                 let program = parse_program(name, text).map_err(|e| e.to_string())?;
                 Ok((program, self.config.clone()))
             }
+        }
+    }
+
+    /// The config half of [`JobSpec::resolve`], for a job whose parsed
+    /// program the executor already holds: source is not parsed again.
+    pub fn resolve_config(&self) -> Result<ScalAnaConfig, String> {
+        match &self.program {
+            JobProgram::App(name) => Ok(self.config_on(app_by_name(name)?.machine)),
+            JobProgram::Source { .. } => Ok(self.config.clone()),
+        }
+    }
+
+    fn config_on(&self, machine: MachineConfig) -> ScalAnaConfig {
+        ScalAnaConfig {
+            machine,
+            ..self.config.clone()
         }
     }
 
@@ -166,6 +181,10 @@ impl JobSpec {
             profiles,
         })
     }
+}
+
+fn app_by_name(name: &str) -> Result<scalana_apps::App, String> {
+    scalana_apps::by_name(name).ok_or_else(|| format!("unknown app `{name}`"))
 }
 
 /// A completed job's cached artifacts. The JSON parts are stored
@@ -237,7 +256,7 @@ mod tests {
             spec.profile_key(&resolved, 4),
             tweaked.profile_key(&tweaked_resolved, 4)
         );
-        assert_eq!(spec.psg_key(&resolved), tweaked.psg_key(&tweaked_resolved));
+        assert_eq!(spec.psg_key(), tweaked.psg_key());
 
         // Adding a larger scale keeps the discovery scale, so existing
         // profiles stay addressable; changing the smallest scale does not.

@@ -11,34 +11,73 @@
 //!   FNV(program, profile-relevant config, discovery scale, scale). A
 //!   job resolves each requested scale here first and simulates only the
 //!   misses, so `submit([2,4,8,16])` after `submit([2,4,8])` runs the
-//!   simulator exactly once.
+//!   simulator exactly once. The first job to *hit* an entry decodes its
+//!   image into the run summary + PPG detection consumes and leaves that
+//!   beside the image, so later hits (re-detects with new knobs) decode
+//!   nothing.
 //! - [`PsgCache`] — refined PSGs (static graph + indirect-call
-//!   discovery), keyed by FNV(program, PSG options, discovery scale).
-//!   Shared by reference; a fully cache-hit job skips even the discovery
-//!   run.
+//!   discovery) with the parsed program they were built from, keyed by
+//!   FNV(program, PSG options, discovery scale). Shared by reference; a
+//!   fully cache-hit job skips the parse and the discovery run.
 //! - [`ProgramIndex`] — previously seen programs by content hash, so
 //!   `submit --program-hash` can re-reference an uploaded program
 //!   without re-sending its source.
 //!
-//! All three are sharded ([`crate::sharded`]) and FIFO-bounded; the
-//! per-scale hit/miss/eviction counters feed `/stats`.
+//! All three are FIFO-bounded [`crate::sharded`] maps (the PSG cache a
+//! single shard, so its capacity is exact); the per-scale
+//! hit/miss/eviction counters feed `/stats`.
 
 use crate::job::JobProgram;
 use crate::sharded::ShardedMap;
 use bytes::Bytes;
-use scalana_graph::Psg;
+use scalana_core::RunSummary;
+use scalana_graph::{Ppg, Psg};
+use scalana_lang::Program;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shard count shared by the daemon's content-addressed maps. Keys are
 /// uniform content hashes, so this just has to exceed the plausible
 /// number of simultaneously contending threads.
 pub const CACHE_SHARDS: usize = 16;
 
+/// What detection consumes of one profiled scale
+/// ([`scalana_core::scale_ppg`]).
+pub type ScaleGraph = (RunSummary, Ppg);
+
+/// One cached scale: the persisted image and, once a job has hit the
+/// entry, its decoded form. Both go when the entry is evicted.
+#[derive(Debug)]
+pub struct CachedScale {
+    /// The exact `scalana_profile::store` bytes — what the store, the
+    /// peers and `/v1/jobs/<id>/profile/<p>` traffic in.
+    pub image: Bytes,
+    /// `Some(None)` records an image that does not decode.
+    decoded: OnceLock<Option<Arc<ScaleGraph>>>,
+}
+
+impl CachedScale {
+    /// The entry's decoded form and whether it was already there. The
+    /// first caller builds it with `decode`; callers racing it block on
+    /// the cell and share the one value. `None` = `decode` refused the
+    /// image (the caller should [`ProfileCache::invalidate`] the entry).
+    pub fn decoded(
+        &self,
+        decode: impl FnOnce(&Bytes) -> Option<ScaleGraph>,
+    ) -> (Option<Arc<ScaleGraph>>, bool) {
+        let mut reused = true;
+        let decoded = self.decoded.get_or_init(|| {
+            reused = false;
+            decode(&self.image).map(Arc::new)
+        });
+        (decoded.clone(), reused)
+    }
+}
+
 /// Per-scale profile image cache with hit/miss accounting.
 #[derive(Debug)]
 pub struct ProfileCache {
-    images: ShardedMap<Bytes>,
+    images: ShardedMap<Arc<CachedScale>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evicted: AtomicU64,
@@ -72,22 +111,21 @@ impl ProfileCache {
         }
     }
 
-    /// Look one scale up, counting the outcome. A `Bytes` clone shares
-    /// the underlying image allocation.
-    pub fn lookup(&self, key: &str) -> Option<Bytes> {
-        let image = self.images.get(key);
-        match image {
+    /// Look one scale up, counting the outcome.
+    pub fn lookup(&self, key: &str) -> Option<Arc<CachedScale>> {
+        let entry = self.images.get(key);
+        match entry {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
-        image
+        entry
     }
 
     /// Look one scale up *without* counting the outcome. The federation
     /// serve path uses this: a peer's read-through probe must not skew
     /// this daemon's own hit/miss accounting.
     pub fn peek(&self, key: &str) -> Option<Bytes> {
-        self.images.get(key)
+        self.images.get(key).map(|entry| entry.image.clone())
     }
 
     /// Reclassify the most recent miss as a hit: the scale was absent
@@ -98,9 +136,15 @@ impl ProfileCache {
         self.misses.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Insert a freshly simulated scale's image.
+    /// Insert a scale's image (freshly simulated, preloaded from the
+    /// store, or offered by a peer). Only the bytes are retained until
+    /// a job hits the entry.
     pub fn store(&self, key: String, image: Bytes) {
-        let outcome = self.images.insert(key, image);
+        let entry = Arc::new(CachedScale {
+            image,
+            decoded: OnceLock::new(),
+        });
+        let outcome = self.images.insert(key, entry);
         if outcome.added {
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
@@ -131,37 +175,50 @@ impl ProfileCache {
     }
 }
 
+/// A refined PSG with the checked program it was built from — what a
+/// job needs of its program before any scale runs.
+#[derive(Debug, Clone)]
+pub struct CachedPsg {
+    /// The parsed and checked program.
+    pub program: Arc<Program>,
+    /// Its indirect-call-refined PSG.
+    pub psg: Arc<Psg>,
+}
+
 /// Refined-PSG cache (values shared by `Arc`, never copied).
 #[derive(Debug)]
 pub struct PsgCache {
-    psgs: ShardedMap<Arc<Psg>>,
+    psgs: ShardedMap<CachedPsg>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl PsgCache {
-    /// Cache holding at most ~`capacity` refined PSGs (0 = unbounded).
+    /// Cache holding exactly `capacity` refined PSGs (0 = unbounded).
+    /// One shard: a job looks up once, so there is no contention to
+    /// spread, and per-shard FIFO bounds would evict well before
+    /// `capacity` distinct keys are resident.
     pub fn new(capacity: usize) -> PsgCache {
         PsgCache {
-            psgs: ShardedMap::new(CACHE_SHARDS, capacity),
+            psgs: ShardedMap::new(1, capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
     /// Look a refined PSG up, counting the outcome.
-    pub fn lookup(&self, key: &str) -> Option<Arc<Psg>> {
-        let psg = self.psgs.get(key);
-        match psg {
+    pub fn lookup(&self, key: &str) -> Option<CachedPsg> {
+        let entry = self.psgs.get(key);
+        match entry {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
-        psg
+        entry
     }
 
     /// Insert a freshly refined PSG.
-    pub fn store(&self, key: String, psg: Arc<Psg>) {
-        self.psgs.insert(key, psg);
+    pub fn store(&self, key: String, entry: CachedPsg) {
+        self.psgs.insert(key, entry);
     }
 
     /// `(hits, misses)` counters.
@@ -238,7 +295,7 @@ mod tests {
         let cache = ProfileCache::new(0);
         assert!(cache.lookup("k").is_none());
         cache.store("k".to_string(), Bytes::from_static(b"image"));
-        assert_eq!(cache.lookup("k").as_deref(), Some(&b"image"[..]));
+        assert_eq!(&cache.lookup("k").unwrap().image[..], b"image");
         cache.invalidate("k");
         assert!(cache.lookup("k").is_none());
         let stats = cache.stats();
@@ -261,5 +318,89 @@ mod tests {
         assert_eq!(resolved.content_hash(), hash);
         assert!(index.resolve("0000000000000000").is_none());
         assert_eq!(index.len(), 1);
+    }
+
+    fn refined(text: &str) -> CachedPsg {
+        let program = scalana_lang::parse_program("t.mmpi", text).unwrap();
+        let psg = scalana_graph::build_psg(&program, &Default::default());
+        CachedPsg {
+            program: Arc::new(program),
+            psg: Arc::new(psg),
+        }
+    }
+
+    #[test]
+    fn psg_cache_keeps_capacity_distinct_keys_resident() {
+        // The daemon's default capacity, with keys shaped like the real
+        // ones: over 16 shards of 4, some of 64 content hashes collide
+        // five to a shard and push each other out.
+        let capacity = 64;
+        let cache = PsgCache::new(capacity);
+        let entry = refined("fn main() { barrier(); }");
+        let keys: Vec<String> = (0..capacity)
+            .map(|i| {
+                let mut h = crate::hash::StableHasher::new();
+                h.write_usize(i);
+                h.hex()
+            })
+            .collect();
+        for key in &keys {
+            cache.store(key.clone(), entry.clone());
+        }
+        for key in &keys {
+            let hit = cache.lookup(key).expect("every key still resident");
+            assert!(Arc::ptr_eq(&hit.program, &entry.program));
+        }
+        assert_eq!(cache.stats(), (capacity as u64, 0));
+        // One more key evicts exactly the oldest.
+        cache.store("one-more".to_string(), entry);
+        assert!(cache.lookup(&keys[0]).is_none());
+        assert!(cache.lookup(&keys[1]).is_some());
+    }
+
+    #[test]
+    fn racing_decoders_share_one_decoded_value() {
+        let CachedPsg { psg, .. } = refined("fn main() { comp(cycles = 10); barrier(); }");
+        let data = scalana_profile::ProfileData::new(2);
+        let cache = ProfileCache::new(0);
+        cache.store("k".to_string(), scalana_profile::store::save(&data));
+        let entry = cache.lookup("k").unwrap();
+
+        let decodes = AtomicU64::new(0);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let decode = |image: &Bytes| {
+            decodes.fetch_add(1, Ordering::SeqCst);
+            let data = scalana_profile::store::load(image.clone()).ok()?;
+            Some(scalana_core::scale_ppg(&psg, 2, data))
+        };
+        let (entry, cache) = (&*entry, &cache);
+        let (first, second) = std::thread::scope(|scope| {
+            // The first decoder is held inside the cell's initializer
+            // until the second is on its way in.
+            let first = scope.spawn(move || {
+                entry.decoded(|image| {
+                    entered_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    decode(image)
+                })
+            });
+            entered_rx.recv().unwrap();
+            let second = scope.spawn(move || {
+                release_tx.send(()).unwrap();
+                cache.lookup("k").unwrap().decoded(decode)
+            });
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!(decodes.load(Ordering::SeqCst), 1, "decoded once");
+        assert!(!first.1, "the first caller built it");
+        assert!(second.1, "the second found it");
+        assert!(Arc::ptr_eq(&first.0.unwrap(), &second.0.unwrap()));
+
+        // The decoded form goes with the entry.
+        cache.invalidate("k");
+        cache.store("k".to_string(), scalana_profile::store::save(&data));
+        let (_, reused) = cache.lookup("k").unwrap().decoded(decode);
+        assert!(!reused);
     }
 }

@@ -98,10 +98,14 @@ pub struct ServiceConfig {
     pub max_cached_results: usize,
     /// Per-scale profile images retained (oldest evicted first;
     /// 0 = unbounded). The unit of cross-job reuse: one entry per
-    /// (program, profile config, discovery scale, scale).
+    /// (program, profile config, discovery scale, scale). An entry a
+    /// job has hit also holds the image's decoded PPG + run summary, so
+    /// this count bounds those too.
     pub max_cached_profiles: usize,
-    /// Refined PSGs retained (0 = unbounded). Small and extremely
-    /// reusable — one per (program, PSG options, discovery scale).
+    /// Refined PSGs retained, each with its parsed program (oldest
+    /// evicted first; 0 = unbounded; the bound is exact). Small and
+    /// extremely reusable — one per (program, PSG options, discovery
+    /// scale).
     pub max_cached_psgs: usize,
     /// Programs indexed by content hash for `--program-hash` reuse
     /// (0 = unbounded).

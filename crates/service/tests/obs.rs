@@ -10,7 +10,9 @@
 //!   (top-level durations sum to `total_ns`), and its per-scale
 //!   `cache` tags match the `/v1/stats` deltas exactly;
 //! - two structurally identical submissions produce identical span
-//!   trees, with the predicted `miss`→`hit` tag flips.
+//!   trees, with the predicted `miss`→`hit` tag flips;
+//! - the trace says what a job reused: `program` on the `resolve` span,
+//!   `decode` on every `scale` span.
 
 use scalana_api::{paths, ApiError, ErrorCode, TraceResponse, TraceSpan};
 use scalana_service::client::Conn;
@@ -366,6 +368,9 @@ fn identical_submissions_trace_identically_modulo_cache_verdicts() {
                 if tag.0 == "psg" {
                     tag.1 = "hit".to_string();
                 }
+                if tag.0 == "decode" || tag.0 == "program" {
+                    tag.1 = "reused".to_string();
+                }
             }
             for child in &mut span.children {
                 flip(child);
@@ -392,6 +397,53 @@ fn identical_submissions_trace_identically_modulo_cache_verdicts() {
     };
     assert_eq!(verdicts(&trace_cold), ["miss", "miss"]);
     assert_eq!(verdicts(&trace_warm), ["hit", "hit"]);
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
+}
+
+#[test]
+fn trace_says_which_program_and_decoded_scales_were_reused() {
+    let addr = boot(2);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let text = program_text(733_000);
+
+    // Three jobs over one program and scale set, told apart by their
+    // detection threshold: the first simulates, the second is the first
+    // to hit the cached images and decodes them, the third reuses the
+    // decoded forms.
+    let tags_of = |conn: &mut Conn, thd: Option<f64>| {
+        let key = run_job(conn, &submit_body(&text, &[2, 4], thd));
+        let trace = fetch_trace(conn, &key);
+        let spans = trace.flatten();
+        let resolve = spans.iter().find(|s| s.name == "resolve").unwrap();
+        let resolve_tags = (
+            resolve.tag("psg").unwrap().to_string(),
+            resolve.tag("program").unwrap().to_string(),
+        );
+        let scale_tags: Vec<(String, String)> = spans
+            .iter()
+            .filter(|s| s.name == "scale")
+            .map(|s| {
+                (
+                    s.tag("cache").unwrap().to_string(),
+                    s.tag("decode").unwrap().to_string(),
+                )
+            })
+            .collect();
+        (resolve_tags, scale_tags)
+    };
+    let pair = |a: &str, b: &str| (a.to_string(), b.to_string());
+
+    let (resolve, scales) = tags_of(&mut conn, None);
+    assert_eq!(resolve, pair("miss", "parsed"));
+    assert_eq!(scales, vec![pair("miss", "fresh"); 2]);
+
+    let (resolve, scales) = tags_of(&mut conn, Some(1.6));
+    assert_eq!(resolve, pair("hit", "reused"));
+    assert_eq!(scales, vec![pair("hit", "fresh"); 2]);
+
+    let (resolve, scales) = tags_of(&mut conn, Some(1.7));
+    assert_eq!(resolve, pair("hit", "reused"));
+    assert_eq!(scales, vec![pair("hit", "reused"); 2]);
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 

@@ -34,6 +34,13 @@ echo "==> wgen differential fuzz sweep (30 generated cases, all oracles)"
 # `cargo test --workspace`; this sweep exercises a second fixed seed.
 WGEN_SEED=1337 WGEN_CASES=30 cargo test --quiet --release -p scalana-wgen
 
+echo "==> scalbench unit tests (a package of its own, outside the workspace)"
+cargo test --release --offline --quiet --manifest-path scalbench/Cargo.toml
+
+echo "==> scalbench run --smoke (five workloads, served bytes vs in-process analysis)"
+# Exits 1 on any failed op or failed byte-comparison.
+cargo run --release --offline --quiet --manifest-path scalbench/Cargo.toml -- run --smoke
+
 echo "==> perfgate --quick (all eight bench suites, gated vs BENCH_pr10.json)"
 mkdir -p target/perfgate
 # Generous factor (matching CI): the committed medians come from one
