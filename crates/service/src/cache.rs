@@ -20,8 +20,7 @@ use scalana_api::trace::{TraceResponse, TraceSpan};
 use scalana_obs as obs;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,14 +133,10 @@ pub struct StatsSnapshot {
 /// connection counts the daemon admits.
 const REGISTRY_SHARDS: usize = 16;
 
-/// One registry shard: the record map, the condition variable that
-/// *blocking* long-poll waiters ([`Registry::wait_terminal`]) park on,
-/// and the list of *asynchronous* completion subscriptions
-/// ([`Registry::subscribe`]) the daemon's event loop parks instead of
-/// threads. Terminal transitions (`complete`/`fail`) notify the condvar
-/// and drain the matching subscriptions; condvar waiters re-check their
-/// record and go back to sleep on wake-ups for sibling keys (cheap, and
-/// shard-local so unrelated jobs rarely share a condvar).
+/// One registry shard: the record map and the list of completion
+/// subscriptions ([`Registry::subscribe`]) the daemon's event loop
+/// parks instead of threads. Terminal transitions (`complete`/`fail`)
+/// drain the matching subscriptions.
 ///
 /// Lock order within a shard is `records` → `waiters`, always: both
 /// subscription registration and the terminal-transition drain happen
@@ -151,7 +146,6 @@ const REGISTRY_SHARDS: usize = 16;
 #[derive(Debug, Default)]
 struct Shard {
     records: Mutex<HashMap<String, JobRecord>>,
-    terminal: Condvar,
     waiters: Mutex<Vec<Waiter>>,
 }
 
@@ -202,7 +196,7 @@ pub enum WaitOutcome {
 /// [`Registry::with_obs`].
 #[derive(Debug)]
 pub struct RegistryObs {
-    /// Long-poll waiters that actually parked (condvar or subscription).
+    /// Long-poll waiters that actually parked.
     pub parks: obs::Counter,
     /// Parked waiters woken by a terminal transition (vs. timing out).
     pub wakes: obs::Counter,
@@ -433,7 +427,6 @@ impl Registry {
             self.results_held.fetch_add(1, Ordering::Relaxed);
             // Wake long-poll waiters while still holding the shard lock
             // (no waiter can miss the transition).
-            shard.terminal.notify_all();
             self.drain_waiters(shard, key);
         }
 
@@ -482,7 +475,6 @@ impl Registry {
                 .job_ns
                 .record(record.terminal_ns.saturating_sub(record.started_ns));
             self.failed.fetch_add(1, Ordering::Relaxed);
-            shard.terminal.notify_all();
             self.drain_waiters(shard, key);
         }
     }
@@ -592,56 +584,9 @@ impl Registry {
         Some((record.status, Some(trace)))
     }
 
-    /// Block until the job reaches a terminal state or `timeout`
-    /// elapses — the server side of `GET /v1/jobs/<id>/wait`. Parks on
-    /// the shard's condvar, so a completing worker wakes the waiter at
-    /// the transition instead of the waiter discovering it a poll
-    /// interval later. Spurious wake-ups (sibling keys on the same
-    /// shard) re-check and go back to sleep with the remaining budget.
-    pub fn wait_terminal(&self, key: &str, timeout: Duration) -> WaitOutcome {
-        let deadline = Instant::now() + timeout;
-        let shard = self.shard(key);
-        let mut parked = false;
-        let mut jobs = shard.records.lock().unwrap();
-        loop {
-            let Some(record) = jobs.get(key) else {
-                return WaitOutcome::Unknown;
-            };
-            if matches!(record.status, JobStatus::Done | JobStatus::Failed) {
-                if parked {
-                    // Woken by the terminal transition, not the budget.
-                    self.obs.wakes.inc();
-                }
-                return WaitOutcome::Terminal(view(key, record));
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return WaitOutcome::Pending(view(key, record));
-            };
-            if !parked {
-                parked = true;
-                self.obs.parks.inc();
-            }
-            let (guard, result) = shard.terminal.wait_timeout(jobs, remaining).unwrap();
-            jobs = guard;
-            if result.timed_out() {
-                return match jobs.get(key) {
-                    None => WaitOutcome::Unknown,
-                    Some(record)
-                        if matches!(record.status, JobStatus::Done | JobStatus::Failed) =>
-                    {
-                        self.obs.wakes.inc();
-                        WaitOutcome::Terminal(view(key, record))
-                    }
-                    Some(record) => WaitOutcome::Pending(view(key, record)),
-                };
-            }
-        }
-    }
-
-    /// Non-blocking counterpart of [`Registry::wait_terminal`] for the
-    /// daemon's event loop: answer inline if the job is already
-    /// terminal (or unknown), otherwise park `(token, waker)` as a
-    /// completion subscription. The terminal transition wakes every
+    /// How the daemon's event loop waits for a job: answer inline if it
+    /// is already terminal (or unknown), otherwise park `(token, waker)`
+    /// as a completion subscription. The terminal transition wakes every
     /// subscription for the key exactly once; the subscription is
     /// consumed by the wake. Waiters that give up early (client went
     /// away, wait budget elapsed) must [`Registry::unsubscribe`].
@@ -897,58 +842,6 @@ mod tests {
         assert!(matches!(
             accept(&registry, spec(texts[0])),
             SubmitOutcome::Fresh(_)
-        ));
-    }
-
-    #[test]
-    fn wait_terminal_wakes_on_completion_and_times_out_pending() {
-        let registry = Registry::new();
-        // Unknown key: answered immediately.
-        assert!(matches!(
-            registry.wait_terminal("nope", Duration::from_secs(5)),
-            WaitOutcome::Unknown
-        ));
-
-        let key = match accept(&registry, spec(SRC)) {
-            SubmitOutcome::Fresh(key) => key,
-            other => panic!("{other:?}"),
-        };
-        // Still queued: a short wait reports Pending, not a hang.
-        let started = std::time::Instant::now();
-        assert!(matches!(
-            registry.wait_terminal(&key, Duration::from_millis(30)),
-            WaitOutcome::Pending(v) if v.status == JobStatus::Queued
-        ));
-        assert!(started.elapsed() >= Duration::from_millis(30));
-
-        // A waiter parked on a running job is woken by complete().
-        let (job, generation) = registry.start(&key).unwrap();
-        let output = job.execute().unwrap();
-        std::thread::scope(|scope| {
-            let registry = &registry;
-            let waiter_key = key.clone();
-            let waiter = scope.spawn(move || {
-                let started = std::time::Instant::now();
-                let outcome = registry.wait_terminal(&waiter_key, Duration::from_secs(30));
-                (outcome, started.elapsed())
-            });
-            std::thread::sleep(Duration::from_millis(20));
-            registry.complete(&key, generation, output);
-            let (outcome, waited) = waiter.join().unwrap();
-            match outcome {
-                WaitOutcome::Terminal(view) => assert_eq!(view.status, JobStatus::Done),
-                other => panic!("expected terminal, got {other:?}"),
-            }
-            assert!(
-                waited < Duration::from_secs(5),
-                "woke at completion, not at the timeout ({waited:?})"
-            );
-        });
-
-        // Terminal records answer without waiting at all.
-        assert!(matches!(
-            registry.wait_terminal(&key, Duration::ZERO),
-            WaitOutcome::Terminal(_)
         ));
     }
 

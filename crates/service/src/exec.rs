@@ -5,9 +5,9 @@
 //! job had already profiled most of those scales. This module breaks a
 //! job into its per-scale units so that
 //!
-//! 1. each requested scale is first resolved against the
-//!    content-addressed [`ProfileCache`] and only the misses are
-//!    simulated, and
+//! 1. each requested scale is first resolved through the tier chain
+//!    ([`crate::tiers`]: memory, durable store, ring owner) and only
+//!    the misses are simulated, and
 //! 2. the misses are fanned out across the *whole worker pool* as
 //!    [`Task::Scale`] items instead of binding one worker per job — a
 //!    single large submission saturates every worker, and a job with one
@@ -32,7 +32,8 @@ use crate::jsonify::{report_to_json, run_summary_to_json};
 use crate::metrics::ServiceMetrics;
 use crate::profile_cache::{CachedPsg, ProfileCache, PsgCache, ScaleGraph};
 use crate::queue::JobQueue;
-use crate::store::{self, DiskStore};
+use crate::store::{self, DiskStore, EntryKind};
+use crate::tiers::{Owner, Tiers};
 use bytes::Bytes;
 use scalana_api::trace::TraceSpan;
 use scalana_core::{
@@ -86,21 +87,29 @@ pub struct ExecCtx<'a> {
     pub registry: &'a Registry,
     /// The worker-pool queue (scale tasks go to its priority lane).
     pub queue: &'a JobQueue<Task>,
-    /// Per-scale profile image cache.
+    /// Memory tier: resident profile images and discovery traces.
     pub profiles: &'a ProfileCache,
     /// Refined-PSG cache.
     pub psgs: &'a PsgCache,
-    /// Durable on-disk tier under the caches, when `--store-dir` is
-    /// configured: profile images write through to it, per-scale misses
-    /// read through it, and PSG misses replay its discovery traces.
+    /// Disk tier, when `--store-dir` is configured.
     pub store: Option<&'a DiskStore>,
-    /// Fleet tier under the store: on a miss in both local tiers the
-    /// key's ring owner is consulted before simulating, and fresh
-    /// entries are offered back to their owners asynchronously. `None`
-    /// on a standalone executor (tests, benches without a server).
+    /// Fleet tier. `None` on a standalone executor (tests, benches
+    /// without a server).
     pub federation: Option<&'a Federation>,
     /// Observability handles (stage histograms, simulator counters).
     pub metrics: &'a ServiceMetrics,
+}
+
+impl<'a> ExecCtx<'a> {
+    /// The chain over this executor's tiers — the only way a job reads
+    /// or publishes a profile image or a discovery trace.
+    pub fn tiers(&self) -> Tiers<'a> {
+        Tiers {
+            memory: self.profiles,
+            disk: self.store,
+            owner: self.federation.map(|federation| federation as &dyn Owner),
+        }
+    }
 }
 
 /// Shared state of one in-flight job, owned jointly by its scale tasks.
@@ -292,34 +301,25 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
             }
             None => {
                 let (program, config) = spec.resolve()?;
-                // Warm restart: a persisted discovery trace rebuilds
-                // the identical refined PSG with zero simulation. Next
-                // tier: the trace's ring owner elsewhere in the fleet —
-                // replaying a fetched trace is exact the same way.
-                let replayed = ctx
-                    .store
-                    .and_then(|store| {
-                        let trace = store::decode_trace(store.psg_trace(&psg_key)?)?;
-                        Some((replay_refined_psg(&program, &config, &trace), "replay"))
-                    })
-                    .or_else(|| {
-                        let federation = ctx.federation?;
-                        let trace = store::decode_trace(federation.fetch_psg_trace(&psg_key)?)?;
-                        Some((replay_refined_psg(&program, &config, &trace), "peer"))
-                    });
+                // A discovery trace some tier still holds rebuilds the
+                // identical refined PSG with zero simulation.
+                let replayed = ctx.tiers().get(EntryKind::PsgTrace, &psg_key, |entry| {
+                    store::decode_trace(entry.image.clone())
+                });
                 let (psg, verdict) = match replayed {
-                    Some(replayed) => replayed,
+                    Some(found) => (
+                        replay_refined_psg(&program, &config, &found.value),
+                        found.source.tag(EntryKind::PsgTrace),
+                    ),
                     None => {
                         let (psg, trace) =
                             refined_psg_traced(&program, &config, spec.discovery_scale())
                                 .map_err(|e| e.to_string())?;
-                        let encoded = store::encode_trace(&trace);
-                        if let Some(store) = ctx.store {
-                            store.save_psg_trace(&psg_key, encoded.clone());
-                        }
-                        if let Some(federation) = ctx.federation {
-                            federation.publish_psg_trace(&psg_key, &encoded);
-                        }
+                        ctx.tiers().put(
+                            EntryKind::PsgTrace,
+                            &psg_key,
+                            &store::encode_trace(&trace),
+                        );
                         (psg, "miss")
                     }
                 };
@@ -410,53 +410,24 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
 }
 
 /// Answer one scale without simulating, from the first tier that has a
-/// decodable image: local memory, the durable store, the key's ring
-/// owner. Returns the slot with its `cache` and `decode` trace verdicts.
+/// decodable image. Returns the slot with its `cache` and `decode`
+/// trace verdicts.
 fn cached_scale(
     ctx: &ExecCtx<'_>,
     psg: &Arc<Psg>,
     key: &str,
     nprocs: usize,
 ) -> Option<(ScaleSlot, &'static str, &'static str)> {
-    let decode = |image: &Bytes| {
-        let data = scalana_profile::store::load(image.clone()).ok()?;
-        Some(scale_ppg(psg, nprocs, data))
-    };
-    if let Some(entry) = ctx.profiles.lookup(key) {
-        match entry.decoded(decode) {
-            (Some(graph), reused) => {
-                let verdict = if reused { "reused" } else { "fresh" };
-                return Some(((graph, entry.image.clone()), "hit", verdict));
-            }
-            // A corrupt image must not poison the job — drop it and
-            // fall through the lower tiers to re-simulating the scale.
-            (None, _) => ctx.profiles.invalidate(key),
-        }
-    }
-    // Memory miss: the durable tier may still have the image (evicted,
-    // or written by a previous process and not warm-loaded). Corrupt
-    // frames were already quarantined inside `read_profile`. Only the
-    // image is admitted: the PPG stays with this job until a later one
-    // hits the entry.
-    if let Some(image) = ctx.store.and_then(|store| store.read_profile(key)) {
-        if let Some(graph) = decode(&image) {
-            ctx.profiles.store(key.to_string(), image.clone());
-            return Some(((Arc::new(graph), image), "hit", "fresh"));
-        }
-    }
-    // Fleet tier: ask the key's ring owner. A decodable answer counts
-    // as a hit — no simulation ran — so the recorded miss is redeemed.
-    // The image is *not* admitted to the local cache: the owner already
-    // retains it, and admitting remote keys here would let a hot fleet
-    // working set evict this daemon's own shard — collapsing the
-    // fleet's aggregate capacity back to one daemon's. Re-reading a hot
-    // remote key costs one local round trip, not a simulator run. Every
-    // failure shape (we own the key, a dead peer, a bad payload) just
-    // falls through to simulation.
-    let image = ctx.federation?.fetch_profile(key)?;
-    let graph = decode(&image)?;
-    ctx.profiles.redeem_miss();
-    Some(((Arc::new(graph), image), "peer", "fresh"))
+    let found = ctx.tiers().get(EntryKind::Profile, key, |entry| {
+        entry.decoded(|image| {
+            let data = scalana_profile::store::load(image.clone()).ok()?;
+            Some(scale_ppg(psg, nprocs, data))
+        })
+    })?;
+    let (graph, reused) = found.value;
+    let decode = if reused { "reused" } else { "fresh" };
+    let cache = found.source.tag(EntryKind::Profile);
+    Some(((graph, found.bytes), cache, decode))
 }
 
 /// Simulate one scale; the worker that finishes the job's last
@@ -484,26 +455,8 @@ fn run_scale(ctx: &ExecCtx<'_>, work: &Arc<JobWork>, index: usize) {
         });
         match built {
             Ok((graph, image)) => {
-                let key = &work.profile_keys[index];
-                // Admission policy: local memory holds the daemon's own
-                // ring shard. A key owned elsewhere is written through
-                // to its owner instead of admitted here — caching it
-                // locally would evict owned entries and collapse the
-                // fleet's aggregate capacity toward one daemon's. On a
-                // standalone daemon (no federation, or a single-member
-                // ring) every key is owned.
-                let owned = ctx.federation.is_none_or(|f| f.owns(key));
-                if owned {
-                    ctx.profiles.store(key.clone(), image.clone());
-                }
-                if let Some(store) = ctx.store {
-                    store.save_profile(key, image.clone());
-                }
-                // Write-behind to the scale's ring owner, so the next
-                // daemon to miss on this key finds it fleet-side.
-                if let Some(federation) = ctx.federation {
-                    federation.offer_profile(key, &image);
-                }
+                ctx.tiers()
+                    .put(EntryKind::Profile, &work.profile_keys[index], &image);
                 work.slots.lock().unwrap()[index] = Some((graph, image));
             }
             Err(error) => {
@@ -535,8 +488,7 @@ fn attach_spans(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
 /// Profile images are reused as collected/cached — byte-stable,
 /// refcounted, never re-serialized.
 ///
-/// The terminal `complete`/`fail` inside does double duty: it wakes
-/// threads blocked on the shard condvar *and* fires any event-loop
+/// The terminal `complete`/`fail` inside fires the event-loop
 /// subscriptions ([`crate::cache::Registry::subscribe`]) parked by
 /// long-poll connections, so worker threads never interact with
 /// connection state directly.
@@ -830,6 +782,37 @@ mod tests {
         );
         assert_serves_cold_bytes(&ctx, &key, &spec(&scales, 4));
         assert_eq!(parts.4.sim_runs.get(), 2, "only the cold job simulated");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scales_the_store_serves_count_as_hits_not_misses() {
+        let dir =
+            std::env::temp_dir().join(format!("scalana-exec-disk-hit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (disk, _) = DiskStore::open(Arc::new(crate::store::RealIo), &dir, 0);
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, Some(&disk));
+        let scales = [2, 4, 8];
+
+        // Fill three scales, then lose them from memory, as a cache
+        // smaller than the fill does.
+        let job = spec(&scales, 3);
+        submit_and_run(&ctx, job.clone());
+        let config = job.resolve_config().unwrap();
+        for &n in &scales {
+            parts.2.invalidate(&job.profile_key(&config, n));
+        }
+        let (before, simulated) = (parts.2.stats(), parts.4.sim_runs.get());
+
+        // Re-serve: the store answers every scale. `misses` means "had
+        // to simulate", so it does not move.
+        let key = submit_and_run(&ctx, spec(&scales, 2));
+        assert_serves_cold_bytes(&ctx, &key, &spec(&scales, 2));
+        let after = parts.2.stats();
+        assert_eq!(after.misses - before.misses, 0);
+        assert_eq!(after.hits - before.hits, 3);
+        assert_eq!(parts.4.sim_runs.get() - simulated, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,8 +5,8 @@
 //! keys the local caches use. Every key has exactly one owner that all
 //! members agree on, so the fleet behaves as one sharded cache:
 //!
-//! - **read-through** — on a local per-scale or PSG miss, the executor
-//!   consults the key's owner (`GET /v1/peer/profile/<key>`,
+//! - **read-through** — as the last tier of [`crate::tiers`], the key's
+//!   owner is asked (`GET /v1/peer/profile/<key>`,
 //!   `GET /v1/peer/psg/<key>`) before simulating; a remote hit costs one
 //!   round trip instead of a simulator run;
 //! - **write-behind** — freshly simulated entries are *offered* to their
@@ -36,7 +36,8 @@ pub use ring::Ring;
 
 use crate::http::HttpResponse;
 use crate::json::parse;
-use crate::sharded::ShardedMap;
+use crate::store::EntryKind;
+use crate::tiers::Owner;
 use bytes::Bytes;
 use scalana_api::{paths, PeerAnnounce, PeerBlob, RingView};
 use scalana_obs::{Counter, Histogram};
@@ -46,14 +47,6 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
-
-/// Refined-PSG discovery traces held for peer serving. The owner's
-/// durable store is the real home; this bounded map only covers
-/// memory-only daemons and the window before the store writer settles.
-const PSG_TRACE_CAPACITY: usize = 256;
-
-/// Shard count for the trace map (same rationale as the caches').
-const PSG_TRACE_SHARDS: usize = 16;
 
 /// Pre-registered metric handles the federation layer feeds; clones of
 /// the atomics [`crate::ServiceMetrics`] registered, so `/v1/metrics`
@@ -80,8 +73,8 @@ enum Offer {
     Announce { addr: String },
 }
 
-/// The daemon's view of the fleet: ring, peer clients, write-behind
-/// queue, and the serve-side PSG trace shelf.
+/// The daemon's view of the fleet: ring, peer clients and the
+/// write-behind queue.
 #[derive(Debug)]
 pub struct Federation {
     /// Our advertised identity on the ring.
@@ -89,8 +82,6 @@ pub struct Federation {
     ring: RwLock<Ring>,
     /// Lazily created clients, one per remote member ever dialed.
     clients: Mutex<HashMap<String, Arc<PeerClient>>>,
-    /// Encoded discovery traces we can serve to peers.
-    psg_traces: ShardedMap<Bytes>,
     /// Offers enqueued but not yet settled by the writer.
     backlog: AtomicU64,
     metrics: PeerMetrics,
@@ -120,7 +111,6 @@ impl Federation {
             self_addr,
             ring: RwLock::new(ring),
             clients: Mutex::new(HashMap::new()),
-            psg_traces: ShardedMap::new(PSG_TRACE_SHARDS, PSG_TRACE_CAPACITY),
             backlog: AtomicU64::new(0),
             metrics,
             writer: Mutex::new(None),
@@ -166,17 +156,6 @@ impl Federation {
         )
     }
 
-    /// Whether this daemon is `key`'s ring owner (trivially true on an
-    /// empty or single-member ring). The cache admission policy keys on
-    /// this: local memory is reserved for the owned shard, so the
-    /// fleet's aggregate capacity really is the sum of its members'.
-    pub fn owns(&self, key: &str) -> bool {
-        match self.ring.read().unwrap().owner(key) {
-            Some(owner) => owner == self.self_addr,
-            None => true,
-        }
-    }
-
     /// The remote owner of `key`, or `None` when we own it ourselves
     /// (or the ring is empty).
     pub fn remote_owner(&self, key: &str) -> Option<Arc<PeerClient>> {
@@ -209,87 +188,6 @@ impl Federation {
     /// Offers enqueued but not yet settled.
     pub fn backlog(&self) -> u64 {
         self.backlog.load(Ordering::Acquire)
-    }
-
-    /// One remote fetch: ask `key`'s owner for the entry at `path`.
-    /// `None` covers every miss shape — we own the key, the breaker is
-    /// open, transport failed, the owner answered non-200, or the body
-    /// did not decode — because all of them mean the same thing to the
-    /// executor: do the work locally.
-    fn fetch(&self, key: &str, path: &str) -> Option<Bytes> {
-        let peer = self.remote_owner(key)?;
-        let started = Instant::now();
-        let attempt = peer.request("GET", path, "")?;
-        self.metrics.requests.inc();
-        self.metrics
-            .fetch_ns
-            .record(started.elapsed().as_nanos() as u64);
-        let response: HttpResponse = attempt.ok()?;
-        if response.code != 200 {
-            return None;
-        }
-        let text = std::str::from_utf8(&response.body).ok()?;
-        let blob = PeerBlob::from_json(&parse(text).ok()?).ok()?;
-        if blob.key != key {
-            return None;
-        }
-        let bytes = blob.bytes().ok()?;
-        self.metrics.hits.inc();
-        Some(Bytes::from(bytes))
-    }
-
-    /// Fetch one per-scale profile image from its owner.
-    pub fn fetch_profile(&self, key: &str) -> Option<Bytes> {
-        self.fetch(key, &paths::peer_profile(key))
-    }
-
-    /// Fetch one encoded PSG discovery trace: the local shelf first
-    /// (an owner holds traces peers pushed to it without a round trip),
-    /// then the key's remote owner.
-    pub fn fetch_psg_trace(&self, key: &str) -> Option<Bytes> {
-        if let Some(trace) = self.lookup_psg_trace(key) {
-            return Some(trace);
-        }
-        self.fetch(key, &paths::peer_psg(key))
-    }
-
-    /// Serve-side: an encoded trace we hold for peers.
-    pub fn lookup_psg_trace(&self, key: &str) -> Option<Bytes> {
-        self.psg_traces.get(key)
-    }
-
-    /// Serve-side: shelve a trace a peer pushed to us.
-    pub fn record_psg_trace(&self, key: &str, encoded: Bytes) {
-        self.psg_traces.insert(key.to_string(), encoded);
-    }
-
-    /// Write-behind: offer a freshly simulated profile image to its
-    /// owner. No-op when we own the key.
-    pub fn offer_profile(&self, key: &str, image: &Bytes) {
-        let Some(peer) = self.remote_owner(key) else {
-            return;
-        };
-        let body = PeerBlob::from_bytes(key, image).to_json().render();
-        self.enqueue(Offer::Blob {
-            addr: peer.addr().to_string(),
-            path: paths::peer_profile(key),
-            body,
-        });
-    }
-
-    /// Write-behind: shelve a freshly discovered trace locally (we can
-    /// serve it to peers either way) and offer it to its owner.
-    pub fn publish_psg_trace(&self, key: &str, encoded: &Bytes) {
-        self.record_psg_trace(key, encoded.clone());
-        let Some(peer) = self.remote_owner(key) else {
-            return;
-        };
-        let body = PeerBlob::from_bytes(key, encoded).to_json().render();
-        self.enqueue(Offer::Blob {
-            addr: peer.addr().to_string(),
-            path: paths::peer_psg(key),
-            body,
-        });
     }
 
     /// Introduce ourselves to every seed (asynchronously, on the writer
@@ -360,8 +258,7 @@ impl Federation {
     }
 
     /// Start the write-behind thread (mirrors the store writer's
-    /// lifecycle: started by [`crate::Server::run`], stopped on
-    /// shutdown).
+    /// lifecycle; [`crate::tiers::WriteBehind`] runs both).
     pub fn start_writer(self: &Arc<Federation>) -> JoinHandle<()> {
         let (tx, rx) = mpsc::channel::<Offer>();
         *self.writer.lock().unwrap() = Some(tx);
@@ -380,6 +277,63 @@ impl Federation {
     /// Drop the sender; the writer drains its queue and exits.
     pub fn stop_writer(&self) {
         self.writer.lock().unwrap().take();
+    }
+}
+
+/// The peer endpoint one entry travels over.
+fn peer_path(kind: EntryKind, key: &str) -> String {
+    match kind {
+        EntryKind::Profile => paths::peer_profile(key),
+        EntryKind::PsgTrace => paths::peer_psg(key),
+    }
+}
+
+impl Owner for Federation {
+    /// Trivially true on an empty or single-member ring.
+    fn owns(&self, key: &str) -> bool {
+        match self.ring.read().unwrap().owner(key) {
+            Some(owner) => owner == self.self_addr,
+            None => true,
+        }
+    }
+
+    /// One remote fetch. `None` covers every miss shape — we own the
+    /// key, the breaker is open, transport failed, the owner answered
+    /// non-200, or the body did not decode — because all of them mean
+    /// the same thing to the executor: do the work locally.
+    fn fetch(&self, kind: EntryKind, key: &str) -> Option<Bytes> {
+        let peer = self.remote_owner(key)?;
+        let started = Instant::now();
+        let attempt = peer.request("GET", &peer_path(kind, key), "")?;
+        self.metrics.requests.inc();
+        self.metrics
+            .fetch_ns
+            .record(started.elapsed().as_nanos() as u64);
+        let response: HttpResponse = attempt.ok()?;
+        if response.code != 200 {
+            return None;
+        }
+        let text = std::str::from_utf8(&response.body).ok()?;
+        let blob = PeerBlob::from_json(&parse(text).ok()?).ok()?;
+        if blob.key != key {
+            return None;
+        }
+        let bytes = blob.bytes().ok()?;
+        self.metrics.hits.inc();
+        Some(Bytes::from(bytes))
+    }
+
+    /// Write-behind; a no-op when we own the key.
+    fn offer(&self, kind: EntryKind, key: &str, bytes: &Bytes) {
+        let Some(peer) = self.remote_owner(key) else {
+            return;
+        };
+        let body = PeerBlob::from_bytes(key, bytes).to_json().render();
+        self.enqueue(Offer::Blob {
+            addr: peer.addr().to_string(),
+            path: peer_path(kind, key),
+            body,
+        });
     }
 }
 
@@ -403,7 +357,8 @@ mod tests {
         assert!(!fed.is_federated());
         assert_eq!(fed.ring_len(), 1);
         assert!(fed.remote_owner("00ff5ca1a71e57ed").is_none());
-        assert!(fed.fetch_profile("00ff5ca1a71e57ed").is_none());
+        assert!(fed.owns("00ff5ca1a71e57ed"));
+        assert!(fed.fetch(EntryKind::Profile, "00ff5ca1a71e57ed").is_none());
         let view = fed.ring_view();
         assert_eq!(view.members, vec!["127.0.0.1:7878".to_string()]);
     }
@@ -426,20 +381,8 @@ mod tests {
         for i in 0..32 {
             let mut h = crate::hash::StableHasher::new();
             h.write_usize(i);
-            fed.offer_profile(&h.hex(), &image);
+            fed.offer(EntryKind::Profile, &h.hex(), &image);
         }
         assert_eq!(fed.backlog(), 0);
-    }
-
-    #[test]
-    fn psg_traces_shelve_and_serve() {
-        let fed = Federation::new("127.0.0.1:7878".to_string(), &[], metrics());
-        let encoded = Bytes::from_static(b"trace");
-        fed.publish_psg_trace("00ff5ca1a71e57ed", &encoded);
-        assert_eq!(
-            fed.lookup_psg_trace("00ff5ca1a71e57ed").as_deref(),
-            Some(&b"trace"[..])
-        );
-        assert!(fed.lookup_psg_trace("ffffffffffffffff").is_none());
     }
 }

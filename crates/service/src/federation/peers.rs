@@ -1,26 +1,16 @@
 //! One handle per remote daemon: a bounded keep-alive connection pool
-//! behind a per-peer circuit breaker.
-//!
-//! The breaker replicates the ladder the durable store uses for disk
-//! faults ([`crate::store`]): [`BREAKER_TRIP`] consecutive failures open
-//! it, the open interval doubles from [`BREAKER_BASE_BACKOFF`] up to
-//! [`BREAKER_MAX_BACKOFF`], and one success closes it entirely. While
-//! open, [`PeerClient::request`] refuses instantly — the caller falls
-//! back to local simulation without paying a connect timeout per job. A
-//! dead peer therefore degrades fleet throughput (remote hits become
-//! local misses), never correctness or availability.
+//! behind a per-peer circuit breaker — the same `Breaker` ladder the
+//! durable store uses for disk faults. While it is open,
+//! [`PeerClient::request`] refuses instantly — the caller falls back to
+//! local simulation without paying a connect timeout per job. A dead
+//! peer therefore degrades fleet throughput (remote hits become local
+//! misses), never correctness or availability.
 
+use crate::breaker::Breaker;
 use crate::client::Conn;
 use crate::http::HttpResponse;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Consecutive failures that open a peer's breaker.
-const BREAKER_TRIP: u32 = 3;
-/// First open interval after a trip.
-const BREAKER_BASE_BACKOFF: Duration = Duration::from_millis(250);
-/// Backoff ceiling — a long-dead peer is re-probed at this cadence.
-const BREAKER_MAX_BACKOFF: Duration = Duration::from_secs(30);
 
 /// Idle keep-alive connections retained per peer. Requests beyond the
 /// pool open a fresh connection and the surplus is dropped on return.
@@ -30,44 +20,6 @@ const POOL_SIZE: usize = 4;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Budget for one request/response round trip on a peer connection.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The store's failure ladder, replicated per peer.
-#[derive(Debug, Default)]
-struct Breaker {
-    /// Consecutive failures since the last success.
-    failures: u32,
-    /// While set, requests are refused until this instant.
-    open_until: Option<Instant>,
-    /// Open interval the *next* trip will use.
-    backoff: Duration,
-}
-
-impl Breaker {
-    fn admit(&self, now: Instant) -> bool {
-        self.open_until.is_none_or(|until| now >= until)
-    }
-
-    fn on_success(&mut self) {
-        self.failures = 0;
-        self.open_until = None;
-        self.backoff = Duration::ZERO;
-    }
-
-    fn on_failure(&mut self, now: Instant) {
-        self.failures += 1;
-        if self.failures >= BREAKER_TRIP {
-            if self.backoff.is_zero() {
-                self.backoff = BREAKER_BASE_BACKOFF;
-            }
-            self.open_until = Some(now + self.backoff);
-            self.backoff = (self.backoff * 2).min(BREAKER_MAX_BACKOFF);
-        }
-    }
-
-    fn is_open(&self) -> bool {
-        self.open_until.is_some()
-    }
-}
 
 /// A pooled, breaker-guarded client for one remote daemon.
 #[derive(Debug)]
@@ -84,7 +36,7 @@ impl PeerClient {
         PeerClient {
             addr: addr.to_string(),
             pool: Mutex::new(Vec::new()),
-            breaker: Mutex::new(Breaker::default()),
+            breaker: Mutex::new(Breaker::new()),
         }
     }
 
@@ -166,31 +118,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn breaker_trips_after_consecutive_failures_and_backs_off() {
-        let mut b = Breaker::default();
-        let t0 = Instant::now();
-        assert!(b.admit(t0));
-        b.on_failure(t0);
-        b.on_failure(t0);
-        assert!(b.admit(t0), "two failures stay closed");
-        b.on_failure(t0);
-        assert!(b.is_open());
-        assert!(!b.admit(t0));
-        assert!(b.admit(t0 + BREAKER_BASE_BACKOFF), "reopens after backoff");
-        // A further failure doubles the interval.
-        b.on_failure(t0 + BREAKER_BASE_BACKOFF);
-        assert!(!b.admit(t0 + BREAKER_BASE_BACKOFF + BREAKER_BASE_BACKOFF));
-        assert!(b.admit(t0 + BREAKER_BASE_BACKOFF + BREAKER_BASE_BACKOFF * 2));
-        b.on_success();
-        assert!(!b.is_open());
-        assert!(b.admit(t0));
-    }
-
-    #[test]
     fn dead_peer_refuses_after_trip_without_io() {
         // Nothing listens on this port (reserved, never assigned).
         let peer = PeerClient::new("127.0.0.1:1");
-        for _ in 0..BREAKER_TRIP {
+        for _ in 0..crate::breaker::TRIP {
             assert!(matches!(
                 peer.request("GET", "/v1/healthz", ""),
                 Some(Err(_))

@@ -328,8 +328,9 @@ fn read_body<R: BufRead>(reader: &mut R, len: usize) -> io::Result<Vec<u8>> {
     Ok(body)
 }
 
-/// Read one request from a one-shot stream (compatibility helper; the
-/// server's keep-alive loop uses [`MessageReader`] directly).
+/// Read one request from a one-shot stream. The daemon parses
+/// incrementally ([`RequestBuffer`]); this blocking reader is what that
+/// parser is tested against, and what stub servers in tests use.
 pub fn read_request<S: Read>(stream: S) -> io::Result<Request> {
     MessageReader::new(stream)
         .next_request()?

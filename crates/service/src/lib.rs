@@ -24,28 +24,36 @@
 //! - [`queue`] / [`cache`] — bounded two-lane task queue and the
 //!   sharded content-addressed registry/result cache with hit/miss
 //!   counters;
-//! - [`profile_cache`] / [`exec`] — the per-scale profile image cache,
-//!   refined-PSG cache, and program index, plus the per-scale job
-//!   execution that fans simulation misses out across the worker pool;
-//! - [`store`] — the durable on-disk tier under the caches: crash-safe
-//!   content-addressed persistence of profile images and PSG discovery
-//!   traces (atomic temp+rename+fsync writes, checksum framing,
-//!   quarantine), warm restarts, an injectable [`StoreIo`] with a
-//!   deterministic fault plan, a write-failure circuit breaker into
-//!   memory-only mode, and an LRU quota sweep;
+//! - [`tiers`] — the one place that decides which tier (memory, disk,
+//!   ring owner) answers a profile image or PSG discovery trace, which
+//!   tiers admit it and what is counted; it also runs the two
+//!   write-behind threads. The tiers themselves:
+//!   - [`profile_cache`] — memory: resident profile images (each with
+//!     its lazily decoded PPG) and discovery traces; beside them the
+//!     refined-PSG cache and the program index;
+//!   - [`store`] — disk: crash-safe content-addressed persistence
+//!     (atomic temp+rename+fsync writes, checksum framing, quarantine),
+//!     warm restarts, an injectable [`StoreIo`] with a deterministic
+//!     fault plan, a write-failure circuit breaker into memory-only
+//!     mode, and an LRU quota sweep;
+//!   - [`federation`] — the fleet: rendezvous ring, gossip, per-peer
+//!     clients behind the same circuit breaker;
+//! - [`exec`] — per-scale job execution: scales resolve through the
+//!   chain and the misses fan out across the worker pool;
 //! - [`metrics`] — the daemon observing itself: one
 //!   [`scalana_obs`]-backed [`ServiceMetrics`] per server (stage
 //!   latency histograms, long-poll and simulator counters) behind
 //!   `GET /v1/metrics`, with per-job span timelines served from the
 //!   registry at `GET /v1/jobs/<id>/trace`;
 //! - [`http`] / [`net`] / [`server`] / [`client`] — HTTP/1.1 framing
-//!   with keep-alive over `std::net` (both the blocking reader and the
-//!   incremental [`http::RequestBuffer`]), the epoll/eventfd readiness
-//!   primitives behind the daemon's event loop, the daemon itself, and
-//!   the blocking client ([`client::Conn`] reuses one connection per
-//!   interaction). On Linux every connection is served by one epoll
-//!   readiness loop and long-polls park as registry subscriptions, so
-//!   thousands of concurrent waiters cost fds, not threads.
+//!   with keep-alive over `std::net` (the client's blocking reader and
+//!   the server's incremental [`http::RequestBuffer`]), the
+//!   epoll/eventfd readiness primitives behind the daemon's event loop,
+//!   the daemon itself, and the blocking client ([`client::Conn`]
+//!   reuses one connection per interaction). The daemon is Linux-only:
+//!   every connection is served by one epoll readiness loop and
+//!   long-polls park as registry subscriptions, so thousands of
+//!   concurrent waiters cost fds, not threads.
 //!
 //! The `scalana` binary lives here too: the classic `static`/`analyze`/
 //! `apps` one-shot commands plus `serve`, `submit`, `status`, `result`,
@@ -67,6 +75,7 @@
 //! println!("job {}", response.get("job").unwrap());
 //! ```
 
+mod breaker;
 pub mod cache;
 pub mod client;
 pub mod exec;
@@ -84,6 +93,7 @@ pub(crate) mod reactor;
 pub mod server;
 pub mod sharded;
 pub mod store;
+pub mod tiers;
 
 /// The canonical JSON layer now lives in [`scalana_api`]; re-exported
 /// here so `scalana_service::json::{parse, Json}` keeps working.

@@ -54,7 +54,7 @@ pub struct ServiceMetrics {
     /// events are recorded (idle timer ticks would drown the signal).
     pub round_ns: Histogram,
 
-    /// Long-poll waiters that actually parked (condvar or subscription).
+    /// Long-poll waiters that actually parked (as registry subscriptions).
     pub longpoll_parks: Counter,
     /// Parked waiters woken by a terminal transition (vs. timing out).
     pub longpoll_wakes: Counter,

@@ -10,9 +10,8 @@
 //! here and every call site checks the return value and surfaces
 //! `io::Error::last_os_error()`).
 //!
-//! Everything is `#[cfg(target_os = "linux")]`; on other unixes the
-//! daemon falls back to the portable thread-per-connection path in
-//! [`crate::server`].
+//! Everything is `#[cfg(target_os = "linux")]`, and so is the daemon:
+//! elsewhere [`crate::Server::run`] answers `Unsupported`.
 #![allow(unsafe_code)]
 
 #[cfg(target_os = "linux")]
@@ -212,8 +211,7 @@ mod linux {
 
     /// A nonblocking eventfd: any thread [`wake`](WakeFd::wake)s it, the
     /// event loop sees the fd readable and [`drain`](WakeFd::drain)s it.
-    /// One fd replaces both the old shutdown self-connect hack and a
-    /// per-waiter condvar signal.
+    /// One fd carries every worker → loop notification.
     #[derive(Debug)]
     pub struct WakeFd {
         fd: RawFd,

@@ -6,15 +6,17 @@
 //! whose scale set merely overlaps a previous one re-simulates every
 //! scale. These caches operate one level down:
 //!
-//! - [`ProfileCache`] — per-scale profile images (the exact
-//!   `scalana_profile::store` bytes `ScalAna-prof` persists), keyed by
-//!   FNV(program, profile-relevant config, discovery scale, scale). A
-//!   job resolves each requested scale here first and simulates only the
-//!   misses, so `submit([2,4,8,16])` after `submit([2,4,8])` runs the
-//!   simulator exactly once. The first job to *hit* an entry decodes its
-//!   image into the run summary + PPG detection consumes and leaves that
-//!   beside the image, so later hits (re-detects with new knobs) decode
-//!   nothing.
+//! - [`ProfileCache`] — what `ScalAna-prof` persists, resident: the
+//!   memory tier of [`crate::tiers`]. Per-scale profile images (the
+//!   exact `scalana_profile::store` bytes), keyed by FNV(program,
+//!   profile-relevant config, discovery scale, scale): a job resolves
+//!   each requested scale through the chain first and simulates only
+//!   the misses, so `submit([2,4,8,16])` after `submit([2,4,8])` runs
+//!   the simulator exactly once. The first job to *hit* an entry decodes
+//!   its image into the run summary + PPG detection consumes and leaves
+//!   that beside the image, so later hits (re-detects with new knobs)
+//!   decode nothing. And the encoded PSG discovery traces, keyed like
+//!   the [`PsgCache`], from which a refined PSG is replayed.
 //! - [`PsgCache`] — refined PSGs (static graph + indirect-call
 //!   discovery) with the parsed program they were built from, keyed by
 //!   FNV(program, PSG options, discovery scale). Shared by reference; a
@@ -23,9 +25,9 @@
 //!   `submit --program-hash` can re-reference an uploaded program
 //!   without re-sending its source.
 //!
-//! All three are FIFO-bounded [`crate::sharded`] maps (the PSG cache a
-//! single shard, so its capacity is exact); the per-scale
-//! hit/miss/eviction counters feed `/stats`.
+//! All three are FIFO-bounded [`crate::sharded`] maps (the PSG cache
+//! and the trace shelf a single shard each, so their capacities are
+//! exact); the per-scale hit/miss/eviction counters feed `/stats`.
 
 use crate::job::JobProgram;
 use crate::sharded::ShardedMap;
@@ -40,6 +42,11 @@ use std::sync::{Arc, OnceLock};
 /// uniform content hashes, so this just has to exceed the plausible
 /// number of simultaneously contending threads.
 pub const CACHE_SHARDS: usize = 16;
+
+/// Encoded PSG discovery traces the memory tier keeps resident — the
+/// one in-memory copy of a trace in the daemon (a few hundred bytes
+/// each; the durable store, when configured, holds every one).
+pub const TRACE_CAPACITY: usize = 256;
 
 /// What detection consumes of one profiled scale
 /// ([`scalana_core::scale_ppg`]).
@@ -57,6 +64,14 @@ pub struct CachedScale {
 }
 
 impl CachedScale {
+    /// An entry holding `image` only, nothing decoded yet.
+    pub fn new(image: Bytes) -> CachedScale {
+        CachedScale {
+            image,
+            decoded: OnceLock::new(),
+        }
+    }
+
     /// The entry's decoded form and whether it was already there. The
     /// first caller builds it with `decode`; callers racing it block on
     /// the cell and share the one value. `None` = `decode` refused the
@@ -64,20 +79,22 @@ impl CachedScale {
     pub fn decoded(
         &self,
         decode: impl FnOnce(&Bytes) -> Option<ScaleGraph>,
-    ) -> (Option<Arc<ScaleGraph>>, bool) {
+    ) -> Option<(Arc<ScaleGraph>, bool)> {
         let mut reused = true;
         let decoded = self.decoded.get_or_init(|| {
             reused = false;
             decode(&self.image).map(Arc::new)
         });
-        (decoded.clone(), reused)
+        Some((decoded.clone()?, reused))
     }
 }
 
-/// Per-scale profile image cache with hit/miss accounting.
+/// Per-scale profile images and PSG discovery traces, with per-scale
+/// hit/miss accounting.
 #[derive(Debug)]
 pub struct ProfileCache {
     images: ShardedMap<Arc<CachedScale>>,
+    traces: ShardedMap<Bytes>,
     hits: AtomicU64,
     misses: AtomicU64,
     evicted: AtomicU64,
@@ -89,9 +106,11 @@ pub struct ProfileCache {
 /// `/stats` snapshot of a [`ProfileCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileCacheStats {
-    /// Requested scales answered from the cache (no simulation).
+    /// Requested scales some tier answered (no simulation): memory,
+    /// the durable store or the key's ring owner.
     pub hits: u64,
-    /// Requested scales that had to be simulated.
+    /// Requested scales no tier answered, so they were simulated.
+    /// `hits + misses` is the number of scales resolved.
     pub misses: u64,
     /// Images evicted to respect the capacity bound.
     pub evicted: u64,
@@ -100,10 +119,12 @@ pub struct ProfileCacheStats {
 }
 
 impl ProfileCache {
-    /// Cache holding at most ~`capacity` profile images (0 = unbounded).
+    /// Cache holding at most ~`capacity` profile images (0 = unbounded)
+    /// and exactly [`TRACE_CAPACITY`] traces.
     pub fn new(capacity: usize) -> ProfileCache {
         ProfileCache {
             images: ShardedMap::new(CACHE_SHARDS, capacity),
+            traces: ShardedMap::new(1, TRACE_CAPACITY),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -111,40 +132,30 @@ impl ProfileCache {
         }
     }
 
-    /// Look one scale up, counting the outcome.
+    /// The resident entry for one scale, if any. Counts nothing: the
+    /// tier chain [`record`](ProfileCache::record)s an outcome once the
+    /// last tier has answered.
     pub fn lookup(&self, key: &str) -> Option<Arc<CachedScale>> {
-        let entry = self.images.get(key);
-        match entry {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        entry
+        self.images.get(key)
     }
 
-    /// Look one scale up *without* counting the outcome. The federation
-    /// serve path uses this: a peer's read-through probe must not skew
-    /// this daemon's own hit/miss accounting.
+    /// The resident image for one scale, if any.
     pub fn peek(&self, key: &str) -> Option<Bytes> {
-        self.images.get(key).map(|entry| entry.image.clone())
+        self.lookup(key).map(|entry| entry.image.clone())
     }
 
-    /// Reclassify the most recent miss as a hit: the scale was absent
-    /// locally but a federation peer supplied it, so no simulation ran —
-    /// which is what the hit/miss split measures.
-    pub fn redeem_miss(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.misses.fetch_sub(1, Ordering::Relaxed);
+    /// Count one resolved scale: a hit when any tier answered it, a
+    /// miss when it had to be simulated.
+    pub fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Insert a scale's image (freshly simulated, preloaded from the
     /// store, or offered by a peer). Only the bytes are retained until
     /// a job hits the entry.
     pub fn store(&self, key: String, image: Bytes) {
-        let entry = Arc::new(CachedScale {
-            image,
-            decoded: OnceLock::new(),
-        });
-        let outcome = self.images.insert(key, entry);
+        let outcome = self.images.insert(key, Arc::new(CachedScale::new(image)));
         if outcome.added {
             self.entries.fetch_add(1, Ordering::Relaxed);
         }
@@ -162,6 +173,21 @@ impl ProfileCache {
             self.evicted.fetch_add(1, Ordering::Relaxed);
             self.entries.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+
+    /// The resident encoded discovery trace under a PSG key, if any.
+    pub fn trace(&self, key: &str) -> Option<Bytes> {
+        self.traces.get(key)
+    }
+
+    /// Keep an encoded discovery trace resident.
+    pub fn store_trace(&self, key: String, encoded: Bytes) {
+        self.traces.insert(key, encoded);
+    }
+
+    /// Drop a trace that failed to decode.
+    pub fn invalidate_trace(&self, key: &str) {
+        self.traces.remove(key);
     }
 
     /// Counter snapshot for `/stats` — all lock-free.
@@ -297,12 +323,44 @@ mod tests {
         cache.store("k".to_string(), Bytes::from_static(b"image"));
         assert_eq!(&cache.lookup("k").unwrap().image[..], b"image");
         cache.invalidate("k");
-        assert!(cache.lookup("k").is_none());
+        assert!(cache.peek("k").is_none());
+        // Lookups count nothing; outcomes are recorded by the chain.
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
+        cache.record(true);
+        cache.record(false);
+        cache.record(false);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.entries, 0);
+    }
+
+    #[test]
+    fn trace_shelf_keeps_capacity_distinct_keys_resident_and_stays_bounded() {
+        let cache = ProfileCache::new(0);
+        let key = |i: usize| {
+            let mut h = crate::hash::StableHasher::new();
+            h.write_usize(i);
+            h.hex()
+        };
+        for i in 0..TRACE_CAPACITY {
+            cache.store_trace(key(i), Bytes::from(i.to_string().into_bytes()));
+        }
+        for i in 0..TRACE_CAPACITY {
+            assert_eq!(
+                cache.trace(&key(i)),
+                Some(Bytes::from(i.to_string().into_bytes()))
+            );
+        }
+        // Any number more: the oldest go, the count stays at capacity.
+        let extra = 40;
+        for i in TRACE_CAPACITY..TRACE_CAPACITY + extra {
+            cache.store_trace(key(i), Bytes::from(i.to_string().into_bytes()));
+        }
+        assert_eq!(cache.traces.len(), TRACE_CAPACITY);
+        assert!(cache.trace(&key(extra - 1)).is_none());
+        assert!(cache.trace(&key(extra)).is_some());
     }
 
     #[test]
@@ -393,14 +451,15 @@ mod tests {
             (first.join().unwrap(), second.join().unwrap())
         });
         assert_eq!(decodes.load(Ordering::SeqCst), 1, "decoded once");
+        let (first, second) = (first.unwrap(), second.unwrap());
         assert!(!first.1, "the first caller built it");
         assert!(second.1, "the second found it");
-        assert!(Arc::ptr_eq(&first.0.unwrap(), &second.0.unwrap()));
+        assert!(Arc::ptr_eq(&first.0, &second.0));
 
         // The decoded form goes with the entry.
         cache.invalidate("k");
         cache.store("k".to_string(), scalana_profile::store::save(&data));
-        let (_, reused) = cache.lookup("k").unwrap().decoded(decode);
+        let (_, reused) = cache.lookup("k").unwrap().decoded(decode).unwrap();
         assert!(!reused);
     }
 }

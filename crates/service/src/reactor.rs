@@ -2,7 +2,7 @@
 //!
 //! One thread serves every connection: sockets are nonblocking, reads
 //! feed the incremental [`RequestBuffer`] (same head/body budgets and
-//! error strings as the blocking reader), routing happens inline, and
+//! error strings as the client's blocking reader), routing happens inline, and
 //! responses are batched into a per-connection output buffer that is
 //! flushed once per readiness round. The change that motivates all of
 //! this is how long-polls wait: `GET /v1/jobs/<id>/wait` (and both
@@ -18,8 +18,6 @@
 //! Deliberate properties, pinned by `tests/keepalive.rs`,
 //! `tests/errors.rs`, and `tests/eventloop.rs`:
 //!
-//! - wire behavior is byte-identical to the threaded path (same
-//!   [`route`], same renderers, same error strings);
 //! - pipelined requests answer strictly in order; a parked long-poll
 //!   blocks later requests *on that connection only*;
 //! - overload shedding drains a bounded request head before writing
@@ -175,7 +173,7 @@ struct Reactor<'a> {
 }
 
 /// Serve connections on `listener` until shutdown. Entry point used by
-/// [`crate::server::Server::run`] on Linux.
+/// [`crate::server::Server::run`].
 pub(crate) fn serve(listener: TcpListener, state: &Arc<State>) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let epoll = Epoll::new()?;

@@ -37,34 +37,32 @@
 //! of sequential requests (a poll loop costs one TCP handshake total).
 //! Submissions land in the bounded [`JobQueue`]; a pool of worker
 //! threads executes them *per scale* ([`crate::exec`]): each requested
-//! scale resolves against the content-addressed per-scale
-//! [`ProfileCache`] first, only the misses are simulated — fanned out
-//! across the pool, not one worker per job — and whole-job results live
-//! in the sharded [`Registry`], so identical re-submissions are answered
-//! without touching the queue and overlapping ones re-simulate only
-//! their genuinely new scales.
+//! scale resolves through the tier chain ([`crate::tiers`]) first, only
+//! the misses are simulated — fanned out across the pool, not one
+//! worker per job — and whole-job results live in the sharded
+//! [`Registry`], so identical re-submissions are answered without
+//! touching the queue and overlapping ones re-simulate only their
+//! genuinely new scales.
 //!
-//! On Linux all connections are served by a single epoll readiness loop
-//! (`crate::reactor`): reads, routing, and batched writes happen on
-//! one thread, and long-polls park as registry *subscriptions*
-//! (`Registry::subscribe`) instead of blocked threads — which is what
-//! lets one daemon hold tens of thousands of concurrent waiters. Other
-//! platforms fall back to the historical thread-per-connection loop in
-//! this module; both paths share `route` and the response renderers,
-//! so the wire behavior is identical.
+//! The daemon is Linux-only: all connections are served by a single
+//! epoll readiness loop (`crate::reactor`) — reads, routing, and
+//! batched writes happen on one thread, and long-polls park as registry
+//! *subscriptions* (`Registry::subscribe`) instead of blocked threads,
+//! which is what lets one daemon hold tens of thousands of concurrent
+//! waiters. Elsewhere the crate still builds (the one-shot CLI, the
+//! client) and [`Server::run`] answers `Unsupported`.
 
 use crate::cache::{JobStatus, Registry, RegistryObs, StatusView, SubmitOutcome, WaitOutcome};
 use crate::exec::{ExecCtx, Task};
 use crate::federation::{Federation, PeerMetrics};
 use crate::http::Request;
-#[cfg(not(target_os = "linux"))]
-use crate::http::{write_response_headers, MessageReader};
 use crate::job::{JobProgram, JobSpec};
 use crate::json::{parse, Json};
 use crate::metrics::ServiceMetrics;
 use crate::profile_cache::{ProfileCache, ProgramIndex, PsgCache};
 use crate::queue::JobQueue;
-use crate::store::{DiskStore, RealIo, StoreIo};
+use crate::store::{DiskStore, EntryKind, RealIo, StoreIo};
+use crate::tiers::{Tiers, WriteBehind};
 use scalana_api::diff::DiffSide;
 use scalana_api::{
     dto, paths, ApiError, DiffRequest, ErrorCode, JobPage, JobState, JobView, ListQuery,
@@ -96,11 +94,13 @@ pub struct ServiceConfig {
     /// 0 = unbounded). Results hold profile images, so a long-lived
     /// daemon must bound them.
     pub max_cached_results: usize,
-    /// Per-scale profile images retained (oldest evicted first;
-    /// 0 = unbounded). The unit of cross-job reuse: one entry per
-    /// (program, profile config, discovery scale, scale). An entry a
-    /// job has hit also holds the image's decoded PPG + run summary, so
-    /// this count bounds those too.
+    /// Per-scale profile images the memory tier retains (oldest
+    /// evicted first; 0 = unbounded). The unit of cross-job reuse: one
+    /// entry per (program, profile config, discovery scale, scale). An
+    /// entry a job has hit also holds the image's decoded PPG + run
+    /// summary, so this count bounds those too. (Discovery traces have
+    /// a fixed bound beside it,
+    /// [`TRACE_CAPACITY`](crate::profile_cache::TRACE_CAPACITY).)
     pub max_cached_profiles: usize,
     /// Refined PSGs retained, each with its parsed program (oldest
     /// evicted first; 0 = unbounded; the bound is exact). Small and
@@ -118,10 +118,10 @@ pub struct ServiceConfig {
     pub max_connections: usize,
     /// Base analysis configuration; per-request knobs override it.
     pub default_config: ScalAnaConfig,
-    /// Durable store directory (`--store-dir`). When set, profile
-    /// images and PSG discovery traces are written through to disk and
-    /// the caches warm from it at startup; `None` keeps the daemon
-    /// memory-only.
+    /// Durable store directory (`--store-dir`) — the disk tier. When
+    /// set, profile images and PSG discovery traces are written behind
+    /// to disk, memory misses read through it, and the memory tier
+    /// warms from it at startup; `None` keeps the daemon memory-only.
     pub store_dir: Option<String>,
     /// Store size quota in bytes (`--store-quota`; 0 = unlimited).
     /// When exceeded after a write, an LRU sweep evicts oldest entries.
@@ -130,8 +130,9 @@ pub struct ServiceConfig {
     /// filesystem; tests inject a [`crate::store::FaultIo`] here.
     pub store_io: Option<Arc<dyn StoreIo>>,
     /// Federation seeds (`--peer`, repeatable): addresses of other
-    /// daemons to place on the rendezvous ring. Empty keeps the daemon
-    /// standalone (a single-member ring of itself).
+    /// daemons to place on the rendezvous ring — the owner tier. Empty
+    /// keeps the daemon standalone (a single-member ring of itself,
+    /// owning every key).
     pub peers: Vec<String>,
     /// The address this daemon advertises to its peers (`--self-addr`).
     /// `None` advertises the bound address — correct unless the daemon
@@ -198,8 +199,7 @@ pub(crate) struct State {
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
     /// Connections currently served (mirrored into `scalana_connections`
-    /// at exposition time). The event loop stores its live count here;
-    /// the fallback path counts handler threads.
+    /// at exposition time). The event loop stores its live count here.
     pub(crate) connections: AtomicUsize,
     pub(crate) max_connections: usize,
     pub(crate) default_config: ScalAnaConfig,
@@ -218,6 +218,11 @@ pub(crate) struct State {
 }
 
 impl State {
+    /// The chain over this daemon's tiers ([`crate::tiers`]).
+    pub(crate) fn tiers(&self) -> Tiers<'_> {
+        self.exec_ctx().tiers()
+    }
+
     pub(crate) fn exec_ctx(&self) -> ExecCtx<'_> {
         ExecCtx {
             registry: &self.registry,
@@ -242,23 +247,10 @@ impl State {
                 wake.wake();
                 return;
             }
-            // No event loop to signal (fallback path, or shutdown raced
-            // the reactor's startup): wake the blocked accept call with
-            // a throwaway connection.
+            // Shutdown raced the reactor's startup: a throwaway
+            // connection makes its first `epoll_wait` return.
             let _ = TcpStream::connect(self.addr);
         }
-    }
-}
-
-/// Decrements the live-connection count when a handler exits, however
-/// it exits.
-#[cfg(not(target_os = "linux"))]
-struct ConnGuard<'a>(&'a AtomicUsize);
-
-#[cfg(not(target_os = "linux"))]
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -295,19 +287,17 @@ impl Server {
                 evict_label: metrics.lbl_evict,
             });
         // Durable tier: open (never fails hard — a broken directory
-        // degrades to memory-only) and warm the per-scale cache with
-        // every valid profile image found on disk. PSG traces stay in
-        // the store and are replayed lazily by the executor.
-        let profiles = ProfileCache::new(config.max_cached_profiles);
+        // degrades to memory-only); the profile images found on disk
+        // warm the memory tier below.
+        let mut warm = Vec::new();
         let store = config.store_dir.as_ref().map(|dir| {
             let io = config
                 .store_io
                 .clone()
                 .unwrap_or_else(|| Arc::new(RealIo) as Arc<dyn StoreIo>);
-            let (store, warm) = DiskStore::open(io, std::path::Path::new(dir), config.store_quota);
-            for (key, image) in warm {
-                profiles.store(key, image);
-            }
+            let (store, images) =
+                DiskStore::open(io, std::path::Path::new(dir), config.store_quota);
+            warm = images;
             Arc::new(store)
         });
         // Fleet tier: ring identity defaults to the bound address (with
@@ -322,29 +312,28 @@ impl Server {
                 fetch_ns: metrics.peer_fetch_ns.clone(),
             },
         ));
-        Ok(Server {
-            listener,
-            state: Arc::new(State {
-                registry,
-                queue: JobQueue::new(config.queue_capacity),
-                profiles,
-                psgs: PsgCache::new(config.max_cached_psgs),
-                programs: ProgramIndex::new(config.max_indexed_programs),
-                store,
-                federation,
-                idle_timeout: config.idle_timeout.max(Duration::from_secs(1)),
-                workers: config.workers.max(1),
-                shutdown: AtomicBool::new(false),
-                addr,
-                connections: AtomicUsize::new(0),
-                max_connections: config.max_connections.max(1),
-                default_config: config.default_config.clone(),
-                metrics,
-                started: Instant::now(),
-                #[cfg(target_os = "linux")]
-                wake: std::sync::OnceLock::new(),
-            }),
-        })
+        let state = Arc::new(State {
+            registry,
+            queue: JobQueue::new(config.queue_capacity),
+            profiles: ProfileCache::new(config.max_cached_profiles),
+            psgs: PsgCache::new(config.max_cached_psgs),
+            programs: ProgramIndex::new(config.max_indexed_programs),
+            store,
+            federation,
+            idle_timeout: config.idle_timeout.max(Duration::from_secs(1)),
+            workers: config.workers.max(1),
+            shutdown: AtomicBool::new(false),
+            addr,
+            connections: AtomicUsize::new(0),
+            max_connections: config.max_connections.max(1),
+            default_config: config.default_config.clone(),
+            metrics,
+            started: Instant::now(),
+            #[cfg(target_os = "linux")]
+            wake: std::sync::OnceLock::new(),
+        });
+        state.tiers().preload(warm);
+        Ok(Server { listener, state })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -353,18 +342,10 @@ impl Server {
     }
 
     /// Serve until `POST /v1/shutdown`. Blocks; spawns the worker pool,
-    /// then serves every connection from one epoll readiness loop
-    /// (Linux) or one handler thread per connection (elsewhere).
+    /// then serves every connection from one epoll readiness loop.
+    #[cfg(target_os = "linux")]
     pub fn run(self) -> io::Result<()> {
-        // The store's write-behind thread starts before the workers so
-        // their saves enqueue instead of blocking on fsync in the job
-        // path.
-        let store_writer = self.state.store.as_ref().map(DiskStore::start_writer);
-        // The federation's writer settles peer offers off the job path
-        // the same way; the startup announcements ride it too, so a
-        // seed that is still booting delays nothing here.
-        let peer_writer = self.state.federation.start_writer();
-        self.state.federation.announce_peers();
+        let write_behind = WriteBehind::start(self.state.store.as_ref(), &self.state.federation);
         let workers: Vec<_> = (0..self.state.workers)
             .map(|i| {
                 let state = Arc::clone(&self.state);
@@ -375,100 +356,25 @@ impl Server {
             })
             .collect();
 
-        #[cfg(target_os = "linux")]
         let served = crate::reactor::serve(self.listener, &self.state);
-        #[cfg(not(target_os = "linux"))]
-        let served = serve_threaded(self.listener, &self.state);
 
         self.state.queue.shutdown();
         for worker in workers {
             let _ = worker.join();
         }
-        // Workers are gone, so no more saves can be enqueued: dropping
-        // the sender lets the writer drain its backlog and exit, making
-        // graceful shutdown flush every pending store write.
-        if let Some(store) = &self.state.store {
-            store.stop_writer();
-        }
-        if let Some(writer) = store_writer {
-            let _ = writer.join();
-        }
-        self.state.federation.stop_writer();
-        let _ = peer_writer.join();
+        write_behind.shutdown();
         served
     }
-}
 
-/// The portable accept loop: one detached handler thread per
-/// connection. Kept only for non-Linux builds — Linux serves everything
-/// from [`crate::reactor`].
-#[cfg(not(target_os = "linux"))]
-fn serve_threaded(listener: TcpListener, state: &Arc<State>) -> io::Result<()> {
-    // Transient accept failures (EMFILE under fd pressure is the
-    // classic) must not busy-loop the accept thread at 100% CPU;
-    // back off, bounded, and reset on the next success.
-    let mut backoff = Duration::from_millis(10);
-    const MAX_BACKOFF: Duration = Duration::from_millis(1280);
-
-    for stream in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => {
-                state.metrics.accept_errors.inc();
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(MAX_BACKOFF);
-                continue;
-            }
-        };
-        backoff = Duration::from_millis(10);
-        // Overload shedding: answer 503 from the accept thread rather
-        // than spawn an unbounded number of handlers. The pending
-        // request is drained (bounded) first so the response is not
-        // lost to a kernel RST over unread bytes.
-        if state.connections.fetch_add(1, Ordering::SeqCst) >= state.max_connections {
-            state.connections.fetch_sub(1, Ordering::SeqCst);
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let mut reader = MessageReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue,
-            });
-            let _ = reader.next_request();
-            let response = shed_response();
-            let _ = write_response_headers(
-                &stream,
-                response.code,
-                &response.content_type,
-                &response.headers,
-                &response.body,
-                false,
-            );
-            continue;
-        }
-        let handler_state = Arc::clone(state);
-        // Detached: handlers are time-limited (the read timeout
-        // bounds idle keep-alive connections) and counted (the
-        // guard in handle_connection releases the slot).
-        if std::thread::Builder::new()
-            .name("scalana-conn".to_string())
-            .spawn(move || handle_connection(stream, &handler_state))
-            .is_err()
-        {
-            state.connections.fetch_sub(1, Ordering::SeqCst);
-        }
+    /// The daemon needs Linux (epoll, eventfd); everything else in this
+    /// crate builds anywhere.
+    #[cfg(not(target_os = "linux"))]
+    pub fn run(self) -> io::Result<()> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the scalana daemon runs on Linux only",
+        ))
     }
-    Ok(())
 }
 
 fn worker_loop(state: &State) {
@@ -483,85 +389,6 @@ fn worker_loop(state: &State) {
         // client-supplied programs run under catch_unwind and fail the
         // job instead of killing this worker.
         crate::exec::run_task(&ctx, task);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(stream: TcpStream, state: &State) {
-    let _guard = ConnGuard(&state.connections);
-    let _ = stream.set_read_timeout(Some(state.idle_timeout));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    // Keep-alive exchanges are small request/response pairs; Nagle
-    // batching would add delayed-ACK latency to every one of them.
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = MessageReader::new(read_half);
-    // Keep-alive loop: one request per iteration, strictly in order
-    // (pipelined requests are answered in sequence).
-    loop {
-        let read_started = obs::now_ns();
-        let request = match reader.next_request() {
-            Ok(Some(request)) => {
-                state
-                    .metrics
-                    .http_read_ns
-                    .record(obs::now_ns().saturating_sub(read_started));
-                state.metrics.http_requests.inc();
-                request
-            }
-            // Peer closed between requests — a clean end.
-            Ok(None) => return,
-            Err(e) => {
-                // An idle keep-alive connection hitting the read
-                // timeout is normal; only protocol garbage earns a 400.
-                if e.kind() != io::ErrorKind::WouldBlock && e.kind() != io::ErrorKind::TimedOut {
-                    let response = malformed_response(&e);
-                    let _ = write_response_headers(
-                        &stream,
-                        response.code,
-                        &response.content_type,
-                        &response.headers,
-                        &response.body,
-                        false,
-                    );
-                }
-                return;
-            }
-        };
-        let route_guard = obs::span_timed(state.metrics.lbl_render, &state.metrics.render_ns);
-        let (routed, action) = route(&request, state);
-        let response = resolve_routed(routed, state);
-        drop(route_guard);
-        // Shutting down (this request or a concurrent one): announce
-        // close so well-behaved clients stop reusing the socket.
-        let keep_alive = request.keep_alive
-            && action != Action::Shutdown
-            && !state.shutdown.load(Ordering::SeqCst);
-        let write_guard = obs::span_timed(state.metrics.lbl_write, &state.metrics.write_ns);
-        let written = write_response_headers(
-            &stream,
-            response.code,
-            &response.content_type,
-            &response.headers,
-            &response.body,
-            keep_alive,
-        )
-        .is_ok();
-        drop(write_guard);
-        // The routing decision (not a re-match on the raw path, which
-        // would miss normalized forms like `//shutdown`) drives
-        // post-response actions, after the acknowledgment is on the
-        // wire. Shutdown happens even when the write failed — a client
-        // that disconnects right after sending `POST /shutdown` must
-        // not leave a zombie daemon behind.
-        if action == Action::Shutdown {
-            state.trigger_shutdown();
-        }
-        if !written || !keep_alive {
-            return;
-        }
     }
 }
 
@@ -582,11 +409,8 @@ pub(crate) struct Response {
     pub(crate) headers: Vec<(&'static str, String)>,
 }
 
-/// Outcome of [`route`]: either a finished response, or a long-poll the
-/// caller must park. The blocking fallback resolves parked variants
-/// with [`Registry::wait_terminal`] on the handler thread
-/// ([`resolve_routed`]); the event loop parks them as registry
-/// subscriptions instead.
+/// Outcome of [`route`]: either a finished response, or a long-poll
+/// the event loop parks as a registry subscription.
 pub(crate) enum Routed {
     /// Fully handled; write it.
     Done(Response),
@@ -597,23 +421,6 @@ pub(crate) enum Routed {
     /// `POST /v1/diff`: both sides submitted; answer when both are
     /// terminal or after [`DIFF_WAIT`].
     Diff { a: String, b: String },
-}
-
-/// Resolve a [`Routed`] by blocking this thread — the historical
-/// semantics, used by the non-Linux fallback path.
-#[cfg(not(target_os = "linux"))]
-fn resolve_routed(routed: Routed, state: &State) -> Response {
-    match routed {
-        Routed::Done(response) => response,
-        Routed::Wait { key, timeout } => {
-            wait_outcome_response(state.registry.wait_terminal(&key, timeout))
-        }
-        Routed::Diff { a, b } => {
-            let side_a = diff_side("a", &a, state.registry.wait_terminal(&a, DIFF_WAIT));
-            let side_b = diff_side("b", &b, state.registry.wait_terminal(&b, DIFF_WAIT));
-            render_diff(side_a, side_b)
-        }
-    }
 }
 
 /// The `400` for protocol garbage. The exact-string match
@@ -833,16 +640,20 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
         ("POST", ["peer", "announce"]) => {
             (Routed::Done(peer_announce(request, state)), Action::None)
         }
-        ("GET", ["peer", "profile", key]) => {
-            (Routed::Done(peer_profile_get(key, state)), Action::None)
-        }
-        ("POST", ["peer", "profile", key]) => (
-            Routed::Done(peer_profile_post(key, request, state)),
+        ("GET", ["peer", "profile", key]) => (
+            Routed::Done(peer_get(EntryKind::Profile, key, state)),
             Action::None,
         ),
-        ("GET", ["peer", "psg", key]) => (Routed::Done(peer_psg_get(key, state)), Action::None),
+        ("GET", ["peer", "psg", key]) => (
+            Routed::Done(peer_get(EntryKind::PsgTrace, key, state)),
+            Action::None,
+        ),
+        ("POST", ["peer", "profile", key]) => (
+            Routed::Done(peer_post(EntryKind::Profile, key, request, state)),
+            Action::None,
+        ),
         ("POST", ["peer", "psg", key]) => (
-            Routed::Done(peer_psg_post(key, request, state)),
+            Routed::Done(peer_post(EntryKind::PsgTrace, key, request, state)),
             Action::None,
         ),
         // Unreachable given the allow-list check, but a 404 beats UB in
@@ -1092,31 +903,24 @@ fn peer_bad_key() -> Response {
     ))
 }
 
-/// `GET /v1/peer/profile/<key>` — serve one per-scale profile image to
-/// a peer, from the memory cache (without touching this daemon's
-/// hit/miss accounting — it is the *peer's* lookup) or the durable
-/// store beneath it.
-fn peer_profile_get(key: &str, state: &State) -> Response {
+/// `GET /v1/peer/{profile,psg}/<key>` — serve one profile image or
+/// encoded discovery trace to a peer ([`Tiers::serve`]).
+fn peer_get(kind: EntryKind, key: &str, state: &State) -> Response {
     if !dto::valid_peer_key(key) {
         return peer_bad_key();
     }
-    let image = state.profiles.peek(key).or_else(|| {
-        state
-            .store
-            .as_ref()
-            .and_then(|store| store.read_profile(key))
-    });
-    match image {
-        Some(image) => json_response(200, PeerBlob::from_bytes(key, &image).to_json()),
-        None => error_response(&ApiError::new(ErrorCode::NotFound, "no such profile entry")),
+    match state.tiers().serve(kind, key) {
+        Some(bytes) => json_response(200, PeerBlob::from_bytes(key, &bytes).to_json()),
+        None => error_response(&ApiError::new(
+            ErrorCode::NotFound,
+            format!("no such {} entry", kind.prefix()),
+        )),
     }
 }
 
-/// `POST /v1/peer/profile/<key>` — a peer writes an entry through to us
-/// (we own its key). The payload must round-trip as a profile image
-/// before anything caches it: a mutated offer is rejected, never served
-/// onward.
-fn peer_profile_post(key: &str, request: &Request, state: &State) -> Response {
+/// `POST /v1/peer/{profile,psg}/<key>` — a peer writes an entry through
+/// to us (we own its key; [`Tiers::accept`]).
+fn peer_post(kind: EntryKind, key: &str, request: &Request, state: &State) -> Response {
     if !dto::valid_peer_key(key) {
         return peer_bad_key();
     }
@@ -1130,66 +934,15 @@ fn peer_profile_post(key: &str, request: &Request, state: &State) -> Response {
     if blob.key != key {
         return error_response(&ApiError::bad_request("body key does not match path key"));
     }
-    let image = match blob.bytes() {
+    let bytes = match blob.bytes() {
         Ok(bytes) => bytes::Bytes::from(bytes),
         Err(error) => return error_response(&error),
     };
-    if scalana_profile::store::load(image.clone()).is_err() {
-        return error_response(&ApiError::bad_request(
-            "payload is not a valid profile image",
-        ));
-    }
-    state.profiles.store(key.to_string(), image.clone());
-    if let Some(store) = state.store.as_ref() {
-        store.save_profile(key, image);
-    }
-    json_response(200, dto::ok_body())
-}
-
-/// `GET /v1/peer/psg/<key>` — serve one encoded PSG discovery trace,
-/// from the federation shelf or the durable store.
-fn peer_psg_get(key: &str, state: &State) -> Response {
-    if !dto::valid_peer_key(key) {
-        return peer_bad_key();
-    }
-    let trace = state
-        .federation
-        .lookup_psg_trace(key)
-        .or_else(|| state.store.as_ref().and_then(|store| store.psg_trace(key)));
-    match trace {
-        Some(trace) => json_response(200, PeerBlob::from_bytes(key, &trace).to_json()),
-        None => error_response(&ApiError::new(ErrorCode::NotFound, "no such trace entry")),
-    }
-}
-
-/// `POST /v1/peer/psg/<key>` — a peer writes a discovery trace through
-/// to us. Decoded before anything caches it, same as profiles.
-fn peer_psg_post(key: &str, request: &Request, state: &State) -> Response {
-    if !dto::valid_peer_key(key) {
-        return peer_bad_key();
-    }
-    let blob = match parse(&request.body)
-        .map_err(|e| ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}")))
-        .and_then(|doc| PeerBlob::from_json(&doc))
-    {
-        Ok(blob) => blob,
-        Err(error) => return error_response(&error),
-    };
-    if blob.key != key {
-        return error_response(&ApiError::bad_request("body key does not match path key"));
-    }
-    let encoded = match blob.bytes() {
-        Ok(bytes) => bytes::Bytes::from(bytes),
-        Err(error) => return error_response(&error),
-    };
-    if crate::store::decode_trace(encoded.clone()).is_none() {
-        return error_response(&ApiError::bad_request(
-            "payload is not a valid discovery trace",
-        ));
-    }
-    state.federation.record_psg_trace(key, encoded.clone());
-    if let Some(store) = state.store.as_ref() {
-        store.save_psg_trace(key, encoded);
+    if !state.tiers().accept(kind, key, bytes) {
+        return error_response(&ApiError::bad_request(format!(
+            "payload is not a valid {} entry",
+            kind.prefix()
+        )));
     }
     json_response(200, dto::ok_body())
 }
@@ -1237,8 +990,7 @@ fn list_jobs(query: &str, state: &State) -> Response {
 /// status document once it turns terminal or the (clamped) budget
 /// elapses, whichever first. The client decides whether to re-issue — a
 /// `200` with a non-terminal `status` simply means the budget ran out.
-/// Only the query is validated here; parking is the caller's job
-/// (subscription on the event loop, condvar on the fallback path).
+/// Only the query is validated here; parking is the event loop's job.
 fn wait(key: &str, query: &str) -> Routed {
     let wait = match WaitQuery::from_query(&paths::parse_query(query)) {
         Ok(wait) => wait,

@@ -32,6 +32,7 @@
 //! (see [`scalana_core::pipeline::refined_psg_traced`]) and rebuilds
 //! the identical refined PSG by replaying it — no simulation.
 
+use crate::breaker::Breaker;
 use crate::hash::StableHasher;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use scalana_profile::recorder::DiscoveryRound;
@@ -40,7 +41,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Magic number opening every store frame (distinct from the inner
 /// profile-image magic so the two layers cannot be confused).
@@ -49,13 +50,6 @@ pub const STORE_MAGIC: u32 = 0x5ca1_ad15;
 pub const STORE_VERSION: u16 = 1;
 /// Trailer size: payload-length echo (u64) + FNV-1a checksum (u64).
 const TRAILER_BYTES: usize = 16;
-/// Consecutive write failures that trip the circuit breaker open.
-const BREAKER_TRIP: u32 = 3;
-/// First half-open retry delay; doubles per failed probe.
-const BREAKER_BASE_BACKOFF: Duration = Duration::from_millis(250);
-/// Backoff ceiling.
-const BREAKER_MAX_BACKOFF: Duration = Duration::from_secs(30);
-
 /// What a store entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
@@ -82,7 +76,8 @@ impl EntryKind {
         }
     }
 
-    fn prefix(self) -> &'static str {
+    /// The entry's file-name prefix and `/v1/peer/<prefix>/…` noun.
+    pub fn prefix(self) -> &'static str {
         match self {
             EntryKind::Profile => "profile",
             EntryKind::PsgTrace => "psg",
@@ -544,52 +539,6 @@ impl StoreIo for FaultIo {
     }
 }
 
-/// Circuit breaker over store writes: trips open after
-/// [`BREAKER_TRIP`] consecutive failures, then admits one half-open
-/// probe per backoff window (doubling up to [`BREAKER_MAX_BACKOFF`]).
-#[derive(Debug)]
-struct Breaker {
-    failures: u32,
-    open_until: Option<Instant>,
-    backoff: Duration,
-}
-
-impl Breaker {
-    fn new() -> Breaker {
-        Breaker {
-            failures: 0,
-            open_until: None,
-            backoff: BREAKER_BASE_BACKOFF,
-        }
-    }
-
-    /// May a write attempt proceed right now?
-    fn admit(&self, now: Instant) -> bool {
-        match self.open_until {
-            Some(until) => now >= until,
-            None => true,
-        }
-    }
-
-    fn on_success(&mut self) {
-        self.failures = 0;
-        self.open_until = None;
-        self.backoff = BREAKER_BASE_BACKOFF;
-    }
-
-    fn on_failure(&mut self, now: Instant) {
-        self.failures += 1;
-        if self.failures >= BREAKER_TRIP {
-            self.open_until = Some(now + self.backoff);
-            self.backoff = (self.backoff * 2).min(BREAKER_MAX_BACKOFF);
-        }
-    }
-
-    fn is_open(&self) -> bool {
-        self.open_until.is_some()
-    }
-}
-
 /// One queued write-behind request.
 #[derive(Debug)]
 struct WriteReq {
@@ -652,7 +601,6 @@ pub struct DiskStore {
     /// entry (re)written during the sweep is never a victim.
     generation: AtomicU64,
     write_gens: Mutex<HashMap<String, u64>>,
-    traces: Mutex<HashMap<String, Bytes>>,
     breaker: Mutex<Breaker>,
     writer: Mutex<Option<mpsc::Sender<WriteReq>>>,
 }
@@ -660,8 +608,8 @@ pub struct DiskStore {
 impl DiskStore {
     /// Open (creating if needed) a store directory and warm-scan it.
     /// Returns the store plus every valid profile image found, for
-    /// seeding the in-memory per-scale cache; PSG traces are retained
-    /// inside the store for replay on demand.
+    /// seeding the in-memory per-scale cache; PSG traces stay on disk
+    /// and are read on demand.
     ///
     /// Never fails hard: an unreadable or uncreatable directory yields
     /// an empty, already-degraded store — the daemon must stay
@@ -682,7 +630,6 @@ impl DiskStore {
             degraded: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             write_gens: Mutex::new(HashMap::new()),
-            traces: Mutex::new(HashMap::new()),
             breaker: Mutex::new(Breaker::new()),
             writer: Mutex::new(None),
         };
@@ -754,11 +701,8 @@ impl DiskStore {
                     self.entries.fetch_add(1, Ordering::SeqCst);
                     self.bytes.fetch_add(raw.len() as u64, Ordering::SeqCst);
                     self.loaded.fetch_add(1, Ordering::SeqCst);
-                    match kind {
-                        EntryKind::Profile => warm.push((key, payload)),
-                        EntryKind::PsgTrace => {
-                            self.traces.lock().unwrap().insert(key, payload);
-                        }
+                    if kind == EntryKind::Profile {
+                        warm.push((key, payload));
                     }
                 }
                 // Decoded fine but filed under the wrong name: treat
@@ -802,41 +746,14 @@ impl DiskStore {
         }
     }
 
-    /// Convenience wrappers for the two entry kinds.
-    pub fn save_profile(&self, key: &str, image: Bytes) {
-        self.save(EntryKind::Profile, key, image);
-    }
-
-    /// Persist a PSG discovery trace (also retained in memory for
-    /// replay without touching disk again).
-    pub fn save_psg_trace(&self, key: &str, trace: Bytes) {
-        self.traces
-            .lock()
-            .unwrap()
-            .insert(key.to_string(), trace.clone());
-        self.save(EntryKind::PsgTrace, key, trace);
-    }
-
-    /// Read-through for a profile image the in-memory cache evicted or
-    /// never saw. Corrupt files are quarantined and `None` returned.
+    /// [`DiskStore::read_entry`] for a profile image.
     pub fn read_profile(&self, key: &str) -> Option<Bytes> {
         self.read_entry(EntryKind::Profile, key)
     }
 
-    /// A PSG discovery trace, from the warm side map or disk.
-    pub fn psg_trace(&self, key: &str) -> Option<Bytes> {
-        if let Some(trace) = self.traces.lock().unwrap().get(key).cloned() {
-            return Some(trace);
-        }
-        let trace = self.read_entry(EntryKind::PsgTrace, key)?;
-        self.traces
-            .lock()
-            .unwrap()
-            .insert(key.to_string(), trace.clone());
-        Some(trace)
-    }
-
-    fn read_entry(&self, kind: EntryKind, key: &str) -> Option<Bytes> {
+    /// Read one entry back. A file that is missing yields `None`; one
+    /// that does not decode as this key's frame is quarantined first.
+    pub fn read_entry(&self, kind: EntryKind, key: &str) -> Option<Bytes> {
         let path = self.entry_path(kind, key);
         let raw = self.io.read(&path).ok()?;
         match decode_frame(&raw) {
@@ -1019,9 +936,6 @@ impl DiskStore {
                 total -= len;
                 report.evicted += 1;
                 report.freed_bytes += len;
-                if let Some((EntryKind::PsgTrace, key)) = parse_file_name(&name) {
-                    self.traces.lock().unwrap().remove(key);
-                }
                 self.evicted.fetch_add(1, Ordering::SeqCst);
                 self.entries
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |e| {
@@ -1077,6 +991,8 @@ impl DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::{BASE_BACKOFF, TRIP};
+    use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1174,8 +1090,9 @@ mod tests {
         let dir = temp_dir("cycle");
         let (store, warm) = DiskStore::open(Arc::new(RealIo), &dir, 0);
         assert!(warm.is_empty());
-        store.save_profile("aaaa", Bytes::from_static(b"image-a"));
-        store.save_psg_trace("bbbb", encode_trace(&[vec![(0, 1, "f".to_string())]]));
+        store.save(EntryKind::Profile, "aaaa", Bytes::from_static(b"image-a"));
+        let trace = encode_trace(&[vec![(0, 1, "f".to_string())]]);
+        store.save(EntryKind::PsgTrace, "bbbb", trace);
         assert_eq!(store.snapshot().writes, 2);
         assert_eq!(store.snapshot().entries, 2);
         assert_eq!(&store.read_profile("aaaa").unwrap()[..], b"image-a");
@@ -1188,7 +1105,7 @@ mod tests {
             vec![("aaaa".to_string(), Bytes::from_static(b"image-a"))]
         );
         assert_eq!(
-            decode_trace(reopened.psg_trace("bbbb").unwrap()).unwrap(),
+            decode_trace(reopened.read_entry(EntryKind::PsgTrace, "bbbb").unwrap()).unwrap(),
             vec![vec![(0, 1, "f".to_string())]]
         );
         assert_eq!(reopened.snapshot().quarantined, 0);
@@ -1200,7 +1117,7 @@ mod tests {
         let dir = temp_dir("quarantine");
         {
             let (store, _) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-            store.save_profile("good", Bytes::from_static(b"ok"));
+            store.save(EntryKind::Profile, "good", Bytes::from_static(b"ok"));
         }
         // Torn frame, alien file, orphan tmp, key mismatch.
         let torn = encode_frame(EntryKind::Profile, "torn", b"payload");
@@ -1239,23 +1156,27 @@ mod tests {
         let faults: Vec<(u64, FaultKind)> = (0..6).map(|i| (i, FaultKind::Enospc)).collect();
         let io = Arc::new(FaultIo::new(FaultPlan::scripted(faults)));
         let (store, _) = DiskStore::open(io, &dir, 0);
-        for i in 0..BREAKER_TRIP {
-            store.save_profile(&format!("k{i}"), Bytes::from_static(b"x"));
+        for i in 0..TRIP {
+            store.save(
+                EntryKind::Profile,
+                &format!("k{i}"),
+                Bytes::from_static(b"x"),
+            );
         }
         let snap = store.snapshot();
-        assert_eq!(snap.write_errors, u64::from(BREAKER_TRIP));
+        assert_eq!(snap.write_errors, u64::from(TRIP));
         assert_eq!(snap.degraded, 1, "breaker must trip open");
 
         // While open, writes are skipped, not attempted.
-        store.save_profile("skipped", Bytes::from_static(b"x"));
+        store.save(EntryKind::Profile, "skipped", Bytes::from_static(b"x"));
         assert_eq!(store.snapshot().skipped, 1);
         assert!(!dir.join("profile-skipped.img").exists());
 
         // After the backoff a half-open probe goes through; the plan's
         // faults for early ops no longer match the op counter, so the
         // probe succeeds and closes the breaker.
-        std::thread::sleep(BREAKER_BASE_BACKOFF + Duration::from_millis(50));
-        store.save_profile("probe", Bytes::from_static(b"x"));
+        std::thread::sleep(BASE_BACKOFF + Duration::from_millis(50));
+        store.save(EntryKind::Profile, "probe", Bytes::from_static(b"x"));
         let snap = store.snapshot();
         assert_eq!(snap.degraded, 0, "successful probe closes the breaker");
         assert_eq!(snap.writes, 1);
@@ -1401,7 +1322,8 @@ mod tests {
         let store = Arc::new(store);
         let handle = store.start_writer();
         for i in 0..25 {
-            store.save_profile(&format!("k{i:02}"), Bytes::from(vec![i as u8; 64]));
+            let image = Bytes::from(vec![i as u8; 64]);
+            store.save(EntryKind::Profile, &format!("k{i:02}"), image);
         }
         store.stop_writer();
         handle.join().unwrap();
