@@ -932,7 +932,7 @@ pub struct StatsResponse {
     pub store_quarantined: u64,
     /// Entries loaded from disk (warm scan + read-through).
     pub store_loaded: u64,
-    /// Entries removed by the store's LRU quota sweep.
+    /// Entries removed by the store's quota sweep.
     pub store_evicted: u64,
     /// Live entries in the store directory.
     pub store_entries: u64,

@@ -40,7 +40,7 @@ pub const METRICS: &str = "/v1/metrics";
 /// on a memory-only daemon.
 pub const STORE: &str = "/v1/store";
 
-/// `POST {STORE_GC}` — run one LRU quota sweep now. `503` +
+/// `POST {STORE_GC}` — run one quota sweep now. `503` +
 /// `Retry-After` while the store is degraded to memory-only mode.
 pub const STORE_GC: &str = "/v1/store/gc";
 

@@ -166,6 +166,8 @@ fn readme_documents_durability() {
     // (`crates/service/tests/obs.rs`) pins the same names on the wire.
     for family in [
         "scalana_store_writes_total",
+        "scalana_store_commits_total",
+        "scalana_store_backlog_bytes",
         "scalana_store_write_errors_total",
         "scalana_store_skipped_total",
         "scalana_store_quarantined_total",

@@ -661,7 +661,7 @@ fn cmd_top(args: &[String]) -> Result<(), String> {
 /// `ls` prints one page of `GET /v1/store` (directory totals + a file
 /// list capped at 256 entries by default); `--after NAME`/`--limit N`
 /// drive the keyset pagination, and a non-null `next_after` in the
-/// response is the cursor for the following page. `gc` runs one LRU
+/// response is the cursor for the following page. `gc` runs one
 /// quota sweep via `POST /v1/store/gc`.
 fn cmd_store(args: &[String]) -> Result<(), String> {
     let (addr, rest) = take_addr(args)?;

@@ -44,7 +44,13 @@ impl Breaker {
     }
 
     pub(crate) fn on_failure(&mut self, now: Instant) {
-        self.failures += 1;
+        self.on_failures(1, now);
+    }
+
+    /// `count` attempts that failed as one (a batch commit): they all
+    /// count toward [`TRIP`], the backoff takes one step.
+    pub(crate) fn on_failures(&mut self, count: u32, now: Instant) {
+        self.failures = self.failures.saturating_add(count);
         if self.failures >= TRIP {
             self.open_until = Some(now + self.backoff);
             self.backoff = (self.backoff * 2).min(MAX_BACKOFF);

@@ -743,8 +743,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("scalana-exec-redecode-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (disk, warm) = DiskStore::open(Arc::new(crate::store::RealIo), &dir, 0);
-        assert!(warm.is_empty());
+        let disk = DiskStore::open(Arc::new(crate::store::RealIo), &dir, 0);
         let parts = ctx_parts();
         let ctx = ctx_of(&parts, Some(&disk));
         let scales = [2, 4];
@@ -790,7 +789,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("scalana-exec-disk-hit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (disk, _) = DiskStore::open(Arc::new(crate::store::RealIo), &dir, 0);
+        let disk = DiskStore::open(Arc::new(crate::store::RealIo), &dir, 0);
         let parts = ctx_parts();
         let ctx = ctx_of(&parts, Some(&disk));
         let scales = [2, 4, 8];

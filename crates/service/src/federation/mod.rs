@@ -63,11 +63,14 @@ pub struct PeerMetrics {
 
 /// One queued write-behind item.
 enum Offer {
-    /// `POST` a cache entry to its owner.
+    /// `POST` a cache entry to its owner. The queue holds the entry's
+    /// bytes (shared with the caches); the hex JSON body, twice their
+    /// size, exists only while it is being sent.
     Blob {
         addr: String,
-        path: String,
-        body: String,
+        kind: EntryKind,
+        key: String,
+        bytes: Bytes,
     },
     /// Introduce ourselves to a seed and merge the ring it returns.
     Announce { addr: String },
@@ -91,7 +94,11 @@ pub struct Federation {
 impl std::fmt::Debug for Offer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Offer::Blob { addr, path, .. } => write!(f, "Blob({addr}, {path})"),
+            Offer::Blob {
+                addr, kind, key, ..
+            } => {
+                write!(f, "Blob({addr}, {})", peer_path(*kind, key))
+            }
             Offer::Announce { addr } => write!(f, "Announce({addr})"),
         }
     }
@@ -220,10 +227,18 @@ impl Federation {
     /// Settle one offer (writer thread).
     fn process(&self, offer: Offer) {
         match offer {
-            Offer::Blob { addr, path, body } => {
+            Offer::Blob {
+                addr,
+                kind,
+                key,
+                bytes,
+            } => {
                 // Best effort: the owner either absorbs it or the entry
                 // stays local-only until someone re-simulates it there.
-                let _ = self.client(&addr).request("POST", &path, &body);
+                let body = PeerBlob::from_bytes(&key, &bytes).to_json().render();
+                let _ = self
+                    .client(&addr)
+                    .request("POST", &peer_path(kind, &key), &body);
             }
             Offer::Announce { addr } => {
                 let body = PeerAnnounce {
@@ -328,11 +343,11 @@ impl Owner for Federation {
         let Some(peer) = self.remote_owner(key) else {
             return;
         };
-        let body = PeerBlob::from_bytes(key, bytes).to_json().render();
         self.enqueue(Offer::Blob {
             addr: peer.addr().to_string(),
-            path: peer_path(kind, key),
-            body,
+            kind,
+            key: key.to_string(),
+            bytes: bytes.clone(),
         });
     }
 }

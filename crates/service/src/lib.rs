@@ -32,10 +32,12 @@
 //!     its lazily decoded PPG) and discovery traces; beside them the
 //!     refined-PSG cache and the program index;
 //!   - [`store`] — disk: crash-safe content-addressed persistence
-//!     (atomic temp+rename+fsync writes, checksum framing, quarantine),
-//!     warm restarts, an injectable [`StoreIo`] with a deterministic
-//!     fault plan, a write-failure circuit breaker into memory-only
-//!     mode, and an LRU quota sweep;
+//!     (batch files of checksummed frames committed by atomic
+//!     temp+fsync+rename, an in-memory index rebuilt at boot,
+//!     quarantine), warm restarts, a byte-bounded write-behind queue,
+//!     an injectable [`StoreIo`] with a deterministic fault plan, a
+//!     write-failure circuit breaker into memory-only mode, and an
+//!     oldest-first quota sweep;
 //!   - [`federation`] — the fleet: rendezvous ring, gossip, per-peer
 //!     clients behind the same circuit breaker;
 //! - [`exec`] — per-scale job execution: scales resolve through the

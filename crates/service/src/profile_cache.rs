@@ -93,6 +93,7 @@ impl CachedScale {
 /// hit/miss accounting.
 #[derive(Debug)]
 pub struct ProfileCache {
+    capacity: usize,
     images: ShardedMap<Arc<CachedScale>>,
     traces: ShardedMap<Bytes>,
     hits: AtomicU64,
@@ -123,6 +124,7 @@ impl ProfileCache {
     /// and exactly [`TRACE_CAPACITY`] traces.
     pub fn new(capacity: usize) -> ProfileCache {
         ProfileCache {
+            capacity,
             images: ShardedMap::new(CACHE_SHARDS, capacity),
             traces: ShardedMap::new(1, TRACE_CAPACITY),
             hits: AtomicU64::new(0),
@@ -130,6 +132,11 @@ impl ProfileCache {
             evicted: AtomicU64::new(0),
             entries: AtomicU64::new(0),
         }
+    }
+
+    /// The image capacity this cache was built with (0 = unbounded).
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// The resident entry for one scale, if any. Counts nothing: the

@@ -19,7 +19,7 @@
 //! GET  /v1/healthz                   liveness probe
 //! POST /v1/shutdown                  graceful stop
 //! GET  /v1/store?after=&limit=       durable store view (paginated listing)
-//! POST /v1/store/gc                  run one LRU quota sweep
+//! POST /v1/store/gc                  run one quota sweep
 //! GET  /v1/peer/ring                 federation ring (identity + members)
 //! POST /v1/peer/announce             a peer introduces itself
 //! GET/POST /v1/peer/profile/<key>    fetch / write-through one profile image
@@ -61,7 +61,7 @@ use crate::json::{parse, Json};
 use crate::metrics::ServiceMetrics;
 use crate::profile_cache::{ProfileCache, ProgramIndex, PsgCache};
 use crate::queue::JobQueue;
-use crate::store::{DiskStore, EntryKind, RealIo, StoreIo};
+use crate::store::{DiskStore, EntryKind, RealIo, StoreIo, StoreSnapshot};
 use crate::tiers::{Tiers, WriteBehind};
 use scalana_api::diff::DiffSide;
 use scalana_api::{
@@ -124,7 +124,7 @@ pub struct ServiceConfig {
     /// warms from it at startup; `None` keeps the daemon memory-only.
     pub store_dir: Option<String>,
     /// Store size quota in bytes (`--store-quota`; 0 = unlimited).
-    /// When exceeded after a write, an LRU sweep evicts oldest entries.
+    /// When exceeded after a commit, a sweep evicts the oldest data files.
     pub store_quota: u64,
     /// Filesystem access for the store. `None` uses the real
     /// filesystem; tests inject a [`crate::store::FaultIo`] here.
@@ -287,18 +287,15 @@ impl Server {
                 evict_label: metrics.lbl_evict,
             });
         // Durable tier: open (never fails hard — a broken directory
-        // degrades to memory-only); the profile images found on disk
-        // warm the memory tier below.
-        let mut warm = Vec::new();
+        // degrades to memory-only) validates and indexes what is on
+        // disk; its newest images warm the memory tier below.
         let store = config.store_dir.as_ref().map(|dir| {
             let io = config
                 .store_io
                 .clone()
                 .unwrap_or_else(|| Arc::new(RealIo) as Arc<dyn StoreIo>);
-            let (store, images) =
-                DiskStore::open(io, std::path::Path::new(dir), config.store_quota);
-            warm = images;
-            Arc::new(store)
+            let dir = std::path::Path::new(dir);
+            Arc::new(DiskStore::open(io, dir, config.store_quota))
         });
         // Fleet tier: ring identity defaults to the bound address (with
         // an ephemeral port that *is* the only address peers can dial).
@@ -332,7 +329,7 @@ impl Server {
             #[cfg(target_os = "linux")]
             wake: std::sync::OnceLock::new(),
         });
-        state.tiers().preload(warm);
+        state.tiers().preload();
         Ok(Server { listener, state })
     }
 
@@ -683,18 +680,22 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
     (routed, action)
 }
 
+/// Memory-only daemons report all-zero store counters rather than
+/// omitting the fields, so the stats shape (and the metrics golden
+/// list) is identical with and without `--store-dir`.
+fn store_snapshot(state: &State) -> StoreSnapshot {
+    state
+        .store
+        .as_ref()
+        .map(|s| s.snapshot())
+        .unwrap_or_default()
+}
+
 fn stats(state: &State) -> StatsResponse {
     let job_stats = state.registry.stats();
     let scale = state.profiles.stats();
     let (psg_hits, psg_misses) = state.psgs.stats();
-    // Memory-only daemons report all-zero store counters rather than
-    // omitting the fields, so the stats shape (and the metrics golden
-    // list) is identical with and without `--store-dir`.
-    let store = state
-        .store
-        .as_ref()
-        .map(|s| s.snapshot())
-        .unwrap_or_default();
+    let store = store_snapshot(state);
     let (peer_requests, peer_hits, peer_backlog) = state.federation.counters();
     StatsResponse {
         workers: state.workers,
@@ -739,6 +740,8 @@ fn stats(state: &State) -> StatsResponse {
 /// endpoints can never disagree.
 fn metrics_text(state: &State) -> Response {
     let s = stats(state);
+    // The write-behind pair is not part of the stats DTO.
+    let store = store_snapshot(state);
     let mirrored = vec![
         Family::gauge("scalana_build_info", 1)
             .with_sample_suffix(&format!("{{version=\"{}\"}}", env!("CARGO_PKG_VERSION"))),
@@ -769,7 +772,9 @@ fn metrics_text(state: &State) -> Response {
         Family::gauge("scalana_programs_indexed", s.programs_indexed as u64),
         Family::gauge("scalana_queue_depth", s.queue_depth as u64),
         Family::gauge("scalana_results_cached", s.results_cached as u64),
+        Family::gauge("scalana_store_backlog_bytes", store.backlog_bytes),
         Family::gauge("scalana_store_bytes", s.store_bytes),
+        Family::counter("scalana_store_commits_total", store.commits),
         Family::gauge("scalana_store_degraded", s.store_degraded),
         Family::gauge("scalana_store_entries", s.store_entries),
         Family::counter("scalana_store_evicted_total", s.store_evicted),
@@ -791,7 +796,8 @@ fn metrics_text(state: &State) -> Response {
 
 /// `GET /v1/store?after=&limit=` — the durable tier's directory view:
 /// entry/byte totals, the configured quota, degradation state, and one
-/// keyset-paginated page of the (name-sorted) file listing. The
+/// keyset-paginated page of the (name-sorted) listing of data files,
+/// each a batch of entries. The
 /// counters are always complete; the listing pages so a huge store
 /// directory cannot balloon one response — follow `next_after` until it
 /// is `null` for the full listing. A memory-only daemon (no
@@ -850,7 +856,7 @@ fn store_info(query: &str, state: &State) -> Response {
     )
 }
 
-/// `POST /v1/store/gc` — run one LRU quota sweep now. Answers `503` +
+/// `POST /v1/store/gc` — run one quota sweep now. Answers `503` +
 /// `Retry-After` while the breaker is open (sweeping a store that
 /// cannot write is pointless churn), `404` without a store.
 fn store_gc(state: &State) -> Response {

@@ -1,27 +1,37 @@
 //! Durable on-disk store for the daemon's content-addressed caches.
 //!
 //! `scalana serve --store-dir <dir>` writes every per-scale profile
-//! image and every refined-PSG discovery trace through to disk as a
-//! content-addressed file, so a restarted (or crashed) daemon warms its
-//! caches from the directory and answers previously-profiled scales
+//! image and every refined-PSG discovery trace through to disk, so a
+//! restarted (or crashed) daemon answers previously-profiled scales
 //! with zero re-simulation, byte-identical to its pre-crash answers.
+//! What the store keeps resident does not depend on how much it holds:
 //!
-//! Three layers keep this crash-safe:
-//!
-//! 1. **Atomic write protocol** — every entry is written to a `.tmp`
-//!    sibling, fsynced, renamed into place, and the directory fsynced.
-//!    A crash at any point leaves either the old entry, the new entry,
-//!    or a quarantinable `.tmp` orphan — never a half-visible file.
-//!    Entries are framed with a versioned header and a length/checksum
-//!    trailer ([`encode_frame`]/[`decode_frame`]), so torn or alien
-//!    bytes are detected, typed ([`CorruptKind`]), quarantined to
-//!    `<store-dir>/quarantine/`, and counted — never panicked on.
-//! 2. **Injectable IO** — all filesystem traffic goes through the
+//! 1. **Batch files, committed atomically** — an entry is one frame: a
+//!    versioned header, its content-addressed key, the payload, a
+//!    length/checksum trailer ([`encode_frame`]/[`decode_frame`]). A
+//!    data file is one *commit*: every frame the writer found queued
+//!    (up to [`BATCH_BYTES`]) back to back ([`decode_frames`]), named
+//!    after its content, written to a `.tmp` sibling, fsynced, renamed
+//!    into place, and the directory fsynced. A slow disk makes bigger
+//!    batches, not a longer queue, and a crash leaves the whole batch,
+//!    none of it, or a `.tmp` orphan — never a half-visible file. Torn
+//!    or alien bytes are typed ([`CorruptKind`]), quarantined to
+//!    `<store-dir>/quarantine/` a file at a time, and counted — never
+//!    panicked on.
+//! 2. **An index, not a directory walk** — `(kind, key) → (file,
+//!    offset, len)`, rebuilt by the warm scan (which validates every
+//!    frame and keeps no payload) and updated at each commit. A read
+//!    fetches one frame's byte range; the quota sweep evicts whole
+//!    files, oldest commit first.
+//! 3. **Bounded write-behind** — `save` enqueues for the writer thread
+//!    and, past [`QUEUE_BUDGET`] queued bytes, blocks until a commit
+//!    lands: backpressure, never a dropped entry.
+//! 4. **Injectable IO** — all filesystem traffic goes through the
 //!    [`StoreIo`] trait. Production uses [`RealIo`]; tests drive the
 //!    seed-deterministic [`FaultIo`]/[`FaultPlan`] (ENOSPC, EIO,
 //!    permission loss, fsync failure, torn write then crash) to prove
 //!    every failure mode degrades instead of corrupting.
-//! 3. **Circuit breaker** — persistent write failures trip the store
+//! 5. **Circuit breaker** — persistent write failures trip the store
 //!    into memory-only mode (writes skipped and counted) with half-open
 //!    retry probes under exponential backoff, so a full disk costs
 //!    durability, not availability. State is surfaced through the
@@ -36,11 +46,12 @@ use crate::breaker::Breaker;
 use crate::hash::StableHasher;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use scalana_profile::recorder::DiscoveryRound;
-use std::collections::HashMap;
-use std::io;
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, Read, Seek};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// Magic number opening every store frame (distinct from the inner
@@ -50,6 +61,12 @@ pub const STORE_MAGIC: u32 = 0x5ca1_ad15;
 pub const STORE_VERSION: u16 = 1;
 /// Trailer size: payload-length echo (u64) + FNV-1a checksum (u64).
 const TRAILER_BYTES: usize = 16;
+/// Payload bytes one commit packs into a single data file at most (a
+/// larger entry is a batch of its own).
+pub const BATCH_BYTES: usize = 4 << 20;
+/// Payload bytes the write-behind queue holds, queued or in the commit
+/// under way, before [`DiskStore::save`] blocks its caller.
+pub const QUEUE_BUDGET: usize = 8 << 20;
 /// What a store entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
@@ -76,28 +93,18 @@ impl EntryKind {
         }
     }
 
-    /// The entry's file-name prefix and `/v1/peer/<prefix>/…` noun.
+    /// The entry's `/v1/peer/<prefix>/…` noun.
     pub fn prefix(self) -> &'static str {
         match self {
             EntryKind::Profile => "profile",
             EntryKind::PsgTrace => "psg",
         }
     }
-}
 
-/// The data file name for an entry.
-pub fn entry_file_name(kind: EntryKind, key: &str) -> String {
-    format!("{}-{}.img", kind.prefix(), key)
-}
-
-/// Parse a data file name back into its expected kind and key.
-fn parse_file_name(name: &str) -> Option<(EntryKind, &str)> {
-    let stem = name.strip_suffix(".img")?;
-    if let Some(key) = stem.strip_prefix("profile-") {
-        return Some((EntryKind::Profile, key));
+    /// Which of the index's per-kind key maps holds this kind.
+    fn slot(self) -> usize {
+        usize::from(self.tag()) - 1
     }
-    stem.strip_prefix("psg-")
-        .map(|key| (EntryKind::PsgTrace, key))
 }
 
 /// Why a store file failed to decode. Every reason is quarantinable;
@@ -114,9 +121,6 @@ pub enum CorruptKind {
     BadKind(u8),
     /// Framing intact but the trailer checksum does not match.
     BadChecksum,
-    /// Valid frame whose embedded key or kind disagrees with the file
-    /// name it was found under (misplaced or renamed file).
-    KeyMismatch,
 }
 
 impl std::fmt::Display for CorruptKind {
@@ -127,7 +131,6 @@ impl std::fmt::Display for CorruptKind {
             CorruptKind::BadVersion(v) => write!(f, "unsupported store version {v}"),
             CorruptKind::BadKind(t) => write!(f, "unknown store entry kind {t}"),
             CorruptKind::BadChecksum => write!(f, "store frame checksum mismatch"),
-            CorruptKind::KeyMismatch => write!(f, "store frame key disagrees with file name"),
         }
     }
 }
@@ -136,6 +139,13 @@ impl std::fmt::Display for CorruptKind {
 /// then a length/checksum trailer over every preceding byte.
 pub fn encode_frame(kind: EntryKind, key: &str, payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(payload.len() + key.len() + 48);
+    put_frame(&mut buf, kind, key, payload);
+    buf.freeze()
+}
+
+/// Append one frame to `buf`; returns the frame's checksum.
+fn put_frame(buf: &mut BytesMut, kind: EntryKind, key: &str, payload: &[u8]) -> u64 {
+    let start = buf.len();
     buf.put_u32_le(STORE_MAGIC);
     buf.put_u16_le(STORE_VERSION);
     buf.put_u8(kind.tag());
@@ -144,17 +154,16 @@ pub fn encode_frame(kind: EntryKind, key: &str, payload: &[u8]) -> Bytes {
     buf.put_u64_le(payload.len() as u64);
     buf.put_slice(payload);
     let mut h = StableHasher::new();
-    h.write_bytes(&buf);
+    h.write_bytes(&buf[start..]);
     buf.put_u64_le(payload.len() as u64);
     buf.put_u64_le(h.finish());
-    buf.freeze()
+    h.finish()
 }
 
-/// Decode a store frame, returning the typed corruption reason on any
-/// mismatch. The checksum covers header and payload, so a single
-/// flipped bit anywhere is `BadChecksum`; a byte cut anywhere is
-/// `Truncated`.
-pub fn decode_frame(raw: &[u8]) -> Result<(EntryKind, String, Bytes), CorruptKind> {
+/// Parse the frame at the front of a buffer that may run on past it:
+/// its kind, key and where the payload sits. The frame ends
+/// [`TRAILER_BYTES`] after the payload does.
+fn parse_frame(raw: &[u8]) -> Result<(EntryKind, String, Range<usize>), CorruptKind> {
     if raw.len() < 4 {
         return Err(CorruptKind::Truncated);
     }
@@ -184,7 +193,7 @@ pub fn decode_frame(raw: &[u8]) -> Result<(EntryKind, String, Bytes), CorruptKin
         .and_then(|n| n.checked_add(payload_len))
         .and_then(|n| n.checked_add(TRAILER_BYTES))
         .ok_or(CorruptKind::Truncated)?;
-    if raw.len() != total {
+    if raw.len() < total {
         return Err(CorruptKind::Truncated);
     }
     let echo = u64::from_le_bytes(raw[total - 16..total - 8].try_into().expect("8 bytes"));
@@ -195,8 +204,36 @@ pub fn decode_frame(raw: &[u8]) -> Result<(EntryKind, String, Bytes), CorruptKin
         return Err(CorruptKind::BadChecksum);
     }
     let key = String::from_utf8_lossy(&raw[9..header_end]).into_owned();
-    let payload = Bytes::from(raw[header_end + 8..total - TRAILER_BYTES].to_vec());
-    Ok((kind, key, payload))
+    Ok((kind, key, header_end + 8..total - TRAILER_BYTES))
+}
+
+/// Decode a buffer that is exactly one store frame, returning the typed
+/// corruption reason on any mismatch. The checksum covers header and
+/// payload, so a single flipped bit anywhere is `BadChecksum`; a byte
+/// cut anywhere is `Truncated`.
+pub fn decode_frame(raw: &[u8]) -> Result<(EntryKind, String, Bytes), CorruptKind> {
+    let (kind, key, payload) = parse_frame(raw)?;
+    if payload.end + TRAILER_BYTES != raw.len() {
+        return Err(CorruptKind::Truncated);
+    }
+    Ok((kind, key, Bytes::from(raw[payload].to_vec())))
+}
+
+/// Split a data file into its frames, `(kind, key, byte range)` each.
+/// A file is one commit — one or more complete frames back to back —
+/// and corrupt as a whole if any byte of it is not.
+pub fn decode_frames(raw: &[u8]) -> Result<Vec<(EntryKind, String, Range<usize>)>, CorruptKind> {
+    let mut frames = Vec::new();
+    let mut at = 0;
+    loop {
+        let (kind, key, payload) = parse_frame(&raw[at..])?;
+        let end = at + payload.end + TRAILER_BYTES;
+        frames.push((kind, key, at..end));
+        at = end;
+        if at == raw.len() {
+            return Ok(frames);
+        }
+    }
 }
 
 /// Serialize an indirect-call discovery trace (round-ordered, each
@@ -275,6 +312,9 @@ pub trait StoreIo: Send + Sync + std::fmt::Debug {
     fn sync_dir(&self, path: &Path) -> io::Result<()>;
     /// Read a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Read up to `len` bytes at `offset` (fewer when the file ends
+    /// first — the caller's frame check types that as `Truncated`).
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>>;
     /// List the *files* (not subdirectories) directly inside `path`.
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
     /// Delete a file.
@@ -310,6 +350,14 @@ impl StoreIo for RealIo {
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
+    }
+
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut file = std::fs::File::open(path)?;
+        file.seek(io::SeekFrom::Start(offset))?;
+        let mut buf = Vec::with_capacity(len);
+        file.take(len as u64).read_to_end(&mut buf)?;
+        Ok(buf)
     }
 
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
@@ -525,6 +573,10 @@ impl StoreIo for FaultIo {
         self.inner.read(path)
     }
 
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.inner.read_range(path, offset, len)
+    }
+
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
         self.inner.read_dir(path)
     }
@@ -547,13 +599,79 @@ struct WriteReq {
     payload: Bytes,
 }
 
+/// The write-behind queue between [`DiskStore::save`] and the writer.
+#[derive(Debug, Default)]
+struct Queue {
+    pending: VecDeque<WriteReq>,
+    /// Payload bytes queued or in the commit under way.
+    bytes: usize,
+    /// A writer thread is draining; otherwise `save` commits itself.
+    open: bool,
+}
+
+/// Where one live entry's frame sits.
+#[derive(Debug, Clone)]
+struct Loc {
+    file: Arc<str>,
+    span: Range<usize>,
+}
+
+/// What the directory holds: rebuilt by the warm scan, updated at every
+/// commit, sweep and quarantine. Its size follows the number of keys
+/// and live files, not the bytes stored or the writes ever made.
+#[derive(Debug, Default)]
+struct Index {
+    /// Data file name → (commit generation, bytes). Generations follow
+    /// age: the warm scan numbers files oldest first, commits continue.
+    files: HashMap<Arc<str>, (u64, u64)>,
+    /// Key → its newest frame, one map per [`EntryKind`].
+    keys: [HashMap<String, Loc>; 2],
+    generation: u64,
+    /// Bytes of every data file.
+    bytes: u64,
+}
+
+impl Index {
+    /// Record a data file and point its keys at it.
+    fn add(&mut self, name: &str, bytes: u64, frames: Vec<(EntryKind, String, Range<usize>)>) {
+        let file: Arc<str> = Arc::from(name);
+        self.generation += 1;
+        let replaced = self
+            .files
+            .insert(Arc::clone(&file), (self.generation, bytes));
+        self.bytes = self.bytes + bytes - replaced.map_or(0, |(_, old)| old);
+        for (kind, key, span) in frames {
+            let file = Arc::clone(&file);
+            self.keys[kind.slot()].insert(key, Loc { file, span });
+        }
+    }
+
+    /// Forget files that left the directory, and every key whose newest
+    /// frame went with them.
+    fn forget(&mut self, gone: &[Arc<str>]) {
+        for name in gone {
+            if let Some((_, bytes)) = self.files.remove(name) {
+                self.bytes -= bytes;
+            }
+        }
+        let files = &self.files;
+        for keys in &mut self.keys {
+            keys.retain(|_, loc| files.contains_key(&loc.file));
+        }
+    }
+
+    fn entries(&self) -> u64 {
+        self.keys.iter().map(|keys| keys.len() as u64).sum()
+    }
+}
+
 /// Counter snapshot for `/v1/stats` and the `scalana_store_*` metric
 /// families.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreSnapshot {
     /// Entries successfully persisted.
     pub writes: u64,
-    /// Failed write attempts (any step of the atomic protocol).
+    /// Entries of failed commits (any step of the atomic protocol).
     pub write_errors: u64,
     /// Writes skipped because the breaker was open (memory-only mode).
     pub skipped: u64,
@@ -563,15 +681,19 @@ pub struct StoreSnapshot {
     pub loaded: u64,
     /// Entries removed by the quota sweep.
     pub evicted: u64,
-    /// Live entries in the store directory.
+    /// Live keys the store can answer.
     pub entries: u64,
-    /// Bytes of live entries.
+    /// Bytes of the data files.
     pub bytes: u64,
     /// 1 while the circuit breaker is open (memory-only mode), else 0.
     pub degraded: u64,
+    /// Data files committed; `writes / commits` is the mean batch size.
+    pub commits: u64,
+    /// Payload bytes in the write-behind queue right now.
+    pub backlog_bytes: u64,
 }
 
-/// Result of one LRU quota sweep.
+/// Result of one quota sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
     /// Entries removed.
@@ -580,9 +702,10 @@ pub struct SweepReport {
     pub freed_bytes: u64,
 }
 
-/// The durable store: a directory of framed, content-addressed entries
-/// plus the machinery above (atomic writes, quarantine, warm scan,
-/// write-behind thread, circuit breaker, LRU quota sweep).
+/// The durable store: a directory of batch files of framed,
+/// content-addressed entries, the index over them, and the machinery
+/// above (atomic commits, quarantine, warm scan, bounded write-behind
+/// queue, circuit breaker, quota sweep).
 #[derive(Debug)]
 pub struct DiskStore {
     io: Arc<dyn StoreIo>,
@@ -594,27 +717,24 @@ pub struct DiskStore {
     quarantined: AtomicU64,
     loaded: AtomicU64,
     evicted: AtomicU64,
-    entries: AtomicU64,
-    bytes: AtomicU64,
+    commits: AtomicU64,
     degraded: AtomicU64,
-    /// Bumped once per *completed* write; the sweep snapshots it so an
-    /// entry (re)written during the sweep is never a victim.
-    generation: AtomicU64,
-    write_gens: Mutex<HashMap<String, u64>>,
+    index: Mutex<Index>,
     breaker: Mutex<Breaker>,
-    writer: Mutex<Option<mpsc::Sender<WriteReq>>>,
+    queue: Mutex<Queue>,
+    /// Signals both ends of `queue`: work for the writer, room for a
+    /// blocked `save`.
+    queue_moved: Condvar,
 }
 
 impl DiskStore {
-    /// Open (creating if needed) a store directory and warm-scan it.
-    /// Returns the store plus every valid profile image found, for
-    /// seeding the in-memory per-scale cache; PSG traces stay on disk
-    /// and are read on demand.
+    /// Open (creating if needed) a store directory and warm-scan it:
+    /// every frame is validated and indexed, no payload is kept.
     ///
     /// Never fails hard: an unreadable or uncreatable directory yields
     /// an empty, already-degraded store — the daemon must stay
     /// available in memory-only mode.
-    pub fn open(io: Arc<dyn StoreIo>, dir: &Path, quota: u64) -> (DiskStore, Vec<(String, Bytes)>) {
+    pub fn open(io: Arc<dyn StoreIo>, dir: &Path, quota: u64) -> DiskStore {
         let store = DiskStore {
             io,
             dir: dir.to_path_buf(),
@@ -625,22 +745,21 @@ impl DiskStore {
             quarantined: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            commits: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            write_gens: Mutex::new(HashMap::new()),
+            index: Mutex::new(Index::default()),
             breaker: Mutex::new(Breaker::new()),
-            writer: Mutex::new(None),
+            queue: Mutex::new(Queue::default()),
+            queue_moved: Condvar::new(),
         };
         if store.io.create_dir_all(&store.dir).is_err()
             || store.io.create_dir_all(&store.quarantine_dir()).is_err()
         {
             store.mark_degraded();
-            return (store, Vec::new());
+        } else {
+            store.warm_scan();
         }
-        let warm = store.warm_scan();
-        (store, warm)
+        store
     }
 
     /// The store directory.
@@ -657,60 +776,35 @@ impl DiskStore {
         self.dir.join("quarantine")
     }
 
-    fn entry_path(&self, kind: EntryKind, key: &str) -> PathBuf {
-        self.dir.join(entry_file_name(kind, key))
-    }
-
-    /// Scan the directory: load valid entries, quarantine everything
-    /// else (`.tmp` orphans, torn frames, alien files, key mismatches).
-    fn warm_scan(&self) -> Vec<(String, Bytes)> {
-        let files = match self.io.read_dir(&self.dir) {
-            Ok(files) => files,
-            Err(_) => {
-                self.mark_degraded();
-                return Vec::new();
-            }
+    /// Scan the directory: index every file that is a sequence of valid
+    /// frames — whatever its name, so a directory of the older
+    /// one-frame-per-file layout loads as batches of one — and
+    /// quarantine everything else (`.tmp` orphans, torn frames, alien
+    /// files). Each live key counts once in `loaded`.
+    fn warm_scan(&self) {
+        let Ok(files) = self.io.read_dir(&self.dir) else {
+            self.mark_degraded();
+            return;
         };
-        let mut warm = Vec::new();
-        for path in files {
-            let name = match path.file_name().and_then(|n| n.to_str()) {
-                Some(name) => name.to_string(),
-                None => {
-                    self.quarantine(&path);
-                    continue;
-                }
-            };
-            let expected = match parse_file_name(&name) {
-                Some(expected) if !name.ends_with(".tmp") => expected,
-                _ => {
-                    // `.tmp` orphans from a crash mid-write, and files
-                    // the store never wrote.
-                    self.quarantine(&path);
-                    continue;
-                }
-            };
-            let raw = match self.io.read(&path) {
-                Ok(raw) => raw,
-                Err(_) => {
-                    self.quarantine(&path);
-                    continue;
-                }
-            };
-            match decode_frame(&raw) {
-                Ok((kind, key, payload)) if (kind, key.as_str()) == expected => {
-                    self.entries.fetch_add(1, Ordering::SeqCst);
-                    self.bytes.fetch_add(raw.len() as u64, Ordering::SeqCst);
-                    self.loaded.fetch_add(1, Ordering::SeqCst);
-                    if kind == EntryKind::Profile {
-                        warm.push((key, payload));
-                    }
-                }
-                // Decoded fine but filed under the wrong name: treat
-                // exactly like `CorruptKind::KeyMismatch`.
-                Ok(_) | Err(_) => self.quarantine(&path),
+        // Oldest first: a key held by two files resolves to the newer.
+        let mut files: Vec<(u64, PathBuf)> = files
+            .into_iter()
+            .map(|path| (self.io.metadata(&path).map_or(0, |(_, mtime)| mtime), path))
+            .collect();
+        files.sort();
+        let mut index = self.index.lock().unwrap();
+        for (_, path) in files {
+            let name = path.file_name().and_then(|n| n.to_str());
+            let scanned = name
+                .filter(|name| !name.ends_with(".tmp"))
+                .and_then(|name| Some((name, self.io.read(&path).ok()?)))
+                .and_then(|(name, raw)| Some((name, raw.len(), decode_frames(&raw).ok()?)));
+            match scanned {
+                Some((name, bytes, frames)) => index.add(name, bytes as u64, frames),
+                None => self.quarantine(&path),
             }
         }
-        warm
+        self.loaded.store(index.entries(), Ordering::SeqCst);
     }
 
     /// Move a bad file to `quarantine/`, falling back to deletion; if
@@ -725,80 +819,125 @@ impl DiskStore {
         }
     }
 
-    /// Queue an entry for durable write-behind persistence (or write
-    /// synchronously when no writer thread is running).
+    /// Queue an entry for durable write-behind persistence (or commit
+    /// it synchronously, as a batch of one, when no writer thread is
+    /// running). Past [`QUEUE_BUDGET`] the caller waits for a commit to
+    /// land — backpressure; an entry is never dropped for lack of room.
     pub fn save(&self, kind: EntryKind, key: &str, payload: Bytes) {
-        let sender = self.writer.lock().unwrap().clone();
         let req = WriteReq {
             kind,
             key: key.to_string(),
             payload,
         };
-        match sender {
-            Some(tx) => {
-                if let Err(mpsc::SendError(req)) = tx.send(req) {
-                    self.persist(req.kind, &req.key, &req.payload);
-                }
-            }
-            None => {
-                self.persist(req.kind, &req.key, &req.payload);
-            }
+        let mut queue = self.queue.lock().unwrap();
+        // An entry bigger than the whole budget waits for an empty
+        // queue and goes in alone.
+        while queue.open && queue.bytes > 0 && queue.bytes + req.payload.len() > QUEUE_BUDGET {
+            queue = self.queue_moved.wait(queue).unwrap();
+        }
+        if queue.open {
+            queue.bytes += req.payload.len();
+            queue.pending.push_back(req);
+            self.queue_moved.notify_all();
+        } else {
+            drop(queue);
+            self.persist(&[req]);
         }
     }
 
-    /// [`DiskStore::read_entry`] for a profile image.
-    pub fn read_profile(&self, key: &str) -> Option<Bytes> {
-        self.read_entry(EntryKind::Profile, key)
+    /// Read one entry back, counting it in `loaded`. `None`: the store
+    /// does not hold the key, or its frame failed to decode and the
+    /// file was quarantined.
+    pub fn read_entry(&self, kind: EntryKind, key: &str) -> Option<Bytes> {
+        let payload = self.fetch(kind, key)?;
+        self.loaded.fetch_add(1, Ordering::SeqCst);
+        Some(payload)
     }
 
-    /// Read one entry back. A file that is missing yields `None`; one
-    /// that does not decode as this key's frame is quarantined first.
-    pub fn read_entry(&self, kind: EntryKind, key: &str) -> Option<Bytes> {
-        let path = self.entry_path(kind, key);
-        let raw = self.io.read(&path).ok()?;
+    /// Read exactly one frame's byte range and decode it.
+    fn fetch(&self, kind: EntryKind, key: &str) -> Option<Bytes> {
+        let loc = self.index.lock().unwrap().keys[kind.slot()]
+            .get(key)?
+            .clone();
+        let path = self.dir.join(&*loc.file);
+        let (offset, len) = (loc.span.start as u64, loc.span.len());
+        let raw = self.io.read_range(&path, offset, len).ok()?;
         match decode_frame(&raw) {
-            Ok((k, embedded, payload)) if k == kind && embedded == key => {
-                self.loaded.fetch_add(1, Ordering::SeqCst);
-                Some(payload)
-            }
+            Ok((k, embedded, payload)) if k == kind && embedded == key => Some(payload),
+            // One bad range condemns the file: its other frames cannot
+            // be trusted either.
             _ => {
                 self.quarantine(&path);
-                self.entries
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |e| {
-                        Some(e.saturating_sub(1))
-                    })
-                    .ok();
-                self.bytes
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
-                        Some(b.saturating_sub(raw.len() as u64))
-                    })
-                    .ok();
+                self.index.lock().unwrap().forget(&[loc.file]);
                 None
             }
         }
     }
 
-    /// Spawn the write-behind thread. Queued writes drain in order;
+    /// The newest `limit` profile images (0 = every one), for warming
+    /// the memory tier at boot. The warm scan already counted them in
+    /// `loaded`, so this read does not.
+    pub fn warm_images(&self, limit: usize) -> impl Iterator<Item = (String, Bytes)> + '_ {
+        let index = self.index.lock().unwrap();
+        let mut newest: Vec<(u64, usize, String)> = index.keys[EntryKind::Profile.slot()]
+            .iter()
+            .map(|(key, loc)| (index.files[&loc.file].0, loc.span.start, key.clone()))
+            .collect();
+        drop(index);
+        newest.sort_unstable_by(|a, b| b.cmp(a));
+        newest.truncate(if limit == 0 { usize::MAX } else { limit });
+        newest.into_iter().filter_map(|(_, _, key)| {
+            let image = self.fetch(EntryKind::Profile, &key)?;
+            Some((key, image))
+        })
+    }
+
+    /// Spawn the write-behind thread. Each pass commits everything
+    /// queued (up to [`BATCH_BYTES`]) as one file, in order;
     /// [`DiskStore::stop_writer`] plus joining the returned handle
     /// flushes everything pending (graceful-shutdown contract).
     pub fn start_writer(self: &Arc<Self>) -> std::thread::JoinHandle<()> {
-        let (tx, rx) = mpsc::channel::<WriteReq>();
-        *self.writer.lock().unwrap() = Some(tx);
+        self.queue.lock().unwrap().open = true;
         let store = Arc::clone(self);
         std::thread::Builder::new()
             .name("store-writer".to_string())
-            .spawn(move || {
-                for req in rx {
-                    store.persist(req.kind, &req.key, &req.payload);
-                }
-            })
+            .spawn(move || store.drain())
             .expect("spawn store-writer thread")
     }
 
-    /// Drop the writer sender: the thread drains its queue and exits,
-    /// and later [`DiskStore::save`] calls persist synchronously.
+    /// The writer thread: commit batches until stopped and empty.
+    fn drain(&self) {
+        let mut queue = self.queue.lock().unwrap();
+        loop {
+            let (mut batch, mut bytes) = (Vec::new(), 0);
+            while let Some(next) = queue.pending.front().map(|req| req.payload.len()) {
+                if !batch.is_empty() && bytes + next > BATCH_BYTES {
+                    break;
+                }
+                bytes += next;
+                batch.extend(queue.pending.pop_front());
+            }
+            if batch.is_empty() {
+                if !queue.open {
+                    return;
+                }
+                queue = self.queue_moved.wait(queue).unwrap();
+                continue;
+            }
+            drop(queue);
+            self.persist(&batch);
+            queue = self.queue.lock().unwrap();
+            queue.bytes -= bytes;
+            self.queue_moved.notify_all();
+        }
+    }
+
+    /// Close the queue: the writer drains what is pending and exits,
+    /// and [`DiskStore::save`] calls — blocked ones included — commit
+    /// synchronously from here on.
     pub fn stop_writer(&self) {
-        self.writer.lock().unwrap().take();
+        self.queue.lock().unwrap().open = false;
+        self.queue_moved.notify_all();
     }
 
     fn mark_degraded(&self) {
@@ -810,30 +949,30 @@ impl DiskStore {
         self.degraded.load(Ordering::SeqCst) == 1
     }
 
-    /// One durable write through the breaker and the atomic protocol.
-    /// Returns whether the entry reached disk.
-    fn persist(&self, kind: EntryKind, key: &str, payload: &[u8]) -> bool {
-        let now = Instant::now();
-        if !self.breaker.lock().unwrap().admit(now) {
-            self.skipped.fetch_add(1, Ordering::SeqCst);
+    /// One durable commit through the breaker and the atomic protocol.
+    /// Returns whether the batch reached disk. A batch is all or
+    /// nothing, so every counter (and the breaker) moves by its entries.
+    fn persist(&self, batch: &[WriteReq]) -> bool {
+        let entries = batch.len() as u64;
+        if !self.breaker.lock().unwrap().admit(Instant::now()) {
+            self.skipped.fetch_add(entries, Ordering::SeqCst);
             return false;
         }
-        match self.write_entry(kind, key, payload) {
+        match self.commit(batch) {
             Ok(()) => {
-                let mut breaker = self.breaker.lock().unwrap();
-                breaker.on_success();
-                drop(breaker);
+                self.breaker.lock().unwrap().on_success();
                 self.degraded.store(0, Ordering::SeqCst);
-                self.writes.fetch_add(1, Ordering::SeqCst);
-                if self.quota > 0 && self.bytes.load(Ordering::SeqCst) > self.quota {
+                self.writes.fetch_add(entries, Ordering::SeqCst);
+                self.commits.fetch_add(1, Ordering::SeqCst);
+                if self.quota > 0 && self.index.lock().unwrap().bytes > self.quota {
                     self.sweep();
                 }
                 true
             }
             Err(_) => {
-                self.write_errors.fetch_add(1, Ordering::SeqCst);
+                self.write_errors.fetch_add(entries, Ordering::SeqCst);
                 let mut breaker = self.breaker.lock().unwrap();
-                breaker.on_failure(Instant::now());
+                breaker.on_failures(batch.len() as u32, Instant::now());
                 let open = breaker.is_open();
                 drop(breaker);
                 if open {
@@ -844,136 +983,100 @@ impl DiskStore {
         }
     }
 
-    /// The atomic write protocol: frame, write `.tmp`, fsync, rename
-    /// into place, fsync the directory. A failure before the rename
-    /// leaves at most a quarantinable `.tmp`; after the rename the
-    /// entry is complete and valid even if the directory fsync fails.
-    fn write_entry(&self, kind: EntryKind, key: &str, payload: &[u8]) -> io::Result<()> {
-        let frame = encode_frame(kind, key, payload);
-        let final_path = self.entry_path(kind, key);
-        let tmp_path = self.dir.join(format!("{}.tmp", entry_file_name(kind, key)));
-        let previous_len = self.io.metadata(&final_path).map(|(len, _)| len).ok();
+    /// The atomic commit protocol: concatenate the batch's frames,
+    /// write `.tmp`, fsync, rename into place, fsync the directory. A
+    /// failure before the rename leaves at most a quarantinable `.tmp`;
+    /// after the rename the file is complete and valid even if the
+    /// directory fsync fails. The name is a hash of the frames'
+    /// checksums: unique across restarts with no counter to persist,
+    /// and the same batch written twice is the same file.
+    fn commit(&self, batch: &[WriteReq]) -> io::Result<()> {
+        let framed = |req: &WriteReq| req.payload.len() + req.key.len() + 48;
+        let mut buf = BytesMut::with_capacity(batch.iter().map(framed).sum());
+        let mut name = StableHasher::new();
+        let mut frames = Vec::with_capacity(batch.len());
+        for req in batch {
+            let start = buf.len();
+            name.write_u64(put_frame(&mut buf, req.kind, &req.key, &req.payload));
+            frames.push((req.kind, req.key.clone(), start..buf.len()));
+        }
+        let name = format!("batch-{}.img", name.hex());
+        let final_path = self.dir.join(&name);
+        let tmp_path = self.dir.join(format!("{name}.tmp"));
 
         let staged = self
             .io
-            .write(&tmp_path, &frame)
-            .and_then(|()| self.io.sync_file(&tmp_path))
-            .and_then(|()| self.io.rename(&tmp_path, &final_path));
-        if let Err(e) = staged {
+            .write(&tmp_path, &buf)
+            .and_then(|()| self.io.sync_file(&tmp_path));
+        // The rename and the index move together under the index lock,
+        // as the sweep's choice and its removals do: a file cannot be
+        // chosen as a victim, rewritten, and then removed.
+        let renamed = staged.and_then(|()| {
+            let mut index = self.index.lock().unwrap();
+            self.io.rename(&tmp_path, &final_path)?;
+            // Before the directory fsync: the file is already complete
+            // and readable, so even a failed dir fsync (counted as a
+            // write error by the caller) must not untrack it.
+            index.add(&name, buf.len() as u64, frames);
+            Ok(())
+        });
+        if let Err(e) = renamed {
             let _ = self.io.remove(&tmp_path);
             return Err(e);
-        }
-
-        // Book-keeping before the directory fsync: the entry is already
-        // complete and readable, so even a failed dir fsync (counted as
-        // a write error by the caller) must not untrack it.
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        self.write_gens
-            .lock()
-            .unwrap()
-            .insert(entry_file_name(kind, key), generation);
-        match previous_len {
-            Some(old) => {
-                self.bytes.fetch_add(frame.len() as u64, Ordering::SeqCst);
-                self.bytes
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
-                        Some(b.saturating_sub(old))
-                    })
-                    .ok();
-            }
-            None => {
-                self.entries.fetch_add(1, Ordering::SeqCst);
-                self.bytes.fetch_add(frame.len() as u64, Ordering::SeqCst);
-            }
         }
         self.io.sync_dir(&self.dir)
     }
 
-    /// LRU sweep: delete oldest entries (by mtime, name-tie-broken)
-    /// until the store fits the quota. Entries written after the sweep
-    /// started (their write generation exceeds the snapshot) are never
-    /// victims. No locks are held across IO calls.
+    /// Quota sweep: delete whole data files, oldest commit first, until
+    /// the store fits the quota. It runs under the index lock, so a
+    /// file committed after it began is never a victim.
     pub fn sweep(&self) -> SweepReport {
-        let snapshot_gen = self.generation.load(Ordering::SeqCst);
-        if self.quota == 0 {
-            return SweepReport::default();
-        }
-        let files = match self.io.read_dir(&self.dir) {
-            Ok(files) => files,
-            Err(_) => return SweepReport::default(),
-        };
-        let mut candidates: Vec<(u64, String, PathBuf, u64)> = Vec::new();
-        let mut total: u64 = 0;
-        for path in files {
-            let name = match path.file_name().and_then(|n| n.to_str()) {
-                Some(name) if parse_file_name(name).is_some() && !name.ends_with(".tmp") => {
-                    name.to_string()
-                }
-                _ => continue,
-            };
-            if let Ok((len, mtime)) = self.io.metadata(&path) {
-                total += len;
-                candidates.push((mtime, name, path, len));
-            }
-        }
-        candidates.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-
         let mut report = SweepReport::default();
-        for (_, name, path, len) in candidates {
-            if total <= self.quota {
+        if self.quota == 0 {
+            return report;
+        }
+        let mut index = self.index.lock().unwrap();
+        let mut oldest: Vec<(u64, Arc<str>, u64)> = index
+            .files
+            .iter()
+            .map(|(name, &(generation, bytes))| (generation, Arc::clone(name), bytes))
+            .collect();
+        oldest.sort();
+        let mut gone = Vec::new();
+        for (_, name, bytes) in oldest {
+            if index.bytes - report.freed_bytes <= self.quota {
                 break;
             }
-            let fresh = self
-                .write_gens
-                .lock()
-                .unwrap()
-                .get(&name)
-                .is_some_and(|g| *g > snapshot_gen);
-            if fresh {
-                continue;
-            }
-            if self.io.remove(&path).is_ok() {
-                total -= len;
-                report.evicted += 1;
-                report.freed_bytes += len;
-                self.evicted.fetch_add(1, Ordering::SeqCst);
-                self.entries
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |e| {
-                        Some(e.saturating_sub(1))
-                    })
-                    .ok();
-                self.bytes
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |b| {
-                        Some(b.saturating_sub(len))
-                    })
-                    .ok();
+            if self.io.remove(&self.dir.join(&*name)).is_ok() {
+                report.freed_bytes += bytes;
+                gone.push(name);
             }
         }
+        let before = index.entries();
+        index.forget(&gone);
+        report.evicted = before - index.entries();
+        self.evicted.fetch_add(report.evicted, Ordering::SeqCst);
         report
     }
 
-    /// List live entries as `(file name, bytes)`, name-sorted.
+    /// List the data files as `(file name, bytes)`, name-sorted.
     pub fn list(&self) -> Vec<(String, u64)> {
-        let files = match self.io.read_dir(&self.dir) {
-            Ok(files) => files,
-            Err(_) => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        for path in files {
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                if parse_file_name(name).is_some() && !name.ends_with(".tmp") {
-                    if let Ok((len, _)) = self.io.metadata(&path) {
-                        out.push((name.to_string(), len));
-                    }
-                }
-            }
-        }
+        let index = self.index.lock().unwrap();
+        let mut out: Vec<(String, u64)> = index
+            .files
+            .iter()
+            .map(|(name, &(_, bytes))| (name.to_string(), bytes))
+            .collect();
         out.sort();
         out
     }
 
     /// Counter snapshot.
     pub fn snapshot(&self) -> StoreSnapshot {
+        let (entries, bytes) = {
+            let index = self.index.lock().unwrap();
+            (index.entries(), index.bytes)
+        };
         StoreSnapshot {
             writes: self.writes.load(Ordering::SeqCst),
             write_errors: self.write_errors.load(Ordering::SeqCst),
@@ -981,9 +1084,11 @@ impl DiskStore {
             quarantined: self.quarantined.load(Ordering::SeqCst),
             loaded: self.loaded.load(Ordering::SeqCst),
             evicted: self.evicted.load(Ordering::SeqCst),
-            entries: self.entries.load(Ordering::SeqCst),
-            bytes: self.bytes.load(Ordering::SeqCst),
+            entries,
+            bytes,
             degraded: self.degraded.load(Ordering::SeqCst),
+            commits: self.commits.load(Ordering::SeqCst),
+            backlog_bytes: self.queue.lock().unwrap().bytes as u64,
         }
     }
 }
@@ -992,6 +1097,7 @@ impl DiskStore {
 mod tests {
     use super::*;
     use crate::breaker::{BASE_BACKOFF, TRIP};
+    use std::sync::mpsc;
     use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1002,6 +1108,30 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The data files in a store directory (not `quarantine/`).
+    fn data_files(dir: &Path) -> Vec<PathBuf> {
+        RealIo.read_dir(dir).unwrap()
+    }
+
+    /// A profile write request, as `save` queues them.
+    fn req(key: &str, payload: &[u8]) -> WriteReq {
+        WriteReq {
+            kind: EntryKind::Profile,
+            key: key.to_string(),
+            payload: Bytes::from(payload.to_vec()),
+        }
+    }
+
+    fn backdate(path: &Path, seconds: u64) {
+        let t = std::time::SystemTime::now() - Duration::from_secs(seconds);
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_times(std::fs::FileTimes::new().set_modified(t))
+            .unwrap();
     }
 
     #[test]
@@ -1051,6 +1181,35 @@ mod tests {
     }
 
     #[test]
+    fn a_data_file_is_whole_frames_back_to_back_or_corrupt() {
+        let a = encode_frame(EntryKind::Profile, "aaaa", b"first payload");
+        let b = encode_frame(EntryKind::PsgTrace, "bbbb", b"second");
+        let file = [&a[..], &b[..]].concat();
+        let frames = decode_frames(&file).unwrap();
+        assert_eq!(
+            frames,
+            vec![
+                (EntryKind::Profile, "aaaa".to_string(), 0..a.len()),
+                (EntryKind::PsgTrace, "bbbb".to_string(), a.len()..file.len()),
+            ]
+        );
+        // Each range is one frame `decode_frame` accepts on its own.
+        let (_, _, payload) = decode_frame(&file[frames[1].2.clone()]).unwrap();
+        assert_eq!(&payload[..], b"second");
+        // A single frame is a batch of one: the older layout's files.
+        assert_eq!(decode_frames(&a).unwrap().len(), 1);
+        // No frames, a cut anywhere, or a trailing byte: not a data file.
+        assert_eq!(decode_frames(b""), Err(CorruptKind::Truncated));
+        for cut in 1..file.len() {
+            if cut != a.len() {
+                assert!(decode_frames(&file[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+        let padded = [&file[..], &[0u8][..]].concat();
+        assert!(decode_frames(&padded).is_err());
+    }
+
+    #[test]
     fn trace_codec_round_trips_and_rejects_hostile_counts() {
         let trace: Vec<DiscoveryRound> = vec![
             vec![(0, 3, "work".to_string()), (1, 9, "inner".to_string())],
@@ -1088,55 +1247,71 @@ mod tests {
     #[test]
     fn write_read_warm_cycle() {
         let dir = temp_dir("cycle");
-        let (store, warm) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-        assert!(warm.is_empty());
+        let store = DiskStore::open(Arc::new(RealIo), &dir, 0);
+        assert_eq!(store.snapshot(), StoreSnapshot::default());
         store.save(EntryKind::Profile, "aaaa", Bytes::from_static(b"image-a"));
         let trace = encode_trace(&[vec![(0, 1, "f".to_string())]]);
         store.save(EntryKind::PsgTrace, "bbbb", trace);
         assert_eq!(store.snapshot().writes, 2);
         assert_eq!(store.snapshot().entries, 2);
-        assert_eq!(&store.read_profile("aaaa").unwrap()[..], b"image-a");
-        assert!(store.read_profile("missing").is_none());
+        let read = |store: &DiskStore, key| store.read_entry(EntryKind::Profile, key);
+        assert_eq!(&read(&store, "aaaa").unwrap()[..], b"image-a");
+        assert!(read(&store, "missing").is_none());
+        // A key is its kind's: the trace's key holds no profile.
+        assert!(read(&store, "bbbb").is_none());
 
-        // A second store over the same directory warms from disk.
-        let (reopened, warm) = DiskStore::open(Arc::new(RealIo), &dir, 0);
+        // A second store over the same directory warms from disk: both
+        // entries indexed and counted, only the profile offered to memory.
+        let reopened = DiskStore::open(Arc::new(RealIo), &dir, 0);
+        let snap = reopened.snapshot();
+        assert_eq!((snap.loaded, snap.entries, snap.quarantined), (2, 2, 0));
         assert_eq!(
-            warm,
+            reopened.warm_images(0).collect::<Vec<_>>(),
             vec![("aaaa".to_string(), Bytes::from_static(b"image-a"))]
         );
+        assert_eq!(reopened.snapshot().loaded, 2, "warming is not a load");
         assert_eq!(
             decode_trace(reopened.read_entry(EntryKind::PsgTrace, "bbbb").unwrap()).unwrap(),
             vec![vec![(0, 1, "f".to_string())]]
         );
-        assert_eq!(reopened.snapshot().quarantined, 0);
+        assert_eq!(reopened.snapshot().loaded, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_and_alien_files_are_quarantined_at_warm_scan() {
         let dir = temp_dir("quarantine");
-        {
-            let (store, _) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-            store.save(EntryKind::Profile, "good", Bytes::from_static(b"ok"));
-        }
-        // Torn frame, alien file, orphan tmp, key mismatch.
+        DiskStore::open(Arc::new(RealIo), &dir, 0).save(
+            EntryKind::Profile,
+            "good",
+            Bytes::from_static(b"ok"),
+        );
+        // Torn frame, alien file, orphan tmp — and a batch whose last
+        // frame is torn, which condemns its first frame too.
         let torn = encode_frame(EntryKind::Profile, "torn", b"payload");
         std::fs::write(dir.join("profile-torn.img"), &torn[..torn.len() / 2]).unwrap();
         std::fs::write(dir.join("notes.txt"), b"alien").unwrap();
         std::fs::write(dir.join("profile-x.img.tmp"), b"orphan").unwrap();
-        let misfiled = encode_frame(EntryKind::Profile, "real", b"p");
-        std::fs::write(dir.join("profile-other.img"), &misfiled).unwrap();
+        let whole = encode_frame(EntryKind::Profile, "whole", b"p");
+        let half_batch = [&whole[..], &torn[..torn.len() / 2]].concat();
+        std::fs::write(dir.join("batch-0000000000000000.img"), half_batch).unwrap();
+        // Valid frames load under any name.
+        let renamed = encode_frame(EntryKind::Profile, "real", b"p");
+        std::fs::write(dir.join("profile-other.img"), &renamed).unwrap();
 
-        let (store, warm) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-        assert_eq!(warm.len(), 1, "only the good entry survives");
+        let store = DiskStore::open(Arc::new(RealIo), &dir, 0);
         let snap = store.snapshot();
         assert_eq!(snap.quarantined, 4);
-        assert_eq!(snap.entries, 1);
+        assert_eq!((snap.entries, snap.loaded), (2, 2));
+        for key in ["good", "real"] {
+            assert!(store.read_entry(EntryKind::Profile, key).is_some(), "{key}");
+        }
+        assert!(store.read_entry(EntryKind::Profile, "whole").is_none());
         for bad in [
             "profile-torn.img",
             "notes.txt",
             "profile-x.img.tmp",
-            "profile-other.img",
+            "batch-0000000000000000.img",
         ] {
             assert!(
                 dir.join("quarantine").join(bad).exists(),
@@ -1148,6 +1323,74 @@ mod tests {
     }
 
     #[test]
+    fn single_frame_files_of_the_older_layout_load() {
+        let dir = temp_dir("old-layout");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = encode_trace(&[vec![(0, 1, "f".to_string())]]);
+        let profile = EntryKind::Profile;
+        for (name, kind, key, payload) in [
+            ("profile-aaaa.img", profile, "aaaa", &b"image-a"[..]),
+            ("profile-bbbb.img", profile, "bbbb", &b"image-b"[..]),
+            ("psg-cccc.img", EntryKind::PsgTrace, "cccc", &trace[..]),
+        ] {
+            std::fs::write(dir.join(name), encode_frame(kind, key, payload)).unwrap();
+        }
+        let store = DiskStore::open(Arc::new(RealIo), &dir, 0);
+        let snap = store.snapshot();
+        assert_eq!((snap.loaded, snap.entries, snap.quarantined), (3, 3, 0));
+        assert_eq!(store.list().len(), 3, "each file is a batch of one");
+        assert_eq!(
+            &store.read_entry(EntryKind::Profile, "bbbb").unwrap()[..],
+            b"image-b"
+        );
+        assert_eq!(
+            store.read_entry(EntryKind::PsgTrace, "cccc").unwrap(),
+            trace
+        );
+        // A rewrite lands in a batch file and takes the key over.
+        store.save(EntryKind::Profile, "aaaa", Bytes::from_static(b"image-a2"));
+        assert_eq!(
+            &store.read_entry(EntryKind::Profile, "aaaa").unwrap()[..],
+            b"image-a2"
+        );
+        assert_eq!(store.snapshot().entries, 3);
+        // Warming takes the newest commits first.
+        assert_eq!(
+            store.warm_images(1).collect::<Vec<_>>(),
+            vec![("aaaa".to_string(), Bytes::from_static(b"image-a2"))]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_range_that_fails_to_decode_quarantines_its_file_and_drops_its_keys() {
+        let dir = temp_dir("bad-range");
+        let store = DiskStore::open(Arc::new(RealIo), &dir, 0);
+        let batch: Vec<WriteReq> = ["aaaa", "bbbb"]
+            .iter()
+            .map(|key| req(key, &[7u8; 100]))
+            .collect();
+        assert!(store.persist(&batch));
+        store.save(EntryKind::Profile, "cccc", Bytes::from_static(b"elsewhere"));
+        assert_eq!(data_files(&dir).len(), 2);
+        // Flip one byte inside the second frame of the two-entry file.
+        let (name, bytes) = store.list().into_iter().max_by_key(|f| f.1).unwrap();
+        let mut raw = std::fs::read(dir.join(&name)).unwrap();
+        raw[bytes as usize - TRAILER_BYTES - 1] ^= 0xff;
+        std::fs::write(dir.join(&name), raw).unwrap();
+
+        // The first frame's range is intact and still answers.
+        assert!(store.read_entry(EntryKind::Profile, "aaaa").is_some());
+        assert!(store.read_entry(EntryKind::Profile, "bbbb").is_none());
+        let snap = store.snapshot();
+        assert_eq!((snap.quarantined, snap.entries), (1, 1));
+        assert!(dir.join("quarantine").join(&name).exists());
+        assert!(store.read_entry(EntryKind::Profile, "aaaa").is_none());
+        assert!(store.read_entry(EntryKind::Profile, "cccc").is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn breaker_trips_to_memory_only_and_recovers_half_open() {
         let dir = temp_dir("breaker");
         // Each failing persist consumes two mutating ops (the faulted
@@ -1155,7 +1398,7 @@ mod tests {
         // the first three persists' ops so the later probe succeeds.
         let faults: Vec<(u64, FaultKind)> = (0..6).map(|i| (i, FaultKind::Enospc)).collect();
         let io = Arc::new(FaultIo::new(FaultPlan::scripted(faults)));
-        let (store, _) = DiskStore::open(io, &dir, 0);
+        let store = DiskStore::open(io, &dir, 0);
         for i in 0..TRIP {
             store.save(
                 EntryKind::Profile,
@@ -1170,7 +1413,7 @@ mod tests {
         // While open, writes are skipped, not attempted.
         store.save(EntryKind::Profile, "skipped", Bytes::from_static(b"x"));
         assert_eq!(store.snapshot().skipped, 1);
-        assert!(!dir.join("profile-skipped.img").exists());
+        assert!(data_files(&dir).is_empty());
 
         // After the backoff a half-open probe goes through; the plan's
         // faults for early ops no longer match the op counter, so the
@@ -1179,17 +1422,66 @@ mod tests {
         store.save(EntryKind::Profile, "probe", Bytes::from_static(b"x"));
         let snap = store.snapshot();
         assert_eq!(snap.degraded, 0, "successful probe closes the breaker");
-        assert_eq!(snap.writes, 1);
-        assert!(dir.join("profile-probe.img").exists());
+        assert_eq!((snap.writes, snap.commits), (1, 1));
+        assert!(store.read_entry(EntryKind::Profile, "probe").is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A `StoreIo` that fires a one-shot hook after the sweep's
-    /// directory listing, simulating a concurrent write landing between
-    /// the listing and the removals.
+    #[test]
+    fn a_failed_batch_counts_every_entry_and_steps_the_backoff_once() {
+        let dir = temp_dir("batch-fault");
+        let faults = vec![(0, FaultKind::Eio), (1, FaultKind::Eio)];
+        let io = Arc::new(FaultIo::new(FaultPlan::scripted(faults)));
+        let store = DiskStore::open(io, &dir, 0);
+        let batch: Vec<WriteReq> = (0..TRIP + 2).map(|i| req(&format!("k{i}"), b"x")).collect();
+        assert!(!store.persist(&batch));
+        let snap = store.snapshot();
+        assert_eq!(snap.write_errors, u64::from(TRIP) + 2);
+        assert_eq!((snap.entries, snap.degraded), (0, 1));
+        std::thread::sleep(BASE_BACKOFF + Duration::from_millis(50));
+        assert!(store.persist(&batch), "one backoff step, then the probe");
+        assert_eq!(store.snapshot().entries, u64::from(TRIP) + 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    type Hook = Mutex<Option<Box<dyn FnOnce() + Send>>>;
+
+    /// A `StoreIo` with one-shot hooks: `on_write` runs inside the next
+    /// `write` before any byte lands (park the writer there), `on_remove`
+    /// inside the next `remove` (a commit racing the sweep).
+    #[derive(Default)]
     struct HookIo {
         inner: RealIo,
-        hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        on_write: Hook,
+        on_remove: Hook,
+    }
+
+    impl HookIo {
+        /// A store over `dir` whose IO the returned handle can hook.
+        fn store(dir: &Path, quota: u64) -> (Arc<HookIo>, Arc<DiskStore>) {
+            let io = Arc::new(HookIo::default());
+            let store = DiskStore::open(io.clone() as Arc<dyn StoreIo>, dir, quota);
+            (io, Arc::new(store))
+        }
+
+        fn fire(hook: &Hook) {
+            let hook = hook.lock().unwrap().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+        }
+
+        /// Park the next `write` until the returned sender fires (or
+        /// drops); the receiver reports that the write got there.
+        fn park_next_write(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (entered_tx, entered) = mpsc::channel();
+            let (release, released) = mpsc::channel::<()>();
+            *self.on_write.lock().unwrap() = Some(Box::new(move || {
+                let _ = entered_tx.send(());
+                let _ = released.recv();
+            }));
+            (entered, release)
+        }
     }
 
     impl std::fmt::Debug for HookIo {
@@ -1203,6 +1495,7 @@ mod tests {
             self.inner.create_dir_all(path)
         }
         fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            HookIo::fire(&self.on_write);
             self.inner.write(path, bytes)
         }
         fn sync_file(&self, path: &Path) -> io::Result<()> {
@@ -1217,14 +1510,14 @@ mod tests {
         fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
             self.inner.read(path)
         }
+        fn read_range(&self, path: &Path, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+            self.inner.read_range(path, offset, len)
+        }
         fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-            let listing = self.inner.read_dir(path);
-            if let Some(hook) = self.hook.lock().unwrap().take() {
-                hook();
-            }
-            listing
+            self.inner.read_dir(path)
         }
         fn remove(&self, path: &Path) -> io::Result<()> {
+            HookIo::fire(&self.on_remove);
             self.inner.remove(path)
         }
         fn metadata(&self, path: &Path) -> io::Result<(u64, u64)> {
@@ -1235,91 +1528,90 @@ mod tests {
     #[test]
     fn sweep_never_deletes_an_entry_written_during_the_sweep() {
         let dir = temp_dir("sweep-race");
-        // Two entries, `old` backdated so it sorts as the LRU victim.
+        // Two files, `old`'s backdated so it is the first victim.
         {
-            let (setup, _) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-            setup.persist(EntryKind::Profile, "old", b"stale bytes");
-            setup.persist(EntryKind::Profile, "young", b"newer bytes");
+            let setup = DiskStore::open(Arc::new(RealIo), &dir, 0);
+            setup.save(
+                EntryKind::Profile,
+                "old",
+                Bytes::from_static(b"stale bytes"),
+            );
+            backdate(&data_files(&dir)[0], 3600);
+            setup.save(
+                EntryKind::Profile,
+                "young",
+                Bytes::from_static(b"newer bytes"),
+            );
         }
-        let backdate = std::time::SystemTime::now() - Duration::from_secs(3600);
-        let file = std::fs::File::options()
-            .write(true)
-            .open(dir.join("profile-old.img"))
-            .unwrap();
-        file.set_times(std::fs::FileTimes::new().set_modified(backdate))
-            .unwrap();
 
-        // Tiny quota: everything is over it, so without the generation
-        // guard the sweep would delete every listed file.
-        let io = Arc::new(HookIo {
-            inner: RealIo,
-            hook: Mutex::new(None),
-        });
-        let (store, _) = DiskStore::open(io.clone() as Arc<dyn StoreIo>, &dir, 1);
-        let store = Arc::new(store);
+        // Tiny quota: everything the sweep sees is over it.
+        let (io, store) = HookIo::store(&dir, 1);
 
-        // The hook fires after the sweep lists the directory and before
-        // any removal: `old` is rewritten mid-sweep.
+        // The hook fires inside the sweep, before its first removal: a
+        // racing commit rewrites `old` with the same bytes — under the
+        // very file name the sweep is about to remove.
         let racer = Arc::clone(&store);
-        *io.hook.lock().unwrap() = Some(Box::new(move || {
-            racer
-                .write_entry(EntryKind::Profile, "old", b"fresh bytes")
-                .unwrap();
+        let (started_tx, started) = mpsc::channel();
+        let race = Arc::new(Mutex::new(None));
+        let spawned = Arc::clone(&race);
+        *io.on_remove.lock().unwrap() = Some(Box::new(move || {
+            *spawned.lock().unwrap() = Some(std::thread::spawn(move || {
+                started_tx.send(()).unwrap();
+                racer.commit(&[req("old", b"stale bytes")]).unwrap();
+            }));
+            started.recv().unwrap();
         }));
 
         let report = store.sweep();
-        assert!(
-            dir.join("profile-old.img").exists(),
-            "entry rewritten during the sweep must survive"
-        );
+        let racing = race.lock().unwrap().take().expect("the hook fired");
+        racing.join().unwrap();
         assert_eq!(
-            &store.read_profile("old").unwrap()[..],
-            b"fresh bytes",
-            "the surviving entry is the fresh write"
+            &store.read_entry(EntryKind::Profile, "old").unwrap()[..],
+            b"stale bytes",
+            "the entry rewritten during the sweep survives"
         );
-        // The sweep still made progress on stale entries.
-        assert_eq!(report.evicted, 1);
-        assert!(!dir.join("profile-young.img").exists());
+        // The sweep still evicted everything that was there before it.
+        assert_eq!(report.evicted, 2);
+        assert!(store.read_entry(EntryKind::Profile, "young").is_none());
+        assert_eq!(data_files(&dir).len(), 1);
+        assert_eq!(store.snapshot().entries, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn quota_sweep_evicts_oldest_first() {
         let dir = temp_dir("quota");
-        let (store, _) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-        store.persist(EntryKind::Profile, "a", &[0u8; 100]);
-        store.persist(EntryKind::Profile, "b", &[0u8; 100]);
-        store.persist(EntryKind::Profile, "c", &[0u8; 100]);
-        let frame_len = store.snapshot().bytes / 3;
-        for (name, age) in [
-            ("profile-a.img", 300),
-            ("profile-b.img", 200),
-            ("profile-c.img", 100),
-        ] {
-            let t = std::time::SystemTime::now() - Duration::from_secs(age);
-            std::fs::File::options()
-                .write(true)
-                .open(dir.join(name))
-                .unwrap()
-                .set_times(std::fs::FileTimes::new().set_modified(t))
+        let store = DiskStore::open(Arc::new(RealIo), &dir, 0);
+        // One file per save; the mtimes say `a` is oldest, against the
+        // order of the (content-hashed) names.
+        for (key, age) in [("a", 300), ("b", 200), ("c", 100)] {
+            let before = data_files(&dir);
+            store.save(EntryKind::Profile, key, Bytes::from(vec![0u8; 100]));
+            let new = data_files(&dir)
+                .into_iter()
+                .find(|f| !before.contains(f))
                 .unwrap();
+            backdate(&new, age);
         }
-        // Re-open with a quota that fits exactly one entry.
-        let (store, _) = DiskStore::open(Arc::new(RealIo), &dir, frame_len + 10);
+        let frame_len = store.snapshot().bytes / 3;
+        // Re-open with a quota that fits exactly one file.
+        let store = DiskStore::open(Arc::new(RealIo), &dir, frame_len + 10);
         let report = store.sweep();
-        assert_eq!(report.evicted, 2);
-        assert!(!dir.join("profile-a.img").exists(), "oldest evicted first");
-        assert!(!dir.join("profile-b.img").exists());
-        assert!(dir.join("profile-c.img").exists(), "newest survives");
-        assert_eq!(store.snapshot().entries, 1);
+        assert_eq!((report.evicted, report.freed_bytes), (2, 2 * frame_len));
+        let read = |key| store.read_entry(EntryKind::Profile, key);
+        assert!(read("a").is_none(), "oldest evicted first");
+        assert!(read("b").is_none());
+        assert!(read("c").is_some(), "newest survives");
+        let snap = store.snapshot();
+        assert_eq!((snap.entries, snap.bytes, snap.evicted), (1, frame_len, 2));
+        assert_eq!(data_files(&dir).len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn writer_thread_flushes_pending_writes_on_stop() {
         let dir = temp_dir("writer");
-        let (store, _) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-        let store = Arc::new(store);
+        let store = Arc::new(DiskStore::open(Arc::new(RealIo), &dir, 0));
         let handle = store.start_writer();
         for i in 0..25 {
             let image = Bytes::from(vec![i as u8; 64]);
@@ -1327,8 +1619,88 @@ mod tests {
         }
         store.stop_writer();
         handle.join().unwrap();
-        assert_eq!(store.snapshot().writes, 25, "every queued write flushed");
-        assert_eq!(store.list().len(), 25);
+        let snap = store.snapshot();
+        assert_eq!(snap.writes, 25, "every queued write flushed");
+        assert_eq!((snap.entries, snap.backlog_bytes), (25, 0));
+        assert_eq!(store.list().len() as u64, snap.commits);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saves_queued_behind_a_parked_commit_land_in_one_further_file() {
+        let dir = temp_dir("batching");
+        let (io, store) = HookIo::store(&dir, 0);
+        let writer = store.start_writer();
+        let (entered, release) = io.park_next_write();
+        store.save(EntryKind::Profile, "first", Bytes::from_static(b"alone"));
+        entered.recv().unwrap();
+        // The writer sits inside its first commit: these pile up.
+        let queued: Vec<String> = (0..10).map(|i| format!("k{i:02}")).collect();
+        for key in &queued {
+            store.save(
+                EntryKind::Profile,
+                key,
+                Bytes::from(key.as_bytes().to_vec()),
+            );
+        }
+        assert_eq!(store.snapshot().writes, 0);
+        release.send(()).unwrap();
+        store.stop_writer();
+        writer.join().unwrap();
+
+        let snap = store.snapshot();
+        assert_eq!((snap.writes, snap.commits, snap.entries), (11, 2, 11));
+        assert_eq!(data_files(&dir).len(), 2, "one file per commit");
+        for key in &queued {
+            let image = store.read_entry(EntryKind::Profile, key).unwrap();
+            assert_eq!(&image[..], key.as_bytes());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn producers_block_at_the_queue_budget_and_nothing_is_dropped() {
+        let dir = temp_dir("backpressure");
+        let (io, store) = HookIo::store(&dir, 0);
+        let writer = store.start_writer();
+        let (entered, release) = io.park_next_write();
+        // Eight of these fill the budget exactly; the commit under way
+        // keeps its share until it lands.
+        let image = Bytes::from(vec![0x5a; QUEUE_BUDGET / 8]);
+        store.save(EntryKind::Profile, "k00", image.clone());
+        entered.recv().unwrap();
+
+        const ENTRIES: usize = 13;
+        let (saved_tx, saved) = mpsc::channel();
+        let producer = {
+            let (store, image) = (Arc::clone(&store), image.clone());
+            std::thread::spawn(move || {
+                for i in 1..ENTRIES {
+                    store.save(EntryKind::Profile, &format!("k{i:02}"), image.clone());
+                    saved_tx.send(i).unwrap();
+                }
+            })
+        };
+        // Seven more fit. The eighth `save` cannot return while the
+        // writer is parked: it would put the queue over its budget.
+        for i in 1..8 {
+            assert_eq!(saved.recv().unwrap(), i);
+        }
+        assert_eq!(store.snapshot().backlog_bytes, QUEUE_BUDGET as u64);
+        assert!(saved.try_recv().is_err(), "a save got past a full queue");
+
+        release.send(()).unwrap();
+        producer.join().unwrap();
+        assert!(store.snapshot().backlog_bytes <= QUEUE_BUDGET as u64);
+        store.stop_writer();
+        writer.join().unwrap();
+        let snap = store.snapshot();
+        assert_eq!((snap.skipped, snap.write_errors), (0, 0));
+        assert_eq!((snap.writes, snap.backlog_bytes), (ENTRIES as u64, 0));
+        for i in 0..ENTRIES {
+            let read = store.read_entry(EntryKind::Profile, &format!("k{i:02}"));
+            assert_eq!(read, Some(image.clone()), "k{i:02}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,8 @@
 //! ring shard: admitting remote keys would let a hot fleet working set
 //! evict it and collapse the fleet's aggregate capacity to one
 //! daemon's. A standalone daemon owns every key. ([`preload`] is the
-//! warm start: images the disk tier just read go to memory only.)
+//! warm start: the disk tier's newest images, as many as memory holds,
+//! go to memory only.)
 //!
 //! [`WriteBehind`] runs the two write-behind threads behind `put` and
 //! `accept` and states their drain order.
@@ -185,9 +186,11 @@ impl Tiers<'_> {
         valid
     }
 
-    /// Warm start: the images [`DiskStore::open`] found go to memory.
-    pub fn preload(&self, images: Vec<(String, Bytes)>) {
-        for (key, image) in images {
+    /// Warm start: memory takes the disk tier's newest images, no more
+    /// than it holds. The rest stay on disk until a job asks.
+    pub fn preload(&self) {
+        let Some(disk) = self.disk else { return };
+        for (key, image) in disk.warm_images(self.memory.capacity()) {
             self.memory.store(key, image);
         }
     }
@@ -209,7 +212,8 @@ impl Tiers<'_> {
 
 /// The write-behind threads under [`Tiers::put`] and [`Tiers::accept`]:
 /// the store's writer, so a save enqueues instead of blocking a worker
-/// on fsync, and the federation's, which settles offers (and the
+/// on fsync (it blocks only once the disk is a whole queue budget
+/// behind), and the federation's, which settles offers (and the
 /// startup announcements — a seed still booting delays nothing) off the
 /// job path.
 #[derive(Debug)]
@@ -228,10 +232,10 @@ impl WriteBehind {
     }
 
     /// Flush and stop, in the one order that loses nothing. Call once
-    /// the workers are gone, so nothing more can be enqueued: dropping
-    /// a sender lets its writer drain the backlog and exit — every
-    /// pending store write reaches disk, then every pending offer
-    /// settles.
+    /// the workers are gone, so nothing more can be enqueued — and no
+    /// `save` is left blocked on the store's bounded queue: closing a
+    /// queue lets its writer drain the backlog and exit — every pending
+    /// store write reaches disk, then every pending offer settles.
     pub fn shutdown(self) {
         if let Some((store, writer)) = self.store {
             store.stop_writer();
@@ -246,7 +250,7 @@ impl WriteBehind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{encode_frame, encode_trace, entry_file_name, RealIo};
+    use crate::store::{encode_trace, RealIo, StoreIo};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -296,7 +300,7 @@ mod tests {
             let unique = (std::process::id(), NEXT.fetch_add(1, Ordering::SeqCst));
             let dir = std::env::temp_dir().join(format!("scalana-tiers-{unique:?}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let (disk, _) = DiskStore::open(Arc::new(RealIo), &dir, 0);
+            let disk = DiskStore::open(Arc::new(RealIo), &dir, 0);
             let owner = ScriptedOwner {
                 owned,
                 holds: owner_holds,
@@ -318,15 +322,27 @@ mod tests {
             }
         }
 
-        fn path(&self, kind: EntryKind) -> std::path::PathBuf {
-            self.dir.join(entry_file_name(kind, KEY))
+        /// The data files in the store directory: [`KEY`]'s, or none.
+        fn files(&self) -> Vec<std::path::PathBuf> {
+            RealIo.read_dir(&self.dir).unwrap()
+        }
+
+        /// Plant [`KEY`] on disk: a whole frame, or a torn write — the
+        /// file the index points at cut to half a frame.
+        fn plant(&self, kind: EntryKind, whole: bool) {
+            self.disk.save(kind, KEY, valid(kind));
+            if !whole {
+                let path = self.files().pop().unwrap();
+                let frame = std::fs::read(&path).unwrap();
+                std::fs::write(path, &frame[..frame.len() / 2]).unwrap();
+            }
         }
 
         /// What memory and disk hold under [`KEY`].
         fn holds(&self, kind: EntryKind) -> (Option<Bytes>, bool) {
             (
                 self.tiers().resident(kind, KEY).map(|e| e.image.clone()),
-                self.path(kind).exists(),
+                !self.files().is_empty(),
             )
         }
 
@@ -394,14 +410,8 @@ mod tests {
             if let Some(held) = memory {
                 f.tiers().admit(kind, KEY, bytes(held));
             }
-            match disk {
-                Some(true) => f.disk.save(kind, KEY, valid(kind)),
-                // A torn write: half a frame under the entry's name.
-                Some(false) => {
-                    let frame = encode_frame(kind, KEY, &valid(kind));
-                    std::fs::write(f.path(kind), &frame[..frame.len() / 2]).unwrap();
-                }
-                None => {}
+            if let Some(whole) = disk {
+                f.plant(kind, whole);
             }
             let before = f.counters();
 
@@ -455,6 +465,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn preload_warms_no_more_than_memory_holds_and_counts_nothing_twice() {
+        const IMAGES: usize = 40;
+        const CAPACITY: usize = 16;
+        let f = Fixture::new(true, None);
+        let image = |i: usize| Bytes::from(format!("image {i}").into_bytes());
+        let key = |i: usize| format!("{i:016x}");
+        for i in 0..IMAGES {
+            f.disk.save(EntryKind::Profile, &key(i), image(i));
+        }
+        f.disk
+            .save(EntryKind::PsgTrace, KEY, valid(EntryKind::PsgTrace));
+
+        // A successor on the directory: everything indexed and counted
+        // once, nothing resident until `preload`.
+        let disk = DiskStore::open(Arc::new(RealIo), &f.dir, 0);
+        let memory = ProfileCache::new(CAPACITY);
+        let tiers = Tiers {
+            memory: &memory,
+            disk: Some(&disk),
+            owner: None,
+        };
+        let loaded = IMAGES as u64 + 1;
+        let snap = disk.snapshot();
+        assert_eq!((snap.loaded, snap.entries), (loaded, loaded));
+        tiers.preload();
+        let resident: Vec<usize> = (0..IMAGES)
+            .filter(|&i| memory.peek(&key(i)).is_some())
+            .collect();
+        assert_eq!(resident.len(), memory.stats().entries);
+        assert!(!resident.is_empty() && resident.len() <= CAPACITY);
+        assert_eq!(disk.snapshot().loaded, loaded, "warming is not a load");
+        // What memory did not take, disk still answers.
+        for i in 0..IMAGES {
+            assert_eq!(tiers.serve(EntryKind::Profile, &key(i)), Some(image(i)));
+        }
+        assert!(tiers.serve(EntryKind::PsgTrace, KEY).is_some());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use scalana_api::paths;
 use scalana_service::client::{self, Conn};
 use scalana_service::json::Json;
+use scalana_service::store::{self, EntryKind};
 use scalana_service::{Server, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -89,8 +90,18 @@ fn graceful_shutdown_flushes_pending_store_writes() {
         .filter(|e| e.file_type().is_ok_and(|t| t.is_file()))
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
-    let profiles = names.iter().filter(|n| n.starts_with("profile-")).count();
-    let traces = names.iter().filter(|n| n.starts_with("psg-")).count();
+    // Each file is one commit: whole frames, whichever way the writer
+    // happened to batch the job's three entries.
+    let kinds: Vec<EntryKind> = names
+        .iter()
+        .flat_map(|name| {
+            let raw = std::fs::read(dir.join(name)).unwrap();
+            let frames = store::decode_frames(&raw).expect("a flushed file is whole frames");
+            frames.into_iter().map(|(kind, _, _)| kind)
+        })
+        .collect();
+    let profiles = kinds.iter().filter(|k| **k == EntryKind::Profile).count();
+    let traces = kinds.iter().filter(|k| **k == EntryKind::PsgTrace).count();
     assert_eq!(
         (profiles, traces),
         (2, 1),

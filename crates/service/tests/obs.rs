@@ -172,7 +172,9 @@ fn metrics_exposition_has_the_golden_shape() {
             "scalana_stage_resolve_ns",
             "scalana_stage_simulate_ns",
             "scalana_stage_write_ns",
+            "scalana_store_backlog_bytes",
             "scalana_store_bytes",
+            "scalana_store_commits_total",
             "scalana_store_degraded",
             "scalana_store_entries",
             "scalana_store_evicted_total",

@@ -1,8 +1,9 @@
 //! Durability integration tests: warm restarts over HTTP, boot-time
 //! quarantine of damaged store files, the `/v1/store` endpoints, the
-//! degradation ladder under injected IO faults, and the atomic-write
-//! protocol property (a store directory only ever contains fully-valid
-//! or quarantinable files — never a half-written entry a reader trusts).
+//! degradation ladder under injected IO faults, and the atomic-commit
+//! protocol property (a store directory only ever contains files of
+//! whole valid frames or quarantinable ones, and a commit's entries
+//! land together or not at all).
 
 use proptest::prelude::*;
 use scalana_api::{paths, ApiError, ErrorCode};
@@ -12,7 +13,7 @@ use scalana_service::store::{self, EntryKind, FaultIo, FaultPlan, RealIo};
 use scalana_service::{DiskStore, Server, ServiceConfig, StoreIo};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -150,45 +151,32 @@ fn damaged_store_files_are_quarantined_at_boot() {
     let dir = temp_dir("quarantine");
     std::fs::create_dir_all(&dir).unwrap();
 
-    // One valid entry, written with the real frame codec.
+    // Valid entries, written with the real frame codec: one under the
+    // older layout's name, two as one batch file under an arbitrary one.
     let frame = store::encode_frame(EntryKind::Profile, "aaaaaaaaaaaaaaaa", b"payload bytes");
-    std::fs::write(
-        dir.join(store::entry_file_name(
-            EntryKind::Profile,
-            "aaaaaaaaaaaaaaaa",
-        )),
-        &frame[..],
-    )
-    .unwrap();
+    std::fs::write(dir.join("profile-aaaaaaaaaaaaaaaa.img"), &frame[..]).unwrap();
+    let second = store::encode_frame(EntryKind::Profile, "eeeeeeeeeeeeeeee", b"more bytes");
+    let batch = [&frame[..], &second[..]].concat();
+    std::fs::write(dir.join("anything-at-all"), &batch).unwrap();
     // Truncated (torn tail), flipped byte (bad checksum), alien file,
     // and an orphaned temp file from a simulated crash mid-write.
     std::fs::write(
-        dir.join(store::entry_file_name(
-            EntryKind::Profile,
-            "bbbbbbbbbbbbbbbb",
-        )),
-        &frame[..frame.len() - 7],
+        dir.join("profile-bbbbbbbbbbbbbbbb.img"),
+        &batch[..batch.len() - 7],
     )
     .unwrap();
     let mut flipped = frame[..].to_vec();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
-    std::fs::write(
-        dir.join(store::entry_file_name(
-            EntryKind::Profile,
-            "cccccccccccccccc",
-        )),
-        &flipped,
-    )
-    .unwrap();
+    std::fs::write(dir.join("profile-cccccccccccccccc.img"), &flipped).unwrap();
     std::fs::write(dir.join("notes.txt"), b"not a store file").unwrap();
     std::fs::write(dir.join("profile-dddddddddddddddd.img.tmp"), b"torn").unwrap();
 
     let (addr, exited) = boot(store_config(&dir));
     let mut conn = Conn::connect(&addr).unwrap();
     assert_eq!(stat(&mut conn, "store_quarantined"), 4);
-    assert_eq!(stat(&mut conn, "store_entries"), 1, "the valid one");
-    assert_eq!(stat(&mut conn, "store_loaded"), 1);
+    assert_eq!(stat(&mut conn, "store_entries"), 2, "the valid keys");
+    assert_eq!(stat(&mut conn, "store_loaded"), 2, "each counted once");
     let quarantined = std::fs::read_dir(dir.join("quarantine")).unwrap().count();
     assert_eq!(quarantined, 4, "damaged files moved, not deleted");
 
@@ -221,19 +209,37 @@ fn store_endpoints_report_directory_state() {
     assert_eq!(view.get("entries").and_then(Json::as_i64), Some(3));
     assert_eq!(view.get("quota").and_then(Json::as_i64), Some(0));
     assert_eq!(view.get("degraded"), Some(&Json::Bool(false)));
+    // The files are commits, each a batch of the job's three entries:
+    // at least one, at most one per entry, together every byte stored.
     let files = view.get("files").and_then(Json::as_array).unwrap();
-    assert_eq!(files.len(), 3);
-    let names: Vec<&str> = files
-        .iter()
-        .filter_map(|f| f.get("name").and_then(Json::as_str))
-        .collect();
+    assert!((1..=3).contains(&files.len()), "{files:?}");
     assert_eq!(
-        names.iter().filter(|n| n.starts_with("profile-")).count(),
-        2
+        view.get("files_total").and_then(Json::as_i64),
+        Some(files.len() as i64)
     );
-    assert_eq!(names.iter().filter(|n| n.starts_with("psg-")).count(), 1);
     let total_bytes = view.get("bytes").and_then(Json::as_i64).unwrap();
-    assert!(total_bytes > 0);
+    let mut listed_bytes = 0;
+    let mut kinds = Vec::new();
+    for file in files {
+        let name = file.get("name").and_then(Json::as_str).unwrap();
+        let raw = std::fs::read(dir.join(name)).unwrap();
+        assert_eq!(
+            file.get("bytes").and_then(Json::as_i64),
+            Some(raw.len() as i64)
+        );
+        listed_bytes += raw.len() as i64;
+        kinds.extend(store::decode_frames(&raw).unwrap().into_iter().map(|f| f.0));
+    }
+    assert_eq!(listed_bytes, total_bytes);
+    kinds.sort_by_key(|kind| *kind == EntryKind::PsgTrace);
+    assert_eq!(
+        kinds,
+        [EntryKind::Profile, EntryKind::Profile, EntryKind::PsgTrace]
+    );
+    let metrics = conn.request("GET", paths::METRICS, "").unwrap().1;
+    assert!(metrics.contains("scalana_store_writes_total 3\n"));
+    assert!(metrics.contains(&format!("scalana_store_commits_total {}\n", files.len())));
+    assert!(metrics.contains("scalana_store_backlog_bytes 0\n"));
 
     // Quota 0 = unbounded: a manual sweep has nothing to evict.
     let swept = conn.request_json("POST", paths::STORE_GC, "").unwrap();
@@ -288,9 +294,58 @@ fn persistent_write_faults_degrade_to_memory_only_without_losing_service() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every surviving store file decodes as a complete valid frame with
-/// the right key, or is quarantinable at reopen — across seeded fault
-/// schedules covering fail-before-rename, fsync failure, and torn cuts.
+/// [`FaultIo`] whose first `write` parks until released, so a test can
+/// queue a known batch behind the writer thread's first commit.
+#[derive(Debug)]
+struct ParkedIo {
+    faults: FaultIo,
+    park: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl StoreIo for ParkedIo {
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        self.faults.create_dir_all(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        let park = self.park.lock().unwrap().take();
+        if let Some((entered, released)) = park {
+            let _ = entered.send(());
+            let _ = released.recv();
+        }
+        self.faults.write(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        self.faults.sync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.faults.rename(from, to)
+    }
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        self.faults.sync_dir(path)
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.faults.read(path)
+    }
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        self.faults.read_range(path, offset, len)
+    }
+    fn read_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
+        self.faults.read_dir(path)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        self.faults.remove(path)
+    }
+    fn metadata(&self, path: &Path) -> std::io::Result<(u64, u64)> {
+        self.faults.metadata(path)
+    }
+}
+
+/// Two commits under a seeded fault schedule covering fail-before-rename,
+/// fsync failure and torn cuts — a batch of one, then every other entry
+/// as one batch queued behind it. Every surviving data file is a
+/// sequence of complete valid frames or is quarantinable at reopen, a
+/// clean reopen returns exactly what was saved, and each commit's
+/// entries are all there or all absent.
 fn check_valid_or_quarantinable(seed: u64, rate: u32, entries: usize) -> Result<(), TestCaseError> {
     let dir = std::env::temp_dir().join(format!(
         "scalana-store-prop-{seed}-{rate}-{}",
@@ -298,25 +353,43 @@ fn check_valid_or_quarantinable(seed: u64, rate: u32, entries: usize) -> Result<
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let io: Arc<dyn StoreIo> = Arc::new(FaultIo::new(FaultPlan::seeded(seed, rate)));
-    let (store, warm) = DiskStore::open(io, &dir, 0);
-    prop_assert!(warm.is_empty());
-    let payloads: Vec<(String, Vec<u8>)> = (0..entries)
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, released) = mpsc::channel();
+    let io: Arc<dyn StoreIo> = Arc::new(ParkedIo {
+        faults: FaultIo::new(FaultPlan::seeded(seed, rate)),
+        park: Mutex::new(Some((entered_tx, released))),
+    });
+    let store = Arc::new(DiskStore::open(io, &dir, 0));
+    prop_assert_eq!(store.snapshot().entries, 0);
+    let payloads: Vec<(String, Vec<u8>)> = (0..=entries)
         .map(|i| {
             let key = format!("{:016x}", 0xabcd_0000 + i as u64);
             let payload = vec![i as u8 ^ 0x5a; 64 + i * 17];
             (key, payload)
         })
         .collect();
-    for (key, payload) in &payloads {
-        // No writer thread running: save persists synchronously, with
-        // whatever faults the plan schedules at each IO op.
+    let writer = store.start_writer();
+    let mut queued = payloads.iter();
+    let (key, payload) = queued.next().unwrap();
+    store.save(EntryKind::Profile, key, payload.clone().into());
+    entered.recv().unwrap();
+    // The writer is inside its first commit: the rest form the second.
+    for (key, payload) in queued {
         store.save(EntryKind::Profile, key, payload.clone().into());
     }
+    release.send(()).unwrap();
+    store.stop_writer();
+    writer.join().unwrap();
+    let saved = store.snapshot();
+    prop_assert_eq!(
+        saved.writes + saved.write_errors + saved.skipped,
+        1 + entries as u64
+    );
     drop(store);
 
     // Invariant 1: every data file in the directory (quarantine and
-    // temp files aside) is a complete valid frame for its own name.
+    // temp files aside) is whole valid frames carrying what was saved.
+    let expected = |key: &str| &payloads.iter().find(|(k, _)| k == key).unwrap().1;
     if let Ok(dir_entries) = std::fs::read_dir(&dir) {
         for entry in dir_entries.flatten() {
             if !entry.file_type().is_ok_and(|t| t.is_file()) {
@@ -327,23 +400,39 @@ fn check_valid_or_quarantinable(seed: u64, rate: u32, entries: usize) -> Result<
                 continue; // orphan from a faulted write: quarantinable
             }
             let raw = std::fs::read(entry.path()).unwrap();
-            let (kind, key, payload) = store::decode_frame(&raw)
+            let frames = store::decode_frames(&raw)
                 .map_err(|e| TestCaseError::fail(format!("{name}: {e}")))?;
-            prop_assert_eq!(kind, EntryKind::Profile);
-            prop_assert_eq!(store::entry_file_name(kind, &key), name);
-            let expected = &payloads.iter().find(|(k, _)| *k == key).unwrap().1;
-            prop_assert_eq!(&payload[..], &expected[..]);
+            for (kind, key, range) in frames {
+                prop_assert_eq!(kind, EntryKind::Profile);
+                let (_, _, payload) = store::decode_frame(&raw[range]).unwrap();
+                prop_assert_eq!(&payload[..], &expected(&key)[..]);
+            }
         }
     }
 
-    // Invariant 2: a clean reopen accepts every survivor and returns
-    // its exact payload; anything else was quarantined, not trusted.
-    let (reopened, warm) = DiskStore::open(Arc::new(RealIo), &dir, 0);
-    for (key, image) in &warm {
-        let expected = &payloads.iter().find(|(k, _)| k == key).unwrap().1;
-        prop_assert_eq!(&image[..], &expected[..]);
-        prop_assert_eq!(&reopened.read_profile(key).unwrap()[..], &expected[..]);
+    // Invariant 2: a clean reopen trusts exactly the survivors, each
+    // with its exact payload, and holds at least what was reported
+    // written (a commit whose directory fsync failed is there too).
+    let reopened = DiskStore::open(Arc::new(RealIo), &dir, 0);
+    let mut present = Vec::new();
+    for (key, payload) in &payloads {
+        let image = reopened.read_entry(EntryKind::Profile, key);
+        if let Some(image) = &image {
+            prop_assert_eq!(&image[..], &payload[..]);
+        }
+        present.push(image.is_some());
     }
+    let survivors = present.iter().filter(|&&p| p).count() as u64;
+    prop_assert_eq!(reopened.snapshot().entries, survivors);
+    prop_assert!(survivors >= saved.writes);
+
+    // Invariant 3: the second commit landed whole or not at all.
+    let second = &present[1..];
+    prop_assert!(
+        second.iter().all(|&p| p) || !second.iter().any(|&p| p),
+        "a commit's entries are all-or-nothing: {:?}",
+        present
+    );
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

@@ -190,6 +190,12 @@ done
 
 STATS="$("$BIN" status --addr "$ADDR")"
 echo "$STATS" | grep -q '"store_loaded":3' || { echo "warm boot did not reload the store: $STATS" >&2; exit 1; }
+# Every live key is validated, indexed and counted exactly once at boot,
+# however the dead daemon's writer had batched them into files.
+LOADED="$(echo "$STATS" | sed -n 's/.*"store_loaded":\([0-9]*\).*/\1/p')"
+ENTRIES="$(echo "$STATS" | sed -n 's/.*"store_entries":\([0-9]*\).*/\1/p')"
+[ -n "$LOADED" ] && [ "$LOADED" = "$ENTRIES" ] \
+    || { echo "warm boot loaded $LOADED of $ENTRIES store entries: $STATS" >&2; exit 1; }
 
 AFTER="$("$BIN" submit --addr "$ADDR" "$WORKDIR/demo.mmpi" --scales 2,4 --wait)"
 echo "$AFTER" | grep -q '"status":"done"' || { echo "warm resubmission did not finish: $AFTER" >&2; exit 1; }
