@@ -37,8 +37,15 @@
 //! request-id vectors, program parameters are interned once per run
 //! ([`ParamTable`]), and statement attribution goes through a dense
 //! [`AttrIndex`] snapshot rather than hash-map lookups per statement.
+//! The per-rank request tables and the collective table, probed on
+//! every MPI operation, hash with [`FxHashMap`] instead of SipHash; the
+//! one order-sensitive walk over them (ready collectives) sorts first.
+//! Variable names are borrowed from the AST, so binding a request id
+//! (and, in the interpreter, every `let` and loop iteration) never
+//! allocates.
 
 use crate::eval::ParamTable;
+use crate::fxhash::FxHashMap;
 use crate::hook::{CommDepEvent, Hook, MpiEnterEvent, MpiExitEvent, NullHook};
 use crate::interp::{EvaluatedOp, MpiCall, Pmu, RankState, StepCtx, StepOutcome, StmtCosts};
 use crate::machine::{CollectiveModel, MachineConfig};
@@ -442,14 +449,14 @@ struct Engine<'p, 'g, 'h> {
     runnable: VecDeque<usize>,
     mailboxes: Vec<Mailbox>,
     send_seq: Vec<u64>,
-    requests: Vec<HashMap<i64, Request>>,
+    requests: Vec<FxHashMap<i64, Request>>,
     next_req: Vec<i64>,
     /// Pending receive requests per rank, in post order.
     recv_order: Vec<VecDeque<i64>>,
     /// Un-waited non-blocking requests per rank (for `waitall`).
     outstanding: Vec<Vec<i64>>,
     coll_seq: Vec<u64>,
-    collectives: HashMap<u64, CollInstance>,
+    collectives: FxHashMap<u64, CollInstance>,
 }
 
 enum MpiOutcome {
@@ -480,12 +487,12 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
             runnable: (0..n).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             send_seq: vec![0; n],
-            requests: vec![HashMap::new(); n],
+            requests: vec![FxHashMap::default(); n],
             next_req: vec![1; n],
             recv_order: vec![VecDeque::new(); n],
             outstanding: vec![Vec::new(); n],
             coll_seq: vec![0; n],
-            collectives: HashMap::new(),
+            collectives: FxHashMap::default(),
         }
     }
 
@@ -678,7 +685,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
         });
     }
 
-    fn handle_mpi(&mut self, r: usize, call: MpiCall<'_>) -> Result<MpiOutcome, SimError> {
+    fn handle_mpi(&mut self, r: usize, call: MpiCall<'p>) -> Result<MpiOutcome, SimError> {
         let enter = self.enter_event(r, &call);
         let o = self.config.machine.mpi_overhead;
         let bw = self.config.machine.net_bandwidth;

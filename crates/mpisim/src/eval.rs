@@ -90,7 +90,7 @@ pub struct EvalCtx<'a> {
 }
 
 /// Evaluate an expression to a [`Value`].
-pub fn eval(expr: &Expr, env: &Env, ctx: &EvalCtx<'_>) -> Value {
+pub fn eval(expr: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> Value {
     match expr {
         Expr::Int(v) => Value::Int(*v),
         Expr::Var(name) => lookup(name, env, ctx),
@@ -123,11 +123,11 @@ pub fn eval(expr: &Expr, env: &Env, ctx: &EvalCtx<'_>) -> Value {
 
 /// Evaluate to an integer; function references coerce to 0 (checked
 /// programs never do arithmetic on them).
-pub fn eval_int(expr: &Expr, env: &Env, ctx: &EvalCtx<'_>) -> i64 {
+pub fn eval_int(expr: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> i64 {
     eval(expr, env, ctx).as_int().unwrap_or(0)
 }
 
-fn lookup(name: &str, env: &Env, ctx: &EvalCtx<'_>) -> Value {
+fn lookup(name: &str, env: &Env<'_>, ctx: &EvalCtx<'_>) -> Value {
     match name {
         VAR_RANK => Value::Int(ctx.rank),
         VAR_NPROCS => Value::Int(ctx.nprocs),
@@ -145,7 +145,7 @@ fn lookup(name: &str, env: &Env, ctx: &EvalCtx<'_>) -> Value {
     }
 }
 
-fn eval_bin(op: BinOp, lhs: &Expr, rhs: &Expr, env: &Env, ctx: &EvalCtx<'_>) -> i64 {
+fn eval_bin(op: BinOp, lhs: &Expr, rhs: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> i64 {
     // Short-circuit logical operators.
     match op {
         BinOp::And => {

@@ -177,7 +177,7 @@ enum Ctl<'p> {
         idx: usize,
     },
     For {
-        var: String,
+        var: &'p str,
         next: i64,
         end: i64,
         body: &'p Block,
@@ -193,7 +193,7 @@ enum Ctl<'p> {
 struct Frame<'p> {
     ctx: CtxId,
     attr_override: Option<VertexId>,
-    env: Env,
+    env: Env<'p>,
     control: Vec<Ctl<'p>>,
 }
 
@@ -255,7 +255,7 @@ impl<'p> RankState<'p> {
     }
 
     /// Define a variable in the current frame (engine binds request ids).
-    pub fn define_var(&mut self, name: &str, value: Value) {
+    pub fn define_var(&mut self, name: &'p str, value: Value) {
         if let Some(frame) = self.frames.last_mut() {
             frame.env.define(name, value);
         }
@@ -356,10 +356,10 @@ impl<'p> RankState<'p> {
                     if *next < *end {
                         let value = *next;
                         *next += 1;
-                        let var = var.clone();
+                        let var: &'p str = var;
                         let body: &'p Block = body;
                         let stmt_id = *stmt_id;
-                        frame.env.assign(&var, Value::Int(value));
+                        frame.env.assign(var, Value::Int(value));
                         frame.env.push_scope();
                         frame.control.push(Ctl::Seq {
                             block: body,
@@ -438,7 +438,7 @@ impl<'p> RankState<'p> {
                 frame.env.push_scope();
                 frame.env.define(var, Value::Int(s));
                 frame.control.push(Ctl::For {
-                    var: var.clone(),
+                    var,
                     next: s,
                     end: e,
                     body,
@@ -484,7 +484,7 @@ impl<'p> RankState<'p> {
                     args.iter().map(|a| eval(a, &frame.env, &ec)).collect();
                 let new_ctx = ctx.attr.enter_call(frame.ctx, stmt.id).unwrap_or(frame.ctx);
                 let attr_override = frame.attr_override;
-                self.push_call_frame(ctx, callee, arg_values, new_ctx, attr_override);
+                self.push_call_frame(callee, arg_values, new_ctx, attr_override);
                 self.charge_micro(ctx, vertex, ctx.costs.call);
                 None
             }
@@ -510,14 +510,14 @@ impl<'p> RankState<'p> {
                 self.clock += cost;
                 match ctx.psg.enter_indirect(caller_ctx, stmt.id, &callee) {
                     Some(new_ctx) => {
-                        self.push_call_frame(ctx, &callee, arg_values, new_ctx, caller_override);
+                        self.push_call_frame(&callee, arg_values, new_ctx, caller_override);
                     }
                     None => {
                         // Unresolved: attribute the whole callee to the
                         // CallSite vertex until the PSG is refined.
                         let override_vertex =
                             ctx.psg.vertex_of(caller_ctx, stmt.id).or(caller_override);
-                        self.push_call_frame(ctx, &callee, arg_values, caller_ctx, override_vertex);
+                        self.push_call_frame(&callee, arg_values, caller_ctx, override_vertex);
                     }
                 }
                 self.charge_micro(ctx, vertex, ctx.costs.call);
@@ -537,7 +537,6 @@ impl<'p> RankState<'p> {
 
     fn push_call_frame(
         &mut self,
-        _ctx: &mut StepCtx<'_>,
         callee: &str,
         args: Vec<Value>,
         new_ctx: CtxId,

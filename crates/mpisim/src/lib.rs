@@ -52,6 +52,7 @@
 
 pub mod engine;
 pub mod eval;
+pub mod fxhash;
 pub mod hook;
 pub mod interp;
 pub mod machine;

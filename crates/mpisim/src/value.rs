@@ -45,17 +45,19 @@ impl fmt::Display for Value {
 /// stack of hash maps: frames hold a handful of live variables, so a
 /// reverse linear scan over short strings beats hashing every lookup in
 /// the interpreter's hot loop, `push_scope`/`pop_scope` are an integer
-/// push/truncate, and popped entries release no per-scope table.
+/// push/truncate, and popped entries release no per-scope table. Names
+/// are borrowed from the program's AST (`'p`), so defining a variable —
+/// every executed `let`, every loop iteration — never allocates.
 #[derive(Debug, Default)]
-pub struct Env {
-    entries: Vec<(Box<str>, Value)>,
+pub struct Env<'p> {
+    entries: Vec<(&'p str, Value)>,
     /// Start index of each open scope in `entries`.
     scope_starts: Vec<usize>,
 }
 
-impl Env {
+impl<'p> Env<'p> {
     /// Fresh environment with one root scope.
-    pub fn new() -> Env {
+    pub fn new() -> Env<'p> {
         Env {
             entries: Vec::new(),
             scope_starts: vec![0],
@@ -76,28 +78,28 @@ impl Env {
     }
 
     /// Define (or shadow) a variable in the innermost scope.
-    pub fn define(&mut self, name: &str, value: Value) {
+    pub fn define(&mut self, name: &'p str, value: Value) {
         let start = *self.scope_starts.last().expect("root scope");
         for (n, v) in self.entries[start..].iter_mut().rev() {
-            if **n == *name {
+            if *n == name {
                 *v = value;
                 return;
             }
         }
-        self.entries.push((name.into(), value));
+        self.entries.push((name, value));
     }
 
     /// Reassign the nearest definition of `name`. Semantic checking
     /// guarantees it exists.
-    pub fn assign(&mut self, name: &str, value: Value) {
+    pub fn assign(&mut self, name: &'p str, value: Value) {
         for (n, v) in self.entries.iter_mut().rev() {
-            if **n == *name {
+            if *n == name {
                 *v = value;
                 return;
             }
         }
         // Unreachable for checked programs; define defensively.
-        self.entries.push((name.into(), value));
+        self.entries.push((name, value));
     }
 
     /// Look up a variable.
@@ -105,7 +107,7 @@ impl Env {
         self.entries
             .iter()
             .rev()
-            .find(|(n, _)| **n == *name)
+            .find(|(n, _)| *n == name)
             .map(|(_, v)| v)
     }
 

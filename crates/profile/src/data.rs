@@ -39,6 +39,15 @@ pub struct CommAgg {
     pub wait_time: f64,
 }
 
+impl CommAgg {
+    /// Count one more matched message.
+    pub fn add(&mut self, bytes: u64, wait_time: f64) {
+        self.count += 1;
+        self.bytes += bytes;
+        self.wait_time += wait_time;
+    }
+}
+
 impl ProfileData {
     /// New empty container for `nprocs` ranks.
     pub fn new(nprocs: usize) -> ProfileData {
@@ -64,13 +73,10 @@ impl ProfileData {
         bytes: u64,
         wait_time: f64,
     ) {
-        let agg = self
-            .comm
+        self.comm
             .entry((src_rank, src_vertex, dst_rank, dst_vertex))
-            .or_default();
-        agg.count += 1;
-        agg.bytes += bytes;
-        agg.wait_time += wait_time;
+            .or_default()
+            .add(bytes, wait_time);
     }
 
     /// Assemble the Program Performance Graph for this run.

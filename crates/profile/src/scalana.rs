@@ -2,14 +2,15 @@
 //! collection plus graph-guided communication dependence recording.
 
 use crate::codec::RecordWriter;
-use crate::data::ProfileData;
+use crate::data::{CommAgg, ProfileData};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use scalana_graph::VertexPerf;
+use scalana_graph::{VertexId, VertexPerf};
+use scalana_mpisim::fxhash::FxHashMap;
 use scalana_mpisim::hook::{
     CommDepEvent, CompEvent, Hook, IndirectCallEvent, MpiEnterEvent, MpiExitEvent,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// ScalAna profiler knobs (paper §V user parameters plus cost model).
 #[derive(Debug, Clone)]
@@ -53,19 +54,42 @@ impl Default for ProfilerConfig {
     }
 }
 
+/// Aggregated dependence edge key: (src_rank, src_vertex, dst_rank,
+/// dst_vertex), as [`ProfileData::comm`] keys it.
+type EdgeKey = (usize, VertexId, usize, VertexId);
+
 /// The ScalAna profiling hook. Attach with
 /// [`Simulation::with_hook`](scalana_mpisim::Simulation::with_hook), run,
 /// then [`take_data`](ScalAnaProfiler::take_data).
+///
+/// Attributing an event is a lookup, not a stack unwind (paper §III-B),
+/// and the tables are laid out so it costs one: performance vectors
+/// accumulate in a dense per-rank table indexed by vertex (`perf[rank]
+/// [vertex]`, grown on first touch), and the dependence edges, whose
+/// keys are ranks and vertices, sit behind [`FxHashMap`] rather than
+/// SipHash. Each `(vertex, rank)` vector and each edge still sums its
+/// events in event order, so every float is the one a per-event map
+/// entry would hold. [`ProfileData`]'s maps are built once, in
+/// [`take_data`](ScalAnaProfiler::take_data), which frees the tables as
+/// it goes.
 pub struct ScalAnaProfiler {
     config: ProfilerConfig,
     data: ProfileData,
     writer: RecordWriter,
+    /// Per-rank, per-vertex performance vectors. Every recorded sample
+    /// has `count == 1`, so `count > 0` marks the touched entries.
+    perf: Vec<Vec<VertexPerf>>,
+    /// Aggregated dependence edges.
+    comm: FxHashMap<EdgeKey, CommAgg>,
     /// Per-rank fraction of a sampling period already elapsed.
     sample_phase: Vec<f64>,
     /// Per-rank RNG for the random-sampling instrumentation.
     rngs: Vec<SmallRng>,
-    /// Compression keys already persisted.
-    recorded_keys: HashSet<(usize, u32, usize, u32, i64, u64)>,
+    /// Compression keys already persisted: the edge plus tag and bytes.
+    /// Tags and sizes are values the profiled program computes, so a
+    /// submitted program could choose keys that collide under a fixed
+    /// hash and make every insert a scan; this set keeps SipHash.
+    recorded_keys: HashSet<(EdgeKey, i64, u64)>,
     /// Indirect calls already recorded.
     recorded_indirect: HashSet<(u32, u32, String)>,
 }
@@ -77,6 +101,8 @@ impl ScalAnaProfiler {
             config,
             data: ProfileData::default(),
             writer: RecordWriter::new(),
+            perf: Vec::new(),
+            comm: FxHashMap::default(),
             sample_phase: Vec::new(),
             rngs: Vec::new(),
             recorded_keys: HashSet::new(),
@@ -92,19 +118,30 @@ impl ScalAnaProfiler {
     /// Finish the run: persist the per-vertex performance table and
     /// return the collected data.
     pub fn take_data(mut self) -> ProfileData {
-        // Post-mortem dump: one record per touched (vertex, rank).
-        let mut entries: Vec<_> = self.data.perf.iter().collect();
-        entries.sort_by_key(|((v, r), _)| (*v, *r));
-        for ((vertex, rank), perf) in entries {
-            self.writer.vertex_perf(
-                *vertex,
-                *rank as u32,
-                perf.time,
-                perf.tot_ins,
-                perf.wait_time,
-            );
+        // Post-mortem dump: one record per touched (vertex, rank). The map
+        // is sized once (growing it would hold two tables at the peak)
+        // and rows move into it one at a time, so the dense and the
+        // hashed copies never both exist in full.
+        let touched = self.perf.iter().flatten().filter(|p| p.count > 0).count();
+        self.data.perf = HashMap::with_capacity(touched);
+        for (rank, row) in std::mem::take(&mut self.perf).into_iter().enumerate() {
+            for (vertex, perf) in row.into_iter().enumerate() {
+                if perf.count == 0 {
+                    continue;
+                }
+                let vertex = vertex as VertexId;
+                self.writer.vertex_perf(
+                    vertex,
+                    rank as u32,
+                    perf.time,
+                    perf.tot_ins,
+                    perf.wait_time,
+                );
+                self.data.perf.insert((vertex, rank), perf);
+            }
         }
         self.data.storage_bytes = self.writer.bytes_written();
+        self.data.comm = self.comm.drain().collect();
         self.data
     }
 
@@ -126,11 +163,24 @@ impl ScalAnaProfiler {
         self.data.sample_count += n;
         n
     }
+
+    /// Merge a sample into the `(vertex, rank)` vector.
+    #[inline]
+    fn add_perf(&mut self, vertex: VertexId, rank: usize, delta: &VertexPerf) {
+        let row = &mut self.perf[rank];
+        let v = vertex as usize;
+        if v >= row.len() {
+            row.resize(v + 1, VertexPerf::default());
+        }
+        row[v].merge(delta);
+    }
 }
 
 impl Hook for ScalAnaProfiler {
     fn on_run_start(&mut self, nprocs: usize) {
         self.data = ProfileData::new(nprocs);
+        self.perf = vec![Vec::new(); nprocs];
+        self.comm.clear();
         self.sample_phase = vec![0.0; nprocs];
         self.rngs = (0..nprocs)
             .map(|r| SmallRng::seed_from_u64(self.config.seed.wrapping_add(r as u64)))
@@ -169,9 +219,7 @@ impl Hook for ScalAnaProfiler {
                 ..Default::default()
             }
         };
-        if delta.time > 0.0 || delta.count > 0 {
-            self.data.add_perf(ev.vertex, ev.rank, &delta);
-        }
+        self.add_perf(ev.vertex, ev.rank, &delta);
         n as f64 * self.config.sample_cost
     }
 
@@ -188,7 +236,7 @@ impl Hook for ScalAnaProfiler {
             wait_time: ev.wait_time,
             ..Default::default()
         };
-        self.data.add_perf(ev.vertex, ev.rank, &delta);
+        self.add_perf(ev.vertex, ev.rank, &delta);
         self.config.mpi_event_cost
     }
 
@@ -200,23 +248,12 @@ impl Hook for ScalAnaProfiler {
                 return 0.0;
             }
         }
-        self.data.add_comm(
-            ev.src_rank,
-            ev.src_vertex,
-            ev.dst_rank,
-            ev.dst_vertex,
-            ev.bytes,
-            ev.wait_time,
-        );
-        let key = (
-            ev.src_rank,
-            ev.src_vertex,
-            ev.dst_rank,
-            ev.dst_vertex,
-            ev.tag,
-            ev.bytes,
-        );
-        if self.config.graph_compression && !self.recorded_keys.insert(key) {
+        let edge = (ev.src_rank, ev.src_vertex, ev.dst_rank, ev.dst_vertex);
+        self.comm
+            .entry(edge)
+            .or_default()
+            .add(ev.bytes, ev.wait_time);
+        if self.config.graph_compression && !self.recorded_keys.insert((edge, ev.tag, ev.bytes)) {
             // Same parameters already persisted: the PSG's structure
             // makes the repeat redundant (graph-guided compression).
             return 0.02e-6;

@@ -76,6 +76,20 @@ pub enum LoadError {
     BadVersion(u16),
     /// Truncated or corrupt payload.
     Truncated,
+    /// `rank_elapsed` does not hold exactly one entry per rank.
+    ElapsedLen {
+        /// The image's rank count.
+        nprocs: usize,
+        /// Entries it carries.
+        len: usize,
+    },
+    /// A perf or comm entry names a rank outside `0..nprocs`.
+    RankOutOfRange {
+        /// The offending rank.
+        rank: u64,
+        /// The image's rank count.
+        nprocs: usize,
+    },
 }
 
 impl std::fmt::Display for LoadError {
@@ -84,6 +98,12 @@ impl std::fmt::Display for LoadError {
             LoadError::BadMagic => write!(f, "not a ScalAna profile image"),
             LoadError::BadVersion(v) => write!(f, "unsupported profile version {v}"),
             LoadError::Truncated => write!(f, "truncated profile image"),
+            LoadError::ElapsedLen { nprocs, len } => {
+                write!(f, "{len} per-rank times in a {nprocs}-rank profile")
+            }
+            LoadError::RankOutOfRange { rank, nprocs } => {
+                write!(f, "rank {rank} in a {nprocs}-rank profile")
+            }
         }
     }
 }
@@ -118,7 +138,21 @@ const COMM_ENTRY_BYTES: usize = 8 + 4 + 8 + 4 + 8 + 8 + 8;
 /// Minimum byte size of one indirect-call record (empty callee name).
 const INDIRECT_MIN_BYTES: usize = 4 + 4 + 2;
 
+/// A rank read from an image, checked against its rank count.
+fn rank_in(rank: u64, nprocs: usize) -> Result<usize, LoadError> {
+    if rank < nprocs as u64 {
+        Ok(rank as usize)
+    } else {
+        Err(LoadError::RankOutOfRange { rank, nprocs })
+    }
+}
+
 /// Deserialize a profile image.
+///
+/// The image is untrusted (a peer may post one). Nothing sized by its
+/// rank count is allocated before the per-rank times are known to fit
+/// in the buffer and to number exactly `nprocs`; every perf and comm
+/// rank must lie in `0..nprocs`, the range `into_ppg` indexes.
 pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     need(&buf, 4 + 2)?;
     if buf.get_u32_le() != MAGIC {
@@ -128,23 +162,32 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     if version != VERSION {
         return Err(LoadError::BadVersion(version));
     }
-    need(&buf, 8 * 3)?;
+    need(&buf, 8 * 4)?;
     let nprocs = buf.get_u64_le() as usize;
-    let mut data = ProfileData::new(nprocs);
-    data.storage_bytes = buf.get_u64_le();
-    data.sample_count = buf.get_u64_le();
-
-    need(&buf, 8)?;
+    let storage_bytes = buf.get_u64_le();
+    let sample_count = buf.get_u64_le();
     let n_elapsed = buf.get_u64_le() as usize;
     need_counted(&buf, n_elapsed, 8)?;
-    data.rank_elapsed = (0..n_elapsed).map(|_| buf.get_f64_le()).collect();
+    if n_elapsed != nprocs {
+        return Err(LoadError::ElapsedLen {
+            nprocs,
+            len: n_elapsed,
+        });
+    }
+    let mut data = ProfileData {
+        nprocs,
+        rank_elapsed: (0..nprocs).map(|_| buf.get_f64_le()).collect(),
+        storage_bytes,
+        sample_count,
+        ..ProfileData::default()
+    };
 
     need(&buf, 8)?;
     let n_perf = buf.get_u64_le() as usize;
     need_counted(&buf, n_perf, PERF_ENTRY_BYTES)?;
     for _ in 0..n_perf {
         let vertex = buf.get_u32_le();
-        let rank = buf.get_u64_le() as usize;
+        let rank = rank_in(buf.get_u64_le(), nprocs)?;
         let perf = VertexPerf {
             time: buf.get_f64_le(),
             count: buf.get_u64_le(),
@@ -163,9 +206,9 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     let n_comm = buf.get_u64_le() as usize;
     need_counted(&buf, n_comm, COMM_ENTRY_BYTES)?;
     for _ in 0..n_comm {
-        let src_rank = buf.get_u64_le() as usize;
+        let src_rank = rank_in(buf.get_u64_le(), nprocs)?;
         let src_vertex = buf.get_u32_le();
-        let dst_rank = buf.get_u64_le() as usize;
+        let dst_rank = rank_in(buf.get_u64_le(), nprocs)?;
         let dst_vertex = buf.get_u32_le();
         let agg = CommAgg {
             count: buf.get_u64_le(),
@@ -278,6 +321,43 @@ mod tests {
         image.put_u64_le(0); // sample_count
         image.put_u64_le(u64::MAX); // hostile rank_elapsed count
         assert!(matches!(load(image.freeze()), Err(LoadError::Truncated)));
+    }
+
+    #[test]
+    fn rejects_a_huge_rank_count_before_allocating_for_it() {
+        // 62 bytes claiming 2^40 ranks and carrying none: loading used to
+        // allocate 8 TiB of per-rank times up front and abort the process.
+        let mut image = BytesMut::new();
+        image.put_u32_le(MAGIC);
+        image.put_u16_le(VERSION);
+        image.put_u64_le(1 << 40); // nprocs
+        for _ in 0..6 {
+            image.put_u64_le(0); // storage, samples, and four empty tables
+        }
+        assert_eq!(image.len(), 62);
+        assert_eq!(
+            load(image.freeze()).err(),
+            Some(LoadError::ElapsedLen {
+                nprocs: 1 << 40,
+                len: 0
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_ranks_outside_the_image() {
+        let mut perf = ProfileData::new(2);
+        perf.perf.insert((1, 7), VertexPerf::default());
+        assert_eq!(
+            load(save(&perf)).err(),
+            Some(LoadError::RankOutOfRange { rank: 7, nprocs: 2 })
+        );
+        let mut comm = ProfileData::new(2);
+        comm.add_comm(0, 1, 2, 1, 8, 0.0);
+        assert_eq!(
+            load(save(&comm)).err(),
+            Some(LoadError::RankOutOfRange { rank: 2, nprocs: 2 })
+        );
     }
 
     #[test]

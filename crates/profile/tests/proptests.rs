@@ -101,11 +101,13 @@ fn arb_op() -> BoxedStrategy<Op> {
 }
 
 /// A synthetic (but structurally valid) profile: every table populated
-/// with arbitrary values, including non-ASCII callee names.
+/// with arbitrary values, including non-ASCII callee names. Ranks are
+/// consistent with `nprocs` — one elapsed time per rank, every perf and
+/// comm rank below it — as `store::load` requires.
 fn arb_profile() -> BoxedStrategy<ProfileData> {
     (
         1usize..8,
-        proptest::collection::vec(0.0f64..100.0, 1..8),
+        proptest::collection::vec(0.0f64..100.0, 8..9),
         proptest::collection::vec(
             (0u32..64, 0usize..8, 0.0f64..5.0, 0u64..1000, 0.0f64..1e9),
             0..24,
@@ -119,14 +121,15 @@ fn arb_profile() -> BoxedStrategy<ProfileData> {
         ),
         proptest::collection::vec((0u32..64, 0u32..64, "[a-zA-Z0-9_]{0,12}"), 0..8),
     )
-        .prop_map(|(nprocs, elapsed, perf, comm, indirect)| {
+        .prop_map(|(nprocs, mut elapsed, perf, comm, indirect)| {
             let mut data = ProfileData::new(nprocs);
+            elapsed.truncate(nprocs);
             data.rank_elapsed = elapsed;
             data.storage_bytes = 12_345;
             data.sample_count = 678;
             for (vertex, rank, time, count, ins) in perf {
                 data.perf.insert(
-                    (vertex, rank),
+                    (vertex, rank % nprocs),
                     VertexPerf {
                         time,
                         count,
@@ -141,7 +144,10 @@ fn arb_profile() -> BoxedStrategy<ProfileData> {
                 );
             }
             for ((sr, sv, dr, dv), (count, bytes, wait)) in comm {
-                let agg = data.comm.entry((sr, sv, dr, dv)).or_default();
+                let agg = data
+                    .comm
+                    .entry((sr % nprocs, sv, dr % nprocs, dv))
+                    .or_default();
                 agg.count += count;
                 agg.bytes += bytes;
                 agg.wait_time += wait;
@@ -246,5 +252,38 @@ proptest! {
             store::load(Bytes::from(bad_version)),
             Err(store::LoadError::BadVersion(v)) if v == version
         ));
+    }
+
+    /// An image whose tables disagree with its rank count — too many or
+    /// too few per-rank times, a rank count far beyond its contents, a
+    /// perf or comm rank at or past `nprocs` — is rejected with the
+    /// matching typed error, before anything sized by `nprocs` exists.
+    #[test]
+    fn store_rejects_images_inconsistent_with_their_rank_count(
+        data in arb_profile(),
+        fault in 0usize..5,
+        excess in 0usize..1_000_000,
+    ) {
+        let mut data = data;
+        let nprocs = data.nprocs;
+        let bad_rank = (nprocs + excess) as u64;
+        match fault {
+            0 => data.rank_elapsed.push(1.0),
+            1 => { data.rank_elapsed.pop(); }
+            2 => data.nprocs = nprocs + 1 + excess * 1_000_000,
+            3 => { data.perf.insert((0, nprocs + excess), VertexPerf::default()); }
+            _ => { data.comm.insert((0, 1, nprocs + excess, 2), Default::default()); }
+        }
+        let result = store::load(store::save(&data));
+        match fault {
+            0..=2 => prop_assert!(
+                matches!(result, Err(store::LoadError::ElapsedLen { .. })),
+                "fault {} loaded: {:?}", fault, result.map(|d| d.nprocs)
+            ),
+            _ => prop_assert!(
+                matches!(result, Err(store::LoadError::RankOutOfRange { rank, .. }) if rank == bad_rank),
+                "fault {} loaded: {:?}", fault, result.map(|d| d.nprocs)
+            ),
+        }
     }
 }

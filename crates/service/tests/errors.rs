@@ -6,9 +6,12 @@
 //! One daemon serves the whole table; none of these requests register
 //! any work, so the rows are independent.
 
+use scalana_api::dto::PeerBlob;
 use scalana_api::{paths, ApiError, ErrorCode};
 use scalana_service::client::{self, Conn};
+use scalana_service::json::Json;
 use scalana_service::{Server, ServiceConfig};
+use std::time::Duration;
 
 fn boot() -> String {
     let server = Server::bind(&ServiceConfig {
@@ -183,4 +186,43 @@ fn overloaded_daemon_drains_the_request_before_shedding() {
     assert!(error.retryable, "shedding is transient, so retryable");
 
     let _ = occupier.request("POST", paths::SHUTDOWN, "");
+}
+
+/// A peer-posted profile image is untrusted input decoded on the
+/// reactor thread. One that claims 2^40 ranks and carries none used to
+/// make `store::load` allocate 8 TiB up front, and an allocation failure
+/// aborts the process, so one request killed the daemon. It must be a
+/// 400, and the same daemon must go on answering and serving jobs.
+#[test]
+fn crafted_profile_image_is_refused_and_the_daemon_keeps_serving() {
+    let addr = boot();
+    let mut conn = Conn::connect(&addr).unwrap();
+
+    let mut image = scalana_profile::store::save(&scalana_profile::ProfileData::new(0)).to_vec();
+    assert_eq!(image.len(), 62);
+    image[6..14].copy_from_slice(&(1u64 << 40).to_le_bytes()); // nprocs
+    let key = "00000000000000aa";
+    let body = PeerBlob::from_bytes(key, &image).to_json().render();
+    let (code, text) = conn
+        .request("POST", &paths::peer_profile(key), &body)
+        .unwrap();
+    assert_eq!(code, 400, "{text}");
+    let error = ApiError::from_body(&text).expect("structured error");
+    assert_eq!(error.code, ErrorCode::BadRequest);
+    assert_eq!(error.message, "payload is not a valid profile entry");
+
+    let (code, text) = conn.request("GET", paths::HEALTHZ, "").unwrap();
+    assert_eq!(code, 200, "{text}");
+    let submit = r#"{"app":"CG","scales":[2]}"#;
+    let ack = conn.request_json("POST", paths::JOBS, submit).unwrap();
+    let job = ack.get("job").and_then(Json::as_str).unwrap().to_string();
+    let done = conn.wait_for_job(&job, Duration::from_secs(120)).unwrap();
+    assert_eq!(
+        done.get("status").and_then(Json::as_str),
+        Some("done"),
+        "{}",
+        done.render()
+    );
+
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
