@@ -58,27 +58,6 @@ impl ProfileData {
         }
     }
 
-    /// Merge a perf sample into a vertex's vector.
-    pub fn add_perf(&mut self, vertex: VertexId, rank: usize, delta: &VertexPerf) {
-        self.perf.entry((vertex, rank)).or_default().merge(delta);
-    }
-
-    /// Merge a communication dependence observation.
-    pub fn add_comm(
-        &mut self,
-        src_rank: usize,
-        src_vertex: VertexId,
-        dst_rank: usize,
-        dst_vertex: VertexId,
-        bytes: u64,
-        wait_time: f64,
-    ) {
-        self.comm
-            .entry((src_rank, src_vertex, dst_rank, dst_vertex))
-            .or_default()
-            .add(bytes, wait_time);
-    }
-
     /// Assemble the Program Performance Graph for this run.
     pub fn into_ppg(self, psg: Arc<Psg>) -> Ppg {
         let mut ppg = Ppg::new(psg, self.nprocs);
@@ -133,8 +112,9 @@ mod tests {
             count: 1,
             ..Default::default()
         };
-        data.add_perf(1, 0, &delta);
-        data.add_perf(1, 0, &delta);
+        for _ in 0..2 {
+            data.perf.entry((1, 0)).or_default().merge(&delta);
+        }
         assert_eq!(data.perf[&(1, 0)].time, 1.0);
         assert_eq!(data.perf[&(1, 0)].count, 2);
     }
@@ -142,9 +122,13 @@ mod tests {
     #[test]
     fn comm_aggregates_by_edge() {
         let mut data = ProfileData::new(2);
-        data.add_comm(0, 2, 1, 3, 64, 0.1);
-        data.add_comm(0, 2, 1, 3, 64, 0.2);
-        data.add_comm(1, 2, 0, 3, 64, 0.0);
+        for (edge, wait) in [
+            ((0, 2, 1, 3), 0.1),
+            ((0, 2, 1, 3), 0.2),
+            ((1, 2, 0, 3), 0.0),
+        ] {
+            data.comm.entry(edge).or_default().add(64, wait);
+        }
         assert_eq!(data.comm_edge_count(), 2);
         let agg = data.comm[&(0, 2, 1, 3)];
         assert_eq!(agg.count, 2);
@@ -157,16 +141,15 @@ mod tests {
         let psg = psg();
         let mut data = ProfileData::new(2);
         data.rank_elapsed = vec![1.0, 2.0];
-        data.add_perf(
-            1,
-            0,
-            &VertexPerf {
+        data.perf.insert(
+            (1, 0),
+            VertexPerf {
                 time: 0.5,
                 count: 3,
                 ..Default::default()
             },
         );
-        data.add_comm(0, 1, 1, 2, 64, 0.25);
+        data.comm.entry((0, 1, 1, 2)).or_default().add(64, 0.25);
         let ppg = data.into_ppg(psg);
         assert_eq!(ppg.total_time(), 2.0);
         assert_eq!(ppg.perf(1, 0).count, 3);

@@ -353,7 +353,7 @@ mod tests {
             Some(LoadError::RankOutOfRange { rank: 7, nprocs: 2 })
         );
         let mut comm = ProfileData::new(2);
-        comm.add_comm(0, 1, 2, 1, 8, 0.0);
+        comm.comm.entry((0, 1, 2, 1)).or_default().add(8, 0.0);
         assert_eq!(
             load(save(&comm)).err(),
             Some(LoadError::RankOutOfRange { rank: 2, nprocs: 2 })

@@ -410,8 +410,9 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
 }
 
 /// Answer one scale without simulating, from the first tier that has a
-/// decodable image. Returns the slot with its `cache` and `decode`
-/// trace verdicts.
+/// decodable image. An image of another rank count (a peer may post one
+/// under any key) counts as undecodable. Returns the slot with its
+/// `cache` and `decode` trace verdicts.
 fn cached_scale(
     ctx: &ExecCtx<'_>,
     psg: &Arc<Psg>,
@@ -420,7 +421,9 @@ fn cached_scale(
 ) -> Option<(ScaleSlot, &'static str, &'static str)> {
     let found = ctx.tiers().get(EntryKind::Profile, key, |entry| {
         entry.decoded(|image| {
-            let data = scalana_profile::store::load(image.clone()).ok()?;
+            let data = scalana_profile::store::load(image.clone())
+                .ok()
+                .filter(|data| data.nprocs == nprocs)?;
             Some(scale_ppg(psg, nprocs, data))
         })
     })?;
@@ -834,5 +837,24 @@ mod tests {
         assert_eq!(stats.entries, 2);
         let image = parts.2.peek(&planted).unwrap();
         assert!(scalana_profile::store::load(image).is_ok());
+    }
+
+    #[test]
+    fn planted_image_of_another_rank_count_is_invalidated_and_the_scale_resimulates() {
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, None);
+        let job = spec(&[2, 4], 3);
+        let config = job.resolve_config().unwrap();
+        let planted = job.profile_key(&config, 4);
+        // A consistent image, but of 64 ranks, under scale 4's key.
+        let foreign = scalana_profile::store::save(&ProfileData::new(64));
+        parts.2.store(planted.clone(), foreign);
+
+        let key = submit_and_run(&ctx, job.clone());
+        assert_serves_cold_bytes(&ctx, &key, &job);
+        assert_eq!(parts.4.sim_runs.get(), 2, "the planted scale re-simulated");
+        assert_eq!(parts.2.stats().evicted, 1, "the bad entry was invalidated");
+        let image = parts.2.peek(&planted).unwrap();
+        assert_eq!(scalana_profile::store::load(image).unwrap().nprocs, 4);
     }
 }

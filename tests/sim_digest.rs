@@ -15,8 +15,8 @@
 //! and LU at `[16, 64, 256]`, and one generated program that resolves an
 //! indirect call inside a loop. A digest is regenerated only on the
 //! commit *before* a change, never to make a change pass: run
-//! `SIM_DIGEST_PRINT=1 cargo test --test sim_digest -- --nocapture` and
-//! paste the table it prints.
+//! `cargo test --test sim_digest -- --nocapture` and paste the table it
+//! prints.
 
 use scalana_core::{
     assemble, profile_one_scale_observed, refined_psg, ProfiledRuns, ScalAnaConfig,
@@ -24,6 +24,7 @@ use scalana_core::{
 use scalana_lang::{parse_program, Program};
 use scalana_mpisim::hook::CountingHook;
 use scalana_profile::store;
+use scalana_service::hash::StableHasher;
 use std::sync::Arc;
 
 /// `scalana_wgen::generate(1, 26).pretty()`: a helper reached through
@@ -127,9 +128,9 @@ fn cases() -> Vec<Case> {
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    let mut hasher = StableHasher::new();
+    hasher.write_bytes(bytes);
+    hasher.finish()
 }
 
 /// What one input's cold analysis produced, digested.
@@ -200,9 +201,7 @@ fn simulated_outputs_match_recorded_digests() {
     });
     let table: Vec<String> = actual.iter().map(Row::line).collect();
     let table = format!("const EXPECTED: &[Expected] = &[\n{}\n];", table.join("\n"));
-    if std::env::var_os("SIM_DIGEST_PRINT").is_some() {
-        println!("{table}");
-    }
+    println!("{table}");
     let expected: Vec<Row> = EXPECTED
         .iter()
         .map(|&(label, events, report, images)| Row {
