@@ -132,11 +132,11 @@ impl Json {
     }
 }
 
-/// Canonical float form: `null` for non-finite, `0` for signed zeros
-/// (so reparsing as an integer round-trips), shortest `Display`
-/// otherwise. Integral values print without a fractional part and
-/// reparse as [`Json::Int`] — still byte-stable.
-fn write_f64(out: &mut String, v: f64) {
+/// Append `v` in the canonical float form: `null` for non-finite, `0`
+/// for signed zeros (so reparsing as an integer round-trips), shortest
+/// `Display` otherwise. Integral values print without a fractional part
+/// and reparse as [`Json::Int`] — still byte-stable.
+pub fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v == 0.0 {
@@ -146,8 +146,21 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string in the canonical form: `"`, `\`
+/// and control characters escaped, everything else (non-ASCII included)
+/// verbatim. A string with nothing to escape is copied in one piece.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        write_escaped(out, s);
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
+}
+
+/// The string body, escaped character by character.
+fn write_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -161,7 +174,6 @@ fn write_string(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 impl fmt::Display for Json {
@@ -540,6 +552,36 @@ mod tests {
         let text = v.render();
         let reparsed = parse(&text).unwrap();
         assert_eq!(reparsed.render(), text);
+    }
+
+    #[test]
+    fn string_fast_path_matches_the_escaping_path() {
+        for s in [
+            "",
+            "plain file.mmpi:12",
+            "quote \" inside",
+            "back\\slash",
+            "line\nbreak",
+            "cr\r tab\t",
+            "\u{1}start",
+            "end\u{1f}",
+            "del \u{7f} passes through",
+            "multi-byte é — ✓ \u{1f600}",
+            "dir\\\"odd\".mmpi:3",
+        ] {
+            let mut fast = String::new();
+            write_string(&mut fast, s);
+            let mut slow = String::from("\"");
+            write_escaped(&mut slow, s);
+            slow.push('"');
+            assert_eq!(fast, slow, "{s:?}");
+            assert_eq!(parse(&fast).unwrap().as_str(), Some(s), "{s:?}");
+            let doc = Json::obj(vec![(s, Json::from(s))]).render();
+            assert_eq!(parse(&doc).unwrap().render(), doc, "{s:?}");
+        }
+        let mut out = String::new();
+        write_string(&mut out, "\u{1}\u{7f}");
+        assert_eq!(out, "\"\\u0001\u{7f}\"");
     }
 
     #[test]

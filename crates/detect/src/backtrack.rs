@@ -24,9 +24,10 @@
 
 use crate::problematic::{AbnormalVertex, NonScalableVertex};
 use crate::DetectConfig;
-use scalana_graph::{Ppg, VertexId, VertexKind};
+use scalana_graph::{Children, Ppg, Vertex, VertexId, VertexKind};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// One step of a root-cause path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,7 +102,7 @@ pub fn backtrack_all(
     abnormal: &[AbnormalVertex],
     config: &DetectConfig,
 ) -> (Vec<RootCausePath>, Vec<RootCause>) {
-    let mut scanned: HashSet<(usize, VertexId)> = HashSet::new();
+    let mut walk = Walk::new(ppg, config);
     let mut paths = Vec::new();
 
     // Non-scalable seeds: start on the rank where the delay manifests —
@@ -115,17 +116,17 @@ pub fn backtrack_all(
         } else {
             argmax(&ppg.times_across_ranks(n.vertex))
         };
-        if let Some(path) = backtrack_one(ppg, rank, n.vertex, config, &mut scanned) {
+        if let Some(path) = walk.backtrack_one(rank, n.vertex) {
             paths.push(path);
         }
     }
     // Abnormal seeds not already covered.
     for a in abnormal {
         for &rank in &a.ranks {
-            if scanned.contains(&(rank, a.vertex)) {
+            if walk.scanned[walk.cell(rank, a.vertex)] {
                 continue;
             }
-            if let Some(path) = backtrack_one(ppg, rank, a.vertex, config, &mut scanned) {
+            if let Some(path) = walk.backtrack_one(rank, a.vertex) {
                 paths.push(path);
             }
         }
@@ -144,203 +145,263 @@ fn argmax(values: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Backtrack from one `(rank, vertex)` seed.
-fn backtrack_one(
-    ppg: &Ppg,
-    start_rank: usize,
-    start_vertex: VertexId,
-    config: &DetectConfig,
-    scanned: &mut HashSet<(usize, VertexId)>,
-) -> Option<RootCausePath> {
-    let psg = &ppg.psg;
-    let mut steps: Vec<PathStep> = Vec::new();
-    let mut in_path: HashSet<(usize, VertexId)> = HashSet::new();
-    let mut rank = start_rank;
-    let mut vertex = start_vertex;
-    let mut via_comm = true; // the seed behaves like a fresh entry point
+/// The state of one [`backtrack_all`] call, shared by every path it
+/// walks.
+///
+/// - `scanned` and `in_path` are dense `vertex × nprocs` tables over
+///   `(rank, vertex)`, laid out like the PPG's perf matrix. `scanned`
+///   is Algorithm 1's scanned set and only grows; `in_path` holds the
+///   path being walked and is cleared from that path's own steps when
+///   the walk ends, so each path starts from an empty table without
+///   touching the rest of it.
+/// - `medians` caches each vertex's cross-rank median time, computed
+///   the first time a root-cause pick asks for it.
+/// - `labels` caches each vertex's `kind` and `location` strings,
+///   formatted the first time a step visits the vertex and cloned into
+///   every later step.
+struct Walk<'a> {
+    ppg: &'a Ppg,
+    config: &'a DetectConfig,
+    scanned: Vec<bool>,
+    in_path: Vec<bool>,
+    medians: Vec<Option<f64>>,
+    labels: Vec<Option<(String, String)>>,
+}
 
-    while steps.len() < config.max_path_len {
-        if !in_path.insert((rank, vertex)) {
-            break; // cycle guard
+impl<'a> Walk<'a> {
+    fn new(ppg: &'a Ppg, config: &'a DetectConfig) -> Walk<'a> {
+        let vertices = ppg.psg.vertex_count();
+        Walk {
+            ppg,
+            config,
+            scanned: vec![false; vertices * ppg.nprocs],
+            in_path: vec![false; vertices * ppg.nprocs],
+            medians: vec![None; vertices],
+            labels: vec![None; vertices],
         }
-        scanned.insert((rank, vertex));
-        let v = psg.vertex(vertex);
+    }
+
+    fn cell(&self, rank: usize, vertex: VertexId) -> usize {
+        debug_assert!(rank < self.ppg.nprocs);
+        vertex as usize * self.ppg.nprocs + rank
+    }
+
+    fn on_path(&self, rank: usize, vertex: VertexId) -> bool {
+        self.in_path[self.cell(rank, vertex)]
+    }
+
+    /// The vertex's cross-rank median time.
+    fn median(&mut self, vertex: VertexId) -> f64 {
+        let ppg = self.ppg;
+        *self.medians[vertex as usize]
+            .get_or_insert_with(|| crate::fit::median(&ppg.times_across_ranks(vertex)))
+    }
+
+    /// The path step for `(rank, vertex)`.
+    fn step(&mut self, rank: usize, vertex: VertexId, via_comm: bool) -> PathStep {
+        let ppg = self.ppg;
+        let (kind, location) = self.labels[vertex as usize].get_or_insert_with(|| {
+            let v = ppg.psg.vertex(vertex);
+            (v.kind.label(), v.location())
+        });
         let perf = ppg.perf(vertex, rank);
-        steps.push(PathStep {
+        PathStep {
             rank,
             vertex,
-            kind: v.kind.label(),
-            location: v.location(),
+            kind: kind.clone(),
+            location: location.clone(),
             time: perf.time,
             wait_time: perf.wait_time,
             via_comm,
-        });
-
-        if v.kind == VertexKind::Root {
-            break;
         }
+    }
 
-        // MPI vertex: prefer the inter-process dependence with real wait.
-        if v.is_mpi() {
-            // A collective reached intra-process is a full synchronization
-            // point: causality does not extend further back (Algorithm 1's
-            // stop condition). The seed and straggler-entered collectives
-            // continue — the delay flowed through them.
-            if v.is_collective() && !via_comm && steps.len() > 1 {
+    /// Backtrack from one `(rank, vertex)` seed.
+    fn backtrack_one(
+        &mut self,
+        start_rank: usize,
+        start_vertex: VertexId,
+    ) -> Option<RootCausePath> {
+        let ppg = self.ppg;
+        let psg = &*ppg.psg;
+        let config = self.config;
+        let mut steps: Vec<PathStep> = Vec::new();
+        let mut rank = start_rank;
+        let mut vertex = start_vertex;
+        let mut via_comm = true; // the seed behaves like a fresh entry point
+
+        while steps.len() < config.max_path_len {
+            let cell = self.cell(rank, vertex);
+            if self.in_path[cell] {
+                break; // cycle guard
+            }
+            self.in_path[cell] = true;
+            self.scanned[cell] = true;
+            steps.push(self.step(rank, vertex, via_comm));
+            let v = psg.vertex(vertex);
+
+            if v.kind == VertexKind::Root {
                 break;
             }
-            let best = ppg
-                .deps_into(rank, vertex)
-                .into_iter()
-                .filter(|d| d.wait_time >= config.wait_prune)
-                .max_by(|a, b| a.wait_time.partial_cmp(&b.wait_time).unwrap());
-            if let Some(dep) = best {
-                if !in_path.contains(&(dep.src_rank, dep.src_vertex)) {
-                    rank = dep.src_rank;
-                    vertex = dep.src_vertex;
-                    via_comm = true;
-                    continue;
-                }
-            }
-        }
 
-        // Unscanned Loop/Branch: control dependence into the structure.
-        via_comm = false;
-        let next = match v.kind {
-            VertexKind::Loop if first_visit_structure(scanned, rank, vertex, psg) => {
-                psg.loop_end(vertex)
-            }
-            VertexKind::Branch if first_visit_structure(scanned, rank, vertex, psg) => {
-                // Continue from the hotter arm's end on this rank.
-                psg.branch_arm_ends(vertex).into_iter().max_by(|a, b| {
-                    ppg.perf(*a, rank)
-                        .time
-                        .partial_cmp(&ppg.perf(*b, rank).time)
-                        .unwrap()
-                })
-            }
-            _ => None,
-        };
-        // Data dependence: previous statement in execution order. At a
-        // loop-body head the previous *execution* is the end of the
-        // previous iteration, so prefer wrapping to the loop end before
-        // climbing to the header — this follows delay chains that cross
-        // iteration boundaries (an isend delayed by last iteration's
-        // waitall).
-        let next = next.or_else(|| psg.seq_pred(vertex)).or_else(|| {
-            let parent = psg.parent(vertex)?;
-            if psg.vertex(parent).kind == VertexKind::Loop {
-                match psg.loop_end(parent) {
-                    Some(end) if end != vertex && !in_path.contains(&(rank, end)) => Some(end),
-                    _ => Some(parent),
+            // MPI vertex: prefer the inter-process dependence with real wait.
+            if v.is_mpi() {
+                // A collective reached intra-process is a full
+                // synchronization point: causality does not extend further
+                // back (Algorithm 1's stop condition). The seed and
+                // straggler-entered collectives continue — the delay
+                // flowed through them.
+                if v.is_collective() && !via_comm && steps.len() > 1 {
+                    break;
                 }
-            } else {
-                Some(parent)
-            }
-        });
-        // Already-visited vertices are "scanned": pass through them by
-        // following their data dependence (e.g. leaving a loop body we
-        // descended into continues at the loop header's predecessor).
-        let mut cand = next;
-        let mut skips = 0;
-        let resolved = loop {
-            match cand {
-                None => break None,
-                Some(n) if !in_path.contains(&(rank, n)) => break Some(n),
-                Some(n) => {
-                    skips += 1;
-                    if skips > config.max_path_len {
-                        break None;
+                let best = ppg
+                    .deps_into(rank, vertex)
+                    .into_iter()
+                    .filter(|d| d.wait_time >= config.wait_prune)
+                    .max_by(|a, b| a.wait_time.partial_cmp(&b.wait_time).unwrap());
+                if let Some(dep) = best {
+                    if !self.on_path(dep.src_rank, dep.src_vertex) {
+                        rank = dep.src_rank;
+                        vertex = dep.src_vertex;
+                        via_comm = true;
+                        continue;
                     }
-                    cand = psg.seq_pred(n).or_else(|| psg.parent(n));
                 }
             }
-        };
-        match resolved {
-            Some(n) => vertex = n,
-            None => break,
+
+            // Unscanned Loop/Branch: control dependence into the structure.
+            via_comm = false;
+            let next = match v.kind {
+                VertexKind::Loop if self.first_visit_structure(rank, v) => psg.loop_end(vertex),
+                VertexKind::Branch if self.first_visit_structure(rank, v) => {
+                    // Continue from the hotter arm's end on this rank.
+                    psg.branch_arm_ends(vertex).into_iter().max_by(|a, b| {
+                        ppg.perf(*a, rank)
+                            .time
+                            .partial_cmp(&ppg.perf(*b, rank).time)
+                            .unwrap()
+                    })
+                }
+                _ => None,
+            };
+            // Data dependence: previous statement in execution order. At a
+            // loop-body head the previous *execution* is the end of the
+            // previous iteration, so prefer wrapping to the loop end before
+            // climbing to the header — this follows delay chains that
+            // cross iteration boundaries (an isend delayed by last
+            // iteration's waitall).
+            let next = next.or_else(|| psg.seq_pred(vertex)).or_else(|| {
+                let parent = psg.parent(vertex)?;
+                if psg.vertex(parent).kind == VertexKind::Loop {
+                    match psg.loop_end(parent) {
+                        Some(end) if end != vertex && !self.on_path(rank, end) => Some(end),
+                        _ => Some(parent),
+                    }
+                } else {
+                    Some(parent)
+                }
+            });
+            // Already-visited vertices are "scanned": pass through them by
+            // following their data dependence (e.g. leaving a loop body we
+            // descended into continues at the loop header's predecessor).
+            let mut cand = next;
+            let mut skips = 0;
+            let resolved = loop {
+                match cand {
+                    None => break None,
+                    Some(n) if !self.on_path(rank, n) => break Some(n),
+                    Some(n) => {
+                        skips += 1;
+                        if skips > config.max_path_len {
+                            break None;
+                        }
+                        cand = psg.seq_pred(n).or_else(|| psg.parent(n));
+                    }
+                }
+            };
+            match resolved {
+                Some(n) => vertex = n,
+                None => break,
+            }
+        }
+
+        for s in &steps {
+            let cell = self.cell(s.rank, s.vertex);
+            self.in_path[cell] = false;
+        }
+        if steps.is_empty() {
+            return None;
+        }
+        let (root_cause_idx, confident) = self.pick_root_cause(&steps);
+        Some(RootCausePath {
+            steps,
+            root_cause_idx,
+            confident,
+        })
+    }
+
+    /// A structure counts as unscanned until its body has been entered —
+    /// approximated by whether any of its children are scanned on this
+    /// rank.
+    fn first_visit_structure(&self, rank: usize, structure: &Vertex) -> bool {
+        let scanned = |c: &VertexId| self.scanned[self.cell(rank, *c)];
+        !match &structure.children {
+            Children::Seq(kids) => kids.iter().any(scanned),
+            Children::Arms { then_arm, else_arm } => then_arm.iter().chain(else_arm).any(scanned),
         }
     }
 
-    if steps.is_empty() {
-        return None;
-    }
-    let (root_cause_idx, confident) = pick_root_cause(&steps, ppg);
-    Some(RootCausePath {
-        steps,
-        root_cause_idx,
-        confident,
-    })
-}
-
-/// A structure counts as unscanned until its body has been entered —
-/// approximated by whether any of its children are scanned on this rank.
-fn first_visit_structure(
-    scanned: &HashSet<(usize, VertexId)>,
-    rank: usize,
-    vertex: VertexId,
-    psg: &scalana_graph::Psg,
-) -> bool {
-    !psg.vertex(vertex)
-        .children
-        .all()
-        .iter()
-        .any(|c| scanned.contains(&(rank, *c)))
-}
-
-/// Choose the path's root cause: the *computation* step (`Comp`/`Loop`)
-/// where the delay originates — the one whose time on the path's rank
-/// most exceeds the vertex's cross-rank median. The delayed rank's
-/// extra work, a boundary loop only some ranks execute, or a slow-core
-/// dgemm all maximize this excess; uniformly-executed structure scores
-/// zero. With no imbalanced computation on the path, fall back to the
-/// deepest computation step, then to the last step. When the winner is
-/// a loop body the walk descended into, the enclosing Loop is reported
-/// (the paper reports "the LOOP at bval3d.F:155").
-fn pick_root_cause(steps: &[PathStep], ppg: &Ppg) -> (usize, bool) {
-    let psg = &ppg.psg;
-    let comp_steps: Vec<usize> = steps
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            matches!(
+    /// Choose the path's root cause: the *computation* step (`Comp`/
+    /// `Loop`) where the delay originates — the one whose time on the
+    /// path's rank most exceeds the vertex's cross-rank median. The
+    /// delayed rank's extra work, a boundary loop only some ranks
+    /// execute, or a slow-core dgemm all maximize this excess;
+    /// uniformly-executed structure scores zero. With no imbalanced
+    /// computation on the path, fall back to the deepest computation
+    /// step, then to the last step. When the winner is a loop body the
+    /// walk descended into, the enclosing Loop is reported (the paper
+    /// reports "the LOOP at bval3d.F:155").
+    fn pick_root_cause(&mut self, steps: &[PathStep]) -> (usize, bool) {
+        let psg = &*self.ppg.psg;
+        // The last comp step, and the one of greatest excess (the last
+        // of equals, as `max_by` picks).
+        let mut last = None;
+        let mut best: Option<(usize, f64)> = None;
+        for (i, s) in steps.iter().enumerate() {
+            if !matches!(
                 psg.vertex(s.vertex).kind,
                 VertexKind::Comp | VertexKind::Loop
-            )
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let excess = |i: usize| {
-        let s = &steps[i];
-        let med = crate::fit::median(&ppg.times_across_ranks(s.vertex));
-        s.time - med
-    };
-    let mut confident = false;
-    let mut idx = match comp_steps.last() {
-        Some(&last) => {
-            let best = comp_steps
-                .iter()
-                .copied()
-                .max_by(|&a, &b| excess(a).partial_cmp(&excess(b)).unwrap())
-                .unwrap_or(last);
-            if excess(best) > 0.0 {
-                confident = true;
-                best
-            } else {
-                last
+            ) {
+                continue;
+            }
+            let excess = s.time - self.median(s.vertex);
+            last = Some(i);
+            match best {
+                Some((_, b))
+                    if b.partial_cmp(&excess).expect("profile times are finite")
+                        == Ordering::Greater => {}
+                _ => best = Some((i, excess)),
             }
         }
-        None => steps.len() - 1,
-    };
-    // Prefer the enclosing Loop the walk just descended through.
-    if idx > 0
-        && matches!(psg.vertex(steps[idx].vertex).kind, VertexKind::Comp)
-        && matches!(psg.vertex(steps[idx - 1].vertex).kind, VertexKind::Loop)
-        && psg.parent(steps[idx].vertex) == Some(steps[idx - 1].vertex)
-    {
-        idx -= 1;
+        let mut confident = false;
+        let mut idx = match (best, last) {
+            (Some((i, excess)), _) if excess > 0.0 => {
+                confident = true;
+                i
+            }
+            (_, Some(last)) => last,
+            _ => steps.len() - 1,
+        };
+        // Prefer the enclosing Loop the walk just descended through.
+        if idx > 0
+            && matches!(psg.vertex(steps[idx].vertex).kind, VertexKind::Comp)
+            && matches!(psg.vertex(steps[idx - 1].vertex).kind, VertexKind::Loop)
+            && psg.parent(steps[idx].vertex) == Some(steps[idx - 1].vertex)
+        {
+            idx -= 1;
+        }
+        (idx, confident)
     }
-    (idx, confident)
 }
 
 /// Merge paths by root-cause vertex and rank by *explained symptom

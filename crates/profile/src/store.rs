@@ -90,6 +90,8 @@ pub enum LoadError {
         /// The image's rank count.
         nprocs: usize,
     },
+    /// A time, counter or wait in the named section is NaN or infinite.
+    NonFinite(&'static str),
 }
 
 impl std::fmt::Display for LoadError {
@@ -103,6 +105,9 @@ impl std::fmt::Display for LoadError {
             }
             LoadError::RankOutOfRange { rank, nprocs } => {
                 write!(f, "rank {rank} in a {nprocs}-rank profile")
+            }
+            LoadError::NonFinite(section) => {
+                write!(f, "non-finite number in the profile's {section}")
             }
         }
     }
@@ -147,12 +152,25 @@ fn rank_in(rank: u64, nprocs: usize) -> Result<usize, LoadError> {
     }
 }
 
+/// A float read from an image's `section`, which must be finite: the
+/// simulator never records NaN or infinity, and detection sorts and
+/// compares these values on the assumption that it does not.
+fn finite(buf: &mut Bytes, section: &'static str) -> Result<f64, LoadError> {
+    let v = buf.get_f64_le();
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(LoadError::NonFinite(section))
+    }
+}
+
 /// Deserialize a profile image.
 ///
 /// The image is untrusted (a peer may post one). Nothing sized by its
 /// rank count is allocated before the per-rank times are known to fit
 /// in the buffer and to number exactly `nprocs`; every perf and comm
-/// rank must lie in `0..nprocs`, the range `into_ppg` indexes.
+/// rank must lie in `0..nprocs`, the range `into_ppg` indexes; every
+/// float must be finite.
 pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     need(&buf, 4 + 2)?;
     if buf.get_u32_le() != MAGIC {
@@ -176,7 +194,9 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     }
     let mut data = ProfileData {
         nprocs,
-        rank_elapsed: (0..nprocs).map(|_| buf.get_f64_le()).collect(),
+        rank_elapsed: (0..nprocs)
+            .map(|_| finite(&mut buf, "rank_elapsed"))
+            .collect::<Result<_, _>>()?,
         storage_bytes,
         sample_count,
         ..ProfileData::default()
@@ -189,15 +209,15 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
         let vertex = buf.get_u32_le();
         let rank = rank_in(buf.get_u64_le(), nprocs)?;
         let perf = VertexPerf {
-            time: buf.get_f64_le(),
+            time: finite(&mut buf, "perf")?,
             count: buf.get_u64_le(),
-            tot_ins: buf.get_f64_le(),
-            tot_cyc: buf.get_f64_le(),
-            lst_ins: buf.get_f64_le(),
-            l2_miss: buf.get_f64_le(),
-            br_miss: buf.get_f64_le(),
-            wait_time: buf.get_f64_le(),
-            bytes: buf.get_f64_le(),
+            tot_ins: finite(&mut buf, "perf")?,
+            tot_cyc: finite(&mut buf, "perf")?,
+            lst_ins: finite(&mut buf, "perf")?,
+            l2_miss: finite(&mut buf, "perf")?,
+            br_miss: finite(&mut buf, "perf")?,
+            wait_time: finite(&mut buf, "perf")?,
+            bytes: finite(&mut buf, "perf")?,
         };
         data.perf.insert((vertex, rank), perf);
     }
@@ -213,7 +233,7 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
         let agg = CommAgg {
             count: buf.get_u64_le(),
             bytes: buf.get_u64_le(),
-            wait_time: buf.get_f64_le(),
+            wait_time: finite(&mut buf, "comm")?,
         };
         data.comm
             .insert((src_rank, src_vertex, dst_rank, dst_vertex), agg);
@@ -358,6 +378,23 @@ mod tests {
             load(save(&comm)).err(),
             Some(LoadError::RankOutOfRange { rank: 2, nprocs: 2 })
         );
+    }
+
+    #[test]
+    fn rejects_non_finite_floats() {
+        let data = collected_profile();
+        let mut elapsed = data.clone();
+        elapsed.rank_elapsed[0] = f64::NAN;
+        assert_eq!(
+            load(save(&elapsed)).err(),
+            Some(LoadError::NonFinite("rank_elapsed"))
+        );
+        let mut perf = data.clone();
+        perf.perf.values_mut().next().unwrap().wait_time = f64::INFINITY;
+        assert_eq!(load(save(&perf)).err(), Some(LoadError::NonFinite("perf")));
+        let mut comm = data;
+        comm.comm.values_mut().next().unwrap().wait_time = f64::NEG_INFINITY;
+        assert_eq!(load(save(&comm)).err(), Some(LoadError::NonFinite("comm")));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::cache::Registry;
 use crate::federation::Federation;
 use crate::job::JobOutput;
 use crate::json::Json;
-use crate::jsonify::{report_to_json, run_summary_to_json};
+use crate::jsonify::{render_report, run_summary_to_json};
 use crate::metrics::ServiceMetrics;
 use crate::profile_cache::{CachedPsg, ProfileCache, PsgCache, ScaleGraph};
 use crate::queue::JobQueue;
@@ -524,7 +524,7 @@ fn assemble_and_complete(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
         let detect_seconds = started.elapsed().as_secs_f64();
         let runs = graphs.iter().map(|graph| run_summary_to_json(&graph.0));
         Ok(JobOutput {
-            report_json: report_to_json(&report).render(),
+            report_json: render_report(&report),
             runs_json: Json::Arr(runs.collect()).render(),
             detect_seconds,
             profiles: images,
@@ -856,5 +856,28 @@ mod tests {
         assert_eq!(parts.2.stats().evicted, 1, "the bad entry was invalidated");
         let image = parts.2.peek(&planted).unwrap();
         assert_eq!(scalana_profile::store::load(image).unwrap().nprocs, 4);
+    }
+
+    #[test]
+    fn planted_image_with_a_nan_time_is_invalidated_and_the_scale_resimulates() {
+        let parts = ctx_parts();
+        let ctx = ctx_of(&parts, None);
+        let job = spec(&[2, 4], 3);
+        let config = job.resolve_config().unwrap();
+        let planted = job.profile_key(&config, 4);
+        // Scale 4's own image, with one rank's end-to-end time made NaN.
+        let (_, image) = job.execute().unwrap().profiles.pop().unwrap();
+        let mut data = scalana_profile::store::load(image).unwrap();
+        data.rank_elapsed[0] = f64::NAN;
+        parts
+            .2
+            .store(planted.clone(), scalana_profile::store::save(&data));
+
+        let key = submit_and_run(&ctx, job.clone());
+        assert_serves_cold_bytes(&ctx, &key, &job);
+        assert_eq!(parts.4.sim_runs.get(), 2, "the planted scale re-simulated");
+        assert_eq!(parts.2.stats().evicted, 1, "the bad entry was invalidated");
+        let image = parts.2.peek(&planted).unwrap();
+        assert!(scalana_profile::store::load(image).is_ok());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::hash::{hash_config, hash_profile_config, StableHasher};
 use crate::json::Json;
-use crate::jsonify::{report_to_json, run_summary_to_json};
+use crate::jsonify::{render_report, run_summary_to_json};
 use bytes::Bytes;
 use scalana_core::{assemble, pipeline, ScalAnaConfig};
 use scalana_lang::{parse_program, Program};
@@ -175,7 +175,7 @@ impl JobSpec {
             .collect();
         let analysis = assemble(runs, &config);
         Ok(JobOutput {
-            report_json: report_to_json(&analysis.report).render(),
+            report_json: render_report(&analysis.report),
             runs_json: Json::Arr(analysis.runs.iter().map(run_summary_to_json).collect()).render(),
             detect_seconds: analysis.detect_seconds,
             profiles,

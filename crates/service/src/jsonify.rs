@@ -2,16 +2,25 @@
 //!
 //! Shared between `scalana analyze --json` and the daemon's result
 //! endpoint, so a client comparing a served report against a local run
-//! compares identical bytes. Field order is fixed here; floats render
-//! through the canonical form in [`crate::json`].
+//! compares identical bytes. Field order is fixed here; floats and
+//! strings render through the canonical forms in [`crate::json`].
+//!
+//! One writer defines the detection report's bytes: [`render_report`]
+//! appends the report to a `String` field by field, with no `Json` tree
+//! in between. The daemon stores exactly those bytes, and
+//! [`report_to_json`] is their parse, so every view of a report — served,
+//! in-process, or re-rendered from a parsed document — is the same bytes.
+//! The small members (`runs`, `psg`, `speedup`) are still built as
+//! [`Json`] values.
 
-use crate::json::Json;
+use crate::json::{self, write_f64, write_string, Json};
 use scalana_core::{Analysis, RunSummary};
 use scalana_detect::{
     summarize, AbnormalVertex, DetectionReport, NonScalableVertex, PathStep, RootCause,
     RootCausePath, ScalingSummary,
 };
 use scalana_graph::PsgStats;
+use std::fmt::Write as _;
 
 /// One run summary.
 pub fn run_summary_to_json(run: &RunSummary) -> Json {
@@ -68,91 +77,169 @@ pub fn scaling_to_json(summary: &ScalingSummary) -> Json {
     ])
 }
 
-fn non_scalable_to_json(n: &NonScalableVertex) -> Json {
-    Json::obj(vec![
-        ("vertex", n.vertex.into()),
-        ("location", n.location.as_str().into()),
-        ("slope", n.fit.slope.into()),
-        ("intercept", n.fit.intercept.into()),
-        ("r2", n.fit.r2.into()),
-        ("times", n.times.clone().into()),
-        ("time_fraction", n.time_fraction.into()),
-    ])
+/// A report member the writer can append in canonical form.
+trait Field {
+    fn write(&self, out: &mut String);
 }
 
-fn abnormal_to_json(a: &AbnormalVertex) -> Json {
-    Json::obj(vec![
-        ("vertex", a.vertex.into()),
-        ("location", a.location.as_str().into()),
-        ("ranks", a.ranks.clone().into()),
-        ("ratio", a.ratio.into()),
-        ("median_time", a.median_time.into()),
-    ])
+/// Append `{"key":value,...}` with the fields in the given order.
+fn write_object(out: &mut String, fields: &[(&str, &dyn Field)]) {
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, key);
+        out.push(':');
+        value.write(out);
+    }
+    out.push('}');
 }
 
-fn step_to_json(s: &PathStep) -> Json {
-    Json::obj(vec![
-        ("rank", s.rank.into()),
-        ("vertex", s.vertex.into()),
-        ("kind", s.kind.as_str().into()),
-        ("location", s.location.as_str().into()),
-        ("time", s.time.into()),
-        ("wait_time", s.wait_time.into()),
-        ("via_comm", s.via_comm.into()),
-    ])
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
 }
 
-fn path_to_json(p: &RootCausePath) -> Json {
-    Json::obj(vec![
-        (
-            "steps",
-            Json::Arr(p.steps.iter().map(step_to_json).collect()),
-        ),
-        ("root_cause_idx", p.root_cause_idx.into()),
-        ("confident", p.confident.into()),
-    ])
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
-fn root_cause_to_json(c: &RootCause) -> Json {
-    Json::obj(vec![
-        ("vertex", c.vertex.into()),
-        ("kind", c.kind.as_str().into()),
-        ("location", c.location.as_str().into()),
-        ("func", c.func.as_str().into()),
-        ("path_count", c.path_count.into()),
-        ("score", c.score.into()),
-        ("mean_time", c.mean_time.into()),
-        ("time_imbalance", c.time_imbalance.into()),
-        ("ins_imbalance", c.ins_imbalance.into()),
-    ])
+impl Field for u32 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
 }
 
-/// The full detection report.
+impl Field for usize {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
+        out.push(']');
+    }
+}
+
+impl Field for NonScalableVertex {
+    fn write(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("vertex", &self.vertex),
+                ("location", &self.location),
+                ("slope", &self.fit.slope),
+                ("intercept", &self.fit.intercept),
+                ("r2", &self.fit.r2),
+                ("times", &self.times),
+                ("time_fraction", &self.time_fraction),
+            ],
+        );
+    }
+}
+
+impl Field for AbnormalVertex {
+    fn write(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("vertex", &self.vertex),
+                ("location", &self.location),
+                ("ranks", &self.ranks),
+                ("ratio", &self.ratio),
+                ("median_time", &self.median_time),
+            ],
+        );
+    }
+}
+
+impl Field for PathStep {
+    fn write(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("rank", &self.rank),
+                ("vertex", &self.vertex),
+                ("kind", &self.kind),
+                ("location", &self.location),
+                ("time", &self.time),
+                ("wait_time", &self.wait_time),
+                ("via_comm", &self.via_comm),
+            ],
+        );
+    }
+}
+
+impl Field for RootCausePath {
+    fn write(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("steps", &self.steps),
+                ("root_cause_idx", &self.root_cause_idx),
+                ("confident", &self.confident),
+            ],
+        );
+    }
+}
+
+impl Field for RootCause {
+    fn write(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("vertex", &self.vertex),
+                ("kind", &self.kind),
+                ("location", &self.location),
+                ("func", &self.func),
+                ("path_count", &self.path_count),
+                ("score", &self.score),
+                ("mean_time", &self.mean_time),
+                ("time_imbalance", &self.time_imbalance),
+                ("ins_imbalance", &self.ins_imbalance),
+            ],
+        );
+    }
+}
+
+/// The full detection report, rendered: the bytes the daemon serves as a
+/// result's `report` member.
+pub fn render_report(report: &DetectionReport) -> String {
+    let mut out = String::new();
+    write_object(
+        &mut out,
+        &[
+            ("non_scalable", &report.non_scalable),
+            ("abnormal", &report.abnormal),
+            ("root_causes", &report.root_causes),
+            ("paths", &report.paths),
+        ],
+    );
+    out
+}
+
+/// The full detection report as a document: the parse of
+/// [`render_report`]'s bytes, so it renders back to exactly them.
 pub fn report_to_json(report: &DetectionReport) -> Json {
-    Json::obj(vec![
-        (
-            "non_scalable",
-            Json::Arr(
-                report
-                    .non_scalable
-                    .iter()
-                    .map(non_scalable_to_json)
-                    .collect(),
-            ),
-        ),
-        (
-            "abnormal",
-            Json::Arr(report.abnormal.iter().map(abnormal_to_json).collect()),
-        ),
-        (
-            "root_causes",
-            Json::Arr(report.root_causes.iter().map(root_cause_to_json).collect()),
-        ),
-        (
-            "paths",
-            Json::Arr(report.paths.iter().map(path_to_json).collect()),
-        ),
-    ])
+    json::parse(&render_report(report)).expect("the report writer emits valid JSON")
 }
 
 /// Everything `scalana analyze --json` emits: PSG stats, per-scale run
@@ -220,5 +307,53 @@ mod tests {
             report_to_json(&a.report).render(),
             report_to_json(&b.report).render()
         );
+    }
+
+    #[test]
+    fn writer_bytes_are_canonical_and_escape_every_location() {
+        // The file name reaches every `location` in the report.
+        let file = r#"odd "dir"\a.mmpi"#;
+        let src = "param WORK = 6_000_000;
+            fn main() {
+                for it in 0 .. 10 {
+                    comp(cycles = WORK / nprocs, ins = WORK / nprocs);
+                    if rank == 0 { for s in 0 .. 4 { comp(cycles = WORK / 8); } }
+                    barrier();
+                }
+                allreduce(bytes = 8);
+            }";
+        let program = scalana_lang::parse_program(file, src).unwrap();
+        let analysis =
+            scalana_core::analyze(&program, &[4, 8, 16], &ScalAnaConfig::default()).unwrap();
+        let text = render_report(&analysis.report);
+        assert_eq!(report_to_json(&analysis.report).render(), text);
+        assert!(text.contains(r#""location":"odd \"dir\"\\a.mmpi:"#));
+
+        let report = crate::json::parse(&text).unwrap();
+        let mut locations = Vec::new();
+        for section in ["non_scalable", "abnormal", "root_causes"] {
+            for item in report.get(section).unwrap().as_array().unwrap() {
+                locations.push(item.get("location").unwrap().as_str().unwrap().to_string());
+            }
+        }
+        for path in report.get("paths").unwrap().as_array().unwrap() {
+            for step in path.get("steps").unwrap().as_array().unwrap() {
+                locations.push(step.get("location").unwrap().as_str().unwrap().to_string());
+            }
+        }
+        assert!(!analysis.report.paths.is_empty());
+        let expected = analysis.report.non_scalable.len()
+            + analysis.report.abnormal.len()
+            + analysis.report.root_causes.len()
+            + analysis
+                .report
+                .paths
+                .iter()
+                .map(|p| p.steps.len())
+                .sum::<usize>();
+        assert_eq!(locations.len(), expected);
+        for location in &locations {
+            assert!(location.starts_with(file), "{location}");
+        }
     }
 }

@@ -8,9 +8,10 @@
 
 use scalana_api::dto::PeerBlob;
 use scalana_api::{paths, ApiError, ErrorCode};
+use scalana_core::ScalAnaConfig;
 use scalana_service::client::{self, Conn};
 use scalana_service::json::Json;
-use scalana_service::{Server, ServiceConfig};
+use scalana_service::{JobProgram, JobSpec, Server, ServiceConfig};
 use std::time::Duration;
 
 fn boot() -> String {
@@ -214,6 +215,49 @@ fn crafted_profile_image_is_refused_and_the_daemon_keeps_serving() {
     let (code, text) = conn.request("GET", paths::HEALTHZ, "").unwrap();
     assert_eq!(code, 200, "{text}");
     let submit = r#"{"app":"CG","scales":[2]}"#;
+    let ack = conn.request_json("POST", paths::JOBS, submit).unwrap();
+    let job = ack.get("job").and_then(Json::as_str).unwrap().to_string();
+    let done = conn.wait_for_job(&job, Duration::from_secs(120)).unwrap();
+    assert_eq!(
+        done.get("status").and_then(Json::as_str),
+        Some("done"),
+        "{}",
+        done.render()
+    );
+
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
+}
+
+/// A profile image whose numbers are not finite decodes structurally,
+/// so `store::load` used to admit it: posted under the key a CG job
+/// resolves, it reached detection, whose sorts panic on NaN, and every
+/// job on that key failed. It must be a 400 that leaves the key
+/// unanswered, so the job simulates the scale and completes.
+#[test]
+fn profile_image_with_a_nan_time_is_refused_and_its_job_completes() {
+    let addr = boot();
+    let mut conn = Conn::connect(&addr).unwrap();
+
+    let spec = JobSpec {
+        program: JobProgram::App("CG".to_string()),
+        scales: vec![2, 8],
+        config: ScalAnaConfig::default(),
+    };
+    let (nprocs, image) = spec.execute().unwrap().profiles.pop().unwrap();
+    assert_eq!(nprocs, 8);
+    let mut data = scalana_profile::store::load(image).unwrap();
+    data.rank_elapsed[0] = f64::NAN;
+    let poisoned = scalana_profile::store::save(&data);
+    let key = spec.profile_key(&spec.resolve_config().unwrap(), 8);
+    let body = PeerBlob::from_bytes(&key, &poisoned).to_json().render();
+    let (code, text) = conn
+        .request("POST", &paths::peer_profile(&key), &body)
+        .unwrap();
+    assert_eq!(code, 400, "{text}");
+    let error = ApiError::from_body(&text).expect("structured error");
+    assert_eq!(error.code, ErrorCode::BadRequest);
+
+    let submit = r#"{"app":"CG","scales":[2,8]}"#;
     let ack = conn.request_json("POST", paths::JOBS, submit).unwrap();
     let job = ack.get("job").and_then(Json::as_str).unwrap().to_string();
     let done = conn.wait_for_job(&job, Duration::from_secs(120)).unwrap();

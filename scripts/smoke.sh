@@ -41,6 +41,11 @@ echo "==> scalbench run --smoke (five workloads, served bytes vs in-process anal
 # Exits 1 on any failed op or failed byte-comparison.
 cargo run --release --offline --quiet --manifest-path scalbench/Cargo.toml -- run --smoke
 
+echo "==> scalbench population (every generated pool program analyzes; about a minute)"
+# Runs each of the pool's 65,536 programs through the in-process
+# analysis, including `analysis_to_json`, as CI does.
+cargo test --release --offline --quiet --manifest-path scalbench/Cargo.toml -- --ignored every_pool_program_analyzes
+
 echo "==> perfgate --quick (all eight bench suites, gated vs BENCH_pr10.json)"
 mkdir -p target/perfgate
 # Generous factor (matching CI): the committed medians come from one

@@ -29,7 +29,7 @@ use scalana_lang::{parse_program, Program};
 use scalana_mpisim::hook::CountingHook;
 use scalana_profile::{store, ProfileData};
 use scalana_service::hash::StableHasher;
-use scalana_service::jsonify::report_to_json;
+use scalana_service::jsonify::{render_report, report_to_json};
 use std::sync::Arc;
 
 /// `scalana_wgen::generate(1, 26).pretty()`: a helper reached through
@@ -325,11 +325,14 @@ fn digest(case: &Case) -> Vec<Row> {
                 profiles: picked.iter().map(|s| s.data.clone()).collect(),
             };
             let report = assemble(runs, &case.config).report;
+            let report_json = report_to_json(&report).render();
+            // The daemon serves the writer's bytes, not their re-render.
+            assert_eq!(render_report(&report), report_json, "{label}");
             Row {
                 label: label.clone(),
                 events: picked.iter().map(|s| s.events).sum(),
                 report: fnv1a(report.render().as_bytes()),
-                report_json: fnv1a(report_to_json(&report).render().as_bytes()),
+                report_json: fnv1a(report_json.as_bytes()),
                 images: picked.iter().map(|s| s.image).collect(),
             }
         })
