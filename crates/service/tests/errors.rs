@@ -228,11 +228,11 @@ fn crafted_profile_image_is_refused_and_the_daemon_keeps_serving() {
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 
-/// A profile image whose numbers are not finite decodes structurally,
-/// so `store::load` used to admit it: posted under the key a CG job
-/// resolves, it reached detection, whose sorts panic on NaN, and every
-/// job on that key failed. It must be a 400 that leaves the key
-/// unanswered, so the job simulates the scale and completes.
+/// A profile image whose numbers are not finite is structurally sound.
+/// Admitted under the key a CG job resolves, it would reach detection,
+/// whose sorts panic on NaN, and fail every job on that key, restarts
+/// included. It must be a 400 that leaves the key unanswered, so the
+/// job simulates the scale and completes.
 #[test]
 fn profile_image_with_a_nan_time_is_refused_and_its_job_completes() {
     let addr = boot();
