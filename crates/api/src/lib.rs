@@ -23,10 +23,8 @@
 //! Everything current lives under [`paths::PREFIX`] (`/v1`). Within a
 //! version the contract only grows: new endpoints, new optional request
 //! fields, new response fields, new error codes — never changed meanings
-//! or removed fields. Endpoints that predate versioning stay served at
-//! their unversioned paths as deprecated aliases (byte-identical bodies
-//! plus a `Deprecation:` header); endpoints born under `/v1` answer
-//! their unversioned spelling with `308 Permanent Redirect`.
+//! or removed fields. The unversioned spelling of every endpoint answers
+//! `308 Permanent Redirect` to its `/v1` path, query string kept.
 
 pub mod diff;
 pub mod dto;

@@ -2,10 +2,8 @@
 //! of truth consumed by the server's router, the client, and the CLI.
 //!
 //! All current endpoints live under the [`PREFIX`] (`/v1`). The
-//! pre-versioning paths remain served as deprecated aliases (identical
-//! bytes, plus a `Deprecation:` header) for the endpoints that predate
-//! `/v1`; endpoints born under `/v1` answer their unversioned form with
-//! a `308 Permanent Redirect` to the versioned path. See the README's
+//! unversioned form of every endpoint answers `308 Permanent Redirect`
+//! to the versioned path, query string kept. See the README's
 //! versioning policy.
 
 /// The protocol version segment this crate describes.
@@ -144,8 +142,8 @@ pub fn parse_query(query: &str) -> Vec<(&str, &str)> {
 
 /// Whether a path's first segment looks like a version selector
 /// (`v<digits>`): used to distinguish "unknown version" (a `/v2/...`
-/// request deserves [`crate::ErrorCode::UnsupportedVersion`]) from a
-/// plain legacy path.
+/// request deserves [`crate::ErrorCode::UnsupportedVersion`]) from an
+/// unversioned path.
 pub fn looks_like_version(segment: &str) -> bool {
     segment.len() >= 2
         && segment.starts_with('v')

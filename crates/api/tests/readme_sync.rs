@@ -119,8 +119,8 @@ fn readme_documents_the_dtos_and_error_codes() {
         );
     }
     assert!(
-        README.contains("Deprecation"),
-        "README must state the deprecation policy"
+        README.contains("unversioned paths redirect"),
+        "README must state that unversioned paths redirect"
     );
     assert!(
         README.contains("308"),

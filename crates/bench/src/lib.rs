@@ -1,7 +1,6 @@
 //! # scalana-bench — harness regenerating every table and figure
 //!
-//! One binary per experiment of the paper's evaluation (§VI), plus
-//! Criterion micro-benchmarks of the analysis machinery itself. Run a
+//! One binary per experiment of the paper's evaluation (§VI). Run a
 //! harness with e.g.
 //!
 //! ```sh
@@ -32,8 +31,6 @@ use scalana_apps::App;
 use scalana_mpisim::SimConfig;
 use scalana_profile::overhead::ToolKind;
 use scalana_profile::{measure_overhead, FlatConfig, OverheadReport, ProfilerConfig, TracerConfig};
-
-pub mod suites;
 
 /// Simulated workloads run ~10⁴× less virtual time than the paper's
 /// real executions (milliseconds instead of minutes), so tool costs are

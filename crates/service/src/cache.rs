@@ -230,8 +230,9 @@ pub struct Registry {
     shards: Box<[Shard]>,
     /// Observability sinks (inert unless wired by the daemon).
     obs: RegistryObs,
-    /// Keys in completion order — the FIFO eviction candidates. Guarded
-    /// by its own lock; never taken while a shard lock is held.
+    /// Keys in completion order, a repeat submit moving its key to the
+    /// back — the FIFO eviction candidates. Guarded by its own lock;
+    /// never taken while a shard lock is held.
     done_order: Mutex<VecDeque<String>>,
     /// Retain at most this many completed results (0 = unbounded). The
     /// daemon must bound it: each `JobOutput` holds per-scale profile
@@ -349,7 +350,12 @@ impl Registry {
             Some(record) if record.status != JobStatus::Failed => {
                 self.submitted.fetch_add(1, Ordering::Relaxed);
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                SubmitOutcome::Existing(view(&key, record))
+                let hit = view(&key, record);
+                drop(jobs);
+                if hit.status == JobStatus::Done {
+                    self.refresh_done_order(&key);
+                }
+                SubmitOutcome::Existing(hit)
             }
             _ => {
                 if !enqueue(&key) {
@@ -374,6 +380,20 @@ impl Registry {
                     },
                 );
                 SubmitOutcome::Fresh(key)
+            }
+        }
+    }
+
+    /// Move a repeat-submitted `done` job to the back of the eviction
+    /// FIFO, so completions between a client's `wait` and its
+    /// `GET result` evict older results first. Called with no shard lock
+    /// held; a key not in the FIFO (in flight, or already evicted) is
+    /// left alone.
+    fn refresh_done_order(&self, key: &str) {
+        let mut done_order = self.done_order.lock().unwrap();
+        if let Some(index) = done_order.iter().rposition(|k| k == key) {
+            if let Some(entry) = done_order.remove(index) {
+                done_order.push_back(entry);
             }
         }
     }
@@ -843,6 +863,35 @@ mod tests {
             accept(&registry, spec(texts[0])),
             SubmitOutcome::Fresh(_)
         ));
+    }
+
+    #[test]
+    fn repeat_submit_of_a_done_job_refreshes_its_fifo_place() {
+        const CAPACITY: usize = 4;
+        let registry = Registry::with_result_capacity(CAPACITY);
+        let text = |i: usize| format!("fn main() {{ comp(cycles = {}); }}", 10_000 + i);
+        let run = |i: usize| {
+            let key = match accept(&registry, spec(&text(i))) {
+                SubmitOutcome::Fresh(key) => key,
+                other => panic!("{other:?}"),
+            };
+            let (job, generation) = registry.start(&key).unwrap();
+            registry.complete(&key, generation, job.execute().unwrap());
+            key
+        };
+        let keys: Vec<String> = (0..CAPACITY).map(run).collect();
+        // The client's repeat submit of the oldest result, then one more
+        // completion before it asks for the result.
+        match accept(&registry, spec(&text(0))) {
+            SubmitOutcome::Existing(v) => assert_eq!(v.status, JobStatus::Done),
+            other => panic!("{other:?}"),
+        }
+        run(CAPACITY);
+        let first = registry.status(&keys[0]).expect("refreshed result kept");
+        assert!(first.result.is_some());
+        assert!(registry.status(&keys[1]).is_none(), "next oldest evicted");
+        assert_eq!(registry.results_cached(), CAPACITY);
+        assert_eq!(registry.stats().evicted, 1);
     }
 
     #[test]

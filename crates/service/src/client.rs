@@ -1,7 +1,7 @@
 //! Tiny blocking HTTP client for the daemon.
 //!
 //! Used by the `scalana submit`/`status`/`result`/`diff` subcommands,
-//! the integration tests, and the benches — the same framing code as
+//! the integration tests, and the benchmark — the same framing code as
 //! the server ([`crate::http`]) and the same wire contract
 //! ([`scalana_api`]), so both ends agree by construction.
 //!
@@ -13,21 +13,16 @@
 //! Waiting for a job uses the server-side long-poll
 //! (`GET /v1/jobs/<id>/wait`): the daemon parks the request until the
 //! job completes, so the client observes completion at the transition
-//! instead of a poll interval later. Against a pre-`/v1` daemon — which
-//! answers 404 *without a structured error code* on the wait path — the
-//! client falls back to one plain fixed-cadence status poll loop.
+//! instead of a poll interval later.
 
 use crate::http::{HttpResponse, MessageReader};
 use crate::json::{parse, Json};
-use scalana_api::{paths, ApiError, ErrorCode, JobState};
+use scalana_api::{paths, ApiError, JobState};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Cadence of the fallback status poll used against servers that do not
-/// serve the long-poll endpoint. One fixed short interval (in place of
-/// PR 4's 200µs→25ms exponential backoff, which the long-poll
-/// obsoleted): fast jobs on a legacy server are observed within ~1ms of
-/// completion, and the poll rides a keep-alive connection either way.
+/// Pause before re-issuing a wait after a retryable error that carries
+/// no `Retry-After` header.
 const FALLBACK_POLL: Duration = Duration::from_millis(1);
 
 /// A persistent client connection to the daemon.
@@ -161,15 +156,13 @@ impl Conn {
     /// Wait until the job reaches a terminal state or `timeout`
     /// elapses; returns the final status document.
     ///
-    /// Primary path: the server-side long-poll
-    /// ([`paths::job_wait`]) — the daemon answers at the completion
+    /// Uses the server-side long-poll
+    /// ([`paths::job_wait`]): the daemon answers at the completion
     /// transition, so no client-side sleep quantizes the observed
     /// latency, and each round trip covers up to
-    /// [`scalana_api::dto::MAX_WAIT_MS`] of waiting. Fallback: a server
-    /// that 404s the wait path *without* a structured
-    /// [`ErrorCode::UnknownJob`] body predates `/v1`; the client drops
-    /// to [`wait_for_job_polling`](Conn::wait_for_job_polling) against
-    /// the legacy status path (forward compatibility with old daemons).
+    /// [`scalana_api::dto::MAX_WAIT_MS`] of waiting. A retryable
+    /// structured error is retried after the server's `Retry-After`;
+    /// any other error, `unknown_job` included, ends the wait.
     pub fn wait_for_job(&mut self, key: &str, timeout: Duration) -> Result<Json, String> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -199,23 +192,6 @@ impl Conn {
                     None => return Err("status response missing `status`".to_string()),
                 }
             }
-            if code == 404 {
-                match ApiError::from_json(&doc) {
-                    // A /v1 server that genuinely does not know the job.
-                    Some(error) if error.code == ErrorCode::UnknownJob => {
-                        return Err(request_error("GET", &path, code, &doc));
-                    }
-                    Some(error) => return Err(error.to_string()),
-                    // Legacy 404 body — the wait endpoint itself does
-                    // not exist on this server; poll instead.
-                    None => {
-                        return self.wait_for_job_polling(
-                            key,
-                            deadline.saturating_duration_since(Instant::now()),
-                        )
-                    }
-                }
-            }
             // A retryable structured error (`store_degraded` while the
             // daemon runs memory-only, a backpressure shed) is not
             // fatal mid-wait: honor the server's `Retry-After` and
@@ -230,57 +206,6 @@ impl Conn {
                 continue;
             }
             return Err(request_error("GET", &path, code, &doc));
-        }
-    }
-
-    /// Plain status polling at a fixed `FALLBACK_POLL` cadence against
-    /// the *legacy* (unversioned) status path — the compatibility path
-    /// for daemons without the long-poll endpoint, and the comparison
-    /// baseline for the `wait_longpoll` bench. Every poll rides this
-    /// keep-alive connection: no TCP handshake per round.
-    ///
-    /// A *retryable* structured error mid-poll (backpressure shed, a
-    /// transient state) is not fatal: the client honors the server's
-    /// `Retry-After` header before the next attempt. Ordinary pending
-    /// responses are 200s and keep the fixed cadence — the backoff
-    /// only engages when the server explicitly asks for it.
-    pub fn wait_for_job_polling(&mut self, key: &str, timeout: Duration) -> Result<Json, String> {
-        let deadline = Instant::now() + timeout;
-        let path = format!("/jobs/{key}");
-        loop {
-            let response = self.request_full("GET", &path, "")?;
-            let backoff = response
-                .header("Retry-After")
-                .and_then(|v| v.parse::<u64>().ok())
-                .map(Duration::from_secs);
-            let code = response.code;
-            let text = String::from_utf8(response.body)
-                .map_err(|_| "response is not UTF-8".to_string())?;
-            let doc = parse(&text).map_err(|e| format!("bad response JSON: {e}"))?;
-            if (200..300).contains(&code) {
-                match doc.get("status").and_then(Json::as_str) {
-                    Some("queued") | Some("running") => {}
-                    Some(_) => return Ok(doc),
-                    None => return Err("status response missing `status`".to_string()),
-                }
-                if Instant::now() >= deadline {
-                    return Err(format!("job {key} still pending after {timeout:?}"));
-                }
-                std::thread::sleep(FALLBACK_POLL);
-                continue;
-            }
-            let retryable = ApiError::from_json(&doc).is_some_and(|e| e.retryable);
-            if !retryable || Instant::now() >= deadline {
-                return Err(request_error("GET", &path, code, &doc));
-            }
-            let backoff = backoff.unwrap_or(FALLBACK_POLL);
-            std::thread::sleep(backoff.min(deadline.saturating_duration_since(Instant::now())));
-            // A shed response announces `Connection: close`; reconnect
-            // so the retry actually reaches the server.
-            if !self.alive {
-                let addr = self.addr.clone();
-                *self = Conn::connect(&addr)?;
-            }
         }
     }
 }
@@ -331,8 +256,8 @@ pub fn request_json(addr: &str, method: &str, path: &str, body: &str) -> Result<
     Ok(doc)
 }
 
-/// Wait for a job on a fresh keep-alive connection (long-poll, with the
-/// legacy-server polling fallback). Returns the final status document.
+/// Wait for a job on a fresh keep-alive connection (long-poll). Returns
+/// the final status document.
 pub fn wait_for_job(addr: &str, key: &str, timeout: Duration) -> Result<Json, String> {
     Conn::connect(addr)?.wait_for_job(key, timeout)
 }

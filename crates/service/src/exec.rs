@@ -93,8 +93,7 @@ pub struct ExecCtx<'a> {
     pub psgs: &'a PsgCache,
     /// Disk tier, when `--store-dir` is configured.
     pub store: Option<&'a DiskStore>,
-    /// Fleet tier. `None` on a standalone executor (tests, benches
-    /// without a server).
+    /// Fleet tier. `None` on a standalone executor (tests).
     pub federation: Option<&'a Federation>,
     /// Observability handles (stage histograms, simulator counters).
     pub metrics: &'a ServiceMetrics,
@@ -227,13 +226,7 @@ impl Hook for ObsSimHook<'_> {
 /// stage span feeding the stage histogram, the `ObsSimHook` observer
 /// chained after the profiler, and the panic guard — returning the
 /// profile (or the failure message) plus the finished trace span.
-///
-/// Public so the `obs` bench suite can measure this *production*
-/// instrumented path against the stripped
-/// [`profile_one_scale`](scalana_core::profile_one_scale) it wraps; the
-/// gap between the two is the always-on observability overhead the
-/// perfgate bounds.
-pub fn profile_one_scale_instrumented(
+fn profile_one_scale_instrumented(
     metrics: &ServiceMetrics,
     program: &Program,
     psg: &Psg,

@@ -14,7 +14,7 @@
 //!   durable store's write-behind), so the publishing job never blocks
 //!   on peer I/O. The `peer_backlog` stat counts offers not yet settled;
 //!   once it reads zero, every offer has reached (or conclusively failed
-//!   to reach) its owner — the benches and smoke tests gate on that to
+//!   to reach) its owner — the tests and smoke script gate on that to
 //!   stay deterministic;
 //! - **membership** — at startup each daemon announces itself to its
 //!   seeds (`POST /v1/peer/announce`) and merges the rings it gets back,

@@ -55,7 +55,7 @@ fn invalid(msg: &str) -> io::Error {
 
 /// Parsed `Connection`/`Content-Length` headers of one message, plus
 /// every header verbatim (the `/v1` protocol carries routing metadata —
-/// `Allow`, `Location`, `Deprecation` — that clients and tests inspect).
+/// `Allow`, `Location`, `Retry-After` — that clients and tests inspect).
 struct Head {
     content_length: usize,
     /// `Some(true)` = keep-alive, `Some(false)` = close, `None` = unset.
@@ -87,8 +87,8 @@ impl HttpResponse {
     }
 }
 
-/// Reads a sequence of requests (or responses) off one stream, renewing
-/// the per-request byte budget between messages.
+/// Reads a sequence of responses (and, in tests, requests) off one
+/// stream, renewing the per-message byte budget between messages.
 #[derive(Debug)]
 pub struct MessageReader<S: Read> {
     reader: BufReader<Take<S>>,
@@ -111,6 +111,9 @@ impl<S: Read> MessageReader<S> {
 
     /// Read one request. `Ok(None)` on clean end-of-stream (the peer
     /// closed between requests); errors on malformed or truncated input.
+    /// The blocking reference the incremental [`RequestBuffer`] is
+    /// tested against.
+    #[cfg(test)]
     pub fn next_request(&mut self) -> io::Result<Option<Request>> {
         self.grant(MAX_HEAD + MAX_BODY);
         let mut line = String::new();
@@ -330,7 +333,8 @@ fn read_body<R: BufRead>(reader: &mut R, len: usize) -> io::Result<Vec<u8>> {
 
 /// Read one request from a one-shot stream. The daemon parses
 /// incrementally ([`RequestBuffer`]); this blocking reader is what that
-/// parser is tested against, and what stub servers in tests use.
+/// parser is tested against.
+#[cfg(test)]
 pub fn read_request<S: Read>(stream: S) -> io::Result<Request> {
     MessageReader::new(stream)
         .next_request()?
@@ -353,14 +357,10 @@ pub fn status_text(code: u16) -> &'static str {
     }
 }
 
-/// Write one complete response and flush. `keep_alive` picks the
-/// `Connection:` header — the server echoes the client's wish except
-/// when it is about to close (shutdown, protocol error).
-///
-/// Head and body go out as **one** write: a head segment followed by a
-/// tiny body segment would trip the Nagle/delayed-ACK interaction on a
-/// keep-alive connection (tens of milliseconds per exchange), which
-/// would dwarf every cached-path saving this service exists to provide.
+/// Write one complete response and flush: the blocking reference
+/// [`render_response_into`] is tested against. `keep_alive` picks the
+/// `Connection:` header.
+#[cfg(test)]
 pub fn write_response_conn<S: Write>(
     stream: S,
     code: u16,
@@ -372,7 +372,8 @@ pub fn write_response_conn<S: Write>(
 }
 
 /// [`write_response_conn`] with extra response headers (`Allow:` on a
-/// 405, `Location:` on a 308, `Deprecation:` on legacy aliases).
+/// 405, `Location:` on a 308).
+#[cfg(test)]
 pub fn write_response_headers<S: Write>(
     mut stream: S,
     code: u16,
@@ -395,10 +396,15 @@ pub fn write_response_headers<S: Write>(
 }
 
 /// Render one complete response — head and body contiguous — into
-/// `out`. The blocking writer above and the event loop's per-connection
-/// output buffer both go through here, so their wire bytes are
-/// identical by construction (and a batch of pipelined responses still
-/// leaves in one write).
+/// `out`, the event loop's per-connection output buffer. `keep_alive`
+/// picks the `Connection:` header — the server echoes the client's
+/// wish except when it is about to close (shutdown, protocol error).
+///
+/// Head and body go out as **one** write (and a batch of pipelined
+/// responses still leaves in one write): a head segment followed by a
+/// tiny body segment would trip the Nagle/delayed-ACK interaction on a
+/// keep-alive connection (tens of milliseconds per exchange), which
+/// would dwarf every cached-path saving this service exists to provide.
 pub fn render_response_into(
     out: &mut Vec<u8>,
     code: u16,
@@ -425,6 +431,7 @@ pub fn render_response_into(
 }
 
 /// [`write_response_conn`] closing the connection (one-shot paths).
+#[cfg(test)]
 pub fn write_response<S: Write>(
     stream: S,
     code: u16,
@@ -442,7 +449,7 @@ pub fn read_response<S: Read>(stream: S) -> io::Result<(u16, Vec<u8>)> {
 
 /// Write a request (client side). `keep_alive` picks the `Connection:`
 /// header. One write per message, for the same Nagle reason as
-/// [`write_response_conn`].
+/// [`render_response_into`].
 pub fn write_request_conn<S: Write>(
     mut stream: S,
     method: &str,

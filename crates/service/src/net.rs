@@ -15,7 +15,7 @@
 #![allow(unsafe_code)]
 
 #[cfg(target_os = "linux")]
-pub use linux::{raise_nofile_limit, Epoll, Event, Interest, WakeFd};
+pub use linux::{Epoll, Event, Interest, WakeFd};
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -263,60 +263,6 @@ mod linux {
     unsafe impl Sync for Epoll {}
     unsafe impl Send for WakeFd {}
     unsafe impl Sync for WakeFd {}
-
-    /// `struct rlimit` (64-bit fields on every Linux target we build).
-    #[repr(C)]
-    struct Rlimit {
-        rlim_cur: u64,
-        rlim_max: u64,
-    }
-
-    const RLIMIT_NOFILE: i32 = 7;
-
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-    }
-
-    /// Raise `RLIMIT_NOFILE` so this process can hold at least `want`
-    /// file descriptors, returning the resulting soft limit. Used by the
-    /// wait-fan-out benchmark, where the daemon and its thousands of
-    /// long-poll clients share one process (two fds per waiter). Only
-    /// privileged processes may raise the hard limit; unprivileged ones
-    /// get the soft limit raised to the hard cap and the caller scales
-    /// down to whatever comes back.
-    pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-        let mut limit = Rlimit {
-            rlim_cur: 0,
-            rlim_max: 0,
-        };
-        // SAFETY: writes into a live struct; return value checked.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if limit.rlim_cur >= want {
-            return Ok(limit.rlim_cur);
-        }
-        let raised = Rlimit {
-            rlim_cur: want.max(limit.rlim_cur),
-            rlim_max: want.max(limit.rlim_max),
-        };
-        // SAFETY: passes a live struct by const pointer.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
-            return Ok(raised.rlim_cur);
-        }
-        // Raising the hard limit needs privilege; fall back to lifting
-        // the soft limit to the existing hard cap.
-        let best_effort = Rlimit {
-            rlim_cur: limit.rlim_max,
-            rlim_max: limit.rlim_max,
-        };
-        // SAFETY: same as above.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &best_effort) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(best_effort.rlim_cur)
-    }
 
     #[cfg(test)]
     mod tests {

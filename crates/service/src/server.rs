@@ -26,11 +26,9 @@
 //! GET/POST /v1/peer/psg/<key>        fetch / write-through one PSG trace
 //! ```
 //!
-//! Endpoints that predate versioning are still served at their
-//! unversioned paths as deprecated aliases (byte-identical bodies plus
-//! a `Deprecation:` header); endpoints born under `/v1` (the listing,
-//! `wait`, `diff`) answer their unversioned spelling with a
-//! `308 Permanent Redirect`. Errors are structured
+//! The unversioned spelling of every endpoint answers
+//! `308 Permanent Redirect` to its `/v1` path, query string kept.
+//! Errors are structured
 //! [`ApiError`] bodies whose code pins the HTTP status.
 //!
 //! Connections speak HTTP/1.1 keep-alive: one socket carries any number
@@ -398,7 +396,7 @@ pub(crate) enum Action {
 
 /// One routed response. Bodies are `Bytes` so a cached profile image is
 /// served by refcount bump, not a per-request deep copy; `headers`
-/// carries endpoint metadata (`Allow:`, `Location:`, `Deprecation:`).
+/// carries endpoint metadata (`Allow:`, `Location:`, `Retry-After:`).
 pub(crate) struct Response {
     pub(crate) code: u16,
     pub(crate) content_type: String,
@@ -530,27 +528,11 @@ fn allowed_methods(segments: &[&str]) -> Option<&'static str> {
     })
 }
 
-/// Whether this endpoint was born under `/v1` (no pre-versioning
-/// clients exist for it): its unversioned spelling answers `308`.
-fn born_in_v1(method: &str, segments: &[&str]) -> bool {
-    matches!(
-        (method, segments),
-        ("GET", ["jobs"])
-            | ("GET", ["jobs", _, "wait"])
-            | ("GET", ["jobs", _, "trace"])
-            | ("GET", ["metrics"])
-            | ("POST", ["diff"])
-            | ("GET", ["store"])
-            | ("POST", ["store", "gc"])
-            | (_, ["peer", ..])
-    )
-}
-
 pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
     let (path, query) = paths::split_target(&request.path);
     let mut segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     // Version handling: strip the served version, reject recognizable
-    // foreign ones, and fall through for legacy (unversioned) paths.
+    // foreign ones, and redirect unversioned spellings below.
     let versioned = match segments.first() {
         Some(&segment) if segment == paths::API_VERSION => {
             segments.remove(0);
@@ -589,7 +571,7 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
         response.headers.push(("Allow", allowed.to_string()));
         return (Routed::Done(response), Action::None);
     }
-    if !versioned && born_in_v1(method, &segments) {
+    if !versioned {
         let location = if query.is_empty() {
             format!("/v1/{}", segments.join("/"))
         } else {
@@ -601,7 +583,7 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
         return (Routed::Done(response), Action::None);
     }
 
-    let (routed, action) = match (method, segments.as_slice()) {
+    match (method, segments.as_slice()) {
         ("GET", ["healthz"]) => (
             Routed::Done(json_response(
                 200,
@@ -662,22 +644,7 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
             ))),
             Action::None,
         ),
-    };
-    if !versioned {
-        // Legacy alias: identical bytes, plus machine-readable notice
-        // of where the endpoint lives now. Parked variants never get
-        // here: `wait` and `diff` were born under `/v1`, so their
-        // unversioned spellings already answered `308` above.
-        if let Routed::Done(mut response) = routed {
-            response.headers.push(("Deprecation", "true".to_string()));
-            response.headers.push((
-                "Link",
-                format!("</v1/{}>; rel=\"successor-version\"", segments.join("/")),
-            ));
-            return (Routed::Done(response), action);
-        }
     }
-    (routed, action)
 }
 
 /// Memory-only daemons report all-zero store counters rather than

@@ -1,19 +1,14 @@
-//! The `/v1` protocol over real TCP sockets: versioned routing, legacy
-//! alias shims, the job listing, server-side long-poll, and the diff
-//! endpoint.
-//!
-//! Complements `daemon.rs` (which pins the pre-versioning behavior —
-//! those paths must keep working unchanged as aliases).
+//! The `/v1` protocol over real TCP sockets: versioned routing, the
+//! redirect of unversioned paths, the job listing, server-side
+//! long-poll, and the diff endpoint.
 
-use scalana_api::{paths, ApiError, ErrorCode, JobPage, JobState, SubmitAck};
+use scalana_api::{paths, ApiError, ErrorCode, JobPage, JobState};
 use scalana_service::client::{self, Conn};
 use scalana_service::http::MessageReader;
 use scalana_service::json::Json;
 use scalana_service::{Server, ServiceConfig};
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn boot(workers: usize) -> String {
@@ -59,87 +54,56 @@ fn stat(conn: &mut Conn, key: &str) -> i64 {
 }
 
 #[test]
-fn v1_submit_wait_result_and_legacy_aliases_serve_identical_bytes() {
-    let addr = boot(2);
-    let mut conn = Conn::connect(&addr).unwrap();
-    let text = program_text(501_000);
-
-    // Submit under /v1; the ack decodes as the typed DTO.
-    let response = conn
-        .request_json("POST", paths::JOBS, &submit_body(&text, &[2, 4]))
-        .unwrap();
-    let ack = SubmitAck::from_json(&response).expect("typed ack");
-    assert!(!ack.cached());
-    let key = ack.job().to_string();
-
-    // Long-poll until done — a single request parks server-side.
-    let status = conn.wait_for_job(&key, Duration::from_secs(120)).unwrap();
-    assert_eq!(status.get("status").and_then(Json::as_str), Some("done"));
-
-    // The same resources under /v1 and the legacy alias: byte-identical.
-    let (code_v1, result_v1) = conn.request("GET", &paths::job_result(&key), "").unwrap();
-    let (code_legacy, result_legacy) = conn
-        .request("GET", &format!("/jobs/{key}/result"), "")
-        .unwrap();
-    assert_eq!((code_v1, code_legacy), (200, 200));
-    assert_eq!(result_v1, result_legacy, "alias must serve identical bytes");
-
-    // `uptime_ms` is a clock read, so the two sequential requests can
-    // legitimately differ by a millisecond; everything before it (it is
-    // the final field) must be byte-identical.
-    let (_, stats_v1) = conn.request("GET", paths::STATS, "").unwrap();
-    let (_, stats_legacy) = conn.request("GET", "/stats", "").unwrap();
-    let before_uptime = |body: &str| {
-        let cut = body.find(",\"uptime_ms\":").expect("stats carry uptime_ms");
-        body[..cut].to_string()
-    };
-    assert_eq!(before_uptime(&stats_v1), before_uptime(&stats_legacy));
-
-    // Profile images too.
-    let (code, image_v1) = conn
-        .request_raw("GET", &paths::job_profile(&key, 2), "")
-        .unwrap();
-    assert_eq!(code, 200);
-    let (_, image_legacy) = conn
-        .request_raw("GET", &format!("/jobs/{key}/profile/2"), "")
-        .unwrap();
-    assert_eq!(image_v1, image_legacy);
-
-    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
-}
-
-#[test]
-fn legacy_paths_carry_deprecation_headers_and_v1_does_not() {
+fn unversioned_paths_redirect_to_v1_with_the_query_kept() {
     let addr = boot(1);
     let mut conn = Conn::connect(&addr).unwrap();
 
-    // Pre-versioning endpoints: served, but marked deprecated.
-    let legacy = conn.request_full("GET", "/stats", "").unwrap();
-    assert_eq!(legacy.code, 200);
-    assert_eq!(legacy.header("Deprecation"), Some("true"));
-    assert_eq!(
-        legacy.header("Link"),
-        Some("</v1/stats>; rel=\"successor-version\"")
-    );
+    // Every method/path shape the router accepts.
+    let routes = [
+        ("GET", "/healthz"),
+        ("GET", "/stats"),
+        ("GET", "/metrics"),
+        ("POST", "/shutdown"),
+        ("GET", "/jobs"),
+        ("POST", "/jobs"),
+        ("GET", "/jobs/abc"),
+        ("GET", "/jobs/abc/result"),
+        ("GET", "/jobs/abc/wait"),
+        ("GET", "/jobs/abc/trace"),
+        ("GET", "/jobs/abc/profile/2"),
+        ("POST", "/diff"),
+        ("GET", "/store"),
+        ("POST", "/store/gc"),
+        ("GET", "/peer/ring"),
+        ("POST", "/peer/announce"),
+        ("GET", "/peer/profile/ff00"),
+        ("POST", "/peer/profile/ff00"),
+        ("GET", "/peer/psg/ff00"),
+        ("POST", "/peer/psg/ff00"),
+    ];
+    for (method, path) in routes {
+        for query in ["", "?state=done&limit=2"] {
+            let target = format!("{path}{query}");
+            let location = format!("{}{target}", paths::PREFIX);
+            let response = conn.request_full(method, &target, "{}").unwrap();
+            assert_eq!(response.code, 308, "{method} {target}");
+            assert_eq!(
+                response.header("Location"),
+                Some(location.as_str()),
+                "{method} {target}"
+            );
+            assert!(
+                response.header("Deprecation").is_none(),
+                "{method} {target}"
+            );
+        }
+    }
 
+    // The redirected `POST /shutdown` did not stop the daemon, and the
+    // versioned spelling carries no deprecation notice either.
     let versioned = conn.request_full("GET", paths::STATS, "").unwrap();
     assert_eq!(versioned.code, 200);
     assert!(versioned.header("Deprecation").is_none());
-
-    // Endpoints born under /v1 redirect their unversioned spelling.
-    for (method, target, location) in [
-        ("GET", "/jobs?state=done", "/v1/jobs?state=done"),
-        (
-            "GET",
-            "/jobs/abc/wait?timeout_ms=5",
-            "/v1/jobs/abc/wait?timeout_ms=5",
-        ),
-        ("POST", "/diff", "/v1/diff"),
-    ] {
-        let response = conn.request_full(method, target, "{}").unwrap();
-        assert_eq!(response.code, 308, "{method} {target}");
-        assert_eq!(response.header("Location"), Some(location));
-    }
 
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
@@ -154,7 +118,7 @@ fn wrong_methods_get_405_with_allow_header() {
         ("GET", "/v1/shutdown", "POST"),
         ("PUT", "/v1/jobs", "GET, POST"),
         ("GET", "/v1/diff", "POST"),
-        ("DELETE", "/jobs/abc", "GET"), // legacy paths get the same contract
+        ("DELETE", "/jobs/abc", "GET"), // unversioned paths get the same contract
     ] {
         let response = conn.request_full(method, target, "").unwrap();
         assert_eq!(response.code, 405, "{method} {target}");
@@ -409,81 +373,6 @@ fn diff_reuses_cached_profiles_and_is_deterministic() {
     );
 
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
-}
-
-/// Request counters of the [`legacy_stub`] server.
-#[derive(Default)]
-struct StubCounters {
-    wait_requests: AtomicU64,
-    polls: AtomicU64,
-}
-
-/// A minimal pre-`/v1` daemon: 404s the wait endpoint with the legacy
-/// error body (no `code` member) and serves plain status polls —
-/// exactly what PR 4's server did. The modern client must fall back to
-/// polling against it.
-fn legacy_stub() -> (String, Arc<StubCounters>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let counters = Arc::new(StubCounters::default());
-    let shared = Arc::clone(&counters);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let counters = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let mut reader = MessageReader::new(stream.try_clone().unwrap());
-                while let Ok(Some(request)) = reader.next_request() {
-                    let (code, body): (u16, String) = if request.path.contains("/wait") {
-                        counters.wait_requests.fetch_add(1, Ordering::SeqCst);
-                        (404, r#"{"error":"no such endpoint"}"#.to_string())
-                    } else if request.path.starts_with("/jobs/") {
-                        // Two pending polls, then done.
-                        let polls = counters.polls.fetch_add(1, Ordering::SeqCst);
-                        let status = if polls < 2 { "running" } else { "done" };
-                        (
-                            200,
-                            format!(
-                                r#"{{"job":"stub","program":"stub.mmpi","scales":[2],"status":"{status}"}}"#
-                            ),
-                        )
-                    } else {
-                        (404, r#"{"error":"no such endpoint"}"#.to_string())
-                    };
-                    let _ = scalana_service::http::write_response_conn(
-                        &stream,
-                        code,
-                        "application/json",
-                        body.as_bytes(),
-                        request.keep_alive,
-                    );
-                    if !request.keep_alive {
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    (addr, counters)
-}
-
-#[test]
-fn wait_falls_back_to_polling_against_pre_v1_servers() {
-    // Forward-compat: a server answering 404 (legacy body, no error
-    // code) on the wait path gets the plain polling loop instead.
-    let (addr, counters) = legacy_stub();
-    let mut conn = Conn::connect(&addr).unwrap();
-    let doc = conn.wait_for_job("stub", Duration::from_secs(10)).unwrap();
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
-    assert_eq!(
-        counters.wait_requests.load(Ordering::SeqCst),
-        1,
-        "exactly one probe of the wait endpoint"
-    );
-    assert!(
-        counters.polls.load(Ordering::SeqCst) >= 3,
-        "fell back to status polling"
-    );
 }
 
 #[test]

@@ -12,6 +12,7 @@
 //! - persisted profile images are served per scale and reload through
 //!   `scalana_profile::store`.
 
+use scalana_api::paths;
 use scalana_core::{pipeline, ScalAnaConfig};
 use scalana_lang::parse_program;
 use scalana_service::json::Json;
@@ -58,7 +59,7 @@ fn submit_body(name: &str, text: &str) -> String {
 }
 
 fn stat(addr: &str, key: &str) -> i64 {
-    let stats = client::request_json(addr, "GET", "/stats", "").unwrap();
+    let stats = client::request_json(addr, "GET", paths::STATS, "").unwrap();
     stats.get(key).and_then(Json::as_i64).unwrap()
 }
 
@@ -86,7 +87,7 @@ fn concurrent_submissions_cache_hits_and_byte_identical_reports() {
                 let addr = addr.clone();
                 scope.spawn(move || {
                     let response =
-                        client::request_json(&addr, "POST", "/jobs", &submit_body(name, text))
+                        client::request_json(&addr, "POST", paths::JOBS, &submit_body(name, text))
                             .unwrap();
                     response.get("job").unwrap().as_str().unwrap().to_string()
                 })
@@ -108,8 +109,7 @@ fn concurrent_submissions_cache_hits_and_byte_identical_reports() {
             Some("done"),
             "job {i}: {status}"
         );
-        let result =
-            client::request_json(&addr, "GET", &format!("/jobs/{}/result", keys[i]), "").unwrap();
+        let result = client::request_json(&addr, "GET", &paths::job_result(&keys[i]), "").unwrap();
         let served = result.get("report").unwrap().render();
         assert_eq!(
             served,
@@ -131,7 +131,8 @@ fn concurrent_submissions_cache_hits_and_byte_identical_reports() {
     // Re-submitting an identical, already-completed job is served from
     // the cache: hit counter moves, executed does not.
     let (name, text) = &specs[0];
-    let response = client::request_json(&addr, "POST", "/jobs", &submit_body(name, text)).unwrap();
+    let response =
+        client::request_json(&addr, "POST", paths::JOBS, &submit_body(name, text)).unwrap();
     assert_eq!(response.get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(response.get("status").and_then(Json::as_str), Some("done"));
     assert_eq!(stat(&addr, "cache_hits"), 4);
@@ -139,22 +140,17 @@ fn concurrent_submissions_cache_hits_and_byte_identical_reports() {
 
     // Persisted profile images come back through the store intact.
     for &nprocs in &SCALES {
-        let (code, image) = client::request_raw(
-            &addr,
-            "GET",
-            &format!("/jobs/{}/profile/{nprocs}", keys[0]),
-            "",
-        )
-        .unwrap();
+        let (code, image) =
+            client::request_raw(&addr, "GET", &paths::job_profile(&keys[0], nprocs), "").unwrap();
         assert_eq!(code, 200);
         let profile = scalana_profile::store::load(bytes::Bytes::from(image)).unwrap();
         assert_eq!(profile.nprocs, nprocs);
     }
     let (code, _) =
-        client::request_raw(&addr, "GET", &format!("/jobs/{}/profile/999", keys[0]), "").unwrap();
+        client::request_raw(&addr, "GET", &paths::job_profile(&keys[0], 999), "").unwrap();
     assert_eq!(code, 404);
 
-    client::request_json(&addr, "POST", "/shutdown", "").unwrap();
+    client::request_json(&addr, "POST", paths::SHUTDOWN, "").unwrap();
     server_thread.join().unwrap().unwrap();
 }
 
@@ -171,20 +167,20 @@ fn error_paths_over_the_wire() {
     let server_thread = std::thread::spawn(move || server.run());
 
     // Liveness.
-    let health = client::request_json(&addr, "GET", "/healthz", "").unwrap();
+    let health = client::request_json(&addr, "GET", paths::HEALTHZ, "").unwrap();
     assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
 
     // Bad submissions are 400s with a message.
-    let (code, body) = client::request(&addr, "POST", "/jobs", "{}").unwrap();
+    let (code, body) = client::request(&addr, "POST", paths::JOBS, "{}").unwrap();
     assert_eq!(code, 400);
     assert!(body.contains("error"), "{body}");
 
     // Unknown endpoints and jobs.
     let (code, _) = client::request(&addr, "GET", "/nope", "").unwrap();
     assert_eq!(code, 404);
-    let (code, _) = client::request(&addr, "GET", "/jobs/doesnotexist", "").unwrap();
+    let (code, _) = client::request(&addr, "GET", &paths::job("doesnotexist"), "").unwrap();
     assert_eq!(code, 404);
-    let (code, _) = client::request(&addr, "DELETE", "/jobs/x", "").unwrap();
+    let (code, _) = client::request(&addr, "DELETE", &paths::job("x"), "").unwrap();
     assert_eq!(code, 405);
 
     // A job that fails to parse surfaces its error through status and
@@ -195,12 +191,12 @@ fn error_paths_over_the_wire() {
         ("scales", vec![2usize].into()),
     ])
     .render();
-    let response = client::request_json(&addr, "POST", "/jobs", &bad).unwrap();
+    let response = client::request_json(&addr, "POST", paths::JOBS, &bad).unwrap();
     let key = response.get("job").unwrap().as_str().unwrap().to_string();
     let status = client::wait_for_job(&addr, &key, Duration::from_secs(60)).unwrap();
     assert_eq!(status.get("status").and_then(Json::as_str), Some("failed"));
     assert!(status.get("error").is_some());
-    let (code, _) = client::request(&addr, "GET", &format!("/jobs/{key}/result"), "").unwrap();
+    let (code, _) = client::request(&addr, "GET", &paths::job_result(&key), "").unwrap();
     assert_eq!(code, 500);
 
     // Result of a queued-but-never-run job (workers busy is hard to
@@ -215,11 +211,11 @@ fn error_paths_over_the_wire() {
         ("scales", vec![2usize, 4].into()),
     ])
     .render();
-    let response = client::request_json(&addr, "POST", "/jobs", &pending).unwrap();
+    let response = client::request_json(&addr, "POST", paths::JOBS, &pending).unwrap();
     let key = response.get("job").unwrap().as_str().unwrap().to_string();
-    let (code, _) = client::request(&addr, "GET", &format!("/jobs/{key}/result"), "").unwrap();
+    let (code, _) = client::request(&addr, "GET", &paths::job_result(&key), "").unwrap();
     assert!(code == 409 || code == 200, "got {code}");
 
-    client::request_json(&addr, "POST", "/shutdown", "").unwrap();
+    client::request_json(&addr, "POST", paths::SHUTDOWN, "").unwrap();
     server_thread.join().unwrap().unwrap();
 }

@@ -6,6 +6,7 @@
 //!   head/body byte budget;
 //! - `Connection: close` and protocol garbage actually close the socket.
 
+use scalana_api::paths;
 use scalana_service::client::{self, Conn};
 use scalana_service::http::MessageReader;
 use scalana_service::json::Json;
@@ -45,22 +46,24 @@ fn one_connection_carries_submit_poll_and_result() {
     let mut conn = Conn::connect(&addr).unwrap();
 
     // submit → status polls → result → stats, all on one socket.
-    let response = conn.request_json("POST", "/jobs", &submit_body()).unwrap();
+    let response = conn
+        .request_json("POST", paths::JOBS, &submit_body())
+        .unwrap();
     let key = response.get("job").unwrap().as_str().unwrap().to_string();
     let status = conn.wait_for_job(&key, Duration::from_secs(60)).unwrap();
     assert_eq!(status.get("status").and_then(Json::as_str), Some("done"));
     let result = conn
-        .request_json("GET", &format!("/jobs/{key}/result"), "")
+        .request_json("GET", &paths::job_result(&key), "")
         .unwrap();
     assert!(result.get("report").is_some());
-    let stats = conn.request_json("GET", "/stats", "").unwrap();
+    let stats = conn.request_json("GET", paths::STATS, "").unwrap();
     assert_eq!(stats.get("executed").and_then(Json::as_i64), Some(1));
     assert!(
         conn.is_alive(),
         "server must keep the connection open throughout"
     );
 
-    let _ = client::request(&addr, "POST", "/shutdown", "");
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 
 #[test]
@@ -73,10 +76,10 @@ fn pipelined_requests_answer_in_order() {
 
     // Three requests on the wire before reading a single response.
     let mut wire = Vec::new();
-    scalana_service::http::write_request_conn(&mut wire, "GET", "/healthz", b"", true).unwrap();
-    scalana_service::http::write_request_conn(&mut wire, "POST", "/jobs", b"not json", true)
+    scalana_service::http::write_request_conn(&mut wire, "GET", paths::HEALTHZ, b"", true).unwrap();
+    scalana_service::http::write_request_conn(&mut wire, "POST", paths::JOBS, b"not json", true)
         .unwrap();
-    scalana_service::http::write_request_conn(&mut wire, "GET", "/stats", b"", true).unwrap();
+    scalana_service::http::write_request_conn(&mut wire, "GET", paths::STATS, b"", true).unwrap();
     (&stream).write_all(&wire).unwrap();
 
     let mut reader = MessageReader::new(stream.try_clone().unwrap());
@@ -93,7 +96,7 @@ fn pipelined_requests_answer_in_order() {
     assert_eq!(code, 200);
     assert!(String::from_utf8(body).unwrap().contains("queue_depth"));
 
-    let _ = client::request(&addr, "POST", "/shutdown", "");
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 
 #[test]
@@ -109,8 +112,10 @@ fn per_request_budgets_renew_but_still_bound_each_request() {
     // per-connection budget would starve the second one.
     let pad = "a".repeat(12 << 10);
     for _ in 0..2 {
-        let head =
-            format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}\r\nConnection: keep-alive\r\n\r\n");
+        let head = format!(
+            "GET {} HTTP/1.1\r\nX-Pad: {pad}\r\nConnection: keep-alive\r\n\r\n",
+            paths::HEALTHZ
+        );
         (&stream).write_all(head.as_bytes()).unwrap();
         let (code, _, keep) = reader.next_response().unwrap();
         assert_eq!(code, 200, "near-limit head must be admitted");
@@ -121,7 +126,10 @@ fn per_request_budgets_renew_but_still_bound_each_request() {
     // its headers alone (the body is never sent, so nothing is left
     // unread) and the connection closes — the stream would be
     // desynchronized past this point.
-    let oversized = "POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n";
+    let oversized = format!(
+        "POST {} HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+        paths::JOBS
+    );
     (&stream).write_all(oversized.as_bytes()).unwrap();
     let (code, _, keep) = reader.next_response().unwrap();
     assert_eq!(code, 400);
@@ -132,7 +140,7 @@ fn per_request_budgets_renew_but_still_bound_each_request() {
     let _ = raw.read_to_end(&mut rest);
     assert!(rest.is_empty(), "no further responses after the close");
 
-    let _ = client::request(&addr, "POST", "/shutdown", "");
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 
 #[test]
@@ -142,7 +150,7 @@ fn connection_close_is_honored() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    scalana_service::http::write_request(&stream, "GET", "/healthz", b"").unwrap();
+    scalana_service::http::write_request(&stream, "GET", paths::HEALTHZ, b"").unwrap();
     let mut reader = MessageReader::new(stream.try_clone().unwrap());
     let (code, _, keep) = reader.next_response().unwrap();
     assert_eq!(code, 200);
@@ -152,5 +160,5 @@ fn connection_close_is_honored() {
     let _ = raw.read_to_end(&mut rest);
     assert!(rest.is_empty(), "socket closed after the one exchange");
 
-    let _ = client::request(&addr, "POST", "/shutdown", "");
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }

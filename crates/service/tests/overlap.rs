@@ -9,6 +9,7 @@
 //! asserted as `/stats` deltas.
 
 use proptest::prelude::*;
+use scalana_api::paths;
 use scalana_core::{pipeline, ScalAnaConfig};
 use scalana_lang::parse_program;
 use scalana_service::json::Json;
@@ -63,7 +64,7 @@ fn submit(addr: &str, conn: &mut client::Conn, text: &str, scales: &[usize]) -> 
     ])
     .render();
     let response = conn
-        .request_json("POST", "/jobs", &body)
+        .request_json("POST", paths::JOBS, &body)
         .unwrap_or_else(|e| panic!("submit to {addr} failed: {e}"));
     let key = response.get("job").unwrap().as_str().unwrap();
     conn.wait_for_job(key, Duration::from_secs(120))
@@ -72,7 +73,7 @@ fn submit(addr: &str, conn: &mut client::Conn, text: &str, scales: &[usize]) -> 
 }
 
 fn scale_stats(conn: &mut client::Conn) -> (i64, i64) {
-    let stats = conn.request_json("GET", "/stats", "").unwrap();
+    let stats = conn.request_json("GET", paths::STATS, "").unwrap();
     (
         stats.get("scale_hits").and_then(Json::as_i64).unwrap(),
         stats.get("scale_misses").and_then(Json::as_i64).unwrap(),
@@ -151,7 +152,7 @@ proptest! {
         let expected_report = report_to_json(&pipeline::assemble(runs, &config).report).render();
 
         let result = conn
-            .request_json("GET", &format!("/jobs/{key}/result"), "")
+            .request_json("GET", &paths::job_result(&key), "")
             .unwrap();
         prop_assert_eq!(
             result.get("report").unwrap().render(),
@@ -162,7 +163,7 @@ proptest! {
         );
         for (&nprocs, expected) in full.iter().zip(&expected_images) {
             let (code, image) = conn
-                .request_raw("GET", &format!("/jobs/{key}/profile/{nprocs}"), "")
+                .request_raw("GET", &paths::job_profile(&key, nprocs), "")
                 .unwrap();
             prop_assert_eq!(code, 200);
             prop_assert_eq!(

@@ -23,7 +23,7 @@ pub use spec::{GExpr, GStmt, Spec};
 use proptest::test_runner::TestRng;
 
 /// Generate the spec for `(base seed, case index)` — the same
-/// derivation [`harness::run`] uses, exposed for benches and replays.
+/// derivation [`harness::run`] uses, exposed for the benchmark and replays.
 pub fn generate(base_seed: u64, case: usize) -> Spec {
     let mut rng = TestRng::from_seed(harness::case_seed(base_seed, case));
     gen::gen_spec(&mut rng, case as i64)
