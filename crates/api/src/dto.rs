@@ -664,182 +664,6 @@ impl StoreQuery {
     }
 }
 
-/// Whether a string is a well-formed federation cache key: exactly 16
-/// lowercase hex digits, the output shape of the service's stable
-/// hasher. Peer endpoints reject anything else up front, so a mutated
-/// key can never reach the cache layer.
-pub fn valid_peer_key(key: &str) -> bool {
-    key.len() == 16
-        && key
-            .bytes()
-            .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-}
-
-/// `GET /v1/peer/ring` response (also the answer to a successful
-/// announce): the responding daemon's identity and its sorted,
-/// deduplicated member list. Every member computes ownership over the
-/// same sorted list, so two daemons with equal `members` agree on the
-/// owner of every key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RingView {
-    /// The responding daemon's own advertised address.
-    pub self_addr: String,
-    /// All ring members (including `self_addr`), ascending.
-    pub members: Vec<String>,
-}
-
-impl RingView {
-    /// Canonical response body.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("self", self.self_addr.as_str().into()),
-            (
-                "members",
-                Json::Arr(self.members.iter().map(|m| m.as_str().into()).collect()),
-            ),
-        ])
-    }
-
-    /// Decode a ring document.
-    pub fn from_json(doc: &Json) -> Option<RingView> {
-        Some(RingView {
-            self_addr: doc.get("self")?.as_str()?.to_string(),
-            members: doc
-                .get("members")?
-                .as_array()?
-                .iter()
-                .map(|v| v.as_str().map(str::to_string))
-                .collect::<Option<_>>()?,
-        })
-    }
-}
-
-/// `POST /v1/peer/announce` request body: one peer introducing itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PeerAnnounce {
-    /// The announcing daemon's advertised `host:port` address.
-    pub addr: String,
-}
-
-impl PeerAnnounce {
-    /// Decode and validate an announce document. The address must parse
-    /// as a socket address — the receiver will dial it.
-    pub fn from_json(doc: &Json) -> Result<PeerAnnounce, ApiError> {
-        let Json::Obj(pairs) = doc else {
-            return Err(ApiError::bad_request("announce must be a JSON object"));
-        };
-        if let Some((key, _)) = pairs.iter().find(|(k, _)| k != "addr") {
-            return Err(ApiError::new(
-                ErrorCode::UnknownField,
-                format!("unknown field `{key}`"),
-            ));
-        }
-        let addr = doc
-            .get("addr")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request("`addr` must be a string"))?;
-        if addr.parse::<std::net::SocketAddr>().is_err() {
-            return Err(ApiError::bad_request(
-                "`addr` must be a dialable `host:port` socket address",
-            ));
-        }
-        Ok(PeerAnnounce {
-            addr: addr.to_string(),
-        })
-    }
-
-    /// Canonical request body.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![("addr", self.addr.as_str().into())])
-    }
-}
-
-/// One cache entry on the peer wire (`GET`/`POST /v1/peer/profile/<key>`
-/// and `/v1/peer/psg/<key>`): the content-addressed key plus the entry's
-/// bytes, hex-encoded so the body stays valid JSON text regardless of
-/// payload content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PeerBlob {
-    /// The entry's cache key (16 lowercase hex digits).
-    pub key: String,
-    /// Hex-encoded entry bytes.
-    pub payload: String,
-}
-
-impl PeerBlob {
-    /// Wrap raw entry bytes for the wire.
-    pub fn from_bytes(key: impl Into<String>, bytes: &[u8]) -> PeerBlob {
-        let mut payload = String::with_capacity(bytes.len() * 2);
-        for b in bytes {
-            payload.push(char::from_digit((b >> 4) as u32, 16).unwrap());
-            payload.push(char::from_digit((b & 0xf) as u32, 16).unwrap());
-        }
-        PeerBlob {
-            key: key.into(),
-            payload,
-        }
-    }
-
-    /// Decode the hex payload back into entry bytes.
-    pub fn bytes(&self) -> Result<Vec<u8>, ApiError> {
-        if !self.payload.len().is_multiple_of(2) {
-            return Err(ApiError::bad_request("`payload` must be even-length hex"));
-        }
-        let digit = |b: u8| -> Result<u8, ApiError> {
-            (b as char)
-                .to_digit(16)
-                .map(|d| d as u8)
-                .ok_or_else(|| ApiError::bad_request("`payload` must be hex"))
-        };
-        let raw = self.payload.as_bytes();
-        let mut bytes = Vec::with_capacity(raw.len() / 2);
-        for pair in raw.chunks_exact(2) {
-            bytes.push((digit(pair[0])? << 4) | digit(pair[1])?);
-        }
-        Ok(bytes)
-    }
-
-    /// Decode and validate a peer blob document.
-    pub fn from_json(doc: &Json) -> Result<PeerBlob, ApiError> {
-        let Json::Obj(pairs) = doc else {
-            return Err(ApiError::bad_request("peer blob must be a JSON object"));
-        };
-        if let Some((key, _)) = pairs.iter().find(|(k, _)| k != "key" && k != "payload") {
-            return Err(ApiError::new(
-                ErrorCode::UnknownField,
-                format!("unknown field `{key}`"),
-            ));
-        }
-        let key = doc
-            .get("key")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request("`key` must be a string"))?;
-        if !valid_peer_key(key) {
-            return Err(ApiError::bad_request(
-                "`key` must be 16 lowercase hex digits",
-            ));
-        }
-        let payload = doc
-            .get("payload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ApiError::bad_request("`payload` must be a string"))?;
-        let blob = PeerBlob {
-            key: key.to_string(),
-            payload: payload.to_string(),
-        };
-        blob.bytes()?;
-        Ok(blob)
-    }
-
-    /// Canonical wire body.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("key", self.key.as_str().into()),
-            ("payload", self.payload.as_str().into()),
-        ])
-    }
-}
-
 /// `POST /v1/diff` request body: two submissions to run (or reuse) and
 /// compare.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -940,12 +764,6 @@ pub struct StatsResponse {
     pub store_bytes: u64,
     /// 1 while the store's write breaker is open (memory-only), else 0.
     pub store_degraded: u64,
-    /// Requests made to federation peers (fetches + write-throughs).
-    pub peer_requests: u64,
-    /// Cache entries served by a federation peer.
-    pub peer_hits: u64,
-    /// Write-through entries queued but not yet offered to their owner.
-    pub peer_backlog: u64,
     /// Daemon crate version, so fleet tooling can tell restarts from
     /// stalls (empty when talking to a pre-version daemon).
     pub version: String,
@@ -984,9 +802,6 @@ impl StatsResponse {
             ("store_entries", self.store_entries.into()),
             ("store_bytes", self.store_bytes.into()),
             ("store_degraded", self.store_degraded.into()),
-            ("peer_requests", self.peer_requests.into()),
-            ("peer_hits", self.peer_hits.into()),
-            ("peer_backlog", self.peer_backlog.into()),
             ("version", self.version.as_str().into()),
             ("uptime_ms", self.uptime_ms.into()),
         ])
@@ -1023,9 +838,6 @@ impl StatsResponse {
             store_entries: n("store_entries") as u64,
             store_bytes: n("store_bytes") as u64,
             store_degraded: n("store_degraded") as u64,
-            peer_requests: n("peer_requests") as u64,
-            peer_hits: n("peer_hits") as u64,
-            peer_backlog: n("peer_backlog") as u64,
             version: doc
                 .get("version")
                 .and_then(Json::as_str)
@@ -1341,65 +1153,5 @@ mod tests {
                 .code,
             ErrorCode::UnknownField
         );
-    }
-
-    #[test]
-    fn ring_and_announce_round_trip() {
-        let ring = RingView {
-            self_addr: "127.0.0.1:7878".to_string(),
-            members: vec!["127.0.0.1:7878".to_string(), "127.0.0.1:7879".to_string()],
-        };
-        assert_eq!(
-            ring.to_json().render(),
-            r#"{"self":"127.0.0.1:7878","members":["127.0.0.1:7878","127.0.0.1:7879"]}"#
-        );
-        assert_eq!(RingView::from_json(&ring.to_json()).unwrap(), ring);
-
-        let announce = PeerAnnounce {
-            addr: "127.0.0.1:7879".to_string(),
-        };
-        assert_eq!(
-            PeerAnnounce::from_json(&announce.to_json()).unwrap(),
-            announce
-        );
-        for (body, code) in [
-            (r#"{"addr":"not-an-addr"}"#, ErrorCode::BadRequest),
-            (r#"{"addr":7879}"#, ErrorCode::BadRequest),
-            (r#"{"addr":"127.0.0.1:1","x":1}"#, ErrorCode::UnknownField),
-            ("[1]", ErrorCode::BadRequest),
-        ] {
-            let err = PeerAnnounce::from_json(&parse(body).unwrap()).unwrap_err();
-            assert_eq!(err.code, code, "{body} -> {err}");
-        }
-    }
-
-    #[test]
-    fn peer_blobs_round_trip_and_validate() {
-        let blob = PeerBlob::from_bytes("00ff5ca1a71e57ed", &[0x00, 0xab, 0xff]);
-        assert_eq!(blob.payload, "00abff");
-        assert_eq!(blob.bytes().unwrap(), vec![0x00, 0xab, 0xff]);
-        assert_eq!(PeerBlob::from_json(&blob.to_json()).unwrap(), blob);
-        assert_eq!(
-            blob.to_json().render(),
-            r#"{"key":"00ff5ca1a71e57ed","payload":"00abff"}"#
-        );
-
-        assert!(valid_peer_key("00ff5ca1a71e57ed"));
-        assert!(!valid_peer_key("00FF5CA1A71E57ED"), "uppercase rejected");
-        assert!(!valid_peer_key("00ff5ca1a71e57e"), "length pinned");
-        assert!(!valid_peer_key("zzff5ca1a71e57ed"));
-        for body in [
-            r#"{"key":"short","payload":""}"#,
-            r#"{"key":"00ff5ca1a71e57ed","payload":"abc"}"#,
-            r#"{"key":"00ff5ca1a71e57ed","payload":"zz"}"#,
-            r#"{"key":"00ff5ca1a71e57ed","payload":"ab","x":1}"#,
-            r#"{"payload":"ab"}"#,
-            "[1]",
-        ] {
-            assert!(
-                PeerBlob::from_json(&parse(body).unwrap()).is_err(),
-                "{body} should be rejected"
-            );
-        }
     }
 }

@@ -23,8 +23,10 @@
 //! Everything current lives under [`paths::PREFIX`] (`/v1`). Within a
 //! version the contract only grows: new endpoints, new optional request
 //! fields, new response fields, new error codes — never changed meanings
-//! or removed fields. The unversioned spelling of every endpoint answers
-//! `308 Permanent Redirect` to its `/v1` path, query string kept.
+//! or removed fields, short of deleting a whole feature (the README's
+//! versioning notes list each such removal). The unversioned spelling
+//! of every endpoint answers `308 Permanent Redirect` to its `/v1` path,
+//! query string kept.
 
 pub mod diff;
 pub mod dto;
@@ -34,9 +36,8 @@ pub mod paths;
 pub mod trace;
 
 pub use dto::{
-    DiffRequest, JobPage, JobState, JobView, ListQuery, PeerAnnounce, PeerBlob, ProgramRef,
-    ResultView, RingView, StatsResponse, StoreQuery, SubmitAck, SubmitRequest, WaitQuery,
-    DEFAULT_SCALES, MAX_SCALE,
+    DiffRequest, JobPage, JobState, JobView, ListQuery, ProgramRef, ResultView, StatsResponse,
+    StoreQuery, SubmitAck, SubmitRequest, WaitQuery, DEFAULT_SCALES, MAX_SCALE,
 };
 pub use error::{ApiError, ErrorCode};
 pub use json::Json;

@@ -42,31 +42,6 @@ pub const STORE: &str = "/v1/store";
 /// `Retry-After` while the store is degraded to memory-only mode.
 pub const STORE_GC: &str = "/v1/store/gc";
 
-/// `GET {PEER_RING}` — the federation ring as this daemon sees it
-/// ([`crate::dto::RingView`]): its own identity plus the sorted member
-/// list. Served by every daemon, federated or not (a standalone daemon
-/// answers with a single-member ring of itself).
-pub const PEER_RING: &str = "/v1/peer/ring";
-
-/// `POST {PEER_ANNOUNCE}` — a peer introduces itself
-/// ([`crate::dto::PeerAnnounce`]); the receiver merges the address into
-/// its member set and answers with its updated [`crate::dto::RingView`].
-pub const PEER_ANNOUNCE: &str = "/v1/peer/announce";
-
-/// `GET` — fetch one per-scale profile image by its content-addressed
-/// cache key (hex payload in a [`crate::dto::PeerBlob`]); `POST` the
-/// same shape writes an entry through to the owner.
-pub fn peer_profile(key: &str) -> String {
-    format!("/v1/peer/profile/{key}")
-}
-
-/// `GET` — fetch one refined-PSG trace by its content-addressed cache
-/// key (hex payload in a [`crate::dto::PeerBlob`]); `POST` writes one
-/// through to the owner.
-pub fn peer_psg(key: &str) -> String {
-    format!("/v1/peer/psg/{key}")
-}
-
 /// `GET` — status of one job.
 pub fn job(key: &str) -> String {
     format!("/v1/jobs/{key}")
@@ -171,12 +146,6 @@ mod tests {
         assert!(METRICS.starts_with(PREFIX));
         assert!(STORE.starts_with(PREFIX));
         assert!(STORE_GC.starts_with(STORE));
-        assert_eq!(peer_profile("ff00"), "/v1/peer/profile/ff00");
-        assert_eq!(peer_psg("ff00"), "/v1/peer/psg/ff00");
-        assert!(PEER_RING.starts_with(PREFIX));
-        assert!(PEER_ANNOUNCE.starts_with(PREFIX));
-        assert!(peer_profile("k").starts_with("/v1/peer/"));
-        assert!(peer_psg("k").starts_with("/v1/peer/"));
     }
 
     #[test]

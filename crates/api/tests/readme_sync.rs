@@ -28,51 +28,8 @@ fn readme_documents_every_endpoint() {
         "/v1/jobs/<id>/result",
         "/v1/jobs/<id>/profile/<p>",
         "/v1/jobs/<id>/trace",
-        "/v1/peer/profile/<key>",
-        "/v1/peer/psg/<key>",
     ] {
         assert!(README.contains(pattern), "README is missing `{pattern}`");
-    }
-}
-
-#[test]
-fn readme_documents_federation() {
-    assert!(
-        README.contains("### Federation"),
-        "README is missing the `Federation` section"
-    );
-    for path in [paths::PEER_RING, paths::PEER_ANNOUNCE] {
-        assert!(README.contains(path), "README is missing endpoint `{path}`");
-    }
-    for dto in ["RingView", "PeerAnnounce", "PeerBlob", "StoreQuery"] {
-        assert!(README.contains(dto), "README is missing DTO `{dto}`");
-    }
-    // The federation metric families; the golden exposition test
-    // (`crates/service/tests/obs.rs`) pins the same names on the wire.
-    for family in [
-        "scalana_peer_requests_total",
-        "scalana_peer_hits_total",
-        "scalana_peer_fetch_ns",
-        "scalana_peer_backlog",
-        "scalana_peer_breaker_open",
-        "scalana_peer_ring_size",
-    ] {
-        assert!(
-            README.contains(family),
-            "README is missing metric family `{family}`"
-        );
-    }
-    for concept in [
-        "--peer",
-        "--self-addr",
-        "rendezvous",
-        "circuit breaker",
-        "next_after",
-    ] {
-        assert!(
-            README.contains(concept),
-            "README's federation section must cover `{concept}`"
-        );
     }
 }
 
@@ -88,6 +45,7 @@ fn readme_documents_the_dtos_and_error_codes() {
         "DiffRequest",
         "ResultView",
         "StatsResponse",
+        "StoreQuery",
         "TraceResponse",
         "TraceSpan",
     ] {
@@ -188,6 +146,7 @@ fn readme_documents_durability() {
         "quarantine",
         "circuit",
         "warm-start",
+        "next_after",
     ] {
         assert!(
             README.contains(concept),

@@ -7,8 +7,7 @@
 //!                              [--param NAME=V]... [--json]
 //! scalana apps     [--list | --run NAME [--scales ...]]
 //! scalana serve    [--addr 127.0.0.1:7878] [--workers N] [--queue-capacity N]
-//!                  [--store-dir DIR] [--store-quota BYTES]
-//!                  [--peer ADDR]... [--self-addr ADDR] [--idle-timeout SECS]
+//!                  [--store-dir DIR] [--store-quota BYTES] [--idle-timeout SECS]
 //! scalana submit   (<file.mmpi> | --app NAME | --program-hash HASH) [--addr A]
 //!                  [--scales ...] [--abnorm-thd X] [--top K]
 //!                  [--param NAME=V]... [--wait]
@@ -65,8 +64,7 @@ const USAGE: &str = "usage:
                                [--top K] [--param NAME=VALUE]... [--json]
   scalana apps     [--list | --run NAME [--scales 4,8,16,32]]
   scalana serve    [--addr 127.0.0.1:7878] [--workers N] [--queue-capacity N]
-                   [--store-dir DIR] [--store-quota BYTES]
-                   [--peer ADDR]... [--self-addr ADDR] [--idle-timeout SECS]
+                   [--store-dir DIR] [--store-quota BYTES] [--idle-timeout SECS]
   scalana submit   (<file.mmpi> | --app NAME | --program-hash HASH)
                    [--addr ADDR] [--scales ...] [--abnorm-thd X] [--top K]
                    [--param NAME=VALUE]... [--wait]
@@ -313,18 +311,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--store-quota needs BYTES")?;
                 config.store_quota = v.parse().map_err(|e| format!("bad --store-quota: {e}"))?;
             }
-            "--peer" => {
-                let v = it.next().ok_or("--peer needs an ADDR")?;
-                v.parse::<std::net::SocketAddr>()
-                    .map_err(|e| format!("bad --peer `{v}`: {e}"))?;
-                config.peers.push(v.clone());
-            }
-            "--self-addr" => {
-                let v = it.next().ok_or("--self-addr needs an ADDR")?;
-                v.parse::<std::net::SocketAddr>()
-                    .map_err(|e| format!("bad --self-addr `{v}`: {e}"))?;
-                config.self_addr = Some(v.clone());
-            }
             "--idle-timeout" => {
                 let v = it.next().ok_or("--idle-timeout needs SECS")?;
                 let secs: u64 = v.parse().map_err(|e| format!("bad --idle-timeout: {e}"))?;
@@ -350,17 +336,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         println!(
             "durable store at {dir} (quota {} bytes)",
             config.store_quota
-        );
-    }
-    if !config.peers.is_empty() {
-        println!(
-            "federated as {} with {} seed peer(s): {}",
-            config
-                .self_addr
-                .clone()
-                .unwrap_or_else(|| server.local_addr().to_string()),
-            config.peers.len(),
-            config.peers.join(", ")
         );
     }
     // The smoke script and tests scrape the address from this line; make

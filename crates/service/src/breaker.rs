@@ -1,10 +1,9 @@
-//! The circuit-breaker ladder shared by the durable store (disk faults)
-//! and the per-peer clients (dead daemons): [`TRIP`] consecutive
-//! failures open it, the open interval doubles from [`BASE_BACKOFF`] up
-//! to [`MAX_BACKOFF`], one half-open probe is admitted per interval,
-//! and one success closes it entirely. While open the guarded tier is
-//! skipped without I/O, so a full disk costs durability and a dead peer
-//! costs remote hits — never availability or correctness.
+//! The durable store's circuit breaker (disk faults): [`TRIP`]
+//! consecutive failures open it, the open interval doubles from
+//! [`BASE_BACKOFF`] up to [`MAX_BACKOFF`], one half-open probe is
+//! admitted per interval, and one success closes it entirely. While
+//! open the store is skipped without I/O, so a full disk costs
+//! durability — never availability or correctness.
 
 use std::time::{Duration, Instant};
 
@@ -43,10 +42,6 @@ impl Breaker {
         *self = Breaker::new();
     }
 
-    pub(crate) fn on_failure(&mut self, now: Instant) {
-        self.on_failures(1, now);
-    }
-
     /// `count` attempts that failed as one (a batch commit): they all
     /// count toward [`TRIP`], the backoff takes one step.
     pub(crate) fn on_failures(&mut self, count: u32, now: Instant) {
@@ -71,15 +66,15 @@ mod tests {
         let mut b = Breaker::new();
         let t0 = Instant::now();
         assert!(b.admit(t0));
-        b.on_failure(t0);
-        b.on_failure(t0);
+        b.on_failures(1, t0);
+        b.on_failures(1, t0);
         assert!(b.admit(t0), "two failures stay closed");
-        b.on_failure(t0);
+        b.on_failures(1, t0);
         assert!(b.is_open());
         assert!(!b.admit(t0));
         assert!(b.admit(t0 + BASE_BACKOFF), "reopens after backoff");
         // A further failure doubles the interval.
-        b.on_failure(t0 + BASE_BACKOFF);
+        b.on_failures(1, t0 + BASE_BACKOFF);
         assert!(!b.admit(t0 + BASE_BACKOFF + BASE_BACKOFF));
         assert!(b.admit(t0 + BASE_BACKOFF + BASE_BACKOFF * 2));
         b.on_success();

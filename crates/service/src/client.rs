@@ -40,33 +40,8 @@ impl Conn {
     pub fn connect(addr: &str) -> Result<Conn, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        Conn::from_stream(stream, addr, Duration::from_secs(60))
-    }
-
-    /// Connect with explicit connect/read budgets — the federation peer
-    /// pool uses short budgets so one slow peer stalls a job by at most
-    /// a bounded interval before the local-simulation fallback engages.
-    /// `TcpStream::connect_timeout` wants a resolved address, so `addr`
-    /// is resolved first (the first resolution is used).
-    pub fn connect_with_timeout(
-        addr: &str,
-        connect: Duration,
-        read: Duration,
-    ) -> Result<Conn, String> {
-        use std::net::ToSocketAddrs;
-        let resolved = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("cannot resolve {addr}: {e}"))?
-            .next()
-            .ok_or_else(|| format!("{addr} resolves to no address"))?;
-        let stream = TcpStream::connect_timeout(&resolved, connect)
-            .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        Conn::from_stream(stream, addr, read)
-    }
-
-    fn from_stream(stream: TcpStream, addr: &str, read: Duration) -> Result<Conn, String> {
         stream
-            .set_read_timeout(Some(read))
+            .set_read_timeout(Some(Duration::from_secs(60)))
             .map_err(|e| e.to_string())?;
         // Small request/response exchanges; don't let Nagle batch them.
         let _ = stream.set_nodelay(true);

@@ -6,7 +6,7 @@
 //! job into its per-scale units so that
 //!
 //! 1. each requested scale is first resolved through the tier chain
-//!    ([`crate::tiers`]: memory, durable store, ring owner) and only
+//!    ([`crate::tiers`]: memory, then the durable store) and only
 //!    the misses are simulated, and
 //! 2. the misses are fanned out across the *whole worker pool* as
 //!    [`Task::Scale`] items instead of binding one worker per job — a
@@ -25,7 +25,6 @@
 //! constructor `scalana_core::assemble` uses.
 
 use crate::cache::Registry;
-use crate::federation::Federation;
 use crate::job::JobOutput;
 use crate::json::Json;
 use crate::jsonify::{render_report, run_summary_to_json};
@@ -33,7 +32,7 @@ use crate::metrics::ServiceMetrics;
 use crate::profile_cache::{CachedPsg, ProfileCache, PsgCache, ScaleGraph};
 use crate::queue::JobQueue;
 use crate::store::{self, DiskStore, EntryKind};
-use crate::tiers::{Owner, Tiers};
+use crate::tiers::Tiers;
 use bytes::Bytes;
 use scalana_api::trace::TraceSpan;
 use scalana_core::{
@@ -93,8 +92,6 @@ pub struct ExecCtx<'a> {
     pub psgs: &'a PsgCache,
     /// Disk tier, when `--store-dir` is configured.
     pub store: Option<&'a DiskStore>,
-    /// Fleet tier. `None` on a standalone executor (tests).
-    pub federation: Option<&'a Federation>,
     /// Observability handles (stage histograms, simulator counters).
     pub metrics: &'a ServiceMetrics,
 }
@@ -106,7 +103,6 @@ impl<'a> ExecCtx<'a> {
         Tiers {
             memory: self.profiles,
             disk: self.store,
-            owner: self.federation.map(|federation| federation as &dyn Owner),
         }
     }
 }
@@ -403,9 +399,10 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
 }
 
 /// Answer one scale without simulating, from the first tier that has a
-/// decodable image. An image of another rank count (a peer may post one
-/// under any key) counts as undecodable. Returns the slot with its
-/// `cache` and `decode` trace verdicts.
+/// decodable image. An image of another rank count (the store directory
+/// is outside input and may hold one under any key) counts as
+/// undecodable. Returns the slot with its `cache` and `decode` trace
+/// verdicts.
 fn cached_scale(
     ctx: &ExecCtx<'_>,
     psg: &Arc<Psg>,
@@ -558,7 +555,6 @@ mod tests {
             profiles,
             psgs,
             store,
-            federation: None,
             metrics,
         }
     }

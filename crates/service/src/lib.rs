@@ -24,10 +24,9 @@
 //! - [`queue`] / [`cache`] — bounded two-lane task queue and the
 //!   sharded content-addressed registry/result cache with hit/miss
 //!   counters;
-//! - [`tiers`] — the one place that decides which tier (memory, disk,
-//!   ring owner) answers a profile image or PSG discovery trace, which
-//!   tiers admit it and what is counted; it also runs the two
-//!   write-behind threads. The tiers themselves:
+//! - [`tiers`] — the one place that decides which tier (memory, then
+//!   disk) answers a profile image or PSG discovery trace, which tiers
+//!   admit it and what is counted. The tiers themselves:
 //!   - [`profile_cache`] — memory: resident profile images (each with
 //!     its lazily decoded PPG) and discovery traces; beside them the
 //!     refined-PSG cache and the program index;
@@ -38,8 +37,6 @@
 //!     an injectable [`StoreIo`] with a deterministic fault plan, a
 //!     write-failure circuit breaker into memory-only mode, and an
 //!     oldest-first quota sweep;
-//!   - [`federation`] — the fleet: rendezvous ring, gossip, per-peer
-//!     clients behind the same circuit breaker;
 //! - [`exec`] — per-scale job execution: scales resolve through the
 //!   chain and the misses fan out across the worker pool;
 //! - [`metrics`] — the daemon observing itself: one
@@ -81,7 +78,6 @@ mod breaker;
 pub mod cache;
 pub mod client;
 pub mod exec;
-pub mod federation;
 pub mod hash;
 pub mod http;
 pub mod job;
@@ -102,7 +98,6 @@ pub mod tiers;
 pub use scalana_api::json;
 
 pub use cache::{JobStatus, Registry, StatsSnapshot};
-pub use federation::{Federation, PeerClient, PeerMetrics, Ring};
 pub use job::{JobProgram, JobSpec};
 pub use json::Json;
 pub use jsonify::{analysis_to_json, report_to_json};

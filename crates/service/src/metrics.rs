@@ -61,13 +61,6 @@ pub struct ServiceMetrics {
     /// Long-poll subscriptions currently parked in the registry.
     pub longpoll_parked: Gauge,
 
-    /// Peer fetches actually put on the wire by the federation layer.
-    pub peer_requests: Counter,
-    /// Peer fetches answered with a decodable cache entry.
-    pub peer_hits: Counter,
-    /// Wall time of one remote peer fetch round trip.
-    pub peer_fetch_ns: Histogram,
-
     /// Simulator runs observed through the hook layer.
     pub sim_runs: Counter,
     /// Simulator events (comp/MPI/dep/indirect) across all runs.
@@ -115,9 +108,6 @@ impl ServiceMetrics {
             longpoll_parks: registry.counter("scalana_longpoll_parks_total"),
             longpoll_wakes: registry.counter("scalana_longpoll_wakes_total"),
             longpoll_parked: registry.gauge("scalana_longpoll_parked"),
-            peer_requests: registry.counter("scalana_peer_requests_total"),
-            peer_hits: registry.counter("scalana_peer_hits_total"),
-            peer_fetch_ns: registry.histogram("scalana_peer_fetch_ns"),
             sim_runs: registry.counter("scalana_sim_runs_total"),
             sim_events: registry.counter("scalana_sim_events_total"),
             sim_run_ns: registry.histogram("scalana_sim_run_ns"),

@@ -56,8 +56,8 @@ pub type ScaleGraph = (RunSummary, Ppg);
 /// entry, its decoded form. Both go when the entry is evicted.
 #[derive(Debug)]
 pub struct CachedScale {
-    /// The exact `scalana_profile::store` bytes — what the store, the
-    /// peers and `/v1/jobs/<id>/profile/<p>` traffic in.
+    /// The exact `scalana_profile::store` bytes — what the store and
+    /// `/v1/jobs/<id>/profile/<p>` traffic in.
     pub image: Bytes,
     /// `Some(None)` records an image that does not decode.
     decoded: OnceLock<Option<Arc<ScaleGraph>>>,
@@ -107,8 +107,8 @@ pub struct ProfileCache {
 /// `/stats` snapshot of a [`ProfileCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileCacheStats {
-    /// Requested scales some tier answered (no simulation): memory,
-    /// the durable store or the key's ring owner.
+    /// Requested scales some tier answered (no simulation): memory or
+    /// the durable store.
     pub hits: u64,
     /// Requested scales no tier answered, so they were simulated.
     /// `hits + misses` is the number of scales resolved.
@@ -158,9 +158,8 @@ impl ProfileCache {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Insert a scale's image (freshly simulated, preloaded from the
-    /// store, or offered by a peer). Only the bytes are retained until
-    /// a job hits the entry.
+    /// Insert a scale's image (freshly simulated, or read from the
+    /// store). Only the bytes are retained until a job hits the entry.
     pub fn store(&self, key: String, image: Bytes) {
         let outcome = self.images.insert(key, Arc::new(CachedScale::new(image)));
         if outcome.added {

@@ -20,10 +20,6 @@
 //! POST /v1/shutdown                  graceful stop
 //! GET  /v1/store?after=&limit=       durable store view (paginated listing)
 //! POST /v1/store/gc                  run one quota sweep
-//! GET  /v1/peer/ring                 federation ring (identity + members)
-//! POST /v1/peer/announce             a peer introduces itself
-//! GET/POST /v1/peer/profile/<key>    fetch / write-through one profile image
-//! GET/POST /v1/peer/psg/<key>        fetch / write-through one PSG trace
 //! ```
 //!
 //! The unversioned spelling of every endpoint answers
@@ -52,20 +48,18 @@
 
 use crate::cache::{JobStatus, Registry, RegistryObs, StatusView, SubmitOutcome, WaitOutcome};
 use crate::exec::{ExecCtx, Task};
-use crate::federation::{Federation, PeerMetrics};
 use crate::http::Request;
 use crate::job::{JobProgram, JobSpec};
 use crate::json::{parse, Json};
 use crate::metrics::ServiceMetrics;
 use crate::profile_cache::{ProfileCache, ProgramIndex, PsgCache};
 use crate::queue::JobQueue;
-use crate::store::{DiskStore, EntryKind, RealIo, StoreIo, StoreSnapshot};
-use crate::tiers::{Tiers, WriteBehind};
+use crate::store::{DiskStore, RealIo, StoreIo, StoreSnapshot};
+use crate::tiers::Tiers;
 use scalana_api::diff::DiffSide;
 use scalana_api::{
     dto, paths, ApiError, DiffRequest, ErrorCode, JobPage, JobState, JobView, ListQuery,
-    PeerAnnounce, PeerBlob, ProgramRef, StatsResponse, StoreQuery, SubmitAck, SubmitRequest,
-    WaitQuery,
+    ProgramRef, StatsResponse, StoreQuery, SubmitAck, SubmitRequest, WaitQuery,
 };
 use scalana_core::ScalAnaConfig;
 use scalana_obs::{self as obs, Family};
@@ -127,19 +121,8 @@ pub struct ServiceConfig {
     /// Filesystem access for the store. `None` uses the real
     /// filesystem; tests inject a [`crate::store::FaultIo`] here.
     pub store_io: Option<Arc<dyn StoreIo>>,
-    /// Federation seeds (`--peer`, repeatable): addresses of other
-    /// daemons to place on the rendezvous ring — the owner tier. Empty
-    /// keeps the daemon standalone (a single-member ring of itself,
-    /// owning every key).
-    pub peers: Vec<String>,
-    /// The address this daemon advertises to its peers (`--self-addr`).
-    /// `None` advertises the bound address — correct unless the daemon
-    /// binds a wildcard or sits behind a proxy.
-    pub self_addr: Option<String>,
     /// Idle keep-alive connections are closed after this long without a
-    /// request (`--idle-timeout`). Peer pools hold longer-lived idle
-    /// connections than interactive clients, so federated fleets often
-    /// raise it.
+    /// request (`--idle-timeout`).
     pub idle_timeout: Duration,
 }
 
@@ -161,8 +144,6 @@ impl Default for ServiceConfig {
             store_dir: None,
             store_quota: 0,
             store_io: None,
-            peers: Vec::new(),
-            self_addr: None,
             idle_timeout: Duration::from_secs(30),
         }
     }
@@ -187,10 +168,6 @@ pub(crate) struct State {
     /// The durable tier under the caches (`--store-dir`), or `None`
     /// for a memory-only daemon.
     pub(crate) store: Option<Arc<DiskStore>>,
-    /// The fleet tier: ring membership, peer clients, and the
-    /// write-behind offer queue. Always present — a standalone daemon
-    /// holds a single-member ring and every federation call is a no-op.
-    pub(crate) federation: Arc<Federation>,
     /// Idle keep-alive connections are swept after this long.
     pub(crate) idle_timeout: Duration,
     pub(crate) workers: usize,
@@ -228,7 +205,6 @@ impl State {
             profiles: &self.profiles,
             psgs: &self.psgs,
             store: self.store.as_deref(),
-            federation: Some(&self.federation),
             metrics: &self.metrics,
         }
     }
@@ -295,18 +271,6 @@ impl Server {
             let dir = std::path::Path::new(dir);
             Arc::new(DiskStore::open(io, dir, config.store_quota))
         });
-        // Fleet tier: ring identity defaults to the bound address (with
-        // an ephemeral port that *is* the only address peers can dial).
-        let self_addr = config.self_addr.clone().unwrap_or_else(|| addr.to_string());
-        let federation = Arc::new(Federation::new(
-            self_addr,
-            &config.peers,
-            PeerMetrics {
-                requests: metrics.peer_requests.clone(),
-                hits: metrics.peer_hits.clone(),
-                fetch_ns: metrics.peer_fetch_ns.clone(),
-            },
-        ));
         let state = Arc::new(State {
             registry,
             queue: JobQueue::new(config.queue_capacity),
@@ -314,7 +278,6 @@ impl Server {
             psgs: PsgCache::new(config.max_cached_psgs),
             programs: ProgramIndex::new(config.max_indexed_programs),
             store,
-            federation,
             idle_timeout: config.idle_timeout.max(Duration::from_secs(1)),
             workers: config.workers.max(1),
             shutdown: AtomicBool::new(false),
@@ -336,11 +299,18 @@ impl Server {
         self.state.addr
     }
 
-    /// Serve until `POST /v1/shutdown`. Blocks; spawns the worker pool,
-    /// then serves every connection from one epoll readiness loop.
+    /// Serve until `POST /v1/shutdown`. Blocks; spawns the store's
+    /// write-behind thread and the worker pool, then serves every
+    /// connection from one epoll readiness loop.
     #[cfg(target_os = "linux")]
     pub fn run(self) -> io::Result<()> {
-        let write_behind = WriteBehind::start(self.state.store.as_ref(), &self.state.federation);
+        // Started before the first worker runs, so a save enqueues
+        // instead of blocking a worker on fsync.
+        let writer = self
+            .state
+            .store
+            .as_ref()
+            .map(|store| (store, store.start_writer()));
         let workers: Vec<_> = (0..self.state.workers)
             .map(|i| {
                 let state = Arc::clone(&self.state);
@@ -357,7 +327,13 @@ impl Server {
         for worker in workers {
             let _ = worker.join();
         }
-        write_behind.shutdown();
+        // Only now, with the workers gone, can nothing more be enqueued
+        // and no `save` be left blocked on the bounded queue: closing it
+        // lets the writer drain every pending write to disk and exit.
+        if let Some((store, writer)) = writer {
+            store.stop_writer();
+            let _ = writer.join();
+        }
         served
     }
 
@@ -520,10 +496,6 @@ fn allowed_methods(segments: &[&str]) -> Option<&'static str> {
         ["diff"] => "POST",
         ["store"] => "GET",
         ["store", "gc"] => "POST",
-        ["peer", "ring"] => "GET",
-        ["peer", "announce"] => "POST",
-        ["peer", "profile", _] => "GET, POST",
-        ["peer", "psg", _] => "GET, POST",
         _ => return None,
     })
 }
@@ -612,29 +584,6 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
         ("POST", ["diff"]) => (diff(request, state), Action::None),
         ("GET", ["store"]) => (Routed::Done(store_info(query, state)), Action::None),
         ("POST", ["store", "gc"]) => (Routed::Done(store_gc(state)), Action::None),
-        ("GET", ["peer", "ring"]) => (
-            Routed::Done(json_response(200, state.federation.ring_view().to_json())),
-            Action::None,
-        ),
-        ("POST", ["peer", "announce"]) => {
-            (Routed::Done(peer_announce(request, state)), Action::None)
-        }
-        ("GET", ["peer", "profile", key]) => (
-            Routed::Done(peer_get(EntryKind::Profile, key, state)),
-            Action::None,
-        ),
-        ("GET", ["peer", "psg", key]) => (
-            Routed::Done(peer_get(EntryKind::PsgTrace, key, state)),
-            Action::None,
-        ),
-        ("POST", ["peer", "profile", key]) => (
-            Routed::Done(peer_post(EntryKind::Profile, key, request, state)),
-            Action::None,
-        ),
-        ("POST", ["peer", "psg", key]) => (
-            Routed::Done(peer_post(EntryKind::PsgTrace, key, request, state)),
-            Action::None,
-        ),
         // Unreachable given the allow-list check, but a 404 beats UB in
         // a long-lived daemon if the two tables ever drift.
         _ => (
@@ -663,7 +612,6 @@ fn stats(state: &State) -> StatsResponse {
     let scale = state.profiles.stats();
     let (psg_hits, psg_misses) = state.psgs.stats();
     let store = store_snapshot(state);
-    let (peer_requests, peer_hits, peer_backlog) = state.federation.counters();
     StatsResponse {
         workers: state.workers,
         queue_depth: state.queue.depth(),
@@ -692,9 +640,6 @@ fn stats(state: &State) -> StatsResponse {
         store_entries: store.entries,
         store_bytes: store.bytes,
         store_degraded: store.degraded,
-        peer_requests,
-        peer_hits,
-        peer_backlog,
         version: env!("CARGO_PKG_VERSION").to_string(),
         uptime_ms: state.uptime_ms(),
     }
@@ -729,12 +674,6 @@ fn metrics_text(state: &State) -> Response {
         Family::counter("scalana_jobs_failed_total", s.failed),
         Family::counter("scalana_jobs_rejected_total", s.rejected),
         Family::counter("scalana_jobs_submitted_total", s.submitted),
-        Family::gauge("scalana_peer_backlog", s.peer_backlog),
-        Family::gauge(
-            "scalana_peer_breaker_open",
-            state.federation.open_breakers(),
-        ),
-        Family::gauge("scalana_peer_ring_size", state.federation.ring_len() as u64),
         Family::gauge("scalana_profiles_cached", s.profiles_cached as u64),
         Family::gauge("scalana_programs_indexed", s.programs_indexed as u64),
         Family::gauge("scalana_queue_depth", s.queue_depth as u64),
@@ -850,74 +789,6 @@ fn store_gc(state: &State) -> Response {
             ("bytes", Json::Int(snapshot.bytes as i64)),
         ]),
     )
-}
-
-/// `POST /v1/peer/announce` — a peer introduces itself; merge it into
-/// the ring and answer with our updated view (which the announcer
-/// merges back — two-way gossip, so transitively seeded fleets
-/// converge on one member set).
-fn peer_announce(request: &Request, state: &State) -> Response {
-    let doc = match parse(&request.body) {
-        Ok(doc) => doc,
-        Err(e) => {
-            return error_response(&ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}")))
-        }
-    };
-    match PeerAnnounce::from_json(&doc) {
-        Ok(announce) => json_response(200, state.federation.announce(&announce.addr).to_json()),
-        Err(error) => error_response(&error),
-    }
-}
-
-/// The `400` for a peer path whose `<key>` segment is not a cache key.
-fn peer_bad_key() -> Response {
-    error_response(&ApiError::bad_request(
-        "peer keys are 16 lowercase hex digits",
-    ))
-}
-
-/// `GET /v1/peer/{profile,psg}/<key>` — serve one profile image or
-/// encoded discovery trace to a peer ([`Tiers::serve`]).
-fn peer_get(kind: EntryKind, key: &str, state: &State) -> Response {
-    if !dto::valid_peer_key(key) {
-        return peer_bad_key();
-    }
-    match state.tiers().serve(kind, key) {
-        Some(bytes) => json_response(200, PeerBlob::from_bytes(key, &bytes).to_json()),
-        None => error_response(&ApiError::new(
-            ErrorCode::NotFound,
-            format!("no such {} entry", kind.prefix()),
-        )),
-    }
-}
-
-/// `POST /v1/peer/{profile,psg}/<key>` — a peer writes an entry through
-/// to us (we own its key; [`Tiers::accept`]).
-fn peer_post(kind: EntryKind, key: &str, request: &Request, state: &State) -> Response {
-    if !dto::valid_peer_key(key) {
-        return peer_bad_key();
-    }
-    let blob = match parse(&request.body)
-        .map_err(|e| ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}")))
-        .and_then(|doc| PeerBlob::from_json(&doc))
-    {
-        Ok(blob) => blob,
-        Err(error) => return error_response(&error),
-    };
-    if blob.key != key {
-        return error_response(&ApiError::bad_request("body key does not match path key"));
-    }
-    let bytes = match blob.bytes() {
-        Ok(bytes) => bytes::Bytes::from(bytes),
-        Err(error) => return error_response(&error),
-    };
-    if !state.tiers().accept(kind, key, bytes) {
-        return error_response(&ApiError::bad_request(format!(
-            "payload is not a valid {} entry",
-            kind.prefix()
-        )));
-    }
-    json_response(200, dto::ok_body())
 }
 
 /// `GET /v1/jobs/<id>/trace` — the job's span timeline. Traces exist
@@ -1368,12 +1239,6 @@ mod tests {
             (paths::DIFF.to_string(), "POST"),
             (paths::STORE.to_string(), "GET"),
             (paths::STORE_GC.to_string(), "POST"),
-            (paths::PEER_RING.to_string(), "GET"),
-            (paths::PEER_ANNOUNCE.to_string(), "POST"),
-            (paths::peer_profile("k"), "GET"),
-            (paths::peer_profile("k"), "POST"),
-            (paths::peer_psg("k"), "GET"),
-            (paths::peer_psg("k"), "POST"),
         ] {
             let (path, _) = paths::split_target(&target);
             let segments: Vec<&str> = path

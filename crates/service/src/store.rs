@@ -93,14 +93,6 @@ impl EntryKind {
         }
     }
 
-    /// The entry's `/v1/peer/<prefix>/…` noun.
-    pub fn prefix(self) -> &'static str {
-        match self {
-            EntryKind::Profile => "profile",
-            EntryKind::PsgTrace => "psg",
-        }
-    }
-
     /// Which of the index's per-kind key maps holds this kind.
     fn slot(self) -> usize {
         usize::from(self.tag()) - 1

@@ -74,12 +74,6 @@ fn unversioned_paths_redirect_to_v1_with_the_query_kept() {
         ("POST", "/diff"),
         ("GET", "/store"),
         ("POST", "/store/gc"),
-        ("GET", "/peer/ring"),
-        ("POST", "/peer/announce"),
-        ("GET", "/peer/profile/ff00"),
-        ("POST", "/peer/profile/ff00"),
-        ("GET", "/peer/psg/ff00"),
-        ("POST", "/peer/psg/ff00"),
     ];
     for (method, path) in routes {
         for query in ["", "?state=done&limit=2"] {

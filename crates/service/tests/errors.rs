@@ -6,19 +6,27 @@
 //! One daemon serves the whole table; none of these requests register
 //! any work, so the rows are independent.
 
-use scalana_api::dto::PeerBlob;
+use bytes::Bytes;
 use scalana_api::{paths, ApiError, ErrorCode};
 use scalana_core::ScalAnaConfig;
 use scalana_service::client::{self, Conn};
 use scalana_service::json::Json;
-use scalana_service::{JobProgram, JobSpec, Server, ServiceConfig};
+use scalana_service::store::EntryKind;
+use scalana_service::{DiskStore, JobProgram, JobSpec, RealIo, Server, ServiceConfig};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn boot() -> String {
+    boot_with(None)
+}
+
+fn boot_with(store_dir: Option<&Path>) -> String {
     let server = Server::bind(&ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 1,
         queue_capacity: 4,
+        store_dir: store_dir.map(|dir| dir.display().to_string()),
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -105,6 +113,11 @@ fn malformed_requests_answer_their_pinned_error_codes() {
             404, ErrorCode::NotFound),
         ("DELETE", "/v1/store", "",
             405, ErrorCode::MethodNotAllowed),
+        // -- the multi-daemon peer endpoints are gone -------------------
+        ("GET", "/v1/peer/ring", "",
+            404, ErrorCode::NotFound),
+        ("POST", "/v1/peer/profile/00ff5ca1a71e57ed", "{}",
+            404, ErrorCode::NotFound),
     ];
 
     for &(method, target, body, expected_status, expected_code) in table {
@@ -189,74 +202,46 @@ fn overloaded_daemon_drains_the_request_before_shedding() {
     let _ = occupier.request("POST", paths::SHUTDOWN, "");
 }
 
-/// A peer-posted profile image is untrusted input decoded on the
-/// reactor thread. One that claims 2^40 ranks and carries none used to
-/// make `store::load` allocate 8 TiB up front, and an allocation failure
-/// aborts the process, so one request killed the daemon. It must be a
-/// 400, and the same daemon must go on answering and serving jobs.
-#[test]
-fn crafted_profile_image_is_refused_and_the_daemon_keeps_serving() {
-    let addr = boot();
-    let mut conn = Conn::connect(&addr).unwrap();
-
-    let mut image = scalana_profile::store::save(&scalana_profile::ProfileData::new(0)).to_vec();
-    assert_eq!(image.len(), 62);
-    image[6..14].copy_from_slice(&(1u64 << 40).to_le_bytes()); // nprocs
-    let key = "00000000000000aa";
-    let body = PeerBlob::from_bytes(key, &image).to_json().render();
-    let (code, text) = conn
-        .request("POST", &paths::peer_profile(key), &body)
-        .unwrap();
-    assert_eq!(code, 400, "{text}");
-    let error = ApiError::from_body(&text).expect("structured error");
-    assert_eq!(error.code, ErrorCode::BadRequest);
-    assert_eq!(error.message, "payload is not a valid profile entry");
-
-    let (code, text) = conn.request("GET", paths::HEALTHZ, "").unwrap();
-    assert_eq!(code, 200, "{text}");
-    let submit = r#"{"app":"CG","scales":[2]}"#;
-    let ack = conn.request_json("POST", paths::JOBS, submit).unwrap();
-    let job = ack.get("job").and_then(Json::as_str).unwrap().to_string();
-    let done = conn.wait_for_job(&job, Duration::from_secs(120)).unwrap();
-    assert_eq!(
-        done.get("status").and_then(Json::as_str),
-        Some("done"),
-        "{}",
-        done.render()
-    );
-
-    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
-}
-
-/// A profile image whose numbers are not finite is structurally sound.
-/// Admitted under the key a CG job resolves, it would reach detection,
-/// whose sorts panic on NaN, and fail every job on that key, restarts
-/// included. It must be a 400 that leaves the key unanswered, so the
-/// job simulates the scale and completes.
-#[test]
-fn profile_image_with_a_nan_time_is_refused_and_its_job_completes() {
-    let addr = boot();
-    let mut conn = Conn::connect(&addr).unwrap();
-
-    let spec = JobSpec {
+/// The CG `[2,8]` job the untrusted-image tests submit.
+fn cg_job() -> JobSpec {
+    JobSpec {
         program: JobProgram::App("CG".to_string()),
         scales: vec![2, 8],
         config: ScalAnaConfig::default(),
-    };
-    let (nprocs, image) = spec.execute().unwrap().profiles.pop().unwrap();
-    assert_eq!(nprocs, 8);
-    let mut data = scalana_profile::store::load(image).unwrap();
-    data.rank_elapsed[0] = f64::NAN;
-    let poisoned = scalana_profile::store::save(&data);
-    let key = spec.profile_key(&spec.resolve_config().unwrap(), 8);
-    let body = PeerBlob::from_bytes(&key, &poisoned).to_json().render();
-    let (code, text) = conn
-        .request("POST", &paths::peer_profile(&key), &body)
-        .unwrap();
-    assert_eq!(code, 400, "{text}");
-    let error = ApiError::from_body(&text).expect("structured error");
-    assert_eq!(error.code, ErrorCode::BadRequest);
+    }
+}
 
+/// A store directory holding `images` as valid frames, each under the
+/// key the CG job resolves at its scale.
+fn plant_store(name: &str, images: &[(usize, Bytes)]) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("scalana-errors-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = cg_job();
+    let config = spec.resolve_config().unwrap();
+    let store = DiskStore::open(Arc::new(RealIo), &dir, 0);
+    for (nprocs, image) in images {
+        let key = spec.profile_key(&config, *nprocs);
+        store.save(EntryKind::Profile, &key, image.clone());
+    }
+    dir
+}
+
+/// `(scale_hits, scale_misses)` from `/v1/stats`.
+fn scale_counts(conn: &mut Conn) -> (i64, i64) {
+    let stats = conn.request_json("GET", paths::STATS, "").unwrap();
+    let count = |name| stats.get(name).and_then(Json::as_i64).unwrap();
+    (count("scale_hits"), count("scale_misses"))
+}
+
+/// Boot a daemon on `dir`, check it is healthy, run the CG job to
+/// completion, and return its `(scale_hits, scale_misses)` deltas.
+fn run_cg_on_store(dir: &Path) -> (i64, i64) {
+    let addr = boot_with(Some(dir));
+    let mut conn = Conn::connect(&addr).unwrap();
+    let (code, text) = conn.request("GET", paths::HEALTHZ, "").unwrap();
+    assert_eq!(code, 200, "{text}");
+
+    let before = scale_counts(&mut conn);
     let submit = r#"{"app":"CG","scales":[2,8]}"#;
     let ack = conn.request_json("POST", paths::JOBS, submit).unwrap();
     let job = ack.get("job").and_then(Json::as_str).unwrap().to_string();
@@ -267,6 +252,47 @@ fn profile_image_with_a_nan_time_is_refused_and_its_job_completes() {
         "{}",
         done.render()
     );
+    let after = scale_counts(&mut conn);
 
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
+    (after.0 - before.0, after.1 - before.1)
+}
+
+/// The store directory is untrusted input: the daemon warms its memory
+/// from it and decodes what it finds on the job path. A profile image
+/// that claims 2^40 ranks and carries none used to make `store::load`
+/// allocate 8 TiB up front, and an allocation failure aborts the
+/// process, so one planted file killed the daemon. It must be refused:
+/// the daemon stays healthy and the job re-simulates that scale.
+#[test]
+fn crafted_profile_image_is_refused_and_the_daemon_keeps_serving() {
+    let (nprocs, scale2) = cg_job().execute().unwrap().profiles.remove(0);
+    assert_eq!(nprocs, 2);
+
+    let mut image = scalana_profile::store::save(&scalana_profile::ProfileData::new(0)).to_vec();
+    assert_eq!(image.len(), 62);
+    image[6..14].copy_from_slice(&(1u64 << 40).to_le_bytes()); // nprocs
+    let dir = plant_store("crafted", &[(2, scale2), (8, Bytes::from(image))]);
+
+    assert_eq!(run_cg_on_store(&dir), (1, 1), "scale 8 re-simulated");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A profile image whose numbers are not finite is structurally sound.
+/// Admitted under the key a CG job resolves, it would reach detection,
+/// whose sorts panic on NaN, and fail every job on that key, restarts
+/// included. It must be refused, so the job simulates the scale and
+/// completes.
+#[test]
+fn profile_image_with_a_nan_time_is_refused_and_its_job_completes() {
+    let mut profiles = cg_job().execute().unwrap().profiles;
+    let (nprocs, image) = profiles.pop().unwrap();
+    assert_eq!(nprocs, 8);
+    let mut data = scalana_profile::store::load(image).unwrap();
+    data.rank_elapsed[0] = f64::NAN;
+    let poisoned = scalana_profile::store::save(&data);
+    let dir = plant_store("nan", &[profiles.remove(0), (8, poisoned)]);
+
+    assert_eq!(run_cg_on_store(&dir), (1, 1), "scale 8 re-simulated");
+    let _ = std::fs::remove_dir_all(&dir);
 }

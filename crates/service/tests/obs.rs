@@ -149,12 +149,6 @@ fn metrics_exposition_has_the_golden_shape() {
             "scalana_longpoll_parked",
             "scalana_longpoll_parks_total",
             "scalana_longpoll_wakes_total",
-            "scalana_peer_backlog",
-            "scalana_peer_breaker_open",
-            "scalana_peer_fetch_ns",
-            "scalana_peer_hits_total",
-            "scalana_peer_requests_total",
-            "scalana_peer_ring_size",
             "scalana_profiles_cached",
             "scalana_programs_indexed",
             "scalana_queue_depth",
@@ -187,12 +181,6 @@ fn metrics_exposition_has_the_golden_shape() {
             "scalana_workers",
         ],
     );
-
-    // A standalone daemon is a single-member ring with no peer traffic.
-    let samples = parse_exposition(&text);
-    assert_eq!(sample(&samples, "scalana_peer_ring_size"), 1);
-    assert_eq!(sample(&samples, "scalana_peer_backlog"), 0);
-    assert_eq!(sample(&samples, "scalana_peer_breaker_open"), 0);
 
     // Build info carries the crate version as a label, value 1.
     let version = env!("CARGO_PKG_VERSION");

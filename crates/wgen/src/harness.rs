@@ -17,6 +17,7 @@ use proptest::test_runner::TestRng;
 use scalana_lang::ast::{Block, MpiOp, Program, StmtKind};
 use scalana_lang::parse_program;
 use scalana_lang::pretty::normalize_spans;
+use scalana_service::hash::StableHasher;
 use std::fmt;
 
 /// Default number of generated cases.
@@ -45,12 +46,9 @@ const ALT_SCALE: usize = 5;
 /// per-case seeds — kept bit-compatible so seeds printed by either
 /// harness mean the same thing.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hasher = StableHasher::new();
+    hasher.write_bytes(bytes);
+    hasher.finish()
 }
 
 /// The RNG seed for one case.
@@ -358,11 +356,24 @@ pub fn run(config: &FuzzConfig) -> Result<FuzzStats, Box<Failure>> {
         stats.stmts += spec.stmt_count();
         if config.daemon.is_some() {
             stats.daemon_cases += 1;
-            // Submit-body mutants, trace-id mutants, and the four
-            // peer-surface mutants per round (profile + psg keys,
-            // announce body, write-through blob).
-            stats.wire_requests += 6 * WIRE_ROUNDS;
+            // Submit-body mutants and trace-id mutants.
+            stats.wire_requests += 2 * WIRE_ROUNDS;
         }
     }
     Ok(stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Seeds printed in repro dumps must keep their meaning across
+    /// versions, so the derivation is pinned to fixed values.
+    #[test]
+    fn seed_derivation_matches_its_recorded_values() {
+        assert_eq!(case_seed(DEFAULT_SEED, 0), 0xf466_5928_281a_39c3);
+        assert_eq!(case_seed(DEFAULT_SEED, 1), 0xd56c_9033_1d2a_efa2);
+        assert_eq!(case_seed(DEFAULT_SEED, 2), 0xba1c_275e_3df8_ce01);
+        assert_eq!(fnv1a(b"wire"), 0xa67e_edf6_55b1_4178);
+    }
 }

@@ -32,15 +32,11 @@
 //!    always serves a complete Prometheus exposition, and
 //!    `/v1/jobs/<id>/trace` answers every mutated id with a structured
 //!    error or a decodable trace — never a hang, never a torn response.
-//!    The federation surface (`/v1/peer/*`) rides the same contract:
-//!    mutated cache keys, announce bodies, and write-through blobs get
-//!    a structured error or a decodable DTO, the ring view always
-//!    decodes, and the daemon still serves `/v1/healthz` afterwards.
 
 use bytes::Bytes;
 use proptest::test_runner::TestRng;
 use scalana_api::json::{self, Json};
-use scalana_api::{paths, RingView, SubmitAck, SubmitRequest, TraceResponse, MAX_SCALE};
+use scalana_api::{paths, SubmitAck, SubmitRequest, TraceResponse, MAX_SCALE};
 use scalana_core::{pipeline, ScalAnaConfig};
 use scalana_graph::{build_psg, MpiKind, PsgOptions};
 use scalana_lang::Program;
@@ -672,168 +668,11 @@ pub fn check_wire(
         }
     }
 
-    // The federation endpoints ride the same bar as the public ones.
-    check_peer_wire(addr, rng, rounds)?;
-
     let (code, _) = conn
         .request_raw("GET", paths::HEALTHZ, "")
         .map_err(|e| format!("healthz after wire fuzz: {e}"))?;
     if code != 200 {
         return Err(format!("daemon unhealthy after wire fuzz: healthz {code}"));
-    }
-    Ok(())
-}
-
-/// Parse one raw response under the wire contract: a 2xx body is handed
-/// back for DTO validation; a non-2xx body must be a structured
-/// [`scalana_api::ApiError`] (`error` + `code` fields).
-fn structured(code: u16, body: Vec<u8>, context: &str) -> Result<Option<Json>, String> {
-    let text = String::from_utf8(body)
-        .map_err(|_| format!("{context}: status {code} with a non-UTF-8 body"))?;
-    let doc = json::parse(&text)
-        .map_err(|e| format!("{context}: status {code} with non-JSON body {text:?}: {e}"))?;
-    if (200..300).contains(&code) {
-        return Ok(Some(doc));
-    }
-    if doc.get("error").is_none() || doc.get("code").is_none() {
-        return Err(format!(
-            "{context}: status {code} without a structured ApiError: {text}"
-        ));
-    }
-    Ok(None)
-}
-
-/// Derive one peer-key mutant. Peer keys are 16 lowercase hex digits;
-/// the arms cover the valid shape, case damage, truncation, oversize,
-/// non-hex, traversal, emptiness, and percent-damage.
-fn mutate_peer_key(rng: &mut TestRng) -> String {
-    const HEX: &[u8] = b"0123456789abcdef";
-    let valid: String = (0..16).map(|_| HEX[rng.gen_index(16)] as char).collect();
-    match rng.gen_index(8) {
-        0 => valid,
-        1 => valid.to_uppercase(),
-        2 => valid[..8].to_string(),
-        3 => format!("{valid}{valid}"),
-        4 => "zzzzzzzzzzzzzzzz".to_string(),
-        5 => "../../store".to_string(),
-        6 => String::new(),
-        _ => "%00%ff%zz".to_string(),
-    }
-}
-
-/// Derive one announce-body mutant. The only *valid* arm announces the
-/// daemon's own address — already a member, so the shared daemon's ring
-/// is never polluted with unreachable peers.
-fn mutate_announce(rng: &mut TestRng, addr: &str) -> Vec<u8> {
-    match rng.gen_index(7) {
-        0 => format!(r#"{{"addr":"{addr}"}}"#).into_bytes(),
-        1 => br#"{"addr":"not-an-address"}"#.to_vec(),
-        2 => br#"{"addr":42}"#.to_vec(),
-        3 => br#"{"peer":"127.0.0.1:7878"}"#.to_vec(),
-        4 => br#"{"addr":"127.0.0.1:7878","extra":true}"#.to_vec(),
-        5 => Vec::new(),
-        _ => b"\xff\xfe{".to_vec(),
-    }
-}
-
-/// Derive one write-through blob mutant for `POST /v1/peer/profile/<k>`.
-/// Every arm is damaged somewhere — key/path mismatch, non-hex or
-/// odd-length payloads, type confusion, missing fields, raw garbage —
-/// because a *valid* blob requires a real profile image; the point is
-/// that damage is rejected with a structured error, never accepted into
-/// the cache and never a hang.
-fn mutate_blob(rng: &mut TestRng, key: &str) -> Vec<u8> {
-    match rng.gen_index(7) {
-        // Well-formed hex that is not a loadable profile image.
-        0 => format!(r#"{{"key":"{key}","payload":"deadbeef"}}"#).into_bytes(),
-        // Key that cannot match the path key.
-        1 => br#"{"key":"0000000000000000","payload":"deadbeef"}"#.to_vec(),
-        // Odd-length hex.
-        2 => format!(r#"{{"key":"{key}","payload":"abc"}}"#).into_bytes(),
-        // Non-hex payload.
-        3 => format!(r#"{{"key":"{key}","payload":"zzzz"}}"#).into_bytes(),
-        // Missing payload.
-        4 => format!(r#"{{"key":"{key}"}}"#).into_bytes(),
-        // Type confusion.
-        5 => format!(r#"{{"key":"{key}","payload":[1,2,3]}}"#).into_bytes(),
-        // Raw garbage.
-        _ => b"\x00\x01\x02{{{".to_vec(),
-    }
-}
-
-/// Oracle 4b: federation wire fuzz. `GET /v1/peer/ring` must decode as
-/// a [`RingView`]; `rounds` mutated keys on both read-through families
-/// (`/v1/peer/profile/<key>`, `/v1/peer/psg/<key>`), announce bodies,
-/// and write-through blobs must each get a complete HTTP answer — a
-/// structured error or a decodable DTO, never a hang — and the daemon
-/// must still serve `/v1/healthz` afterwards. A standalone daemon is a
-/// single-member ring serving the same endpoints, so no peers are
-/// needed to hold this contract.
-pub fn check_peer_wire(addr: &str, rng: &mut TestRng, rounds: usize) -> Result<(), String> {
-    let (code, body) =
-        raw_request(addr, "GET", paths::PEER_RING, &[]).map_err(|e| format!("peer ring: {e}"))?;
-    let doc = structured(code, body, "peer ring")?
-        .ok_or_else(|| format!("peer ring must answer 200, got {code}"))?;
-    if RingView::from_json(&doc).is_none() {
-        return Err(format!(
-            "peer ring body does not decode as a RingView: {}",
-            doc.render()
-        ));
-    }
-
-    for round in 0..rounds {
-        // Mutated keys on both read-through families: a 2xx is a blob
-        // for the exact key asked; anything else is a structured error.
-        for family in ["profile", "psg"] {
-            let key = mutate_peer_key(rng);
-            let path = match family {
-                "profile" => paths::peer_profile(&key),
-                _ => paths::peer_psg(&key),
-            };
-            let context = format!("peer {family} round {round} (key {key:?})");
-            let (code, body) =
-                raw_request(addr, "GET", &path, &[]).map_err(|e| format!("{context}: {e}"))?;
-            if let Some(doc) = structured(code, body, &context)? {
-                let blob = scalana_api::PeerBlob::from_json(&doc)
-                    .map_err(|e| format!("{context}: 2xx body is not a PeerBlob: {e:?}"))?;
-                if blob.key != key {
-                    return Err(format!(
-                        "{context}: blob answered for foreign key {:?}",
-                        blob.key
-                    ));
-                }
-                blob.bytes()
-                    .map_err(|e| format!("{context}: served payload is not valid hex: {e:?}"))?;
-            }
-        }
-
-        // Announce mutants: accepted bodies answer the full ring view.
-        let announce = mutate_announce(rng, addr);
-        let context = format!("peer announce round {round}");
-        let (code, body) = raw_request(addr, "POST", paths::PEER_ANNOUNCE, &announce)
-            .map_err(|e| format!("{context}: {e}"))?;
-        if let Some(doc) = structured(code, body, &context)? {
-            if RingView::from_json(&doc).is_none() {
-                return Err(format!(
-                    "{context}: 2xx body is not a RingView: {}",
-                    doc.render()
-                ));
-            }
-        }
-
-        // Write-through blob mutants: all damaged, all rejected cleanly.
-        let key = mutate_peer_key(rng);
-        let blob = mutate_blob(rng, &key);
-        let context = format!("peer blob round {round} (key {key:?})");
-        let (code, body) = raw_request(addr, "POST", &paths::peer_profile(&key), &blob)
-            .map_err(|e| format!("{context}: {e}"))?;
-        structured(code, body, &context)?;
-    }
-
-    let (code, _) = raw_request(addr, "GET", paths::HEALTHZ, &[])
-        .map_err(|e| format!("healthz after peer fuzz: {e}"))?;
-    if code != 200 {
-        return Err(format!("daemon unhealthy after peer fuzz: healthz {code}"));
     }
     Ok(())
 }

@@ -3,9 +3,7 @@
 # same job twice, and assert the second submission is answered from the
 # content-addressed cache (via the response's `cached` flag AND the
 # /stats hit counter) without re-running the simulator. Then: crash
-# recovery on a durable store (kill -9 + warm restart), and a
-# three-daemon federation leg (cross-daemon cache serving, dead-peer
-# fallback).
+# recovery on a durable store (kill -9 + warm restart).
 #
 #   scripts/service_smoke.sh [path/to/scalana]
 set -euo pipefail
@@ -18,30 +16,27 @@ if [ ! -x "$BIN" ]; then
 fi
 
 WORKDIR="$(mktemp -d)"
-SERVE_LOG="$WORKDIR/serve.log"
 cleanup() {
-    for pid in "${SERVE_PID:-}" "${FED_A_PID:-}" "${FED_B_PID:-}" "${FED_C_PID:-}"; do
-        [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
-    done
+    [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true
     rm -rf "$WORKDIR"
 }
 trap cleanup EXIT
 
 # Boot one daemon in the background with the given log file and extra
-# flags; sets BOOTED_ADDR and BOOTED_PID (no subshell, so both
-# propagate to the caller).
+# flags; sets ADDR and SERVE_PID (no subshell, so both propagate to the
+# caller).
 boot_daemon() {
     local log="$1"; shift
-    "$BIN" serve --addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
-    BOOTED_PID=$!
-    BOOTED_ADDR=""
+    "$BIN" serve --addr 127.0.0.1:0 --workers 2 "$@" > "$log" 2>&1 &
+    SERVE_PID=$!
+    ADDR=""
     for _ in $(seq 1 100); do
-        BOOTED_ADDR="$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$log")"
-        [ -n "$BOOTED_ADDR" ] && break
-        kill -0 "$BOOTED_PID" 2>/dev/null || { cat "$log" >&2; return 1; }
+        ADDR="$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$log")"
+        [ -n "$ADDR" ] && break
+        kill -0 "$SERVE_PID" 2>/dev/null || { cat "$log" >&2; return 1; }
         sleep 0.1
     done
-    [ -n "$BOOTED_ADDR" ] \
+    [ -n "$ADDR" ] \
         || { echo "service smoke: daemon never announced its address" >&2; return 1; }
 }
 
@@ -60,17 +55,7 @@ fn main() {
 EOF
 
 echo "==> scalana serve --addr 127.0.0.1:0 (ephemeral port)"
-"$BIN" serve --addr 127.0.0.1:0 --workers 2 > "$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$SERVE_LOG")"
-    [ -n "$ADDR" ] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_LOG" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "service smoke: daemon never announced its address" >&2; exit 1; }
+boot_daemon "$WORKDIR/serve.log"
 echo "    daemon at $ADDR"
 
 echo "==> first submission (must run the pipeline)"
@@ -137,19 +122,9 @@ SERVE_PID=""
 # misses and an identical report.
 # ---------------------------------------------------------------------
 STORE="$WORKDIR/store"
-SERVE_LOG="$WORKDIR/serve_store.log"
 
 echo "==> scalana serve --store-dir (durable store)"
-"$BIN" serve --addr 127.0.0.1:0 --workers 2 --store-dir "$STORE" > "$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$SERVE_LOG")"
-    [ -n "$ADDR" ] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_LOG" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "service smoke: store daemon never announced its address" >&2; exit 1; }
+boot_daemon "$WORKDIR/serve_store.log" --store-dir "$STORE"
 echo "    daemon at $ADDR (store at $STORE)"
 
 BEFORE="$("$BIN" submit --addr "$ADDR" "$WORKDIR/demo.mmpi" --scales 2,4 --wait)"
@@ -176,17 +151,7 @@ wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
 
 echo "==> warm restart on the same --store-dir"
-SERVE_LOG="$WORKDIR/serve_warm.log"
-"$BIN" serve --addr 127.0.0.1:0 --workers 2 --store-dir "$STORE" > "$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR="$(sed -n 's/.*listening on \([0-9.:]*\).*/\1/p' "$SERVE_LOG")"
-    [ -n "$ADDR" ] && break
-    kill -0 "$SERVE_PID" 2>/dev/null || { cat "$SERVE_LOG" >&2; exit 1; }
-    sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "service smoke: restarted daemon never announced its address" >&2; exit 1; }
+boot_daemon "$WORKDIR/serve_warm.log" --store-dir "$STORE"
 
 STATS="$("$BIN" status --addr "$ADDR")"
 echo "$STATS" | grep -q '"store_loaded":3' || { echo "warm boot did not reload the store: $STATS" >&2; exit 1; }
@@ -217,78 +182,5 @@ echo "==> shutdown (store daemon)"
 "$BIN" shutdown --addr "$ADDR" > /dev/null
 wait "$SERVE_PID"
 SERVE_PID=""
-
-# ---------------------------------------------------------------------
-# Federation: three daemons on one rendezvous ring. A program analysed
-# on daemon A must be served by B and C with zero per-scale misses and
-# zero simulator runs (remote read-through + write-through); killing A
-# must degrade the fleet to local simulation, never to failure.
-# ---------------------------------------------------------------------
-echo "==> scalana serve --peer (three-daemon fleet)"
-boot_daemon "$WORKDIR/fed_a.log" --workers 2
-ADDR_A=$BOOTED_ADDR
-FED_A_PID=$BOOTED_PID
-boot_daemon "$WORKDIR/fed_b.log" --workers 2 --peer "$ADDR_A"
-ADDR_B=$BOOTED_ADDR
-FED_B_PID=$BOOTED_PID
-boot_daemon "$WORKDIR/fed_c.log" --workers 2 --peer "$ADDR_A" --peer "$ADDR_B"
-ADDR_C=$BOOTED_ADDR
-FED_C_PID=$BOOTED_PID
-echo "    fleet at $ADDR_A / $ADDR_B / $ADDR_C"
-
-# Announce gossip is asynchronous; wait until every daemon sees the
-# full three-member ring.
-for addr in "$ADDR_A" "$ADDR_B" "$ADDR_C"; do
-    for _ in $(seq 1 100); do
-        "$BIN" top --addr "$addr" --raw | grep -q '^scalana_peer_ring_size 3$' && break
-        sleep 0.1
-    done
-    "$BIN" top --addr "$addr" --raw | grep -q '^scalana_peer_ring_size 3$' \
-        || { echo "$addr never converged on the three-member ring" >&2; exit 1; }
-done
-
-echo "==> cold analysis on daemon A"
-FED_FIRST="$("$BIN" submit --addr "$ADDR_A" "$WORKDIR/demo.mmpi" --scales 2,4 --wait)"
-echo "$FED_FIRST" | grep -q '"status":"done"' || { echo "fleet cold job did not finish: $FED_FIRST" >&2; exit 1; }
-# Wait for A's write-behind to settle so every ring owner holds its
-# shard before the other daemons are asked.
-for _ in $(seq 1 100); do
-    "$BIN" status --addr "$ADDR_A" | grep -q '"peer_backlog":0' && break
-    sleep 0.1
-done
-"$BIN" status --addr "$ADDR_A" | grep -q '"peer_backlog":0' \
-    || { echo "A's peer write-behind never settled" >&2; exit 1; }
-
-echo "==> overlapping-scale resubmission on B and C (zero misses, zero simulator runs)"
-for addr in "$ADDR_B" "$ADDR_C"; do
-    FED_WARM="$("$BIN" submit --addr "$addr" "$WORKDIR/demo.mmpi" --scales 2,4 --wait)"
-    echo "$FED_WARM" | grep -q '"status":"done"' || { echo "fleet warm job on $addr did not finish: $FED_WARM" >&2; exit 1; }
-    STATS="$("$BIN" status --addr "$addr")"
-    echo "$STATS" | grep -q '"scale_misses":0' || { echo "$addr missed scales the fleet holds: $STATS" >&2; exit 1; }
-    "$BIN" top --addr "$addr" --raw | grep -q '^scalana_sim_runs_total 0$' \
-        || { echo "$addr ran the simulator for a fleet-warm program" >&2; exit 1; }
-done
-# Remote hits: every key has exactly one owner, so serving the program
-# on both B and C must involve at least one peer fetch somewhere.
-HITS_B="$("$BIN" status --addr "$ADDR_B" | sed -n 's/.*"peer_hits":\([0-9]*\).*/\1/p')"
-HITS_C="$("$BIN" status --addr "$ADDR_C" | sed -n 's/.*"peer_hits":\([0-9]*\).*/\1/p')"
-[ "$((HITS_B + HITS_C))" -gt 0 ] \
-    || { echo "no remote hits recorded on B ($HITS_B) or C ($HITS_C)" >&2; exit 1; }
-
-echo "==> kill -9 daemon A; the fleet degrades to local simulation"
-kill -9 "$FED_A_PID"
-wait "$FED_A_PID" 2>/dev/null || true
-FED_A_PID=""
-FED_AFTER="$("$BIN" submit --addr "$ADDR_B" "$WORKDIR/demo.mmpi" --scales 2,4,8 --wait)"
-echo "$FED_AFTER" | grep -q '"status":"done"' \
-    || { echo "resubmission after killing a peer failed: $FED_AFTER" >&2; exit 1; }
-
-echo "==> shutdown (fleet)"
-"$BIN" shutdown --addr "$ADDR_B" > /dev/null
-"$BIN" shutdown --addr "$ADDR_C" > /dev/null
-wait "$FED_B_PID" 2>/dev/null || true
-wait "$FED_C_PID" 2>/dev/null || true
-FED_B_PID=""
-FED_C_PID=""
 
 echo "service smoke: all green"
