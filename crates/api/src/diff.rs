@@ -1,7 +1,7 @@
-//! Structured comparison of two completed analyses (`POST /v1/diff`).
+//! Structured comparison of two completed analyses (`scalana diff`).
 //!
 //! The paper's workflow detects scaling loss in *one* program; the diff
-//! endpoint operationalizes its most common follow-up: did a code or
+//! operationalizes its most common follow-up: did a code or
 //! configuration change move the scaling behavior? Vertices are matched
 //! across the two analyses by **source location** (`file:line`) — vertex
 //! ids are graph-local and mean nothing across programs, while the
@@ -11,7 +11,9 @@
 //! The comparison is a pure function of the two result documents, which
 //! are themselves canonical and deterministic, and every union is
 //! emitted sorted — so diffing the same pair twice yields byte-identical
-//! output (pinned by integration tests).
+//! output (pinned by integration tests). The daemon serves the two
+//! result documents (`GET /v1/jobs/<id>/result`); the client fetches
+//! both and calls [`diff`] itself.
 
 use crate::json::Json;
 

@@ -664,49 +664,6 @@ impl StoreQuery {
     }
 }
 
-/// `POST /v1/diff` request body: two submissions to run (or reuse) and
-/// compare.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DiffRequest {
-    /// Baseline side.
-    pub a: SubmitRequest,
-    /// Candidate side.
-    pub b: SubmitRequest,
-}
-
-impl DiffRequest {
-    /// Decode and validate a diff request document.
-    pub fn from_json(doc: &Json) -> Result<DiffRequest, ApiError> {
-        let Json::Obj(pairs) = doc else {
-            return Err(ApiError::bad_request("diff request must be a JSON object"));
-        };
-        if let Some((key, _)) = pairs.iter().find(|(k, _)| k != "a" && k != "b") {
-            return Err(ApiError::new(
-                ErrorCode::UnknownField,
-                format!("unknown field `{key}`"),
-            ));
-        }
-        let side = |key: &str| -> Result<SubmitRequest, ApiError> {
-            let doc = doc.get(key).ok_or_else(|| {
-                ApiError::bad_request("`a` and `b` submission objects are required")
-            })?;
-            SubmitRequest::from_json(doc).map_err(|e| ApiError {
-                message: format!("`{key}`: {}", e.message),
-                ..e
-            })
-        };
-        Ok(DiffRequest {
-            a: side("a")?,
-            b: side("b")?,
-        })
-    }
-
-    /// Canonical request body.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![("a", self.a.to_json()), ("b", self.b.to_json())])
-    }
-}
-
 /// `GET /v1/stats` response — the daemon's monotonic counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatsResponse {
@@ -1088,23 +1045,6 @@ mod tests {
                 .code,
             ErrorCode::BadRequest
         );
-    }
-
-    #[test]
-    fn diff_request_validates_both_sides() {
-        let doc =
-            parse(r#"{"a":{"app":"CG","scales":[2,4]},"b":{"app":"MG","scales":[2,4]}}"#).unwrap();
-        let request = DiffRequest::from_json(&doc).unwrap();
-        assert_eq!(request.a.program, ProgramRef::App("CG".to_string()));
-        assert_eq!(request.b.program, ProgramRef::App("MG".to_string()));
-        assert_eq!(DiffRequest::from_json(&request.to_json()).unwrap(), request);
-
-        let err = DiffRequest::from_json(&parse(r#"{"a":{"app":"CG"}}"#).unwrap()).unwrap_err();
-        assert!(err.message.contains("required"), "{err}");
-        let err = DiffRequest::from_json(&parse(r#"{"a":{},"b":{}}"#).unwrap()).unwrap_err();
-        assert!(err.message.starts_with("`a`:"), "side is named: {err}");
-        let err = DiffRequest::from_json(&parse(r#"{"a":{},"b":{},"c":{}}"#).unwrap()).unwrap_err();
-        assert_eq!(err.code, ErrorCode::UnknownField);
     }
 
     #[test]

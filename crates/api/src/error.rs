@@ -2,10 +2,10 @@
 //!
 //! Every non-2xx response carries one [`ApiError`] body. Clients branch
 //! on the machine-readable [`ErrorCode`] (the human message is free to
-//! change between releases; codes are append-only) and on `retryable`,
-//! which says whether the identical request may succeed later without
-//! modification — backpressure and timeouts are retryable, contract
-//! violations are not.
+//! change between releases; a code's meaning is fixed) and on
+//! `retryable`, which says whether the identical request may succeed
+//! later without modification — backpressure and pending jobs are
+//! retryable, contract violations are not.
 //!
 //! On the wire the message field is named `error` — the key every
 //! pre-`/v1` client already reads — so the structured body is a strict
@@ -18,8 +18,10 @@
 use crate::json::{parse, Json};
 use serde::{Deserialize, Serialize};
 
-/// Machine-readable error discriminant. Append-only across `/v1`'s
-/// lifetime: a code, once shipped, never changes meaning or HTTP status.
+/// Machine-readable error discriminant. A code, once shipped, never
+/// changes meaning or HTTP status within `/v1`; one goes only with the
+/// whole feature that produced it (the README's versioning notes list
+/// each such removal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ErrorCode {
     /// The request body is not valid JSON.
@@ -57,12 +59,6 @@ pub enum ErrorCode {
     QueueFull,
     /// The connection limit is reached.
     TooManyConnections,
-    /// A server-side wait outlived its budget before the job finished.
-    Timeout,
-    /// A completed record was evicted by a capacity bound before it
-    /// could be read (e.g. a diff side at result-cache capacity) —
-    /// transient; retry.
-    Evicted,
     /// The durable store has degraded to memory-only mode (its write
     /// circuit breaker is open); the operation needs a writable store.
     /// Transient — the breaker retries half-open with backoff.
@@ -90,8 +86,6 @@ impl ErrorCode {
             ErrorCode::JobFailed => "job_failed",
             ErrorCode::QueueFull => "queue_full",
             ErrorCode::TooManyConnections => "too_many_connections",
-            ErrorCode::Timeout => "timeout",
-            ErrorCode::Evicted => "evicted",
             ErrorCode::StoreDegraded => "store_degraded",
             ErrorCode::Internal => "internal",
         }
@@ -115,8 +109,6 @@ impl ErrorCode {
             "job_failed" => ErrorCode::JobFailed,
             "queue_full" => ErrorCode::QueueFull,
             "too_many_connections" => ErrorCode::TooManyConnections,
-            "timeout" => ErrorCode::Timeout,
-            "evicted" => ErrorCode::Evicted,
             "store_degraded" => ErrorCode::StoreDegraded,
             "internal" => ErrorCode::Internal,
             _ => return None,
@@ -137,11 +129,7 @@ impl ErrorCode {
             ErrorCode::MethodNotAllowed => 405,
             ErrorCode::JobPending => 409,
             ErrorCode::JobFailed | ErrorCode::Internal => 500,
-            ErrorCode::QueueFull
-            | ErrorCode::TooManyConnections
-            | ErrorCode::Evicted
-            | ErrorCode::StoreDegraded => 503,
-            ErrorCode::Timeout => 504,
+            ErrorCode::QueueFull | ErrorCode::TooManyConnections | ErrorCode::StoreDegraded => 503,
         }
     }
 
@@ -152,8 +140,6 @@ impl ErrorCode {
             ErrorCode::JobPending
                 | ErrorCode::QueueFull
                 | ErrorCode::TooManyConnections
-                | ErrorCode::Timeout
-                | ErrorCode::Evicted
                 | ErrorCode::StoreDegraded
         )
     }
@@ -255,8 +241,6 @@ mod tests {
             ErrorCode::JobFailed,
             ErrorCode::QueueFull,
             ErrorCode::TooManyConnections,
-            ErrorCode::Timeout,
-            ErrorCode::Evicted,
             ErrorCode::StoreDegraded,
             ErrorCode::Internal,
         ] {

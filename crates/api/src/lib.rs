@@ -10,13 +10,14 @@
 //! - [`paths`] — the `/v1` version prefix, every endpoint path/builder,
 //!   and query-string helpers;
 //! - [`dto`] — typed request/response bodies ([`SubmitRequest`],
-//!   [`SubmitAck`], [`JobView`], [`JobPage`], [`DiffRequest`],
+//!   [`SubmitAck`], [`JobView`], [`JobPage`], [`ResultView`],
 //!   [`StatsResponse`], ...) with explicit, canonical JSON conversions;
 //! - [`error`] — the structured error contract: every non-2xx response
 //!   is an [`ApiError`] `{code, message, retryable}` whose [`ErrorCode`]
 //!   pins the HTTP status;
-//! - [`diff`] — the analysis-comparison document served by
-//!   `POST /v1/diff`.
+//! - [`diff`] — the comparison of two finished analyses, a pure
+//!   function over two result documents that clients compute
+//!   (`scalana diff`); the daemon serves no diff endpoint.
 //!
 //! ## Versioning
 //!
@@ -36,8 +37,8 @@ pub mod paths;
 pub mod trace;
 
 pub use dto::{
-    DiffRequest, JobPage, JobState, JobView, ListQuery, ProgramRef, ResultView, StatsResponse,
-    StoreQuery, SubmitAck, SubmitRequest, WaitQuery, DEFAULT_SCALES, MAX_SCALE,
+    JobPage, JobState, JobView, ListQuery, ProgramRef, ResultView, StatsResponse, StoreQuery,
+    SubmitAck, SubmitRequest, WaitQuery, DEFAULT_SCALES, MAX_SCALE,
 };
 pub use error::{ApiError, ErrorCode};
 pub use json::Json;

@@ -25,9 +25,6 @@ pub const HEALTHZ: &str = "/v1/healthz";
 /// `POST {SHUTDOWN}` — graceful stop.
 pub const SHUTDOWN: &str = "/v1/shutdown";
 
-/// `POST {DIFF}` — run/reuse two analyses and compare them.
-pub const DIFF: &str = "/v1/diff";
-
 /// `GET {METRICS}` — Prometheus-style text exposition of the daemon's
 /// self-tracing metrics (stage latency histograms, cache tier
 /// counters, queue/connection gauges), deterministically ordered.

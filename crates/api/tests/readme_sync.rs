@@ -15,7 +15,6 @@ fn readme_documents_every_endpoint() {
         paths::METRICS,
         paths::HEALTHZ,
         paths::SHUTDOWN,
-        paths::DIFF,
         paths::STORE,
         paths::STORE_GC,
     ] {
@@ -42,7 +41,6 @@ fn readme_documents_the_dtos_and_error_codes() {
         "JobPage",
         "ListQuery",
         "WaitQuery",
-        "DiffRequest",
         "ResultView",
         "StatsResponse",
         "StoreQuery",
@@ -66,8 +64,6 @@ fn readme_documents_the_dtos_and_error_codes() {
         ErrorCode::JobPending,
         ErrorCode::JobFailed,
         ErrorCode::QueueFull,
-        ErrorCode::Timeout,
-        ErrorCode::Evicted,
         ErrorCode::StoreDegraded,
     ] {
         assert!(

@@ -13,7 +13,6 @@ use scalana_graph::{build_psg, PsgOptions};
 use scalana_mpisim::{SimConfig, Simulation};
 use scalana_profile::overhead::human_bytes;
 use scalana_profile::{ProfilerConfig, ScalAnaProfiler};
-use std::time::Instant;
 
 fn main() {
     ablate_contraction();
@@ -154,11 +153,8 @@ fn ablate_wait_prune() {
         let mut config = ScalAnaConfig::default();
         config.detect.wait_prune = prune;
         config.machine = app.machine.clone();
-        let started = Instant::now();
         let analysis = analyze_app(&app, &[4, 8, 16, 32], &config).unwrap();
-        let elapsed = started.elapsed().as_secs_f64();
         let steps: usize = analysis.report.paths.iter().map(|p| p.steps.len()).sum();
-        let _ = elapsed;
         table.row(vec![
             label.to_string(),
             steps.to_string(),

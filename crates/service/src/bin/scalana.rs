@@ -29,14 +29,14 @@
 //! client, speaking the `/v1` protocol from [`scalana_api`] and printing
 //! the daemon's JSON responses. `submit --wait` and `diff` use the
 //! server-side long-poll, so completions are observed at the
-//! transition.
+//! transition; `diff` fetches both results and compares them locally.
 //!
 //! Every submit response carries a `program_hash`; later submissions of
 //! the same program (new scales, new thresholds) can pass `--program-hash
 //! HASH` instead of re-sending the source — the daemon resolves it
 //! against its program index and answers 404 if it has been evicted.
 
-use scalana_api::{paths, DiffRequest, ProgramRef, SubmitRequest};
+use scalana_api::{paths, ProgramRef, SubmitRequest};
 use scalana_core::{viewer, Analysis, ScalAnaConfig};
 use scalana_graph::{build_psg, PsgOptions};
 use scalana_lang::parse_program;
@@ -450,7 +450,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             .get("job")
             .and_then(Json::as_str)
             .ok_or("submit response missing `job`")?;
-        let last = client::wait_for_job(&addr, key, Duration::from_secs(600))?;
+        let last = client::wait_for_job(&addr, key, client::JOB_WAIT)?;
         println!("{}", last.render());
         if last.get("status").and_then(Json::as_str) == Some("failed") {
             return Err(last
@@ -463,8 +463,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `scalana diff a.mmpi b.mmpi`: run (or reuse) both analyses server-side
-/// and print the structured comparison from `POST /v1/diff`.
+/// `scalana diff a.mmpi b.mmpi`: run (or reuse) both analyses on the
+/// daemon and print their structured comparison, composed here
+/// ([`client::Conn::diff`]).
 fn cmd_diff(args: &[String]) -> Result<(), String> {
     let (addr, rest) = take_addr(args)?;
     let mut files: Vec<String> = Vec::new();
@@ -500,12 +501,10 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
             params: Vec::new(),
         })
     };
-    let request = DiffRequest {
-        a: side(file_a, scales.clone())?,
-        b: side(file_b, scales_b.or(scales))?,
-    };
-    let response = client::request_json(&addr, "POST", paths::DIFF, &request.to_json().render())?;
-    println!("{}", response.render());
+    let a = side(file_a, scales.clone())?;
+    let b = side(file_b, scales_b.or(scales))?;
+    let comparison = client::Conn::connect(&addr)?.diff(&a, &b)?;
+    println!("{}", comparison.render());
     Ok(())
 }
 

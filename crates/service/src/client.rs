@@ -14,16 +14,24 @@
 //! (`GET /v1/jobs/<id>/wait`): the daemon parks the request until the
 //! job completes, so the client observes completion at the transition
 //! instead of a poll interval later.
+//!
+//! Comparing two analyses is the client's job: [`Conn::diff`] submits
+//! both sides, waits for each, reads both results and calls
+//! [`scalana_api::diff::diff`] locally. The daemon only analyses.
 
 use crate::http::{HttpResponse, MessageReader};
 use crate::json::{parse, Json};
-use scalana_api::{paths, ApiError, JobState};
+use scalana_api::diff::{self, DiffSide};
+use scalana_api::{paths, ApiError, JobState, ResultView, SubmitAck, SubmitRequest};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Pause before re-issuing a wait after a retryable error that carries
 /// no `Retry-After` header.
 const FALLBACK_POLL: Duration = Duration::from_millis(1);
+
+/// How long `scalana submit --wait` and [`Conn::diff`] wait for a job.
+pub const JOB_WAIT: Duration = Duration::from_secs(600);
 
 /// A persistent client connection to the daemon.
 #[derive(Debug)]
@@ -182,6 +190,49 @@ impl Conn {
             }
             return Err(request_error("GET", &path, code, &doc));
         }
+    }
+
+    /// Run (or reuse) two analyses and compare them with
+    /// [`scalana_api::diff::diff`].
+    ///
+    /// Both sides are submitted before either is waited on, so they run
+    /// concurrently across the daemon's workers; each goes through the
+    /// normal submission path, so every cache tier applies. Each side
+    /// then waits up to [`JOB_WAIT`] and its result is read back. Every
+    /// error names its side, and side `a` is checked first.
+    pub fn diff(&mut self, a: &SubmitRequest, b: &SubmitRequest) -> Result<Json, String> {
+        let mut jobs = Vec::with_capacity(2);
+        for (label, request) in [("a", a), ("b", b)] {
+            let doc = self
+                .request_json("POST", paths::JOBS, &request.to_json().render())
+                .map_err(|e| format!("side `{label}`: {e}"))?;
+            let ack = SubmitAck::from_json(&doc)
+                .ok_or_else(|| format!("side `{label}`: bad submit response {}", doc.render()))?;
+            jobs.push((label, ack.job().to_string()));
+        }
+        let mut sides = Vec::with_capacity(2);
+        for (label, job) in jobs {
+            let side_error = |e: String| format!("side `{label}` (job {job}): {e}");
+            let status = self.wait_for_job(&job, JOB_WAIT).map_err(side_error)?;
+            if status.get("status").and_then(Json::as_str) != Some(JobState::Done.as_str()) {
+                let error = status.get("error").and_then(Json::as_str);
+                return Err(side_error(format!(
+                    "failed: {}",
+                    error.unwrap_or("unknown error")
+                )));
+            }
+            let doc = self
+                .request_json("GET", &paths::job_result(&job), "")
+                .map_err(side_error)?;
+            let result = ResultView::from_json(&doc)
+                .ok_or_else(|| side_error("answered a bad result document".to_string()))?;
+            sides.push(DiffSide {
+                job: result.job,
+                report: result.report,
+                runs: result.runs,
+            });
+        }
+        Ok(diff::diff(&sides[0], &sides[1]))
     }
 }
 

@@ -56,7 +56,7 @@
 //!
 //! The `scalana` binary lives here too: the classic `static`/`analyze`/
 //! `apps` one-shot commands plus `serve`, `submit`, `status`, `result`,
-//! and `shutdown`.
+//! `diff` (composed by the client from two results) and `shutdown`.
 //!
 //! ```no_run
 //! use scalana_service::{client, Server, ServiceConfig};

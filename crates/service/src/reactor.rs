@@ -5,8 +5,8 @@
 //! error strings as the client's blocking reader), routing happens inline, and
 //! responses are batched into a per-connection output buffer that is
 //! flushed once per readiness round. The change that motivates all of
-//! this is how long-polls wait: `GET /v1/jobs/<id>/wait` (and both
-//! sides of `POST /v1/diff`) park as registry *subscriptions*
+//! this is how long-polls wait: `GET /v1/jobs/<id>/wait` parks as a
+//! registry *subscription*
 //! ([`Registry::subscribe`]) — a completing worker pushes the
 //! connection's token onto the loop's ready list and signals an
 //! eventfd, and the loop writes the response on its next round. A
@@ -32,8 +32,7 @@ use crate::cache::{JobStatus, SubscribeOutcome, WaitOutcome, WaitWaker};
 use crate::http::{render_response_into, RequestBuffer, MAX_BODY, MAX_HEAD};
 use crate::net::{Epoll, Event, Interest, WakeFd};
 use crate::server::{
-    self, diff_side, malformed_response, render_diff, shed_response, wait_outcome_response, Action,
-    Response, Routed, State,
+    self, malformed_response, shed_response, wait_outcome_response, Action, Response, Routed, State,
 };
 use scalana_obs as obs;
 use std::cmp::Reverse;
@@ -105,29 +104,11 @@ impl LoopWaker {
     }
 }
 
-/// What a connection is parked on, if anything.
-enum Wait {
-    /// `GET /v1/jobs/<id>/wait`.
-    Long {
-        key: String,
-        deadline: Instant,
-        keep_alive: bool,
-    },
-    /// `POST /v1/diff` — resolved when *both* sides settle.
-    Diff {
-        a: String,
-        b: String,
-        deadline: Instant,
-        keep_alive: bool,
-    },
-}
-
-impl Wait {
-    fn deadline(&self) -> Instant {
-        match self {
-            Wait::Long { deadline, .. } | Wait::Diff { deadline, .. } => *deadline,
-        }
-    }
+/// A parked `GET /v1/jobs/<id>/wait`.
+struct Wait {
+    key: String,
+    deadline: Instant,
+    keep_alive: bool,
 }
 
 /// One connection's state machine.
@@ -527,7 +508,7 @@ impl Reactor<'_> {
                         }
                         SubscribeOutcome::Parked => {
                             let deadline = Instant::now() + timeout;
-                            conn.wait = Some(Wait::Long {
+                            conn.wait = Some(Wait {
                                 key,
                                 deadline,
                                 keep_alive: request.keep_alive,
@@ -535,31 +516,6 @@ impl Reactor<'_> {
                             self.deadlines.push(Reverse((deadline, token)));
                         }
                     }
-                }
-                Routed::Diff { a, b } => {
-                    let deadline = Instant::now() + server::DIFF_WAIT;
-                    // Subscribe to both sides; either may already be
-                    // settled (terminal, or evicted → Unknown), which
-                    // try_finish_diff resolves inline below.
-                    let _ = self.state.registry.subscribe(
-                        &a,
-                        token,
-                        self.waker.clone() as Arc<dyn WaitWaker>,
-                    );
-                    let _ = self.state.registry.subscribe(
-                        &b,
-                        token,
-                        self.waker.clone() as Arc<dyn WaitWaker>,
-                    );
-                    let conn = self.conns.get_mut(&token).expect("conn exists");
-                    conn.wait = Some(Wait::Diff {
-                        a,
-                        b,
-                        deadline,
-                        keep_alive: request.keep_alive,
-                    });
-                    self.deadlines.push(Reverse((deadline, token)));
-                    self.try_finish_diff(token, false);
                 }
             }
             if action == Action::Shutdown {
@@ -599,91 +555,36 @@ impl Reactor<'_> {
     /// A parked wait became ready (worker wake), timed out, or is being
     /// re-checked. `timed_out` answers with the still-pending status.
     fn resolve_wait(&mut self, token: u64, timed_out: bool) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(Wait {
+            key, keep_alive, ..
+        }) = self.conns.get(&token).and_then(|conn| conn.wait.as_ref())
+        else {
             return;
         };
-        match &conn.wait {
-            None => (),
-            Some(Wait::Long {
-                key, keep_alive, ..
-            }) => {
-                let outcome = match self.state.registry.status(key) {
-                    None => WaitOutcome::Unknown,
-                    Some(view) if matches!(view.status, JobStatus::Done | JobStatus::Failed) => {
-                        WaitOutcome::Terminal(view)
-                    }
-                    Some(view) => {
-                        if !timed_out {
-                            // Spurious (stale ready token after an
-                            // earlier resolution): stay parked.
-                            return;
-                        }
-                        WaitOutcome::Pending(view)
-                    }
-                };
-                let key = key.clone();
-                let keep_alive = *keep_alive;
-                if timed_out {
-                    // Gave up before the wake: withdraw the
-                    // subscription (a concurrent wake is harmless — the
-                    // stale token resolves to no parked wait).
-                    let _ = self.state.registry.unsubscribe(&key, token);
-                }
-                let keep_alive = keep_alive && !self.state.shutdown.load(Ordering::SeqCst);
-                let response = wait_outcome_response(outcome);
-                let conn = self.conns.get_mut(&token).expect("conn exists");
-                conn.wait = None;
-                conn.last_activity = Instant::now();
-                push_response(conn, &response, keep_alive);
-                if !keep_alive {
-                    conn.close_after_flush = true;
-                }
-                // Pipelined requests buffered behind the wait resume
-                // now — nothing will re-trigger epoll for them.
-                self.advance(token);
+        let outcome = match self.state.registry.status(key) {
+            None => WaitOutcome::Unknown,
+            Some(view) if matches!(view.status, JobStatus::Done | JobStatus::Failed) => {
+                WaitOutcome::Terminal(view)
             }
-            // Not a match guard: the guard would need `&mut self`
-            // while the scrutinee still borrows `self.conns`.
-            #[allow(clippy::collapsible_match)]
-            Some(Wait::Diff { .. }) => {
-                if self.try_finish_diff(token, timed_out) {
-                    self.advance(token);
+            Some(view) => {
+                if !timed_out {
+                    // Spurious (stale ready token after an earlier
+                    // resolution): stay parked.
+                    return;
                 }
+                WaitOutcome::Pending(view)
             }
+        };
+        let key = key.clone();
+        let keep_alive = *keep_alive;
+        if timed_out {
+            // Gave up before the wake: withdraw the subscription (a
+            // concurrent wake is harmless — the stale token resolves to
+            // no parked wait).
+            let _ = self.state.registry.unsubscribe(&key, token);
         }
-    }
-
-    /// Resolve a parked diff if both sides have settled (terminal or
-    /// evicted; on `timed_out`, still-pending sides settle as
-    /// `Pending`). Returns whether the response was produced.
-    fn try_finish_diff(&mut self, token: u64, timed_out: bool) -> bool {
-        let Some(conn) = self.conns.get(&token) else {
-            return false;
-        };
-        let Some(Wait::Diff {
-            a, b, keep_alive, ..
-        }) = &conn.wait
-        else {
-            return false;
-        };
-        let settle = |key: &str| -> Option<WaitOutcome> {
-            match self.state.registry.status(key) {
-                None => Some(WaitOutcome::Unknown),
-                Some(view) if matches!(view.status, JobStatus::Done | JobStatus::Failed) => {
-                    Some(WaitOutcome::Terminal(view))
-                }
-                Some(view) if timed_out => Some(WaitOutcome::Pending(view)),
-                Some(_) => None,
-            }
-        };
-        let (Some(outcome_a), Some(outcome_b)) = (settle(a), settle(b)) else {
-            return false;
-        };
-        let (a, b, keep_alive) = (a.clone(), b.clone(), *keep_alive);
-        let _ = self.state.registry.unsubscribe(&a, token);
-        let _ = self.state.registry.unsubscribe(&b, token);
-        let response = render_diff(diff_side("a", &a, outcome_a), diff_side("b", &b, outcome_b));
         let keep_alive = keep_alive && !self.state.shutdown.load(Ordering::SeqCst);
+        let response = wait_outcome_response(outcome);
         let conn = self.conns.get_mut(&token).expect("conn exists");
         conn.wait = None;
         conn.last_activity = Instant::now();
@@ -691,7 +592,9 @@ impl Reactor<'_> {
         if !keep_alive {
             conn.close_after_flush = true;
         }
-        true
+        // Pipelined requests buffered behind the wait resume now —
+        // nothing will re-trigger epoll for them.
+        self.advance(token);
     }
 
     // -- output ----------------------------------------------------------
@@ -784,7 +687,7 @@ impl Reactor<'_> {
             }
             // A heap entry from an earlier wait on this connection is
             // stale once the deadline it recorded no longer matches.
-            if conn.wait.as_ref().is_some_and(|w| w.deadline() <= now) {
+            if conn.wait.as_ref().is_some_and(|w| w.deadline <= now) {
                 self.resolve_wait(token, true);
             }
         }
@@ -816,15 +719,7 @@ impl Reactor<'_> {
             return;
         };
         if let Some(wait) = &conn.wait {
-            match wait {
-                Wait::Long { key, .. } => {
-                    let _ = self.state.registry.unsubscribe(key, token);
-                }
-                Wait::Diff { a, b, .. } => {
-                    let _ = self.state.registry.unsubscribe(a, token);
-                    let _ = self.state.registry.unsubscribe(b, token);
-                }
-            }
+            let _ = self.state.registry.unsubscribe(&wait.key, token);
         }
         if conn.shed.is_some() {
             self.shedding -= 1;

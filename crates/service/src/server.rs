@@ -12,7 +12,6 @@
 //! GET  /v1/jobs/<id>/wait?timeout_ms= long-poll until terminal (or budget)
 //! GET  /v1/jobs/<id>/result          cached analysis result (JSON)
 //! GET  /v1/jobs/<id>/profile/<p>     persisted profile image at scale <p>
-//! POST /v1/diff                      run/reuse two analyses and compare them
 //! GET  /v1/stats                     counters: job + per-scale cache hits/misses, ...
 //! GET  /v1/metrics                   Prometheus-style exposition (text)
 //! GET  /v1/jobs/<id>/trace           per-job span timeline (terminal jobs)
@@ -56,10 +55,9 @@ use crate::profile_cache::{ProfileCache, ProgramIndex, PsgCache};
 use crate::queue::JobQueue;
 use crate::store::{DiskStore, RealIo, StoreIo, StoreSnapshot};
 use crate::tiers::Tiers;
-use scalana_api::diff::DiffSide;
 use scalana_api::{
-    dto, paths, ApiError, DiffRequest, ErrorCode, JobPage, JobState, JobView, ListQuery,
-    ProgramRef, StatsResponse, StoreQuery, SubmitAck, SubmitRequest, WaitQuery,
+    dto, paths, ApiError, ErrorCode, JobPage, JobState, JobView, ListQuery, ProgramRef,
+    StatsResponse, StoreQuery, SubmitAck, SubmitRequest, WaitQuery,
 };
 use scalana_core::ScalAnaConfig;
 use scalana_obs::{self as obs, Family};
@@ -148,11 +146,6 @@ impl Default for ServiceConfig {
         }
     }
 }
-
-/// How long `POST /v1/diff` waits for each side to finish before
-/// answering `504` (the jobs keep running; retrying the identical diff
-/// resumes the wait against the same records).
-pub(crate) const DIFF_WAIT: Duration = Duration::from_secs(60);
 
 /// `Retry-After:` value (seconds) sent with every retryable error —
 /// backpressure answers (`503` shed, queue full) and transient job
@@ -389,9 +382,6 @@ pub(crate) enum Routed {
     /// after `timeout`, whichever first (the job may not exist — the
     /// waiter resolves that to `unknown_job`).
     Wait { key: String, timeout: Duration },
-    /// `POST /v1/diff`: both sides submitted; answer when both are
-    /// terminal or after [`DIFF_WAIT`].
-    Diff { a: String, b: String },
 }
 
 /// The `400` for protocol garbage. The exact-string match
@@ -493,7 +483,6 @@ fn allowed_methods(segments: &[&str]) -> Option<&'static str> {
         ["jobs", _, "wait"] => "GET",
         ["jobs", _, "trace"] => "GET",
         ["jobs", _, "profile", _] => "GET",
-        ["diff"] => "POST",
         ["store"] => "GET",
         ["store", "gc"] => "POST",
         _ => return None,
@@ -581,7 +570,6 @@ pub(crate) fn route(request: &Request, state: &State) -> (Routed, Action) {
         ("GET", ["jobs", key, "profile", nprocs]) => {
             (Routed::Done(profile(key, nprocs, state)), Action::None)
         }
-        ("POST", ["diff"]) => (diff(request, state), Action::None),
         ("GET", ["store"]) => (Routed::Done(store_info(query, state)), Action::None),
         ("POST", ["store", "gc"]) => (Routed::Done(store_gc(state)), Action::None),
         // Unreachable given the allow-list check, but a 404 beats UB in
@@ -886,17 +874,7 @@ fn submit(request: &Request, state: &State) -> Response {
 
 /// Register one submission document; returns the acknowledgment.
 fn submit_one(doc: &Json, state: &State, recv_ns: u64) -> Result<SubmitAck, ApiError> {
-    submit_request(SubmitRequest::from_json(doc)?, state, recv_ns)
-}
-
-/// Register one already-validated submission — the typed core shared by
-/// the JSON submit path and the diff handler (which holds
-/// [`SubmitRequest`]s and must not round-trip them through JSON again).
-fn submit_request(
-    request: SubmitRequest,
-    state: &State,
-    recv_ns: u64,
-) -> Result<SubmitAck, ApiError> {
+    let request = SubmitRequest::from_json(doc)?;
     let spec = spec_from_request(request, &state.default_config, &state.programs)?;
     // Remember the program so later submissions can reference it by
     // hash instead of re-sending the source.
@@ -1055,105 +1033,6 @@ fn profile(key: &str, nprocs: &str, state: &State) -> Response {
     }
 }
 
-/// `POST /v1/diff` — submit (or reuse) both sides, wait for them, and
-/// answer the structured comparison. Both sides go through the normal
-/// submission path, so the whole-job cache, the per-scale profile
-/// cache, and the refined-PSG cache all apply: diffing two analyses
-/// that share scales simulates only what no previous job ever ran.
-fn diff(request: &Request, state: &State) -> Routed {
-    let doc = match parse(&request.body) {
-        Ok(doc) => doc,
-        Err(e) => {
-            return Routed::Done(error_response(&ApiError::new(
-                ErrorCode::BadJson,
-                format!("bad JSON: {e}"),
-            )))
-        }
-    };
-    let diff_request = match DiffRequest::from_json(&doc) {
-        Ok(request) => request,
-        Err(error) => return Routed::Done(error_response(&error)),
-    };
-    let recv_ns = obs::now_ns();
-    let submit_side = |label: &str, side: SubmitRequest| -> Result<String, ApiError> {
-        submit_request(side, state, recv_ns)
-            .map(|ack| ack.job().to_string())
-            .map_err(|e| ApiError {
-                message: format!("`{label}`: {}", e.message),
-                ..e
-            })
-    };
-    // Submit both before waiting on either, so the sides execute
-    // concurrently across the worker pool.
-    match (
-        submit_side("a", diff_request.a),
-        submit_side("b", diff_request.b),
-    ) {
-        (Ok(a), Ok(b)) => Routed::Diff { a, b },
-        (Err(error), _) | (_, Err(error)) => Routed::Done(error_response(&error)),
-    }
-}
-
-/// Resolve one side of a diff from its final wait outcome. Both sides
-/// are always driven to an outcome before the response is assembled
-/// (matching the historical both-sides-waited semantics); errors prefer
-/// side `a` via [`render_diff`].
-pub(crate) fn diff_side(
-    label: &str,
-    key: &str,
-    outcome: WaitOutcome,
-) -> Result<DiffSide, ApiError> {
-    match outcome {
-        // Not a bug: at result-cache capacity, FIFO eviction can
-        // remove a completed record before this handler re-reads
-        // it. Retrying re-submits the side and will normally win
-        // the race (its profiles are still per-scale cached).
-        WaitOutcome::Unknown => Err(ApiError::new(
-            ErrorCode::Evicted,
-            format!(
-                "side `{label}` (job {key}) was evicted from the result cache before the \
-                 diff could read it; retry"
-            ),
-        )),
-        WaitOutcome::Pending(_) => Err(ApiError::new(
-            ErrorCode::Timeout,
-            format!("side `{label}` (job {key}) still pending after {DIFF_WAIT:?}"),
-        )),
-        WaitOutcome::Terminal(view) => match (view.status, &view.result) {
-            (JobStatus::Done, Some(output)) => Ok(DiffSide {
-                job: key.to_string(),
-                // Stored fragments are canonical JSON rendered by
-                // this process; a parse failure is a server bug.
-                report: parse(&output.report_json).map_err(|e| {
-                    ApiError::new(ErrorCode::Internal, format!("stored report: {e}"))
-                })?,
-                runs: parse(&output.runs_json)
-                    .map_err(|e| ApiError::new(ErrorCode::Internal, format!("stored runs: {e}")))?,
-            }),
-            _ => Err(ApiError::new(
-                ErrorCode::JobFailed,
-                format!(
-                    "side `{label}` (job {key}) failed: {}",
-                    view.error.as_deref().unwrap_or("unknown error")
-                ),
-            )),
-        },
-    }
-}
-
-/// Assemble the final diff response from both resolved sides (side
-/// `a`'s error wins when both failed, matching the historical
-/// evaluation order).
-pub(crate) fn render_diff(
-    a: Result<DiffSide, ApiError>,
-    b: Result<DiffSide, ApiError>,
-) -> Response {
-    match (a, b) {
-        (Ok(a), Ok(b)) => json_response(200, scalana_api::diff::diff(&a, &b)),
-        (Err(error), _) | (_, Err(error)) => error_response(&error),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1236,7 +1115,6 @@ mod tests {
             (paths::job_profile("k", 8), "GET"),
             (paths::job_wait("k", 100), "GET"),
             (paths::job_trace("k"), "GET"),
-            (paths::DIFF.to_string(), "POST"),
             (paths::STORE.to_string(), "GET"),
             (paths::STORE_GC.to_string(), "POST"),
         ] {

@@ -1,9 +1,10 @@
 //! The `/v1` protocol over real TCP sockets: versioned routing, the
 //! redirect of unversioned paths, the job listing, server-side
-//! long-poll, and the diff endpoint.
+//! long-poll, and the diff the client composes from two results.
 
-use scalana_api::{paths, ApiError, ErrorCode, JobPage, JobState};
+use scalana_api::{paths, ApiError, ErrorCode, JobPage, JobState, SubmitRequest};
 use scalana_service::client::{self, Conn};
+use scalana_service::hash::StableHasher;
 use scalana_service::http::MessageReader;
 use scalana_service::json::Json;
 use scalana_service::{Server, ServiceConfig};
@@ -71,7 +72,6 @@ fn unversioned_paths_redirect_to_v1_with_the_query_kept() {
         ("GET", "/jobs/abc/wait"),
         ("GET", "/jobs/abc/trace"),
         ("GET", "/jobs/abc/profile/2"),
-        ("POST", "/diff"),
         ("GET", "/store"),
         ("POST", "/store/gc"),
     ];
@@ -111,7 +111,6 @@ fn wrong_methods_get_405_with_allow_header() {
         ("POST", "/v1/healthz", "GET"),
         ("GET", "/v1/shutdown", "POST"),
         ("PUT", "/v1/jobs", "GET, POST"),
-        ("GET", "/v1/diff", "POST"),
         ("DELETE", "/jobs/abc", "GET"), // unversioned paths get the same contract
     ] {
         let response = conn.request_full(method, target, "").unwrap();
@@ -256,6 +255,10 @@ fn longpoll_wait_parks_until_completion() {
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 
+fn source_side(text: &str, scales: &[usize]) -> SubmitRequest {
+    SubmitRequest::source("v1.mmpi", text).with_scales(scales.to_vec())
+}
+
 #[test]
 fn diff_reuses_cached_profiles_and_is_deterministic() {
     let addr = boot(2);
@@ -279,27 +282,8 @@ fn diff_reuses_cached_profiles_and_is_deterministic() {
     // Diff the primed scale set against a superset: side `a` is a
     // whole-job cache hit (per-scale cache untouched), side `b`
     // overlaps on 2 and 4 (hits) and simulates only scale 6 (miss).
-    let diff_body = Json::obj(vec![
-        (
-            "a",
-            Json::obj(vec![
-                ("source", text.as_str().into()),
-                ("name", "v1.mmpi".into()),
-                ("scales", vec![2usize, 4].into()),
-            ]),
-        ),
-        (
-            "b",
-            Json::obj(vec![
-                ("source", text.as_str().into()),
-                ("name", "v1.mmpi".into()),
-                ("scales", vec![2usize, 4, 6].into()),
-            ]),
-        ),
-    ])
-    .render();
-    let (code, first) = conn.request("POST", paths::DIFF, &diff_body).unwrap();
-    assert_eq!(code, 200, "{first}");
+    let (a, b) = (source_side(&text, &[2, 4]), source_side(&text, &[2, 4, 6]));
+    let doc = conn.diff(&a, &b).unwrap();
     assert_eq!(
         stat(&mut conn, "scale_hits") - hits_before,
         2,
@@ -311,7 +295,6 @@ fn diff_reuses_cached_profiles_and_is_deterministic() {
         "only scale 6 simulated"
     );
 
-    let doc = scalana_service::json::parse(&first).unwrap();
     assert_eq!(
         doc.get("a").unwrap().get("job").unwrap().as_str(),
         Some(primed_key.as_str()),
@@ -334,38 +317,62 @@ fn diff_reuses_cached_profiles_and_is_deterministic() {
 
     // Determinism: the identical diff again — now fully cached — is
     // byte-identical and touches no per-scale entries.
-    let (_, second) = conn.request("POST", paths::DIFF, &diff_body).unwrap();
-    assert_eq!(first, second, "diff output must be deterministic");
+    let second = conn.diff(&a, &b).unwrap();
+    assert_eq!(
+        doc.render(),
+        second.render(),
+        "diff output must be deterministic"
+    );
     assert_eq!(stat(&mut conn, "scale_hits") - hits_before, 2);
     assert_eq!(stat(&mut conn, "scale_misses") - misses_before, 1);
 
-    // A failing side surfaces as a structured job_failed error naming it.
-    let bad_diff = Json::obj(vec![
-        (
-            "a",
-            Json::obj(vec![
-                ("source", text.as_str().into()),
-                ("scales", vec![2usize, 4].into()),
-            ]),
-        ),
-        (
-            "b",
-            Json::obj(vec![
-                ("source", "fn main( {".into()),
-                ("scales", vec![2usize].into()),
-            ]),
-        ),
-    ])
-    .render();
-    let (code, body) = conn.request("POST", paths::DIFF, &bad_diff).unwrap();
-    assert_eq!(code, 500);
-    let error = ApiError::from_body(&body).unwrap();
-    assert_eq!(error.code, ErrorCode::JobFailed);
-    assert!(
-        error.message.contains("`b`"),
-        "names the failing side: {error}"
-    );
+    // A failing side surfaces as an error naming it.
+    let broken = source_side("fn main( {", &[2]);
+    let error = conn.diff(&a, &broken).unwrap_err();
+    assert!(error.contains("`b`"), "names the failing side: {error}");
+    assert!(error.contains("failed"), "{error}");
 
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
+}
+
+/// The client-side diff reproduces, byte for byte, the bodies the
+/// daemon's former `POST /v1/diff` endpoint answered for the same two
+/// pairs of submissions (length and FNV-1a digest, recorded from that
+/// endpoint).
+#[test]
+fn client_diff_matches_the_recorded_endpoint_bodies() {
+    let addr = boot(2);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let cg = |scales: &[usize]| SubmitRequest::app("CG").with_scales(scales.to_vec());
+    let delayed = SubmitRequest {
+        params: vec![("DELAY_RANK".to_string(), 4)],
+        ..cg(&[4, 8])
+    };
+    for (label, a, b, len, digest) in [
+        (
+            "CG [2,4] vs [2,4,6]",
+            cg(&[2, 4]),
+            cg(&[2, 4, 6]),
+            1536,
+            0x89c8_3766_b23e_61b0,
+        ),
+        (
+            "CG vs delayed CG",
+            cg(&[4, 8]),
+            delayed,
+            1292,
+            0x3828_9d38_23d2_5abd,
+        ),
+    ] {
+        let body = conn.diff(&a, &b).unwrap().render();
+        let mut hasher = StableHasher::new();
+        hasher.write_bytes(body.as_bytes());
+        assert_eq!(
+            (body.len(), hasher.finish()),
+            (len, digest),
+            "{label}: {body}"
+        );
+    }
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 

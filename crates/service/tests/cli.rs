@@ -295,3 +295,50 @@ fn bad_usage_reports_errors() {
     assert!(!ok);
     assert!(stderr.contains("cannot connect"), "{stderr}");
 }
+
+/// `scalana diff` prints, byte for byte, the body the daemon's former
+/// `POST /v1/diff` endpoint answered for NPB-CG against CG with the
+/// paper's Fig. 2 delay planted on rank 4 (length and FNV-1a digest,
+/// recorded from that endpoint). Both files are named `cg.mmpi`, so
+/// their locations match across the two sides.
+#[test]
+fn diff_prints_the_recorded_endpoint_body() {
+    use scalana_apps::{cg, CgOptions};
+    use scalana_service::hash::StableHasher;
+    use scalana_service::{Server, ServiceConfig};
+
+    let server = Server::bind(&ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    std::thread::spawn(move || server.run());
+
+    let mut files = Vec::new();
+    for (side, delay_rank) in [("a", None), ("b", Some(4))] {
+        let dir = std::env::temp_dir().join(format!("cli_diff_{side}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cg.mmpi");
+        let app = cg::build(&CgOptions {
+            delay_rank,
+            ..CgOptions::default()
+        });
+        std::fs::write(&path, app.source()).unwrap();
+        files.push(path.to_str().unwrap().to_string());
+    }
+    let (stdout, stderr, ok) = scalana(&[
+        "diff", "--addr", &addr, &files[0], &files[1], "--scales", "4,8",
+    ]);
+    assert!(ok, "diff failed: {stderr}");
+    let body = stdout.strip_suffix('\n').unwrap();
+    let mut hasher = StableHasher::new();
+    hasher.write_bytes(body.as_bytes());
+    assert_eq!(
+        (body.len(), hasher.finish()),
+        (1306, 0x02d5_44da_557d_e6a7),
+        "{body}"
+    );
+    let _ = scalana(&["shutdown", "--addr", &addr]);
+}

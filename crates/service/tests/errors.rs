@@ -95,17 +95,11 @@ fn malformed_requests_answer_their_pinned_error_codes() {
             400, ErrorCode::BadRequest),
         ("GET", "/v1/jobs/abc/wait?wat=1", "",
             400, ErrorCode::UnknownField),
-        // -- diff -------------------------------------------------------
-        ("POST", "/v1/diff", "not json",
-            400, ErrorCode::BadJson),
-        ("POST", "/v1/diff", r#"{"a":{"app":"CG"}}"#,
-            400, ErrorCode::BadRequest),
-        ("POST", "/v1/diff", r#"{"a":{"app":"CG"},"b":{"app":"CG"},"c":1}"#,
-            400, ErrorCode::UnknownField),
-        ("POST", "/v1/diff", r#"{"a":{"app":"CG","wat":1},"b":{"app":"CG"}}"#,
-            400, ErrorCode::UnknownField),
-        ("POST", "/v1/diff", r#"{"a":{"app":"NOPE","scales":[2]},"b":{"app":"CG","scales":[2]}}"#,
-            400, ErrorCode::UnknownApp),
+        // -- the diff endpoint is gone: clients compose diffs -----------
+        ("POST", "/v1/diff", "{}",
+            404, ErrorCode::NotFound),
+        ("GET", "/v1/diff", "",
+            404, ErrorCode::NotFound),
         // -- store endpoints on a memory-only daemon --------------------
         ("GET", "/v1/store", "",
             404, ErrorCode::NotFound),

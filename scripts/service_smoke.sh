@@ -94,7 +94,7 @@ JOB="$(echo "$SECOND" | sed -n 's/.*"job":"\([0-9a-f]*\)".*/\1/p')"
 "$BIN" result --addr "$ADDR" "$JOB" | grep -q '"report"' \
     || { echo "result endpoint did not serve the cached report" >&2; exit 1; }
 
-echo "==> /v1/diff end-to-end (both sides reuse cached profiles)"
+echo "==> scalana diff end-to-end (both sides reuse cached profiles)"
 # A second program: the demo with a heavier serial section. Side `a`
 # re-references the fully cached demo job; side `b` is fresh work.
 sed 's/N \/ 4/N \/ 2/' "$WORKDIR/demo.mmpi" > "$WORKDIR/demo_slow.mmpi"

@@ -26,7 +26,7 @@ done
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> service smoke (serve / submit twice / cache hit / v1 diff)"
+echo "==> service smoke (serve / submit twice / cache hit / scalana diff)"
 scripts/service_smoke.sh target/release/scalana
 
 echo "==> wgen differential fuzz sweep (30 generated cases, all oracles)"
