@@ -868,4 +868,87 @@ mod tests {
         };
         assert!(r0.pmu.tot_ins > r1.pmu.tot_ins);
     }
+
+    // Scoping oracle: what a variable read sees. Each expected `tot_ins`
+    // is the `comp` instructions plus the interpreter micro-costs (4 per
+    // `let`/assignment/`for`/loop iteration/branch, 20 per call).
+
+    #[test]
+    fn assigning_a_param_binds_a_block_local() {
+        // `N = 1` has no local binding to update, so it defines `N` in
+        // the loop body's scope; every `comp` still reads the param.
+        let (_, pmu) = run_single(
+            "param N = 100; fn main() { for i in 0 .. 2 { comp(cycles = N, ins = N, \
+             lst = 0, miss = 0, brmiss = 0); N = 1; } comp(cycles = N, ins = N, lst = 0, \
+             miss = 0, brmiss = 0); }",
+        );
+        assert_eq!(pmu.tot_ins, 300.0 + 4.0 + 2.0 * 4.0 + 2.0 * 4.0);
+    }
+
+    #[test]
+    fn reserved_names_win_over_locals() {
+        for bind in ["rank = 50;", "let rank = 50;"] {
+            let (_, pmu) = run_single(&format!(
+                "fn main() {{ {bind} comp(cycles = rank + 1000, ins = rank + 1000, \
+                 lst = 0, miss = 0, brmiss = 0); }}"
+            ));
+            assert_eq!(pmu.tot_ins, 1004.0, "{bind}");
+        }
+    }
+
+    #[test]
+    fn inner_let_shadows_then_restores() {
+        let (_, pmu) = run_single(
+            "fn main() { let x = 10; if rank == 0 { let x = 1000; comp(cycles = x, \
+             ins = x, lst = 0, miss = 0, brmiss = 0); } comp(cycles = x, ins = x, \
+             lst = 0, miss = 0, brmiss = 0); }",
+        );
+        assert_eq!(pmu.tot_ins, 1010.0 + 3.0 * 4.0);
+    }
+
+    #[test]
+    fn lets_in_one_scope_share_a_binding() {
+        // The inner scope's first `let x` reads the outer `x` (1); the
+        // second reads the inner one (11). The outer `x` is untouched.
+        let (_, pmu) = run_single(
+            "fn main() { let x = 1; if rank == 0 { let y = 5; let x = x + 10; \
+             let x = x + 100; comp(cycles = x, ins = x, lst = 0, miss = 0, brmiss = 0); } \
+             comp(cycles = x, ins = x, lst = 0, miss = 0, brmiss = 0); }",
+        );
+        assert_eq!(pmu.tot_ins, 111.0 + 1.0 + 5.0 * 4.0);
+    }
+
+    #[test]
+    fn request_bound_in_a_block_is_waited_in_it() {
+        let program = parse_program(
+            "t.mmpi",
+            "fn main() { let r = 99; if rank == 0 { let r = isend(dst = 1, tag = 0, \
+             bytes = 8); wait(r); } if rank == 1 { recv(src = 0, tag = 0); } }",
+        )
+        .unwrap();
+        let psg = build_psg(&program, &PsgOptions::default());
+        crate::Simulation::new(&program, &psg, crate::SimConfig::with_nprocs(2))
+            .run()
+            .unwrap();
+    }
+
+    #[test]
+    fn recursive_frames_do_not_share_locals() {
+        // rec(3) .. rec(0) each compute 100 * n after their callee
+        // returned: 300 + 200 + 100 + 0.
+        let (_, pmu) = run_single(
+            "fn main() { rec(3); } fn rec(n) { let x = n * 100; if n > 0 { rec(n - 1); } \
+             comp(cycles = x, ins = x, lst = 0, miss = 0, brmiss = 0); }",
+        );
+        assert_eq!(pmu.tot_ins, 600.0 + 4.0 * (20.0 + 4.0 + 4.0));
+    }
+
+    #[test]
+    fn function_param_shadows_program_param() {
+        let (_, pmu) = run_single(
+            "param n = 7; fn main() { f(1000); } fn f(n) { comp(cycles = n, ins = n, \
+             lst = 0, miss = 0, brmiss = 0); }",
+        );
+        assert_eq!(pmu.tot_ins, 1000.0 + 20.0);
+    }
 }
