@@ -34,21 +34,21 @@
 //! wildcard receives fold the (few) queue candidates in deposit order,
 //! reproducing the historical scan's tie-breaks exactly. Blocked waits
 //! record *which* requests they cover (`ReqWait`) instead of cloning
-//! request-id vectors, program parameters are interned once per run
-//! ([`ParamTable`]), and statement attribution goes through a dense
+//! request-id vectors, and statement attribution goes through a dense
 //! [`AttrIndex`] snapshot rather than hash-map lookups per statement.
 //! The per-rank request tables and the collective table, probed on
 //! every MPI operation, hash with [`FxHashMap`] instead of SipHash; the
 //! one order-sensitive walk over them (ready collectives) sorts first.
-//! Variable names are borrowed from the AST, so binding a request id
-//! (and, in the interpreter, every `let` and loop iteration) never
-//! allocates.
+//! Names are resolved once per run, before any rank starts
+//! ([`crate::resolve`]): ranks execute a slot-resolved program, program
+//! parameters and `nprocs` are literals in it, and binding a request id
+//! writes the request slot an `isend`/`irecv` carries.
 
-use crate::eval::ParamTable;
 use crate::fxhash::FxHashMap;
 use crate::hook::{CommDepEvent, Hook, MpiEnterEvent, MpiExitEvent, NullHook};
 use crate::interp::{EvaluatedOp, MpiCall, Pmu, RankState, StepCtx, StepOutcome, StmtCosts};
 use crate::machine::{CollectiveModel, MachineConfig};
+use crate::resolve::{resolve, Resolved};
 use crate::value::Value;
 use scalana_graph::{AttrIndex, MpiKind, Psg, VertexId};
 use scalana_lang::Program;
@@ -203,8 +203,9 @@ impl<'p, 'g, 'h> Simulation<'p, 'g, 'h> {
             Some(h) => h,
             None => &mut null,
         };
-        let params = ParamTable::build(self.program, &self.config.params);
-        Engine::new(self.program, self.psg, self.config, params, hook).run()
+        let program = resolve(self.program, &self.config.params, self.config.nprocs);
+        let attr = AttrIndex::build(self.psg, self.program.next_node_id);
+        Engine::new(&program, self.psg, attr, self.config, hook).run()
     }
 }
 
@@ -442,7 +443,6 @@ struct Engine<'p, 'g, 'h> {
     /// Dense `(ctx, stmt)` attribution snapshot of `psg`.
     attr: AttrIndex,
     config: SimConfig,
-    params: ParamTable,
     hook: &'h mut dyn Hook,
     ranks: Vec<RankState<'p>>,
     status: Vec<Status>,
@@ -466,10 +466,10 @@ enum MpiOutcome {
 
 impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
     fn new(
-        program: &'p Program,
+        program: &'p Resolved,
         psg: &'g Psg,
+        attr: AttrIndex,
         config: SimConfig,
-        params: ParamTable,
         hook: &'h mut dyn Hook,
     ) -> Self {
         let n = config.nprocs;
@@ -478,9 +478,8 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
             .collect();
         Engine {
             psg,
-            attr: AttrIndex::build(psg, program.next_node_id),
+            attr,
             config,
-            params,
             hook,
             ranks,
             status: vec![Status::Running; n],
@@ -565,8 +564,6 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
             attr: &self.attr,
             machine: &self.config.machine,
             hook: self.hook,
-            params: &self.params,
-            nprocs: self.config.nprocs,
             costs: self.config.costs,
         };
         (&mut self.ranks, ctx)
@@ -612,7 +609,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
         id
     }
 
-    fn enter_event(&mut self, r: usize, call: &MpiCall<'_>) -> f64 {
+    fn enter_event(&mut self, r: usize, call: &MpiCall) -> f64 {
         let (dst, src, tag, bytes) = match &call.op {
             EvaluatedOp::Send { dst, tag, bytes }
             | EvaluatedOp::Isend {
@@ -685,7 +682,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
         });
     }
 
-    fn handle_mpi(&mut self, r: usize, call: MpiCall<'p>) -> Result<MpiOutcome, SimError> {
+    fn handle_mpi(&mut self, r: usize, call: MpiCall) -> Result<MpiOutcome, SimError> {
         let enter = self.enter_event(r, &call);
         let o = self.config.machine.mpi_overhead;
         let bw = self.config.machine.net_bandwidth;
@@ -722,7 +719,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
                 dst,
                 tag,
                 bytes,
-                req_name,
+                req_slot,
             } => {
                 let dst = self.validate_rank(r, "isend", dst)?;
                 let send_time = enter + o;
@@ -751,12 +748,12 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
                     id
                 };
                 self.outstanding[r].push(req);
-                self.ranks[r].define_var(req_name, Value::Int(req));
+                self.ranks[r].set_slot(req_slot, Value::Int(req));
                 self.ranks[r].clock = send_time;
                 self.exit_event(r, call.vertex, call.kind, enter, 0.0);
                 Ok(MpiOutcome::Completed)
             }
-            EvaluatedOp::Irecv { src, tag, req_name } => {
+            EvaluatedOp::Irecv { src, tag, req_slot } => {
                 if src >= 0 {
                     self.validate_rank(r, "irecv", src)?;
                 }
@@ -764,7 +761,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
                 let req = self.alloc_req(r, Request::RecvPending { src, tag, posted });
                 self.recv_order[r].push_back(req);
                 self.outstanding[r].push(req);
-                self.ranks[r].define_var(req_name, Value::Int(req));
+                self.ranks[r].set_slot(req_slot, Value::Int(req));
                 self.ranks[r].clock = posted;
                 self.exit_event(r, call.vertex, call.kind, enter, 0.0);
                 Ok(MpiOutcome::Completed)

@@ -1,113 +1,34 @@
-//! Expression evaluation.
+//! Expression evaluation over the slot-resolved form.
 //!
 //! Total semantics: division/modulo by zero yield zero (the simulator
-//! must never trap on a workload expression), arithmetic wraps. Reserved
-//! variables `rank`, `nprocs`, and `any` resolve from the evaluation
-//! context, program parameters from the run configuration.
+//! must never trap on a workload expression), arithmetic wraps. Names
+//! were settled by [`crate::resolve`] before the run, so evaluation sees
+//! only literals, the executing rank, and the current frame's slots.
 
-use crate::value::{Env, Value};
-use scalana_lang::ast::{BinOp, BuiltinFn, Expr, UnOp, ANY_VALUE, VAR_ANY, VAR_NPROCS, VAR_RANK};
-use scalana_lang::Program;
-use std::collections::HashMap;
+use crate::resolve::RExpr;
+use crate::value::Value;
+use scalana_lang::ast::{BinOp, BuiltinFn, UnOp};
 
-/// Program parameters interned to dense slots at simulation setup.
-///
-/// The interpreter resolves parameters on every expression evaluation;
-/// going through a `HashMap<String, i64>` put string hashing in the
-/// innermost eval loop. Interning once up front leaves a sorted name
-/// table (binary-searched without hashing or allocation) whose hits read
-/// a plain `Vec<i64>` shared by every rank of the run.
-#[derive(Debug, Clone, Default)]
-pub struct ParamTable {
-    /// Sorted parameter names, parallel to `values`.
-    names: Vec<Box<str>>,
-    /// Dense slot array the eval loop reads.
-    values: Vec<i64>,
-}
-
-impl ParamTable {
-    /// Intern a program's declared parameters merged with run overrides
-    /// (overrides may introduce names the program does not declare,
-    /// matching the historical `HashMap` merge).
-    pub fn build(program: &Program, overrides: &HashMap<String, i64>) -> ParamTable {
-        let mut table =
-            ParamTable::from_pairs(program.params.iter().map(|p| (p.name.as_str(), p.default)));
-        // Deterministic override order (HashMap iteration is not).
-        let mut sorted: Vec<(&str, i64)> =
-            overrides.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        sorted.sort_unstable_by_key(|(k, _)| *k);
-        for (name, value) in sorted {
-            table.set(name, value);
-        }
-        table
-    }
-
-    /// Intern an explicit name/value list (later entries override).
-    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, i64)>) -> ParamTable {
-        let mut table = ParamTable::default();
-        for (name, value) in pairs {
-            table.set(name, value);
-        }
-        table
-    }
-
-    /// Insert or overwrite one parameter.
-    pub fn set(&mut self, name: &str, value: i64) {
-        match self.slot(name) {
-            Ok(i) => self.values[i] = value,
-            Err(i) => {
-                self.names.insert(i, name.into());
-                self.values.insert(i, value);
-            }
-        }
-    }
-
-    /// Resolve a parameter by name.
-    #[inline]
-    pub fn get(&self, name: &str) -> Option<i64> {
-        self.slot(name).ok().map(|i| self.values[i])
-    }
-
-    /// The dense value slots (sorted-name order).
-    pub fn values(&self) -> &[i64] {
-        &self.values
-    }
-
-    #[inline]
-    fn slot(&self, name: &str) -> Result<usize, usize> {
-        self.names.binary_search_by(|n| n.as_ref().cmp(name))
-    }
-}
-
-/// Evaluation context: the rank's identity plus run parameters.
-pub struct EvalCtx<'a> {
-    /// Executing rank.
-    pub rank: i64,
-    /// Total rank count.
-    pub nprocs: i64,
-    /// Interned program parameters (defaults merged with overrides).
-    pub params: &'a ParamTable,
-}
-
-/// Evaluate an expression to a [`Value`].
-pub fn eval(expr: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> Value {
+/// Evaluate an expression against a frame's `slots` on rank `rank`.
+pub fn eval(expr: &RExpr, slots: &[Value], rank: i64) -> Value {
     match expr {
-        Expr::Int(v) => Value::Int(*v),
-        Expr::Var(name) => lookup(name, env, ctx),
-        Expr::FuncRef(name) => Value::Func(name.clone()),
-        Expr::Unary { op, expr } => {
-            let v = eval_int(expr, env, ctx);
+        RExpr::Int(v) => Value::Int(*v),
+        RExpr::Rank => Value::Int(rank),
+        RExpr::Slot(s) => slots[*s as usize],
+        RExpr::Func(f) => Value::Func(*f),
+        RExpr::Unary { op, expr } => {
+            let v = eval_int(expr, slots, rank);
             Value::Int(match op {
                 UnOp::Neg => v.wrapping_neg(),
                 UnOp::Not => i64::from(v == 0),
             })
         }
-        Expr::Binary { op, lhs, rhs } => Value::Int(eval_bin(*op, lhs, rhs, env, ctx)),
-        Expr::Builtin { func, args } => {
-            let a = eval_int(&args[0], env, ctx);
+        RExpr::Binary { op, lhs, rhs } => Value::Int(eval_bin(*op, lhs, rhs, slots, rank)),
+        RExpr::Builtin { func, args } => {
+            let a = eval_int(&args[0], slots, rank);
             Value::Int(match func {
-                BuiltinFn::Min => a.min(eval_int(&args[1], env, ctx)),
-                BuiltinFn::Max => a.max(eval_int(&args[1], env, ctx)),
+                BuiltinFn::Min => a.min(eval_int(&args[1], slots, rank)),
+                BuiltinFn::Max => a.max(eval_int(&args[1], slots, rank)),
                 BuiltinFn::Abs => a.wrapping_abs(),
                 BuiltinFn::Log2 => {
                     if a <= 1 {
@@ -123,49 +44,23 @@ pub fn eval(expr: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> Value {
 
 /// Evaluate to an integer; function references coerce to 0 (checked
 /// programs never do arithmetic on them).
-pub fn eval_int(expr: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> i64 {
-    eval(expr, env, ctx).as_int().unwrap_or(0)
+pub fn eval_int(expr: &RExpr, slots: &[Value], rank: i64) -> i64 {
+    eval(expr, slots, rank).as_int().unwrap_or(0)
 }
 
-fn lookup(name: &str, env: &Env<'_>, ctx: &EvalCtx<'_>) -> Value {
-    match name {
-        VAR_RANK => Value::Int(ctx.rank),
-        VAR_NPROCS => Value::Int(ctx.nprocs),
-        VAR_ANY => Value::Int(ANY_VALUE),
-        _ => {
-            if let Some(v) = env.get(name) {
-                v.clone()
-            } else if let Some(p) = ctx.params.get(name) {
-                Value::Int(p)
-            } else {
-                // Unreachable for checked programs.
-                Value::Int(0)
-            }
-        }
-    }
-}
-
-fn eval_bin(op: BinOp, lhs: &Expr, rhs: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>) -> i64 {
+fn eval_bin(op: BinOp, lhs: &RExpr, rhs: &RExpr, slots: &[Value], rank: i64) -> i64 {
     // Short-circuit logical operators.
     match op {
         BinOp::And => {
-            return if eval(lhs, env, ctx).truthy() && eval(rhs, env, ctx).truthy() {
-                1
-            } else {
-                0
-            };
+            return i64::from(eval(lhs, slots, rank).truthy() && eval(rhs, slots, rank).truthy());
         }
         BinOp::Or => {
-            return if eval(lhs, env, ctx).truthy() || eval(rhs, env, ctx).truthy() {
-                1
-            } else {
-                0
-            };
+            return i64::from(eval(lhs, slots, rank).truthy() || eval(rhs, slots, rank).truthy());
         }
         _ => {}
     }
-    let a = eval_int(lhs, env, ctx);
-    let b = eval_int(rhs, env, ctx);
+    let a = eval_int(lhs, slots, rank);
+    let b = eval_int(rhs, slots, rank);
     match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
@@ -197,93 +92,92 @@ fn eval_bin(op: BinOp, lhs: &Expr, rhs: &Expr, env: &Env<'_>, ctx: &EvalCtx<'_>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resolve::Resolver;
+    use scalana_lang::ast::Expr;
     use scalana_lang::builder::*;
+    use scalana_lang::parse_program;
+    use std::collections::HashMap;
 
-    fn ctx(params: &ParamTable) -> EvalCtx<'_> {
-        EvalCtx {
-            rank: 3,
-            nprocs: 8,
-            params,
-        }
+    /// Resolve `expr` in `main` of a program with `param N = 100` and a
+    /// function `leaf`, at 8 ranks, with `locals` bound to slots 0.., and
+    /// evaluate it on rank 3.
+    fn ev_with(expr: &Expr, locals: &[(&str, i64)]) -> Value {
+        let program =
+            parse_program("t.mmpi", "param N = 100; fn main() { } fn leaf() { }").unwrap();
+        let overrides = HashMap::new();
+        let mut resolver = Resolver::new(&program, &overrides, 8);
+        let slots: Vec<Value> = locals
+            .iter()
+            .map(|&(name, v)| {
+                resolver.define(name);
+                Value::Int(v)
+            })
+            .collect();
+        eval(&resolver.expr(expr), &slots, 3)
+    }
+
+    fn ev(expr: &Expr) -> i64 {
+        ev_with(expr, &[]).as_int().unwrap()
     }
 
     #[test]
     fn arithmetic_and_precedence() {
-        let params = ParamTable::default();
-        let env = Env::new();
-        let e = int(1) + int(2) * int(3);
-        assert_eq!(eval_int(&e, &env, &ctx(&params)), 7);
+        assert_eq!(ev(&(int(1) + int(2) * int(3))), 7);
     }
 
     #[test]
     fn reserved_variables() {
-        let params = ParamTable::default();
-        let env = Env::new();
-        assert_eq!(eval_int(&rank(), &env, &ctx(&params)), 3);
-        assert_eq!(eval_int(&nprocs(), &env, &ctx(&params)), 8);
-        assert_eq!(eval_int(&any(), &env, &ctx(&params)), -1);
+        assert_eq!(ev(&rank()), 3);
+        assert_eq!(ev(&nprocs()), 8);
+        assert_eq!(ev(&any()), -1);
     }
 
     #[test]
     fn params_resolve_and_locals_shadow() {
-        let mut params = ParamTable::default();
-        params.set("N", 100);
-        let mut env = Env::new();
-        assert_eq!(eval_int(&var("N"), &env, &ctx(&params)), 100);
-        env.define("N", Value::Int(5));
-        assert_eq!(eval_int(&var("N"), &env, &ctx(&params)), 5);
-    }
-
-    #[test]
-    fn division_by_zero_is_zero() {
-        let params = ParamTable::default();
-        let env = Env::new();
-        assert_eq!(eval_int(&(int(10) / int(0)), &env, &ctx(&params)), 0);
-        assert_eq!(eval_int(&(int(10) % int(0)), &env, &ctx(&params)), 0);
-    }
-
-    #[test]
-    fn comparisons_and_logic() {
-        let params = ParamTable::default();
-        let env = Env::new();
-        assert_eq!(eval_int(&lt(int(1), int(2)), &env, &ctx(&params)), 1);
-        assert_eq!(eval_int(&and(int(1), int(0)), &env, &ctx(&params)), 0);
-        assert_eq!(eval_int(&or(int(0), int(7)), &env, &ctx(&params)), 1);
-        let not_zero = scalana_lang::ast::Expr::Unary {
-            op: UnOp::Not,
-            expr: Box::new(int(0)),
-        };
-        assert_eq!(eval_int(&not_zero, &env, &ctx(&params)), 1);
-    }
-
-    #[test]
-    fn builtins() {
-        let params = ParamTable::default();
-        let env = Env::new();
-        assert_eq!(eval_int(&max(int(3), int(9)), &env, &ctx(&params)), 9);
-        assert_eq!(eval_int(&min(int(3), int(9)), &env, &ctx(&params)), 3);
-        assert_eq!(eval_int(&abs(-int(5)), &env, &ctx(&params)), 5);
-        assert_eq!(eval_int(&log2(int(1)), &env, &ctx(&params)), 0);
-        assert_eq!(eval_int(&log2(int(2)), &env, &ctx(&params)), 1);
-        assert_eq!(eval_int(&log2(int(1024)), &env, &ctx(&params)), 10);
-        assert_eq!(eval_int(&log2(int(1025)), &env, &ctx(&params)), 10);
-    }
-
-    #[test]
-    fn funcref_value() {
-        let params = ParamTable::default();
-        let env = Env::new();
+        assert_eq!(ev(&var("N")), 100);
+        assert_eq!(ev_with(&var("N"), &[("N", 5)]), Value::Int(5));
         assert_eq!(
-            eval(&func_ref("leaf"), &env, &ctx(&params)),
-            Value::Func("leaf".to_string())
+            ev_with(&(var("a") - var("b")), &[("a", 10), ("b", 4)]),
+            Value::Int(6)
         );
     }
 
     #[test]
+    fn division_by_zero_is_zero() {
+        assert_eq!(ev(&(int(10) / int(0))), 0);
+        assert_eq!(ev(&(int(10) % int(0))), 0);
+    }
+
+    #[test]
+    fn comparisons_and_logic() {
+        assert_eq!(ev(&lt(int(1), int(2))), 1);
+        assert_eq!(ev(&and(int(1), int(0))), 0);
+        assert_eq!(ev(&or(int(0), int(7))), 1);
+        let not_zero = Expr::Unary {
+            op: UnOp::Not,
+            expr: Box::new(int(0)),
+        };
+        assert_eq!(ev(&not_zero), 1);
+    }
+
+    #[test]
+    fn builtins() {
+        assert_eq!(ev(&max(int(3), int(9))), 9);
+        assert_eq!(ev(&min(int(3), int(9))), 3);
+        assert_eq!(ev(&abs(-int(5))), 5);
+        assert_eq!(ev(&log2(int(1))), 0);
+        assert_eq!(ev(&log2(int(2))), 1);
+        assert_eq!(ev(&log2(int(1024))), 10);
+        assert_eq!(ev(&log2(int(1025))), 10);
+    }
+
+    #[test]
+    fn funcref_value() {
+        assert_eq!(ev_with(&func_ref("leaf"), &[]), Value::Func(1));
+    }
+
+    #[test]
     fn wrapping_no_panic() {
-        let params = ParamTable::default();
-        let env = Env::new();
-        let e = int(i64::MAX) + int(1);
-        let _ = eval_int(&e, &env, &ctx(&params)); // must not panic
+        let _ = ev(&(int(i64::MAX) + int(1))); // must not panic
     }
 }

@@ -1,10 +1,16 @@
 //! Per-rank interpreter with an explicit control stack.
 //!
-//! Each rank executes the MiniMPI AST directly, but keeps its control
-//! state (block cursors, loop counters, call frames) in an explicit stack
-//! so execution can *suspend* at blocking MPI operations and resume when
-//! the engine completes them — the discrete-event equivalent of a real
-//! process sitting inside `MPI_Recv`.
+//! Each rank executes the slot-resolved program ([`crate::resolve`]),
+//! keeping its control state (block cursors, loop counters, call frames)
+//! in explicit stacks so execution can *suspend* at blocking MPI
+//! operations and resume when the engine completes them — the
+//! discrete-event equivalent of a real process sitting inside
+//! `MPI_Recv`.
+//!
+//! A rank owns one slot stack and one control stack; a call frame is a
+//! pair of offsets into them. A call grows the slot stack by the
+//! callee's slot count and evaluates its arguments straight into the new
+//! slots; `return` truncates both stacks.
 //!
 //! Attribution: every executed statement is mapped to its contracted PSG
 //! vertex through the `(context, statement)` attribution map. Statements
@@ -12,12 +18,13 @@
 //! (`attr_override`), exactly the coarse attribution the paper has before
 //! runtime refinement fills the graph in.
 
-use crate::eval::{eval, eval_int, EvalCtx, ParamTable};
+use crate::eval::{eval, eval_int};
 use crate::hook::{CompEvent, Hook, IndirectCallEvent};
 use crate::machine::{MachineConfig, NoiseStream};
-use crate::value::{Env, Value};
+use crate::resolve::{RComp, RExpr, RMpiOp, RStmt, RStmtKind, Resolved, Slot};
+use crate::value::{FuncId, Value};
 use scalana_graph::{AttrIndex, CtxId, MpiKind, Psg, VertexId};
-use scalana_lang::ast::{Block, CompAttrs, Expr, MpiOp, Program, Stmt, StmtKind};
+use scalana_lang::NodeId;
 
 /// Per-statement interpreter micro-costs, in cycles. These model the
 /// instructions a real compiled program spends on bookkeeping and give
@@ -71,30 +78,24 @@ pub struct StepCtx<'e> {
     pub machine: &'e MachineConfig,
     /// The attached tool.
     pub hook: &'e mut dyn Hook,
-    /// Interned program parameters (defaults merged with run overrides).
-    pub params: &'e ParamTable,
-    /// Rank count.
-    pub nprocs: usize,
     /// Micro-cost table.
     pub costs: StmtCosts,
 }
 
 /// An MPI operation with all parameters evaluated, yielded to the engine.
-/// Request-variable names are borrowed from the program AST, so yielding
-/// a call never allocates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MpiCall<'p> {
+pub struct MpiCall {
     /// Attributed vertex.
     pub vertex: VertexId,
     /// Operation kind.
     pub kind: MpiKind,
     /// Evaluated operands.
-    pub op: EvaluatedOp<'p>,
+    pub op: EvaluatedOp,
 }
 
 /// Evaluated MPI operands.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EvaluatedOp<'p> {
+pub enum EvaluatedOp {
     /// Blocking send.
     Send {
         /// Destination rank.
@@ -124,7 +125,7 @@ pub enum EvaluatedOp<'p> {
         /// Payload bytes each way.
         bytes: u64,
     },
-    /// Non-blocking send; the engine binds `req_name`.
+    /// Non-blocking send; the engine binds `req_slot`.
     Isend {
         /// Destination rank.
         dst: i64,
@@ -132,17 +133,17 @@ pub enum EvaluatedOp<'p> {
         tag: i64,
         /// Payload bytes.
         bytes: u64,
-        /// Request variable to bind (borrowed from the AST).
-        req_name: &'p str,
+        /// Request variable to bind, in the current frame.
+        req_slot: Slot,
     },
-    /// Non-blocking receive; the engine binds `req_name`.
+    /// Non-blocking receive; the engine binds `req_slot`.
     Irecv {
         /// Source rank or -1.
         src: i64,
         /// Tag or -1.
         tag: i64,
-        /// Request variable to bind (borrowed from the AST).
-        req_name: &'p str,
+        /// Request variable to bind, in the current frame.
+        req_slot: Slot,
     },
     /// Wait on one request.
     Wait {
@@ -162,43 +163,45 @@ pub enum EvaluatedOp<'p> {
 
 /// Why a stepping rank returned control to the engine.
 #[derive(Debug)]
-pub enum StepOutcome<'p> {
+pub enum StepOutcome {
     /// Hit an MPI operation; the engine must process it.
-    Mpi(MpiCall<'p>),
+    Mpi(MpiCall),
     /// The program finished on this rank.
     Done,
     /// Exceeded the per-rank step budget (runaway loop guard).
     BudgetExhausted,
 }
 
-enum Ctl<'p> {
+enum Ctl<'r> {
     Seq {
-        block: &'p Block,
+        stmts: &'r [RStmt],
         idx: usize,
     },
     For {
-        var: &'p str,
+        slot: Slot,
         next: i64,
         end: i64,
-        body: &'p Block,
-        stmt_id: scalana_lang::NodeId,
+        body: &'r [RStmt],
+        stmt_id: NodeId,
     },
     While {
-        cond: &'p Expr,
-        body: &'p Block,
-        stmt_id: scalana_lang::NodeId,
+        cond: &'r RExpr,
+        body: &'r [RStmt],
+        stmt_id: NodeId,
     },
 }
 
-struct Frame<'p> {
+/// One call frame: where its slots and control entries start in the
+/// rank's stacks.
+struct Frame {
     ctx: CtxId,
     attr_override: Option<VertexId>,
-    env: Env<'p>,
-    control: Vec<Ctl<'p>>,
+    slot_base: usize,
+    ctl_base: usize,
 }
 
 /// Execution state of one simulated rank.
-pub struct RankState<'p> {
+pub struct RankState<'r> {
     /// Rank id.
     pub rank: usize,
     /// Virtual clock, seconds.
@@ -207,42 +210,43 @@ pub struct RankState<'p> {
     pub pmu: Pmu,
     /// Remaining statement budget.
     pub steps_left: u64,
-    program: &'p Program,
-    frames: Vec<Frame<'p>>,
+    program: &'r Resolved,
+    frames: Vec<Frame>,
+    slots: Vec<Value>,
+    control: Vec<Ctl<'r>>,
     noise: NoiseStream,
     /// Micro-cost batching: (vertex, cycles) accumulated since last flush.
     pending: Option<(VertexId, f64)>,
     finished: bool,
 }
 
-impl<'p> RankState<'p> {
+impl<'r> RankState<'r> {
     /// Set up a rank at the entry of `main`.
     pub fn new(
         rank: usize,
-        program: &'p Program,
+        program: &'r Resolved,
         psg: &Psg,
         machine: &MachineConfig,
         max_steps: u64,
-    ) -> RankState<'p> {
-        let main = program.main();
-        let mut env = Env::new();
-        env.push_scope();
-        let frame = Frame {
-            ctx: psg.root_ctx(),
-            attr_override: None,
-            env,
-            control: vec![Ctl::Seq {
-                block: &main.body,
-                idx: 0,
-            }],
-        };
+    ) -> RankState<'r> {
+        let main = &program.functions[program.main as usize];
         RankState {
             rank,
             clock: 0.0,
             pmu: Pmu::default(),
             steps_left: max_steps,
             program,
-            frames: vec![frame],
+            frames: vec![Frame {
+                ctx: psg.root_ctx(),
+                attr_override: None,
+                slot_base: 0,
+                ctl_base: 0,
+            }],
+            slots: vec![Value::Int(0); main.slots as usize],
+            control: vec![Ctl::Seq {
+                stmts: &main.body,
+                idx: 0,
+            }],
             noise: NoiseStream::new(&machine.noise, rank),
             pending: None,
             finished: false,
@@ -254,24 +258,33 @@ impl<'p> RankState<'p> {
         self.finished
     }
 
-    /// Define a variable in the current frame (engine binds request ids).
-    pub fn define_var(&mut self, name: &'p str, value: Value) {
-        if let Some(frame) = self.frames.last_mut() {
-            frame.env.define(name, value);
+    /// Set a variable of the current frame (the engine binds request ids).
+    pub fn set_slot(&mut self, slot: Slot, value: Value) {
+        if let Some(frame) = self.frames.last() {
+            self.slots[frame.slot_base + slot as usize] = value;
         }
     }
 
-    fn eval_ctx<'e>(&self, params: &'e ParamTable, nprocs: usize) -> EvalCtx<'e> {
-        EvalCtx {
-            rank: self.rank as i64,
-            nprocs: nprocs as i64,
-            params,
-        }
+    fn frame(&self) -> &Frame {
+        self.frames.last().expect("running rank has a frame")
+    }
+
+    /// The current frame's slots.
+    fn locals(&self) -> &[Value] {
+        &self.slots[self.frame().slot_base..]
+    }
+
+    fn eval(&self, expr: &RExpr) -> Value {
+        eval(expr, self.locals(), self.rank as i64)
+    }
+
+    fn eval_int(&self, expr: &RExpr) -> i64 {
+        eval_int(expr, self.locals(), self.rank as i64)
     }
 
     /// The vertex to attribute `stmt` to in the current frame.
-    fn attr_vertex(&self, ctx: &StepCtx<'_>, stmt_id: scalana_lang::NodeId) -> VertexId {
-        let frame = self.frames.last().expect("running rank has a frame");
+    fn attr_vertex(&self, ctx: &StepCtx<'_>, stmt_id: NodeId) -> VertexId {
+        let frame = self.frame();
         ctx.attr
             .vertex_of(frame.ctx, stmt_id)
             .or(frame.attr_override)
@@ -318,28 +331,29 @@ impl<'p> RankState<'p> {
 
     /// Run until the next MPI operation, completion, or budget
     /// exhaustion.
-    pub fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepOutcome<'p> {
+    pub fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepOutcome {
         loop {
             if self.steps_left == 0 {
                 return StepOutcome::BudgetExhausted;
             }
-            let Some(frame) = self.frames.last_mut() else {
+            let Some(frame) = self.frames.last() else {
                 self.flush_pending(ctx);
                 self.finished = true;
                 return StepOutcome::Done;
             };
-            let Some(top) = frame.control.last_mut() else {
+            if self.control.len() == frame.ctl_base {
+                self.slots.truncate(frame.slot_base);
                 self.frames.pop();
                 continue;
-            };
-            match top {
-                Ctl::Seq { block, idx } => {
-                    if *idx >= block.stmts.len() {
-                        frame.env.pop_scope();
-                        frame.control.pop();
+            }
+            let slot_base = frame.slot_base;
+            match self.control.last_mut().expect("frame has control") {
+                Ctl::Seq { stmts, idx } => {
+                    let stmts: &'r [RStmt] = stmts;
+                    let Some(stmt) = stmts.get(*idx) else {
+                        self.control.pop();
                         continue;
-                    }
-                    let stmt = &block.stmts[*idx];
+                    };
                     *idx += 1;
                     self.steps_left -= 1;
                     if let Some(call) = self.exec_stmt(stmt, ctx) {
@@ -347,7 +361,7 @@ impl<'p> RankState<'p> {
                     }
                 }
                 Ctl::For {
-                    var,
+                    slot,
                     next,
                     end,
                     body,
@@ -356,21 +370,17 @@ impl<'p> RankState<'p> {
                     if *next < *end {
                         let value = *next;
                         *next += 1;
-                        let var: &'p str = var;
-                        let body: &'p Block = body;
-                        let stmt_id = *stmt_id;
-                        frame.env.assign(var, Value::Int(value));
-                        frame.env.push_scope();
-                        frame.control.push(Ctl::Seq {
-                            block: body,
+                        let (slot, body, stmt_id) = (*slot, *body, *stmt_id);
+                        self.slots[slot_base + slot as usize] = Value::Int(value);
+                        self.control.push(Ctl::Seq {
+                            stmts: body,
                             idx: 0,
                         });
                         self.steps_left = self.steps_left.saturating_sub(1);
                         let vertex = self.attr_vertex(ctx, stmt_id);
                         self.charge_micro(ctx, vertex, ctx.costs.loop_iter);
                     } else {
-                        frame.env.pop_scope();
-                        frame.control.pop();
+                        self.control.pop();
                     }
                 }
                 Ctl::While {
@@ -378,20 +388,14 @@ impl<'p> RankState<'p> {
                     body,
                     stmt_id,
                 } => {
-                    let cond: &'p Expr = cond;
-                    let body: &'p Block = body;
-                    let stmt_id = *stmt_id;
-                    let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                    let frame = self.frames.last_mut().expect("frame");
-                    let take = eval(cond, &frame.env, &ec).truthy();
-                    if take {
-                        frame.env.push_scope();
-                        frame.control.push(Ctl::Seq {
-                            block: body,
+                    let (cond, body, stmt_id) = (*cond, *body, *stmt_id);
+                    if self.eval(cond).truthy() {
+                        self.control.push(Ctl::Seq {
+                            stmts: body,
                             idx: 0,
                         });
                     } else {
-                        frame.control.pop();
+                        self.control.pop();
                     }
                     self.steps_left = self.steps_left.saturating_sub(1);
                     let vertex = self.attr_vertex(ctx, stmt_id);
@@ -402,43 +406,30 @@ impl<'p> RankState<'p> {
     }
 
     /// Execute one statement; `Some` means an MPI operation was reached.
-    fn exec_stmt(&mut self, stmt: &'p Stmt, ctx: &mut StepCtx<'_>) -> Option<MpiCall<'p>> {
+    fn exec_stmt(&mut self, stmt: &'r RStmt, ctx: &mut StepCtx<'_>) -> Option<MpiCall> {
         let vertex = self.attr_vertex(ctx, stmt.id);
         match &stmt.kind {
-            StmtKind::Let { name, value } => {
-                let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                let frame = self.frames.last_mut().expect("frame");
-                let v = eval(value, &frame.env, &ec);
-                frame.env.define(name, v);
+            RStmtKind::Set { slot, value } => {
+                let v = self.eval(value);
+                self.set_slot(*slot, v);
                 self.charge_micro(ctx, vertex, ctx.costs.simple);
                 None
             }
-            StmtKind::Assign { name, value } => {
-                let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                let frame = self.frames.last_mut().expect("frame");
-                let v = eval(value, &frame.env, &ec);
-                frame.env.assign(name, v);
-                self.charge_micro(ctx, vertex, ctx.costs.simple);
+            RStmtKind::Comp(comp) => {
+                self.exec_comp(comp, vertex, ctx);
                 None
             }
-            StmtKind::Comp(attrs) => {
-                self.exec_comp(stmt, attrs, vertex, ctx);
-                None
-            }
-            StmtKind::For {
-                var,
+            RStmtKind::For {
+                slot,
                 start,
                 end,
                 body,
             } => {
-                let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                let frame = self.frames.last_mut().expect("frame");
-                let s = eval_int(start, &frame.env, &ec);
-                let e = eval_int(end, &frame.env, &ec);
-                frame.env.push_scope();
-                frame.env.define(var, Value::Int(s));
-                frame.control.push(Ctl::For {
-                    var,
+                let s = self.eval_int(start);
+                let e = self.eval_int(end);
+                self.set_slot(*slot, Value::Int(s));
+                self.control.push(Ctl::For {
+                    slot: *slot,
                     next: s,
                     end: e,
                     body,
@@ -447,9 +438,8 @@ impl<'p> RankState<'p> {
                 self.charge_micro(ctx, vertex, ctx.costs.simple);
                 None
             }
-            StmtKind::While { cond, body } => {
-                let frame = self.frames.last_mut().expect("frame");
-                frame.control.push(Ctl::While {
+            RStmtKind::While { cond, body } => {
+                self.control.push(Ctl::While {
                     cond,
                     body,
                     stmt_id: stmt.id,
@@ -457,142 +447,122 @@ impl<'p> RankState<'p> {
                 self.charge_micro(ctx, vertex, ctx.costs.simple);
                 None
             }
-            StmtKind::If {
+            RStmtKind::If {
                 cond,
                 then_block,
                 else_block,
             } => {
-                let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                let frame = self.frames.last_mut().expect("frame");
-                let take = eval(cond, &frame.env, &ec).truthy();
-                let block = if take {
+                let block = if self.eval(cond).truthy() {
                     Some(then_block)
                 } else {
                     else_block.as_ref()
                 };
-                if let Some(block) = block {
-                    frame.env.push_scope();
-                    frame.control.push(Ctl::Seq { block, idx: 0 });
+                if let Some(stmts) = block {
+                    self.control.push(Ctl::Seq { stmts, idx: 0 });
                 }
                 self.charge_micro(ctx, vertex, ctx.costs.branch);
                 None
             }
-            StmtKind::Call { callee, args } => {
-                let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                let frame = self.frames.last().expect("frame");
-                let arg_values: Vec<Value> =
-                    args.iter().map(|a| eval(a, &frame.env, &ec)).collect();
+            RStmtKind::Call { func, args } => {
+                let frame = self.frame();
                 let new_ctx = ctx.attr.enter_call(frame.ctx, stmt.id).unwrap_or(frame.ctx);
                 let attr_override = frame.attr_override;
-                self.push_call_frame(callee, arg_values, new_ctx, attr_override);
+                self.push_call_frame(*func, args, new_ctx, attr_override);
                 self.charge_micro(ctx, vertex, ctx.costs.call);
                 None
             }
-            StmtKind::CallIndirect { target, args } => {
-                let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-                let frame = self.frames.last().expect("frame");
-                let target_value = eval(target, &frame.env, &ec);
-                let Value::Func(callee) = target_value else {
+            RStmtKind::CallIndirect { target, args } => {
+                let Value::Func(func) = self.eval(target) else {
                     // Calling a non-function value: no-op (checked
                     // programs only reach this with valid refs).
                     return None;
                 };
-                let arg_values: Vec<Value> =
-                    args.iter().map(|a| eval(a, &frame.env, &ec)).collect();
-                let caller_ctx = frame.ctx;
-                let caller_override = frame.attr_override;
+                let frame = self.frame();
+                let (caller_ctx, caller_override) = (frame.ctx, frame.attr_override);
+                let program: &'r Resolved = self.program;
+                let callee = program.functions[func as usize].name.as_str();
                 let cost = ctx.hook.on_indirect_call(&IndirectCallEvent {
                     rank: self.rank,
                     ctx: caller_ctx,
                     stmt: stmt.id,
-                    callee: callee.clone(),
+                    callee: callee.to_string(),
                 });
                 self.clock += cost;
-                match ctx.psg.enter_indirect(caller_ctx, stmt.id, &callee) {
+                match ctx.psg.enter_indirect(caller_ctx, stmt.id, callee) {
                     Some(new_ctx) => {
-                        self.push_call_frame(&callee, arg_values, new_ctx, caller_override);
+                        self.push_call_frame(func, args, new_ctx, caller_override);
                     }
                     None => {
                         // Unresolved: attribute the whole callee to the
                         // CallSite vertex until the PSG is refined.
                         let override_vertex =
                             ctx.psg.vertex_of(caller_ctx, stmt.id).or(caller_override);
-                        self.push_call_frame(&callee, arg_values, caller_ctx, override_vertex);
+                        self.push_call_frame(func, args, caller_ctx, override_vertex);
                     }
                 }
                 self.charge_micro(ctx, vertex, ctx.costs.call);
                 None
             }
-            StmtKind::Return => {
-                self.frames.pop();
+            RStmtKind::Return => {
+                let frame = self.frames.pop().expect("frame");
+                self.control.truncate(frame.ctl_base);
+                self.slots.truncate(frame.slot_base);
                 None
             }
-            StmtKind::Mpi(op) => {
+            RStmtKind::Mpi { kind, op } => {
                 self.flush_pending(ctx);
-                let call = self.eval_mpi(op, vertex, ctx);
-                Some(call)
+                Some(MpiCall {
+                    vertex,
+                    kind: *kind,
+                    op: self.eval_mpi(op),
+                })
             }
         }
     }
 
     fn push_call_frame(
         &mut self,
-        callee: &str,
-        args: Vec<Value>,
+        func: FuncId,
+        args: &[RExpr],
         new_ctx: CtxId,
         attr_override: Option<VertexId>,
     ) {
-        let func = self
-            .program
-            .function(callee)
-            .expect("checked program: callee exists");
-        let mut env = Env::new();
-        env.push_scope();
-        for (param, value) in func.params.iter().zip(args) {
-            env.define(param, value);
+        let program: &'r Resolved = self.program;
+        let callee = &program.functions[func as usize];
+        let caller_base = self.frame().slot_base;
+        let base = self.slots.len();
+        self.slots
+            .resize(base + callee.slots as usize, Value::Int(0));
+        let (caller, new) = self.slots.split_at_mut(base);
+        let caller = &caller[caller_base..];
+        if args.len() < callee.params.len() {
+            for &(slot, unbound) in &callee.params[args.len()..] {
+                new[slot as usize] = unbound;
+            }
+        }
+        for (&(slot, _), arg) in callee.params.iter().zip(args) {
+            new[slot as usize] = eval(arg, caller, self.rank as i64);
         }
         self.frames.push(Frame {
             ctx: new_ctx,
             attr_override,
-            env,
-            control: vec![Ctl::Seq {
-                block: &func.body,
-                idx: 0,
-            }],
+            slot_base: base,
+            ctl_base: self.control.len(),
+        });
+        self.control.push(Ctl::Seq {
+            stmts: &callee.body,
+            idx: 0,
         });
     }
 
-    fn exec_comp(
-        &mut self,
-        _stmt: &'p Stmt,
-        attrs: &CompAttrs,
-        vertex: VertexId,
-        ctx: &mut StepCtx<'_>,
-    ) {
+    fn exec_comp(&mut self, comp: &RComp, vertex: VertexId, ctx: &mut StepCtx<'_>) {
         self.flush_pending(ctx);
-        let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-        let frame = self.frames.last().expect("frame");
-        let cycles = eval_int(&attrs.cycles, &frame.env, &ec).max(0) as f64;
-        let ins = attrs
-            .ins
-            .as_ref()
-            .map(|e| eval_int(e, &frame.env, &ec).max(0) as f64)
-            .unwrap_or(cycles);
-        let lst = attrs
-            .lst
-            .as_ref()
-            .map(|e| eval_int(e, &frame.env, &ec).max(0) as f64)
-            .unwrap_or(ins / 4.0);
-        let l2_miss = attrs
-            .l2_miss
-            .as_ref()
-            .map(|e| eval_int(e, &frame.env, &ec).max(0) as f64)
-            .unwrap_or(lst / 100.0);
-        let br_miss = attrs
-            .br_miss
-            .as_ref()
-            .map(|e| eval_int(e, &frame.env, &ec).max(0) as f64)
-            .unwrap_or(ins / 1000.0);
+        let attr = |e: &Option<RExpr>| e.as_ref().map(|e| self.eval_int(e).max(0) as f64);
+        let cycles = self.eval_int(&comp.cycles).max(0) as f64;
+        let ins = attr(&comp.ins).unwrap_or(cycles);
+        let lst = attr(&comp.lst).unwrap_or(ins / 4.0);
+        let l2_miss = attr(&comp.l2_miss).unwrap_or(lst / 100.0);
+        let br_miss = attr(&comp.br_miss).unwrap_or(ins / 1000.0);
 
         let noise = self.noise.next_factor();
         let duration = ctx.machine.comp_seconds(self.rank, cycles, l2_miss) * noise;
@@ -617,72 +587,54 @@ impl<'p> RankState<'p> {
         self.clock += cost;
     }
 
-    fn eval_mpi(&mut self, op: &'p MpiOp, vertex: VertexId, ctx: &mut StepCtx<'_>) -> MpiCall<'p> {
-        let ec = self.eval_ctx(ctx.params, ctx.nprocs);
-        let frame = self.frames.last().expect("frame");
-        let env = &frame.env;
-        let kind = MpiKind::of(op);
-        let evaluated = match op {
-            MpiOp::Send { dst, tag, bytes } => EvaluatedOp::Send {
-                dst: eval_int(dst, env, &ec),
-                tag: eval_int(tag, env, &ec),
-                bytes: eval_int(bytes, env, &ec).max(0) as u64,
+    fn eval_mpi(&self, op: &RMpiOp) -> EvaluatedOp {
+        let int = |e: &RExpr| self.eval_int(e);
+        let bytes = |e: &RExpr| self.eval_int(e).max(0) as u64;
+        match op {
+            RMpiOp::Send { dst, tag, bytes: b } => EvaluatedOp::Send {
+                dst: int(dst),
+                tag: int(tag),
+                bytes: bytes(b),
             },
-            MpiOp::Recv { src, tag } => EvaluatedOp::Recv {
-                src: eval_int(src, env, &ec),
-                tag: eval_int(tag, env, &ec),
+            RMpiOp::Recv { src, tag } => EvaluatedOp::Recv {
+                src: int(src),
+                tag: int(tag),
             },
-            MpiOp::Sendrecv {
+            RMpiOp::Sendrecv {
                 dst,
                 sendtag,
                 src,
                 recvtag,
-                bytes,
+                bytes: b,
             } => EvaluatedOp::Sendrecv {
-                dst: eval_int(dst, env, &ec),
-                sendtag: eval_int(sendtag, env, &ec),
-                src: eval_int(src, env, &ec),
-                recvtag: eval_int(recvtag, env, &ec),
-                bytes: eval_int(bytes, env, &ec).max(0) as u64,
+                dst: int(dst),
+                sendtag: int(sendtag),
+                src: int(src),
+                recvtag: int(recvtag),
+                bytes: bytes(b),
             },
-            MpiOp::Isend {
+            RMpiOp::Isend {
                 dst,
                 tag,
-                bytes,
+                bytes: b,
                 req,
             } => EvaluatedOp::Isend {
-                dst: eval_int(dst, env, &ec),
-                tag: eval_int(tag, env, &ec),
-                bytes: eval_int(bytes, env, &ec).max(0) as u64,
-                req_name: req,
+                dst: int(dst),
+                tag: int(tag),
+                bytes: bytes(b),
+                req_slot: *req,
             },
-            MpiOp::Irecv { src, tag, req } => EvaluatedOp::Irecv {
-                src: eval_int(src, env, &ec),
-                tag: eval_int(tag, env, &ec),
-                req_name: req,
+            RMpiOp::Irecv { src, tag, req } => EvaluatedOp::Irecv {
+                src: int(src),
+                tag: int(tag),
+                req_slot: *req,
             },
-            MpiOp::Wait { req } => EvaluatedOp::Wait {
-                req: eval_int(req, env, &ec),
+            RMpiOp::Wait { req } => EvaluatedOp::Wait { req: int(req) },
+            RMpiOp::Waitall => EvaluatedOp::Waitall,
+            RMpiOp::Collective { root, bytes: b } => EvaluatedOp::Collective {
+                root: int(root),
+                bytes: bytes(b),
             },
-            MpiOp::Waitall => EvaluatedOp::Waitall,
-            MpiOp::Barrier => EvaluatedOp::Collective { root: 0, bytes: 0 },
-            MpiOp::Bcast { root, bytes } | MpiOp::Reduce { root, bytes } => {
-                EvaluatedOp::Collective {
-                    root: eval_int(root, env, &ec),
-                    bytes: eval_int(bytes, env, &ec).max(0) as u64,
-                }
-            }
-            MpiOp::Allreduce { bytes } | MpiOp::Alltoall { bytes } | MpiOp::Allgather { bytes } => {
-                EvaluatedOp::Collective {
-                    root: 0,
-                    bytes: eval_int(bytes, env, &ec).max(0) as u64,
-                }
-            }
-        };
-        MpiCall {
-            vertex,
-            kind,
-            op: evaluated,
         }
     }
 }
@@ -691,27 +643,51 @@ impl<'p> RankState<'p> {
 mod tests {
     use super::*;
     use crate::hook::NullHook;
+    use crate::resolve::resolve;
     use scalana_graph::{build_psg, PsgOptions};
     use scalana_lang::parse_program;
+    use std::collections::HashMap;
+
+    /// A program resolved at `nprocs` ranks with its PSG and machine.
+    struct Fixture {
+        program: Resolved,
+        psg: Psg,
+        attr: AttrIndex,
+        machine: MachineConfig,
+    }
+
+    impl Fixture {
+        fn new(src: &str, nprocs: usize) -> Fixture {
+            let ast = parse_program("t.mmpi", src).unwrap();
+            let psg = build_psg(&ast, &PsgOptions::default());
+            Fixture {
+                program: resolve(&ast, &HashMap::new(), nprocs),
+                attr: AttrIndex::build(&psg, ast.next_node_id),
+                psg,
+                machine: MachineConfig::default(),
+            }
+        }
+
+        fn rank(&self, rank: usize, max_steps: u64) -> RankState<'_> {
+            RankState::new(rank, &self.program, &self.psg, &self.machine, max_steps)
+        }
+
+        fn ctx<'a>(&'a self, hook: &'a mut NullHook) -> StepCtx<'a> {
+            StepCtx {
+                psg: &self.psg,
+                attr: &self.attr,
+                machine: &self.machine,
+                hook,
+                costs: StmtCosts::default(),
+            }
+        }
+    }
 
     fn run_single(src: &str) -> (f64, Pmu) {
-        let program = parse_program("t.mmpi", src).unwrap();
-        let psg = build_psg(&program, &PsgOptions::default());
-        let machine = MachineConfig::default();
-        let params = ParamTable::build(&program, &Default::default());
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let fx = Fixture::new(src, 1);
         let mut hook = NullHook;
-        let mut ctx = StepCtx {
-            psg: &psg,
-            attr: &attr,
-            machine: &machine,
-            hook: &mut hook,
-            params: &params,
-            nprocs: 1,
-            costs: StmtCosts::default(),
-        };
-        let mut rank = RankState::new(0, &program, &psg, &machine, 10_000_000);
-        match rank.step(&mut ctx) {
+        let mut rank = fx.rank(0, 10_000_000);
+        match rank.step(&mut fx.ctx(&mut hook)) {
             StepOutcome::Done => {}
             other => panic!("expected completion, got {other:?}"),
         }
@@ -776,26 +752,13 @@ mod tests {
 
     #[test]
     fn mpi_yields_with_evaluated_params() {
-        let program = parse_program(
-            "t.mmpi",
+        let fx = Fixture::new(
             "fn main() { send(dst = (rank + 1) % nprocs, tag = 7, bytes = 4k); }",
-        )
-        .unwrap();
-        let psg = build_psg(&program, &PsgOptions::default());
-        let machine = MachineConfig::default();
-        let params = ParamTable::default();
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+            4,
+        );
         let mut hook = NullHook;
-        let mut ctx = StepCtx {
-            psg: &psg,
-            attr: &attr,
-            machine: &machine,
-            hook: &mut hook,
-            params: &params,
-            nprocs: 4,
-            costs: StmtCosts::default(),
-        };
-        let mut rank = RankState::new(2, &program, &psg, &machine, 1000);
+        let mut ctx = fx.ctx(&mut hook);
+        let mut rank = fx.rank(2, 1000);
         let StepOutcome::Mpi(call) = rank.step(&mut ctx) else {
             panic!()
         };
@@ -817,23 +780,10 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_detected() {
-        let program =
-            parse_program("t.mmpi", "fn main() { let x = 1; while x > 0 { x = 1; } }").unwrap();
-        let psg = build_psg(&program, &PsgOptions::default());
-        let machine = MachineConfig::default();
-        let params = ParamTable::default();
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let fx = Fixture::new("fn main() { let x = 1; while x > 0 { x = 1; } }", 1);
         let mut hook = NullHook;
-        let mut ctx = StepCtx {
-            psg: &psg,
-            attr: &attr,
-            machine: &machine,
-            hook: &mut hook,
-            params: &params,
-            nprocs: 1,
-            costs: StmtCosts::default(),
-        };
-        let mut rank = RankState::new(0, &program, &psg, &machine, 500);
+        let mut ctx = fx.ctx(&mut hook);
+        let mut rank = fx.rank(0, 500);
         let StepOutcome::BudgetExhausted = rank.step(&mut ctx) else {
             panic!("expected budget exhaustion")
         };
@@ -843,23 +793,11 @@ mod tests {
     fn rank_dependent_branching() {
         let src = "fn main() { if rank == 0 { comp(cycles = 1000, ins = 1000, lst = 0, \
                     miss = 0, brmiss = 0); } }";
-        let program = parse_program("t.mmpi", src).unwrap();
-        let psg = build_psg(&program, &PsgOptions::default());
-        let machine = MachineConfig::default();
-        let params = ParamTable::default();
-        let attr = AttrIndex::build(&psg, program.next_node_id);
+        let fx = Fixture::new(src, 2);
         let mut hook = NullHook;
-        let mut ctx = StepCtx {
-            psg: &psg,
-            attr: &attr,
-            machine: &machine,
-            hook: &mut hook,
-            params: &params,
-            nprocs: 2,
-            costs: StmtCosts::default(),
-        };
-        let mut r0 = RankState::new(0, &program, &psg, &machine, 1000);
-        let mut r1 = RankState::new(1, &program, &psg, &machine, 1000);
+        let mut ctx = fx.ctx(&mut hook);
+        let mut r0 = fx.rank(0, 1000);
+        let mut r1 = fx.rank(1, 1000);
         let StepOutcome::Done = r0.step(&mut ctx) else {
             panic!()
         };

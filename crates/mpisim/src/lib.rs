@@ -18,8 +18,13 @@
 //! - [`machine`]: the platform model (core frequency, per-rank speed
 //!   heterogeneity, LogGP-style network, collective cost models, seeded
 //!   noise),
-//! - [`interp`]: the per-rank interpreter (explicit control stack so a
-//!   rank suspends mid-program at blocking MPI operations),
+//! - [`resolve`]: name resolution, run once per simulation: the checked
+//!   AST lowered to a form whose variables are frame slots, whose
+//!   parameters and `nprocs` are literals, and whose calls carry
+//!   function indices,
+//! - [`interp`] and [`eval`]: the per-rank interpreter over that form
+//!   (explicit slot and control stacks so a rank suspends mid-program at
+//!   blocking MPI operations) and its expression evaluator,
 //! - [`engine`]: the scheduler and message-matching core (eager and
 //!   rendezvous point-to-point, wildcard receives, non-blocking request
 //!   tracking, sequence-matched collectives),
@@ -56,6 +61,7 @@ pub mod fxhash;
 pub mod hook;
 pub mod interp;
 pub mod machine;
+pub mod resolve;
 pub mod value;
 
 pub use engine::{SimConfig, SimError, SimResult, Simulation};
