@@ -21,7 +21,7 @@
 use crate::eval::{eval, eval_int};
 use crate::hook::{CompEvent, Hook, IndirectCallEvent};
 use crate::machine::{MachineConfig, NoiseStream};
-use crate::resolve::{RComp, RExpr, RMpiOp, RStmt, RStmtKind, Resolved, Slot};
+use crate::resolve::{Operands, RComp, RExpr, RMpiOp, RStmt, RStmtKind, Resolved, Slot};
 use crate::value::{FuncId, Value};
 use scalana_graph::{AttrIndex, CtxId, MpiKind, Psg, VertexId};
 use scalana_lang::NodeId;
@@ -94,72 +94,7 @@ pub struct MpiCall {
 }
 
 /// Evaluated MPI operands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EvaluatedOp {
-    /// Blocking send.
-    Send {
-        /// Destination rank.
-        dst: i64,
-        /// Tag.
-        tag: i64,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// Blocking receive.
-    Recv {
-        /// Source rank or -1.
-        src: i64,
-        /// Tag or -1.
-        tag: i64,
-    },
-    /// Combined exchange.
-    Sendrecv {
-        /// Send destination.
-        dst: i64,
-        /// Send tag.
-        sendtag: i64,
-        /// Receive source or -1.
-        src: i64,
-        /// Receive tag or -1.
-        recvtag: i64,
-        /// Payload bytes each way.
-        bytes: u64,
-    },
-    /// Non-blocking send; the engine binds `req_slot`.
-    Isend {
-        /// Destination rank.
-        dst: i64,
-        /// Tag.
-        tag: i64,
-        /// Payload bytes.
-        bytes: u64,
-        /// Request variable to bind, in the current frame.
-        req_slot: Slot,
-    },
-    /// Non-blocking receive; the engine binds `req_slot`.
-    Irecv {
-        /// Source rank or -1.
-        src: i64,
-        /// Tag or -1.
-        tag: i64,
-        /// Request variable to bind, in the current frame.
-        req_slot: Slot,
-    },
-    /// Wait on one request.
-    Wait {
-        /// Request id.
-        req: i64,
-    },
-    /// Wait on all outstanding requests.
-    Waitall,
-    /// A collective operation.
-    Collective {
-        /// Root rank (bcast/reduce; 0 otherwise).
-        root: i64,
-        /// Payload bytes.
-        bytes: u64,
-    },
-}
+pub type EvaluatedOp = Operands<i64, u64>;
 
 /// Why a stepping rank returned control to the engine.
 #[derive(Debug)]
@@ -588,54 +523,7 @@ impl<'r> RankState<'r> {
     }
 
     fn eval_mpi(&self, op: &RMpiOp) -> EvaluatedOp {
-        let int = |e: &RExpr| self.eval_int(e);
-        let bytes = |e: &RExpr| self.eval_int(e).max(0) as u64;
-        match op {
-            RMpiOp::Send { dst, tag, bytes: b } => EvaluatedOp::Send {
-                dst: int(dst),
-                tag: int(tag),
-                bytes: bytes(b),
-            },
-            RMpiOp::Recv { src, tag } => EvaluatedOp::Recv {
-                src: int(src),
-                tag: int(tag),
-            },
-            RMpiOp::Sendrecv {
-                dst,
-                sendtag,
-                src,
-                recvtag,
-                bytes: b,
-            } => EvaluatedOp::Sendrecv {
-                dst: int(dst),
-                sendtag: int(sendtag),
-                src: int(src),
-                recvtag: int(recvtag),
-                bytes: bytes(b),
-            },
-            RMpiOp::Isend {
-                dst,
-                tag,
-                bytes: b,
-                req,
-            } => EvaluatedOp::Isend {
-                dst: int(dst),
-                tag: int(tag),
-                bytes: bytes(b),
-                req_slot: *req,
-            },
-            RMpiOp::Irecv { src, tag, req } => EvaluatedOp::Irecv {
-                src: int(src),
-                tag: int(tag),
-                req_slot: *req,
-            },
-            RMpiOp::Wait { req } => EvaluatedOp::Wait { req: int(req) },
-            RMpiOp::Waitall => EvaluatedOp::Waitall,
-            RMpiOp::Collective { root, bytes: b } => EvaluatedOp::Collective {
-                root: int(root),
-                bytes: bytes(b),
-            },
-        }
+        op.map(|e| self.eval_int(e), |e| self.eval_int(e).max(0) as u64)
     }
 }
 
@@ -888,5 +776,17 @@ mod tests {
              lst = 0, miss = 0, brmiss = 0); }",
         );
         assert_eq!(pmu.tot_ins, 1000.0 + 20.0);
+    }
+
+    #[test]
+    fn indirect_call_arity_mismatch_binds_what_it_can() {
+        // `check` cannot see an indirect callee's arity. A parameter
+        // left unbound reads the program parameter of its name; surplus
+        // arguments are dropped.
+        let (_, pmu) = run_single(
+            "param n = 7; fn main() { let f = &g; call f(); call f(100, 5); } \
+             fn g(n) { comp(cycles = n, ins = n, lst = 0, miss = 0, brmiss = 0); }",
+        );
+        assert_eq!(pmu.tot_ins, 7.0 + 100.0 + 4.0 + 2.0 * 20.0);
     }
 }

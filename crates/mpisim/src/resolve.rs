@@ -168,74 +168,136 @@ pub struct RComp {
     pub br_miss: Option<RExpr>,
 }
 
-/// Resolved MPI operands, one variant per evaluated shape
-/// ([`crate::interp::EvaluatedOp`]). Every collective is `Collective`;
-/// `barrier` and the rootless ones get literal zero operands.
+/// MPI operands, one variant per shape the engine handles. The resolved
+/// form holds expressions ([`RMpiOp`]), which the interpreter evaluates
+/// into numbers ([`crate::interp::EvaluatedOp`]). Every collective is
+/// `Collective`; `barrier` and the rootless ones get literal zero
+/// operands.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RMpiOp {
+pub enum Operands<I, B> {
     /// Blocking send.
     Send {
         /// Destination rank.
-        dst: RExpr,
+        dst: I,
         /// Tag.
-        tag: RExpr,
+        tag: I,
         /// Payload bytes.
-        bytes: RExpr,
+        bytes: B,
     },
     /// Blocking receive.
     Recv {
-        /// Source rank or `any`.
-        src: RExpr,
-        /// Tag or `any`.
-        tag: RExpr,
+        /// Source rank or `any` (-1).
+        src: I,
+        /// Tag or `any` (-1).
+        tag: I,
     },
     /// Combined exchange.
     Sendrecv {
         /// Send destination.
-        dst: RExpr,
+        dst: I,
         /// Send tag.
-        sendtag: RExpr,
-        /// Receive source or `any`.
-        src: RExpr,
-        /// Receive tag or `any`.
-        recvtag: RExpr,
+        sendtag: I,
+        /// Receive source or `any` (-1).
+        src: I,
+        /// Receive tag or `any` (-1).
+        recvtag: I,
         /// Payload bytes each way.
-        bytes: RExpr,
+        bytes: B,
     },
-    /// Non-blocking send binding a request variable.
+    /// Non-blocking send; the engine binds `req_slot`.
     Isend {
         /// Destination rank.
-        dst: RExpr,
+        dst: I,
         /// Tag.
-        tag: RExpr,
+        tag: I,
         /// Payload bytes.
-        bytes: RExpr,
-        /// Request variable.
-        req: Slot,
+        bytes: B,
+        /// Request variable to bind, in the current frame.
+        req_slot: Slot,
     },
-    /// Non-blocking receive binding a request variable.
+    /// Non-blocking receive; the engine binds `req_slot`.
     Irecv {
-        /// Source rank or `any`.
-        src: RExpr,
-        /// Tag or `any`.
-        tag: RExpr,
-        /// Request variable.
-        req: Slot,
+        /// Source rank or `any` (-1).
+        src: I,
+        /// Tag or `any` (-1).
+        tag: I,
+        /// Request variable to bind, in the current frame.
+        req_slot: Slot,
     },
     /// Wait on one request.
     Wait {
         /// Request id.
-        req: RExpr,
+        req: I,
     },
     /// Wait on all outstanding requests.
     Waitall,
     /// A collective operation.
     Collective {
         /// Root rank (bcast/reduce; 0 otherwise).
-        root: RExpr,
+        root: I,
         /// Payload bytes.
-        bytes: RExpr,
+        bytes: B,
     },
+}
+
+/// Resolved MPI operands.
+pub type RMpiOp = Operands<RExpr, RExpr>;
+
+impl<I, B> Operands<I, B> {
+    /// The same operation with every rank, tag and request operand passed
+    /// through `int` and every byte count through `bytes`.
+    pub fn map<I2, B2>(
+        &self,
+        int: impl Fn(&I) -> I2,
+        bytes: impl Fn(&B) -> B2,
+    ) -> Operands<I2, B2> {
+        match self {
+            Operands::Send { dst, tag, bytes: b } => Operands::Send {
+                dst: int(dst),
+                tag: int(tag),
+                bytes: bytes(b),
+            },
+            Operands::Recv { src, tag } => Operands::Recv {
+                src: int(src),
+                tag: int(tag),
+            },
+            Operands::Sendrecv {
+                dst,
+                sendtag,
+                src,
+                recvtag,
+                bytes: b,
+            } => Operands::Sendrecv {
+                dst: int(dst),
+                sendtag: int(sendtag),
+                src: int(src),
+                recvtag: int(recvtag),
+                bytes: bytes(b),
+            },
+            Operands::Isend {
+                dst,
+                tag,
+                bytes: b,
+                req_slot,
+            } => Operands::Isend {
+                dst: int(dst),
+                tag: int(tag),
+                bytes: bytes(b),
+                req_slot: *req_slot,
+            },
+            Operands::Irecv { src, tag, req_slot } => Operands::Irecv {
+                src: int(src),
+                tag: int(tag),
+                req_slot: *req_slot,
+            },
+            Operands::Wait { req } => Operands::Wait { req: int(req) },
+            Operands::Waitall => Operands::Waitall,
+            Operands::Collective { root, bytes: b } => Operands::Collective {
+                root: int(root),
+                bytes: bytes(b),
+            },
+        }
+    }
 }
 
 /// A resolved function.
@@ -459,7 +521,7 @@ impl<'a> Resolver<'a> {
                     dst,
                     tag,
                     bytes,
-                    req: self.define(req),
+                    req_slot: self.define(req),
                 }
             }
             MpiOp::Irecv { src, tag, req } => {
@@ -467,7 +529,7 @@ impl<'a> Resolver<'a> {
                 RMpiOp::Irecv {
                     src,
                     tag,
-                    req: self.define(req),
+                    req_slot: self.define(req),
                 }
             }
             MpiOp::Wait { req } => RMpiOp::Wait {
@@ -731,7 +793,7 @@ mod tests {
             panic!("expected mpi")
         };
         assert_eq!(*kind, MpiKind::Irecv);
-        assert!(matches!(op, RMpiOp::Irecv { req: 1, .. }));
+        assert!(matches!(op, RMpiOp::Irecv { req_slot: 1, .. }));
         assert!(matches!(
             &inner[1].kind,
             RStmtKind::Mpi {
