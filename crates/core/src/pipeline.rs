@@ -5,7 +5,7 @@ use scalana_apps::App;
 use scalana_detect::{detect, DetectConfig, DetectionReport};
 use scalana_graph::{build_psg, Ppg, Psg, PsgOptions};
 use scalana_lang::Program;
-use scalana_mpisim::{ChainHook, Hook, MachineConfig, SimConfig, SimError, Simulation};
+use scalana_mpisim::{ChainHook, Hook, MachineConfig, NullHook, SimConfig, SimError, Simulation};
 use scalana_profile::recorder::{
     discover_indirect_calls, discover_indirect_calls_traced, replay_indirect_calls, DiscoveryRound,
 };
@@ -151,13 +151,7 @@ pub fn profile_one_scale(
     config: &ScalAnaConfig,
     nprocs: usize,
 ) -> Result<ProfileData, SimError> {
-    profile_one_scale_on(
-        program,
-        psg,
-        config,
-        &Arc::new(config.machine.clone()),
-        nprocs,
-    )
+    profile_one_scale_observed(program, psg, config, nprocs, &mut NullHook)
 }
 
 /// [`profile_one_scale`] with an extra observer hook chained after the
@@ -170,11 +164,11 @@ pub fn profile_one_scale(
 /// [`profile_one_scale`]. The profile returned is exactly what the
 /// unobserved call produces.
 ///
-/// Generic over the observer (not `&mut dyn Hook`) so the whole
-/// profiler + observer chain monomorphizes: the simulator makes one
-/// virtual call per event either way, and the observer's counting
-/// inlines behind it — always-on observation must not add a second
-/// dispatch to every simulated event.
+/// Generic over the observer (not `&mut dyn Hook`) so the simulator is
+/// compiled for this exact profiler + observer chain: both tools'
+/// callbacks inline into the interpreter loop and no event pays a
+/// virtual call. The unobserved [`profile_one_scale`] is this same body
+/// with a [`NullHook`] observer.
 pub fn profile_one_scale_observed<H: Hook>(
     program: &Program,
     psg: &Psg,
@@ -182,32 +176,28 @@ pub fn profile_one_scale_observed<H: Hook>(
     nprocs: usize,
     observer: &mut H,
 ) -> Result<ProfileData, SimError> {
-    let mut sim_config = SimConfig::with_nprocs(nprocs);
-    sim_config.machine = Arc::new(config.machine.clone());
-    sim_config.params = config.params.clone();
-    let mut profiler = ScalAnaProfiler::new(config.profiler.clone());
-    let mut chained = ChainHook(&mut profiler, observer);
-    Simulation::new(program, psg, sim_config)
-        .with_hook(&mut chained)
-        .run()
-        .map(|_| profiler.take_data())
+    let machine = Arc::new(config.machine.clone());
+    profile_one_scale_on(program, psg, config, &machine, nprocs, observer)
 }
 
-/// [`profile_one_scale`] with the platform model already behind an
-/// `Arc`, so multi-scale callers share one copy across their runs.
-fn profile_one_scale_on(
+/// The one profiled-run body: the profiler plus `observer`, with the
+/// platform model already behind an `Arc` so multi-scale callers share
+/// one copy across their runs.
+fn profile_one_scale_on<H: Hook>(
     program: &Program,
     psg: &Psg,
     config: &ScalAnaConfig,
     machine: &Arc<MachineConfig>,
     nprocs: usize,
+    observer: &mut H,
 ) -> Result<ProfileData, SimError> {
     let mut sim_config = SimConfig::with_nprocs(nprocs);
     sim_config.machine = Arc::clone(machine);
     sim_config.params = config.params.clone();
     let mut profiler = ScalAnaProfiler::new(config.profiler.clone());
+    let mut chained = ChainHook(&mut profiler, observer);
     Simulation::new(program, psg, sim_config)
-        .with_hook(&mut profiler)
+        .with_hook(&mut chained)
         .run()
         .map(|_| profiler.take_data())
 }
@@ -233,7 +223,7 @@ pub fn profile_runs(
     let machine = Arc::new(config.machine.clone());
     let mut profiles: Vec<Option<Result<ProfileData, SimError>>> =
         (0..scales.len()).map(|_| None).collect();
-    let run = |nprocs| profile_one_scale_on(program, &psg, config, &machine, nprocs);
+    let run = |nprocs| profile_one_scale_on(program, &psg, config, &machine, nprocs, &mut NullHook);
     thread::scope(|scope| {
         let mut slots = profiles.iter_mut().zip(scales);
         let last = slots.next_back().expect("at least one scale");
@@ -442,6 +432,33 @@ mod tests {
             assert_eq!(a.nprocs, b.nprocs);
             assert_eq!(a.rank_elapsed, b.rank_elapsed);
         }
+    }
+
+    /// Every rank receives from its right neighbour, and nobody sends.
+    const DEADLOCK: &str = "fn main() { recv(src = (rank + 1) % nprocs, tag = 0); }";
+
+    #[test]
+    fn no_indirect_call_means_no_discovery_run() {
+        // Simulating this program deadlocks, so an `Ok` proves discovery
+        // never ran; the trace is what one empty round records.
+        let program = scalana_lang::parse_program("t.mmpi", DEADLOCK).unwrap();
+        let (psg, trace) = refined_psg_traced(&program, &ScalAnaConfig::default(), 2).unwrap();
+        assert_eq!(trace, vec![Vec::new()]);
+        assert_eq!(
+            psg.vertex_count(),
+            build_psg(&program, &PsgOptions::default()).vertex_count()
+        );
+    }
+
+    #[test]
+    fn a_deadlock_still_fails_the_analysis() {
+        let program = scalana_lang::parse_program("t.mmpi", DEADLOCK).unwrap();
+        let result = analyze(&program, &[2, 4], &ScalAnaConfig::default());
+        assert!(
+            matches!(result, Err(SimError::Deadlock { .. })),
+            "{:?}",
+            result.map(|a| a.runs.len())
+        );
     }
 
     #[test]

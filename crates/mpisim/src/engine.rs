@@ -43,6 +43,11 @@
 //! ([`crate::resolve`]): ranks execute a slot-resolved program, program
 //! parameters and `nprocs` are literals in it, and binding a request id
 //! writes the request slot an `isend`/`irecv` carries.
+//! The engine and the interpreter are generic over the hook type, so the
+//! whole event loop is compiled once per tool: a profiler's callbacks for
+//! every computation, MPI exit and dependence event inline into it
+//! instead of costing a virtual call each. A `&mut dyn Hook` is one more
+//! instance of the same code, with dynamic dispatch.
 
 use crate::fxhash::FxHashMap;
 use crate::hook::{CommDepEvent, Hook, MpiEnterEvent, MpiExitEvent, NullHook};
@@ -172,11 +177,16 @@ impl std::error::Error for SimError {}
 
 /// Entry point: couple a program, its PSG, and a config; optionally
 /// attach a [`Hook`]; then [`run`](Simulation::run).
-pub struct Simulation<'p, 'g, 'h> {
+///
+/// The hook type is a parameter, so the engine is compiled once per tool:
+/// a concrete hook's callbacks inline into the interpreter loop, a bare
+/// `Simulation::new(..).run()` runs [`NullHook`], and a `&mut dyn Hook`
+/// (`H = dyn Hook`) keeps virtual dispatch.
+pub struct Simulation<'p, 'g, 'h, H: Hook + ?Sized = NullHook> {
     program: &'p Program,
     psg: &'g Psg,
     config: SimConfig,
-    hook: Option<&'h mut dyn Hook>,
+    hook: Option<&'h mut H>,
 }
 
 impl<'p, 'g, 'h> Simulation<'p, 'g, 'h> {
@@ -189,23 +199,27 @@ impl<'p, 'g, 'h> Simulation<'p, 'g, 'h> {
             hook: None,
         }
     }
+}
 
+impl<'p, 'g, 'h, H: Hook + ?Sized> Simulation<'p, 'g, 'h, H> {
     /// Attach a performance tool.
-    pub fn with_hook(mut self, hook: &'h mut dyn Hook) -> Self {
-        self.hook = Some(hook);
-        self
+    pub fn with_hook<H2: Hook + ?Sized>(self, hook: &'h mut H2) -> Simulation<'p, 'g, 'h, H2> {
+        Simulation {
+            program: self.program,
+            psg: self.psg,
+            config: self.config,
+            hook: Some(hook),
+        }
     }
 
     /// Run to completion.
     pub fn run(self) -> Result<SimResult, SimError> {
-        let mut null = NullHook;
-        let hook: &mut dyn Hook = match self.hook {
-            Some(h) => h,
-            None => &mut null,
-        };
         let program = resolve(self.program, &self.config.params, self.config.nprocs);
         let attr = AttrIndex::build(self.psg, self.program.next_node_id);
-        Engine::new(&program, self.psg, attr, self.config, hook).run()
+        match self.hook {
+            Some(hook) => Engine::new(&program, self.psg, attr, self.config, hook).run(),
+            None => Engine::new(&program, self.psg, attr, self.config, &mut NullHook).run(),
+        }
     }
 }
 
@@ -438,12 +452,12 @@ impl CollInstance {
     }
 }
 
-struct Engine<'p, 'g, 'h> {
+struct Engine<'p, 'g, 'h, H: Hook + ?Sized> {
     psg: &'g Psg,
     /// Dense `(ctx, stmt)` attribution snapshot of `psg`.
     attr: AttrIndex,
     config: SimConfig,
-    hook: &'h mut dyn Hook,
+    hook: &'h mut H,
     ranks: Vec<RankState<'p>>,
     status: Vec<Status>,
     runnable: VecDeque<usize>,
@@ -464,13 +478,13 @@ enum MpiOutcome {
     BlockedNow,
 }
 
-impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
+impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     fn new(
         program: &'p Resolved,
         psg: &'g Psg,
         attr: AttrIndex,
         config: SimConfig,
-        hook: &'h mut dyn Hook,
+        hook: &'h mut H,
     ) -> Self {
         let n = config.nprocs;
         let ranks = (0..n)
@@ -558,7 +572,7 @@ impl<'p, 'g, 'h> Engine<'p, 'g, 'h> {
         lines.join("; ")
     }
 
-    fn step_ctx(&mut self) -> (&mut Vec<RankState<'p>>, StepCtx<'_>) {
+    fn step_ctx(&mut self) -> (&mut Vec<RankState<'p>>, StepCtx<'_, H>) {
         let ctx = StepCtx {
             psg: self.psg,
             attr: &self.attr,

@@ -18,6 +18,13 @@
 //!   dependence edge, with the receiver's wait time,
 //! - [`Hook::on_indirect_call`] — a resolved indirect call (paper
 //!   §III-B3).
+//!
+//! Dispatch is static: [`Simulation`](crate::Simulation) is generic over
+//! its hook type, so the engine is compiled for each tool and the tool's
+//! callbacks inline into the interpreter loop. Combinators keep that
+//! property: [`ChainHook`] of two concrete hooks, or of `&mut` borrows of
+//! them, is itself concrete. Passing a `&mut dyn Hook` still works and
+//! costs one virtual call per event.
 
 use scalana_graph::{CtxId, MpiKind, VertexId};
 use scalana_lang::ast::NodeId;

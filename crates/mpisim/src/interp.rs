@@ -68,7 +68,7 @@ pub struct Pmu {
 }
 
 /// Everything a stepping rank needs from the engine.
-pub struct StepCtx<'e> {
+pub struct StepCtx<'e, H: Hook + ?Sized> {
     /// The contracted PSG (indirect-call transitions, root vertex).
     pub psg: &'e Psg,
     /// Dense attribution/transition snapshot of the PSG (the hot-loop
@@ -77,7 +77,7 @@ pub struct StepCtx<'e> {
     /// Platform model.
     pub machine: &'e MachineConfig,
     /// The attached tool.
-    pub hook: &'e mut dyn Hook,
+    pub hook: &'e mut H,
     /// Micro-cost table.
     pub costs: StmtCosts,
 }
@@ -218,7 +218,7 @@ impl<'r> RankState<'r> {
     }
 
     /// The vertex to attribute `stmt` to in the current frame.
-    fn attr_vertex(&self, ctx: &StepCtx<'_>, stmt_id: NodeId) -> VertexId {
+    fn attr_vertex<H: Hook + ?Sized>(&self, ctx: &StepCtx<'_, H>, stmt_id: NodeId) -> VertexId {
         let frame = self.frame();
         ctx.attr
             .vertex_of(frame.ctx, stmt_id)
@@ -228,7 +228,12 @@ impl<'r> RankState<'r> {
 
     /// Accumulate interpreter bookkeeping cycles on a vertex; flushed as
     /// one `CompEvent` when the vertex changes or at MPI boundaries.
-    fn charge_micro(&mut self, ctx: &mut StepCtx<'_>, vertex: VertexId, cycles: f64) {
+    fn charge_micro<H: Hook + ?Sized>(
+        &mut self,
+        ctx: &mut StepCtx<'_, H>,
+        vertex: VertexId,
+        cycles: f64,
+    ) {
         match &mut self.pending {
             Some((v, acc)) if *v == vertex => *acc += cycles,
             Some(_) => {
@@ -240,7 +245,7 @@ impl<'r> RankState<'r> {
     }
 
     /// Emit the pending micro-cost batch as a computation event.
-    pub fn flush_pending(&mut self, ctx: &mut StepCtx<'_>) {
+    pub fn flush_pending<H: Hook + ?Sized>(&mut self, ctx: &mut StepCtx<'_, H>) {
         let Some((vertex, cycles)) = self.pending.take() else {
             return;
         };
@@ -266,7 +271,7 @@ impl<'r> RankState<'r> {
 
     /// Run until the next MPI operation, completion, or budget
     /// exhaustion.
-    pub fn step(&mut self, ctx: &mut StepCtx<'_>) -> StepOutcome {
+    pub fn step<H: Hook + ?Sized>(&mut self, ctx: &mut StepCtx<'_, H>) -> StepOutcome {
         loop {
             if self.steps_left == 0 {
                 return StepOutcome::BudgetExhausted;
@@ -341,7 +346,11 @@ impl<'r> RankState<'r> {
     }
 
     /// Execute one statement; `Some` means an MPI operation was reached.
-    fn exec_stmt(&mut self, stmt: &'r RStmt, ctx: &mut StepCtx<'_>) -> Option<MpiCall> {
+    fn exec_stmt<H: Hook + ?Sized>(
+        &mut self,
+        stmt: &'r RStmt,
+        ctx: &mut StepCtx<'_, H>,
+    ) -> Option<MpiCall> {
         let vertex = self.attr_vertex(ctx, stmt.id);
         match &stmt.kind {
             RStmtKind::Set { slot, value } => {
@@ -490,7 +499,12 @@ impl<'r> RankState<'r> {
         });
     }
 
-    fn exec_comp(&mut self, comp: &RComp, vertex: VertexId, ctx: &mut StepCtx<'_>) {
+    fn exec_comp<H: Hook + ?Sized>(
+        &mut self,
+        comp: &RComp,
+        vertex: VertexId,
+        ctx: &mut StepCtx<'_, H>,
+    ) {
         self.flush_pending(ctx);
         let attr = |e: &Option<RExpr>| e.as_ref().map(|e| self.eval_int(e).max(0) as f64);
         let cycles = self.eval_int(&comp.cycles).max(0) as f64;
@@ -560,7 +574,7 @@ mod tests {
             RankState::new(rank, &self.program, &self.psg, &self.machine, max_steps)
         }
 
-        fn ctx<'a>(&'a self, hook: &'a mut NullHook) -> StepCtx<'a> {
+        fn ctx<'a>(&'a self, hook: &'a mut NullHook) -> StepCtx<'a, NullHook> {
             StepCtx {
                 psg: &self.psg,
                 attr: &self.attr,

@@ -6,7 +6,7 @@
 //! the PSG so subsequent profiling runs attribute at full precision.
 
 use scalana_graph::{CtxId, Psg};
-use scalana_lang::ast::NodeId;
+use scalana_lang::ast::{NodeId, StmtKind};
 use scalana_mpisim::hook::{Hook, IndirectCallEvent};
 use std::collections::BTreeSet;
 
@@ -86,11 +86,19 @@ pub fn discover_indirect_calls(
 /// allocation-ordered and the recorder's `BTreeSet` fixes the
 /// application order — with zero simulation. This is what the service's
 /// durable store persists for warm restarts.
+///
+/// A program with no `call` through a function pointer has nothing to
+/// discover: it returns what one round would, `(1, [[]])`, without
+/// simulating. Such a program's run-time errors then surface at its
+/// first profiled run instead.
 pub fn discover_indirect_calls_traced(
     program: &scalana_lang::Program,
     psg: &mut Psg,
     nprocs: usize,
 ) -> Result<(usize, Vec<DiscoveryRound>), scalana_mpisim::SimError> {
+    if !has_indirect_call(program) {
+        return Ok((1, vec![Vec::new()]));
+    }
     let mut trace = Vec::new();
     loop {
         let mut recorder = IndirectRecorder::new();
@@ -106,6 +114,13 @@ pub fn discover_indirect_calls_traced(
             return Ok((rounds, trace));
         }
     }
+}
+
+/// Whether any statement of `program` calls through a function pointer.
+fn has_indirect_call(program: &scalana_lang::Program) -> bool {
+    let mut found = false;
+    program.for_each_stmt(|s| found |= matches!(s.kind, StmtKind::CallIndirect { .. }));
+    found
 }
 
 /// Re-apply recorded discovery rounds to a freshly built (unrefined)

@@ -74,6 +74,8 @@ type EdgeKey = (usize, VertexId, usize, VertexId);
 /// it goes.
 pub struct ScalAnaProfiler {
     config: ProfilerConfig,
+    /// Sampling period, `1 / sampling_hz`, computed once.
+    period: f64,
     data: ProfileData,
     writer: RecordWriter,
     /// Per-rank, per-vertex performance vectors. Every recorded sample
@@ -98,6 +100,7 @@ impl ScalAnaProfiler {
     /// New profiler with the given configuration.
     pub fn new(config: ProfilerConfig) -> ScalAnaProfiler {
         ScalAnaProfiler {
+            period: 1.0 / config.sampling_hz,
             config,
             data: ProfileData::default(),
             writer: RecordWriter::new(),
@@ -150,13 +153,9 @@ impl ScalAnaProfiler {
         self.data.sample_count
     }
 
-    fn period(&self) -> f64 {
-        1.0 / self.config.sampling_hz
-    }
-
     /// Count timer ticks inside an interval and update the rank's phase.
     fn take_samples(&mut self, rank: usize, duration: f64) -> u64 {
-        let period = self.period();
+        let period = self.period;
         let total = self.sample_phase[rank] + duration;
         let n = (total / period).floor() as u64;
         self.sample_phase[rank] = total - n as f64 * period;
@@ -202,7 +201,7 @@ impl Hook for ScalAnaProfiler {
             }
         } else {
             // Timer-quantized attribution: whole periods only.
-            let seen = n as f64 * self.period();
+            let seen = n as f64 * self.period;
             let scale = if ev.duration > 0.0 {
                 seen / ev.duration
             } else {

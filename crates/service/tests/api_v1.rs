@@ -204,6 +204,25 @@ fn job_listing_paginates_and_filters_by_state() {
 }
 
 #[test]
+fn a_deadlocking_program_fails_with_the_simulator_error() {
+    // No `call` through a pointer, so no discovery run: the deadlock
+    // surfaces at the first profiled scale, and the job still fails.
+    let addr = boot(1);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let text = "fn main() { recv(src = (rank + 1) % nprocs, tag = 0); }";
+    let response = conn
+        .request_json("POST", paths::JOBS, &submit_body(text, &[2, 4]))
+        .unwrap();
+    let key = response.get("job").unwrap().as_str().unwrap().to_string();
+    let doc = conn.wait_for_job(&key, Duration::from_secs(120)).unwrap();
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("deadlock"), "{error}");
+
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
+}
+
+#[test]
 fn longpoll_wait_parks_until_completion() {
     let addr = boot(2);
     let mut conn = Conn::connect(&addr).unwrap();

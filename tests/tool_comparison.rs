@@ -2,11 +2,13 @@
 //! Fig. 10/11 claims) and baseline tool behaviour.
 
 use scalana_graph::{build_psg, PsgOptions, VertexKind};
-use scalana_mpisim::{SimConfig, Simulation};
+use scalana_mpisim::{Hook, SimConfig, SimResult, Simulation};
 use scalana_profile::overhead::ToolKind;
 use scalana_profile::{
-    measure_overhead, FlatConfig, FlatProfilerHook, ProfilerConfig, TracerConfig,
+    measure_overhead, FlatConfig, FlatProfilerHook, ProfileData, ProfilerConfig, ScalAnaProfiler,
+    TracerConfig,
 };
+use std::sync::Arc;
 
 fn cg_app() -> scalana_apps::App {
     scalana_apps::cg::build(&scalana_apps::CgOptions {
@@ -132,4 +134,81 @@ fn overhead_measurement_is_deterministic() {
     assert_eq!(a.baseline, b.baseline);
     assert_eq!(a.tools[0].elapsed, b.tools[0].elapsed);
     assert_eq!(a.tools[0].storage_bytes, b.tools[0].storage_bytes);
+}
+
+/// `result` as integers, floats by their bit patterns.
+fn sim_bits(result: &SimResult) -> Vec<u64> {
+    let mut out = vec![result.nprocs as u64];
+    out.extend(result.rank_elapsed.iter().map(|t| t.to_bits()));
+    for p in &result.rank_pmu {
+        out.extend([p.tot_ins, p.tot_cyc, p.lst_ins, p.l2_miss, p.br_miss].map(f64::to_bits));
+    }
+    out
+}
+
+/// `data` as integers, floats by their bit patterns, maps in key order.
+fn profile_bits(data: &ProfileData) -> Vec<u64> {
+    let mut out = vec![data.nprocs as u64, data.storage_bytes, data.sample_count];
+    out.extend(data.rank_elapsed.iter().map(|t| t.to_bits()));
+    let mut perf: Vec<_> = data.perf.iter().collect();
+    perf.sort_unstable_by_key(|(key, _)| **key);
+    for (&(vertex, rank), p) in perf {
+        out.extend([u64::from(vertex), rank as u64, p.count]);
+        out.extend(
+            [
+                p.time,
+                p.tot_ins,
+                p.tot_cyc,
+                p.lst_ins,
+                p.l2_miss,
+                p.br_miss,
+                p.wait_time,
+                p.bytes,
+            ]
+            .map(f64::to_bits),
+        );
+    }
+    let mut comm: Vec<_> = data.comm.iter().collect();
+    comm.sort_unstable_by_key(|(key, _)| **key);
+    for (&(src_rank, src_vertex, dst_rank, dst_vertex), agg) in comm {
+        out.extend([
+            src_rank as u64,
+            u64::from(src_vertex),
+            dst_rank as u64,
+            u64::from(dst_vertex),
+            agg.count,
+            agg.bytes,
+            agg.wait_time.to_bits(),
+        ]);
+    }
+    out
+}
+
+/// The simulator is generic over its hook, and a `&mut dyn Hook` is one
+/// more instance of the same code: the profiler passed concretely and
+/// passed behind dynamic dispatch must give bit-identical results.
+#[test]
+fn profiler_is_bit_identical_concrete_and_as_dyn_hook() {
+    let app = cg_app();
+    let psg = build_psg(&app.program, &PsgOptions::default());
+    let mut config = SimConfig::with_nprocs(8);
+    config.machine = Arc::new(app.machine.clone());
+
+    let mut concrete = ScalAnaProfiler::with_defaults();
+    let by_type = Simulation::new(&app.program, &psg, config.clone())
+        .with_hook(&mut concrete)
+        .run()
+        .unwrap();
+    let mut dynamic = ScalAnaProfiler::with_defaults();
+    let hook: &mut dyn Hook = &mut dynamic;
+    let by_dyn = Simulation::new(&app.program, &psg, config)
+        .with_hook(hook)
+        .run()
+        .unwrap();
+
+    assert_eq!(sim_bits(&by_type), sim_bits(&by_dyn));
+    let (a, b) = (concrete.take_data(), dynamic.take_data());
+    assert!(!a.perf.is_empty() && !a.comm.is_empty());
+    assert_eq!(profile_bits(&a), profile_bits(&b));
+    assert_eq!(a.indirect_calls, b.indirect_calls);
 }
