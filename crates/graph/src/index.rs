@@ -92,7 +92,10 @@ impl AttrIndex {
 
     /// Attribution: the vertex owning `stmt` in `ctx`. Equivalent to
     /// [`Psg::vertex_of`] on the snapshotted graph.
-    #[inline]
+    ///
+    /// Always inlined: the interpreter asks once per executed statement,
+    /// and it is compiled in whichever crate names the simulation's hook.
+    #[inline(always)]
     pub fn vertex_of(&self, ctx: CtxId, stmt: NodeId) -> Option<VertexId> {
         match &self.tables {
             Tables::Dense {
@@ -110,13 +113,13 @@ impl AttrIndex {
                     v => Some(v),
                 }
             }
-            Tables::Sparse { vertex, .. } => vertex.get(&(ctx, stmt)).copied(),
+            Tables::Sparse { vertex, .. } => sparse_get(vertex, ctx, stmt),
         }
     }
 
     /// Context transition for a direct call statement. Equivalent to
     /// [`Psg::enter_call`] on the snapshotted graph.
-    #[inline]
+    #[inline(always)]
     pub fn enter_call(&self, ctx: CtxId, call_stmt: NodeId) -> Option<CtxId> {
         match &self.tables {
             Tables::Dense {
@@ -134,9 +137,16 @@ impl AttrIndex {
                     t => Some(t),
                 }
             }
-            Tables::Sparse { transition, .. } => transition.get(&(ctx, call_stmt)).copied(),
+            Tables::Sparse { transition, .. } => sparse_get(transition, ctx, call_stmt),
         }
     }
+}
+
+/// A sparse table's lookup, kept out of line so the dense path of the
+/// always-inlined accessors stays a few instructions.
+#[inline(never)]
+fn sparse_get(map: &HashMap<(CtxId, NodeId), u32>, ctx: CtxId, stmt: NodeId) -> Option<u32> {
+    map.get(&(ctx, stmt)).copied()
 }
 
 #[cfg(test)]

@@ -47,7 +47,11 @@
 //! whole event loop is compiled once per tool: a profiler's callbacks for
 //! every computation, MPI exit and dependence event inline into it
 //! instead of costing a virtual call each. A `&mut dyn Hook` is one more
-//! instance of the same code, with dynamic dispatch.
+//! instance of the same code, with dynamic dispatch. Each instance is
+//! compiled in the crate that names the hook, not in this one, so the
+//! small helpers it calls per statement or event (slot reads, expression
+//! evaluation, the machine's cost formulas, attribution lookups, the
+//! profiler's callbacks) are marked `#[inline]` to stay inlinable there.
 
 use crate::fxhash::FxHashMap;
 use crate::hook::{CommDepEvent, Hook, MpiEnterEvent, MpiExitEvent, NullHook};

@@ -44,6 +44,7 @@ pub fn eval(expr: &RExpr, slots: &[Value], rank: i64) -> Value {
 
 /// Evaluate to an integer; function references coerce to 0 (checked
 /// programs never do arithmetic on them).
+#[inline]
 pub fn eval_int(expr: &RExpr, slots: &[Value], rank: i64) -> i64 {
     eval(expr, slots, rank).as_int().unwrap_or(0)
 }

@@ -194,25 +194,30 @@ impl<'r> RankState<'r> {
     }
 
     /// Set a variable of the current frame (the engine binds request ids).
+    #[inline]
     pub fn set_slot(&mut self, slot: Slot, value: Value) {
         if let Some(frame) = self.frames.last() {
             self.slots[frame.slot_base + slot as usize] = value;
         }
     }
 
+    #[inline]
     fn frame(&self) -> &Frame {
         self.frames.last().expect("running rank has a frame")
     }
 
     /// The current frame's slots.
+    #[inline]
     fn locals(&self) -> &[Value] {
         &self.slots[self.frame().slot_base..]
     }
 
+    #[inline]
     fn eval(&self, expr: &RExpr) -> Value {
         eval(expr, self.locals(), self.rank as i64)
     }
 
+    #[inline]
     fn eval_int(&self, expr: &RExpr) -> i64 {
         eval_int(expr, self.locals(), self.rank as i64)
     }
@@ -536,6 +541,7 @@ impl<'r> RankState<'r> {
         self.clock += cost;
     }
 
+    #[inline]
     fn eval_mpi(&self, op: &RMpiOp) -> EvaluatedOp {
         op.map(|e| self.eval_int(e), |e| self.eval_int(e).max(0) as u64)
     }

@@ -22,6 +22,7 @@ pub enum CoreSpeed {
 
 impl CoreSpeed {
     /// Speed factor of one rank (1.0 = nominal).
+    #[inline]
     pub fn factor(&self, rank: usize) -> f64 {
         match self {
             CoreSpeed::Uniform => 1.0,
@@ -94,17 +95,20 @@ impl Default for MachineConfig {
 
 impl MachineConfig {
     /// Seconds to execute `cycles` (plus miss stalls) on `rank`.
+    #[inline]
     pub fn comp_seconds(&self, rank: usize, cycles: f64, l2_miss: f64) -> f64 {
         let effective = cycles + l2_miss * self.miss_penalty_cycles;
         effective / (self.freq_hz * self.core_speed.factor(rank))
     }
 
     /// Wire time of one message: latency plus serialization.
+    #[inline]
     pub fn transfer_seconds(&self, bytes: u64) -> f64 {
         self.net_latency + bytes as f64 / self.net_bandwidth
     }
 
     /// Whether a message is sent eagerly.
+    #[inline]
     pub fn is_eager(&self, bytes: u64) -> bool {
         bytes <= self.eager_threshold
     }
@@ -172,6 +176,7 @@ impl NoiseStream {
 
     /// Multiplicative factor for the next computation interval
     /// (1.0 when noise is disabled).
+    #[inline]
     pub fn next_factor(&mut self) -> f64 {
         if self.amplitude == 0.0 {
             1.0

@@ -154,9 +154,16 @@ impl ScalAnaProfiler {
     }
 
     /// Count timer ticks inside an interval and update the rank's phase.
+    #[inline]
     fn take_samples(&mut self, rank: usize, duration: f64) -> u64 {
         let period = self.period;
         let total = self.sample_phase[rank] + duration;
+        if total < 0.5 * period {
+            // Most events are far shorter than a period: no tick, and
+            // the division below would give exactly this.
+            self.sample_phase[rank] = total;
+            return 0;
+        }
         let n = (total / period).floor() as u64;
         self.sample_phase[rank] = total - n as f64 * period;
         self.data.sample_count += n;
@@ -186,6 +193,7 @@ impl Hook for ScalAnaProfiler {
             .collect();
     }
 
+    #[inline]
     fn on_comp(&mut self, ev: &CompEvent) -> f64 {
         let n = self.take_samples(ev.rank, ev.duration);
         let delta = if self.config.exact_attribution {
@@ -222,10 +230,12 @@ impl Hook for ScalAnaProfiler {
         n as f64 * self.config.sample_cost
     }
 
+    #[inline]
     fn on_mpi_enter(&mut self, _ev: &MpiEnterEvent) -> f64 {
         self.config.mpi_event_cost
     }
 
+    #[inline]
     fn on_mpi_exit(&mut self, ev: &MpiExitEvent) -> f64 {
         // PMPI wrappers time the operation exactly.
         self.take_samples(ev.rank, ev.elapsed);
@@ -239,6 +249,7 @@ impl Hook for ScalAnaProfiler {
         self.config.mpi_event_cost
     }
 
+    #[inline]
     fn on_comm_dep(&mut self, ev: &CommDepEvent) -> f64 {
         // Random-sampling instrumentation: maybe skip this message.
         if self.config.comm_check_probability < 1.0 {
