@@ -90,7 +90,8 @@ pub struct Analysis {
 }
 
 /// `ScalAna-static` plus indirect-call discovery: build the PSG and
-/// refine it with one small discovery run at `discovery_scale`.
+/// refine it with one small discovery run at `discovery_scale` (none
+/// when the program has no `call` through a function pointer).
 ///
 /// The result depends only on the program, the PSG options, and the
 /// discovery scale (the discovery simulation runs with a default

@@ -39,6 +39,7 @@ pub struct VertexPerf {
 
 impl VertexPerf {
     /// Accumulate another sample into this vector.
+    #[inline]
     pub fn merge(&mut self, other: &VertexPerf) {
         self.time += other.time;
         self.count += other.count;
