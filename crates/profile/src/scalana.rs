@@ -158,12 +158,6 @@ impl ScalAnaProfiler {
     fn take_samples(&mut self, rank: usize, duration: f64) -> u64 {
         let period = self.period;
         let total = self.sample_phase[rank] + duration;
-        if total < 0.5 * period {
-            // Most events are far shorter than a period: no tick, and
-            // the division below would give exactly this.
-            self.sample_phase[rank] = total;
-            return 0;
-        }
         let n = (total / period).floor() as u64;
         self.sample_phase[rank] = total - n as f64 * period;
         self.data.sample_count += n;
