@@ -256,7 +256,7 @@ impl<'a> Walk<'a> {
                 }
                 let best = ppg
                     .deps_into(rank, vertex)
-                    .into_iter()
+                    .iter()
                     .filter(|d| d.wait_time >= config.wait_prune)
                     .max_by(|a, b| a.wait_time.partial_cmp(&b.wait_time).unwrap());
                 if let Some(dep) = best {

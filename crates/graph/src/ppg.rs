@@ -5,11 +5,14 @@
 //! inter-process communication-dependence edges collected at runtime.
 //! Point-to-point edges connect matched send/receive vertices; collective
 //! operations associate all participating ranks.
+//!
+//! The edges are kept sorted by destination `(dst_rank, dst_vertex)`, so
+//! the edges into one vertex of one rank are a contiguous range that
+//! [`Ppg::deps_into`] finds by binary search; there is no separate index.
 
 use crate::psg::Psg;
 use crate::vertex::VertexId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-`(vertex, rank)` performance vector: execution time plus the
@@ -76,6 +79,11 @@ pub struct CommDep {
     pub wait_time: f64,
 }
 
+/// The key [`Ppg::comm`] is sorted by.
+fn destination(dep: &CommDep) -> (usize, VertexId) {
+    (dep.dst_rank, dep.dst_vertex)
+}
+
 /// The Program Performance Graph for one run (one process count).
 #[derive(Debug)]
 pub struct Ppg {
@@ -87,10 +95,11 @@ pub struct Ppg {
     pub rank_elapsed: Vec<f64>,
     /// Vertex-major performance matrix: `perf[v * nprocs + rank]`.
     perf: Vec<VertexPerf>,
-    /// Aggregated communication-dependence edges.
+    /// Aggregated communication-dependence edges, sorted by
+    /// `(dst_rank, dst_vertex)`; [`add_comm`](Ppg::add_comm) keeps the
+    /// order, and edges with the same destination stay in the order they
+    /// were added.
     pub comm: Vec<CommDep>,
-    /// Reverse index: edges arriving at `(dst_rank, dst_vertex)`.
-    comm_in: HashMap<(usize, VertexId), Vec<usize>>,
 }
 
 impl Ppg {
@@ -103,7 +112,6 @@ impl Ppg {
             rank_elapsed: vec![0.0; nprocs],
             perf: vec![VertexPerf::default(); n],
             comm: Vec::new(),
-            comm_in: HashMap::new(),
         }
     }
 
@@ -132,21 +140,27 @@ impl Ppg {
         }
     }
 
-    /// Record one aggregated communication-dependence edge.
+    /// Record one aggregated communication-dependence edge, after every
+    /// edge already recorded with the same destination. Edges that come
+    /// sorted by destination are appended.
     pub fn add_comm(&mut self, dep: CommDep) {
-        let key = (dep.dst_rank, dep.dst_vertex);
-        let idx = self.comm.len();
-        self.comm.push(dep);
-        self.comm_in.entry(key).or_default().push(idx);
+        let key = destination(&dep);
+        let at = match self.comm.last() {
+            Some(last) if destination(last) > key => {
+                self.comm.partition_point(|d| destination(d) <= key)
+            }
+            _ => self.comm.len(),
+        };
+        self.comm.insert(at, dep);
     }
 
     /// Dependence edges arriving at `(rank, vertex)` — the inter-process
-    /// edges backtracking follows from an MPI vertex.
-    pub fn deps_into(&self, rank: usize, v: VertexId) -> Vec<&CommDep> {
-        self.comm_in
-            .get(&(rank, v))
-            .map(|idxs| idxs.iter().map(|&i| &self.comm[i]).collect())
-            .unwrap_or_default()
+    /// edges backtracking follows from an MPI vertex — in the order they
+    /// were added.
+    pub fn deps_into(&self, rank: usize, v: VertexId) -> &[CommDep] {
+        let start = self.comm.partition_point(|d| destination(d) < (rank, v));
+        let len = self.comm[start..].partition_point(|d| destination(d) == (rank, v));
+        &self.comm[start..start + len]
     }
 
     /// Execution time of one vertex across all ranks.
@@ -224,10 +238,25 @@ mod tests {
             bytes: 64,
             wait_time: 0.0,
         });
+        // Added out of destination order: it still sorts before the
+        // edges into rank 1.
+        ppg.add_comm(CommDep {
+            src_rank: 3,
+            src_vertex: 2,
+            dst_rank: 0,
+            dst_vertex: 3,
+            count: 1,
+            bytes: 64,
+            wait_time: 0.0,
+        });
         let deps = ppg.deps_into(1, 3);
         assert_eq!(deps.len(), 2);
         assert_eq!(deps[0].src_rank, 0);
-        assert!(ppg.deps_into(0, 3).is_empty());
+        assert_eq!(deps[1].src_rank, 2);
+        assert_eq!(ppg.deps_into(0, 3).len(), 1);
+        assert_eq!(ppg.comm[0].dst_rank, 0);
+        assert!(ppg.deps_into(2, 3).is_empty());
+        assert!(ppg.deps_into(1, 2).is_empty());
     }
 
     #[test]

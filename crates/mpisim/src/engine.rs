@@ -39,6 +39,13 @@
 //! The per-rank request tables and the collective table, probed on
 //! every MPI operation, hash with [`FxHashMap`] instead of SipHash; the
 //! one order-sensitive walk over them (ready collectives) sorts first.
+//! The quiescence phase visits only ranks that changed since it last
+//! looked, in ascending rank order, which is the order of a full scan:
+//! receive matching visits ranks whose mailbox got a deposit or whose
+//! receive queue got a post, and the blocked-wait re-check visits ranks
+//! one of whose requests completed (a matched receive or a released
+//! rendezvous send). Nothing else can let either step progress, so the
+//! marked ranks are exactly those a full scan could advance.
 //! Names are resolved once per run, before any rank starts
 //! ([`crate::resolve`]): ranks execute a slot-resolved program, program
 //! parameters and `nprocs` are literals in it, and binding a request id
@@ -456,6 +463,30 @@ impl CollInstance {
     }
 }
 
+/// A set of ranks, iterated in ascending order: the quiescence phase's
+/// worklist.
+#[derive(Debug)]
+struct RankSet(Vec<u64>);
+
+impl RankSet {
+    fn new(nprocs: usize) -> RankSet {
+        RankSet(vec![0; nprocs.div_ceil(64)])
+    }
+
+    #[inline]
+    fn insert(&mut self, r: usize) {
+        self.0[r / 64] |= 1 << (r % 64);
+    }
+
+    /// Remove and return the smallest rank of the set.
+    fn pop_first(&mut self) -> Option<usize> {
+        let (i, word) = self.0.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(i * 64 + bit)
+    }
+}
+
 struct Engine<'p, 'g, 'h, H: Hook + ?Sized> {
     psg: &'g Psg,
     /// Dense `(ctx, stmt)` attribution snapshot of `psg`.
@@ -475,6 +506,12 @@ struct Engine<'p, 'g, 'h, H: Hook + ?Sized> {
     outstanding: Vec<Vec<i64>>,
     coll_seq: Vec<u64>,
     collectives: FxHashMap<u64, CollInstance>,
+    /// Ranks whose mailbox got a deposit or whose receive queue got a
+    /// post since the quiescence phase last matched their receives.
+    recv_changed: RankSet,
+    /// Ranks one of whose requests completed since the quiescence phase
+    /// last re-checked their blocked wait.
+    req_completed: RankSet,
 }
 
 enum MpiOutcome {
@@ -510,6 +547,8 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             outstanding: vec![Vec::new(); n],
             coll_seq: vec![0; n],
             collectives: FxHashMap::default(),
+            recv_changed: RankSet::new(n),
+            req_completed: RankSet::new(n),
         }
     }
 
@@ -620,6 +659,12 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
         }
     }
 
+    /// Queue a posted receive request behind rank `r`'s earlier ones.
+    fn post_recv(&mut self, r: usize, req: i64) {
+        self.recv_order[r].push_back(req);
+        self.recv_changed.insert(r);
+    }
+
     fn alloc_req(&mut self, r: usize, req: Request) -> i64 {
         let id = self.next_req[r];
         self.next_req[r] += 1;
@@ -686,6 +731,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
         let seq = self.send_seq[src];
         self.send_seq[src] += 1;
         let arrival = send_time + self.config.machine.transfer_seconds(bytes);
+        self.recv_changed.insert(dst);
         self.mailboxes[dst].deposit(Message {
             src_rank: src,
             src_vertex,
@@ -777,7 +823,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 }
                 let posted = enter + o;
                 let req = self.alloc_req(r, Request::RecvPending { src, tag, posted });
-                self.recv_order[r].push_back(req);
+                self.post_recv(r, req);
                 self.outstanding[r].push(req);
                 self.ranks[r].set_slot(req_slot, Value::Int(req));
                 self.ranks[r].clock = posted;
@@ -791,7 +837,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 let posted = enter + o;
                 self.ranks[r].clock = posted;
                 let req = self.alloc_req(r, Request::RecvPending { src, tag, posted });
-                self.recv_order[r].push_back(req);
+                self.post_recv(r, req);
                 self.match_rank_recvs(r, false);
                 self.finish_or_block(
                     r,
@@ -827,7 +873,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                         posted,
                     },
                 );
-                self.recv_order[r].push_back(req);
+                self.post_recv(r, req);
                 self.match_rank_recvs(r, false);
                 self.finish_or_block(
                     r,
@@ -1034,6 +1080,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             } else {
                 msg.arrival.max(posted)
             };
+            self.req_completed.insert(r);
             self.requests[r].insert(
                 req_id,
                 Request::Complete {
@@ -1055,6 +1102,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     fn release_rdv_sender(&mut self, sender: usize, sreq: Option<i64>, finish: f64) {
         match sreq {
             Some(id) => {
+                self.req_completed.insert(sender);
                 self.requests[sender].insert(
                     id,
                     Request::Complete {
@@ -1081,13 +1129,16 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     }
 
     /// Quiescence matching: receives (incl. wildcards), then blocked
-    /// request waits.
+    /// request waits, each over the ranks marked for it (module docs).
+    /// Neither loop marks a rank for its own set, so each visits its
+    /// ranks in ascending order; the receive loop's completions are
+    /// marked in time for the wait loop.
     fn match_phase(&mut self) -> bool {
         let mut progress = false;
-        for r in 0..self.config.nprocs {
+        while let Some(r) = self.recv_changed.pop_first() {
             progress |= self.match_rank_recvs(r, true);
         }
-        for r in 0..self.config.nprocs {
+        while let Some(r) = self.req_completed.pop_first() {
             let Status::Blocked(Blocked::OnRequests {
                 reqs,
                 kind,
@@ -1415,6 +1466,58 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(hook.0, vec![1, 2], "earliest arrival must match first");
+    }
+
+    #[test]
+    fn rendezvous_release_while_blocked_in_waitall_is_rechecked() {
+        // Rank 1's receive matches in phase 1 and completes rank 0's
+        // rendezvous request while rank 0 is blocked in `waitall`: the
+        // release must mark rank 0 for the quiescence re-check.
+        let src = r#"
+            fn main() {
+                if rank == 0 {
+                    let s = isend(dst = 1, tag = 0, bytes = 1m);
+                    waitall();
+                } else {
+                    comp(cycles = 23_000_000); // 10 ms
+                    recv(src = 0, tag = 0);
+                }
+            }
+        "#;
+        let (res, hook) = run_counting(src, 2);
+        assert_eq!(hook.comm_deps, 1);
+        assert!(
+            res.rank_elapsed[0] >= 0.01,
+            "waitall ends after the receiver posted: {}",
+            res.rank_elapsed[0]
+        );
+    }
+
+    #[test]
+    fn wildcard_recv_sees_a_deposit_made_after_quiescence() {
+        // Rank 0 blocks on a wildcard receive whose only candidate rank 1
+        // deposits after a quiescence phase (resolving rank 1's own
+        // receive) and a computation: the deposit must mark rank 0.
+        let src = r#"
+            fn main() {
+                if rank == 0 {
+                    recv(src = any, tag = any);
+                } else if rank == 1 {
+                    recv(src = 2, tag = 0);
+                    comp(cycles = 23_000_000); // 10 ms
+                    send(dst = 0, tag = 1, bytes = 64);
+                } else {
+                    send(dst = 1, tag = 0, bytes = 64);
+                }
+            }
+        "#;
+        let (res, hook) = run_counting(src, 3);
+        assert_eq!(hook.comm_deps, 2);
+        assert!(
+            res.rank_elapsed[0] >= 0.01,
+            "the wildcard completes after rank 1 computed: {}",
+            res.rank_elapsed[0]
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl RecordWriter {
         self.buf.put_f64_le(wait);
     }
 
-    /// Communication-dependence record: 1 + 4*4 + 8 + 8 = 33 bytes.
+    /// Communication-dependence record: 1 + 4*4 + 8 = 25 bytes.
     pub fn comm_dep(
         &mut self,
         src_rank: u32,
@@ -321,6 +321,8 @@ mod tests {
     fn comm_dep_round_trip() {
         let mut w = RecordWriter::new();
         w.comm_dep(1, 2, 3, -1, 4096);
+        assert_eq!(w.bytes_written(), 25);
+        assert_eq!(w.record_count(), 1);
         let mut r = RecordReader::new(w.freeze());
         assert_eq!(
             r.next(),

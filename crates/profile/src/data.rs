@@ -1,9 +1,29 @@
 //! Collected profile data and PPG assembly.
+//!
+//! [`ProfileData`] holds its performance vectors and dependence edges as
+//! sorted lists, in the order [`store::save`](crate::store::save) writes
+//! them and [`Ppg`] reads them: perf by `(vertex, rank)`, which is the
+//! PPG's vertex-major matrix order, and edges by [`comm_order`], which is
+//! the order [`Ppg::deps_into`] answers from. The profiler produces them
+//! sorted, `store::load` accepts only sorted images, and
+//! [`into_ppg`](ProfileData::into_ppg) walks each list once, so nothing
+//! between the hook and the PPG hashes a key or sorts again.
 
 use scalana_graph::{CommDep, CtxId, Ppg, Psg, VertexId, VertexPerf};
 use scalana_lang::ast::NodeId;
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A dependence edge: `(src_rank, src_vertex, dst_rank, dst_vertex)`.
+pub type EdgeKey = (usize, VertexId, usize, VertexId);
+
+/// The order [`ProfileData::comm`] keeps its edges in: by destination
+/// `(dst_rank, dst_vertex)`, then by source.
+#[inline]
+pub fn comm_order(
+    &(src_rank, src_vertex, dst_rank, dst_vertex): &EdgeKey,
+) -> (usize, VertexId, usize, VertexId) {
+    (dst_rank, dst_vertex, src_rank, src_vertex)
+}
 
 /// Everything one ScalAna profiling run produces: the per-vertex
 /// performance vectors, aggregated communication dependences, and storage
@@ -13,11 +33,11 @@ use std::sync::Arc;
 pub struct ProfileData {
     /// Ranks in the run.
     pub nprocs: usize,
-    /// Per-(vertex, rank) performance vectors.
-    pub perf: HashMap<(VertexId, usize), VertexPerf>,
-    /// Aggregated communication-dependence edges, keyed by
-    /// (src_rank, src_vertex, dst_rank, dst_vertex).
-    pub comm: HashMap<(usize, VertexId, usize, VertexId), CommAgg>,
+    /// Per-(vertex, rank) performance vectors, keys strictly increasing.
+    pub perf: Vec<((VertexId, usize), VertexPerf)>,
+    /// Aggregated communication-dependence edges, keys strictly
+    /// increasing in [`comm_order`].
+    pub comm: Vec<(EdgeKey, CommAgg)>,
     /// Per-rank end-to-end time.
     pub rank_elapsed: Vec<f64>,
     /// Bytes the tool would persist.
@@ -41,6 +61,7 @@ pub struct CommAgg {
 
 impl CommAgg {
     /// Count one more matched message.
+    #[inline]
     pub fn add(&mut self, bytes: u64, wait_time: f64) {
         self.count += 1;
         self.bytes += bytes;
@@ -58,20 +79,21 @@ impl ProfileData {
         }
     }
 
-    /// Assemble the Program Performance Graph for this run.
+    /// Assemble the Program Performance Graph for this run. Both lists
+    /// are already in the PPG's order: perf fills the vertex-major matrix
+    /// front to back, and the edges are appended as they come.
     pub fn into_ppg(self, psg: Arc<Psg>) -> Ppg {
         let mut ppg = Ppg::new(psg, self.nprocs);
         ppg.rank_elapsed = self.rank_elapsed;
+        ppg.sync_with_psg();
+        let vertices = ppg.psg.vertex_count();
         for ((vertex, rank), perf) in self.perf {
-            ppg.sync_with_psg();
-            if (vertex as usize) < ppg.psg.vertex_count() {
+            if (vertex as usize) < vertices {
                 ppg.perf_mut(vertex, rank).merge(&perf);
             }
         }
-        // Deterministic edge order for downstream analysis.
-        let mut edges: Vec<_> = self.comm.into_iter().collect();
-        edges.sort_by_key(|((sr, sv, dr, dv), _)| (*dr, *dv, *sr, *sv));
-        for ((src_rank, src_vertex, dst_rank, dst_vertex), agg) in edges {
+        ppg.comm.reserve_exact(self.comm.len());
+        for ((src_rank, src_vertex, dst_rank, dst_vertex), agg) in self.comm {
             ppg.add_comm(CommDep {
                 src_rank,
                 src_vertex,
@@ -106,34 +128,43 @@ mod tests {
 
     #[test]
     fn perf_accumulates() {
+        // Sorted entries land at their (vertex, rank) in the PPG; an
+        // entry for a vertex the PSG does not have is dropped.
+        let psg = psg();
+        let beyond = psg.vertex_count() as VertexId;
         let mut data = ProfileData::new(2);
-        let delta = VertexPerf {
-            time: 0.5,
+        let sample = |time| VertexPerf {
+            time,
             count: 1,
             ..Default::default()
         };
-        for _ in 0..2 {
-            data.perf.entry((1, 0)).or_default().merge(&delta);
-        }
-        assert_eq!(data.perf[&(1, 0)].time, 1.0);
-        assert_eq!(data.perf[&(1, 0)].count, 2);
+        data.perf = vec![
+            ((1, 0), sample(0.5)),
+            ((1, 1), sample(0.25)),
+            ((2, 1), sample(2.0)),
+            ((beyond, 0), sample(9.0)),
+        ];
+        let ppg = data.into_ppg(psg);
+        assert_eq!(ppg.times_across_ranks(1), vec![0.5, 0.25]);
+        assert_eq!(ppg.times_across_ranks(2), vec![0.0, 2.0]);
+        assert_eq!(ppg.perf(1, 0).count, 1);
     }
 
     #[test]
     fn comm_aggregates_by_edge() {
-        let mut data = ProfileData::new(2);
-        for (edge, wait) in [
-            ((0, 2, 1, 3), 0.1),
-            ((0, 2, 1, 3), 0.2),
-            ((1, 2, 0, 3), 0.0),
-        ] {
-            data.comm.entry(edge).or_default().add(64, wait);
-        }
-        assert_eq!(data.comm_edge_count(), 2);
-        let agg = data.comm[&(0, 2, 1, 3)];
+        let mut agg = CommAgg::default();
+        agg.add(64, 0.1);
+        agg.add(64, 0.2);
         assert_eq!(agg.count, 2);
         assert_eq!(agg.bytes, 128);
         assert!((agg.wait_time - 0.3).abs() < 1e-12);
+        // Edges sort by destination first, then source.
+        let mut edges = [(0, 2, 1, 3), (1, 2, 0, 3), (0, 1, 1, 3)];
+        edges.sort_unstable_by_key(comm_order);
+        assert_eq!(edges, [(1, 2, 0, 3), (0, 1, 1, 3), (0, 2, 1, 3)]);
+        let mut data = ProfileData::new(2);
+        data.comm = edges.iter().map(|&e| (e, agg)).collect();
+        assert_eq!(data.comm_edge_count(), 3);
     }
 
     #[test]
@@ -141,15 +172,17 @@ mod tests {
         let psg = psg();
         let mut data = ProfileData::new(2);
         data.rank_elapsed = vec![1.0, 2.0];
-        data.perf.insert(
+        data.perf.push((
             (1, 0),
             VertexPerf {
                 time: 0.5,
                 count: 3,
                 ..Default::default()
             },
-        );
-        data.comm.entry((0, 1, 1, 2)).or_default().add(64, 0.25);
+        ));
+        let mut agg = CommAgg::default();
+        agg.add(64, 0.25);
+        data.comm.push(((0, 1, 1, 2), agg));
         let ppg = data.into_ppg(psg);
         assert_eq!(ppg.total_time(), 2.0);
         assert_eq!(ppg.perf(1, 0).count, 3);

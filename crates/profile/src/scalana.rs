@@ -1,8 +1,18 @@
 //! The ScalAna profiler (paper §III-B): sampling-based performance data
 //! collection plus graph-guided communication dependence recording.
+//!
+//! Per event the profiler does a lookup, not a hash of program data:
+//! performance vectors sum into a dense per-rank table indexed by
+//! vertex, and each dependence edge keeps its aggregate and the last
+//! `(tag, bytes)` it persisted in one [`FxHashMap`] entry. Most messages
+//! repeat their edge's previous parameters, so the compression check
+//! compares against that last key first and consults the set of every
+//! persisted key only when the parameters changed. At the end of the
+//! run [`take_data`](ScalAnaProfiler::take_data) emits both tables as
+//! the sorted lists [`ProfileData`] holds.
 
 use crate::codec::RecordWriter;
-use crate::data::{CommAgg, ProfileData};
+use crate::data::{comm_order, CommAgg, EdgeKey, ProfileData};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scalana_graph::{VertexId, VertexPerf};
@@ -10,7 +20,7 @@ use scalana_mpisim::fxhash::FxHashMap;
 use scalana_mpisim::hook::{
     CommDepEvent, CompEvent, Hook, IndirectCallEvent, MpiEnterEvent, MpiExitEvent,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// ScalAna profiler knobs (paper §V user parameters plus cost model).
 #[derive(Debug, Clone)]
@@ -54,9 +64,14 @@ impl Default for ProfilerConfig {
     }
 }
 
-/// Aggregated dependence edge key: (src_rank, src_vertex, dst_rank,
-/// dst_vertex), as [`ProfileData::comm`] keys it.
-type EdgeKey = (usize, VertexId, usize, VertexId);
+/// One dependence edge as the profiler tracks it during the run.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeState {
+    agg: CommAgg,
+    /// The `(tag, bytes)` of the edge's previous examined message, which
+    /// is always a key already in `recorded_keys`.
+    last: Option<(i64, u64)>,
+}
 
 /// The ScalAna profiling hook. Attach with
 /// [`Simulation::with_hook`](scalana_mpisim::Simulation::with_hook), run,
@@ -69,9 +84,9 @@ type EdgeKey = (usize, VertexId, usize, VertexId);
 /// keys are ranks and vertices, sit behind [`FxHashMap`] rather than
 /// SipHash. Each `(vertex, rank)` vector and each edge still sums its
 /// events in event order, so every float is the one a per-event map
-/// entry would hold. [`ProfileData`]'s maps are built once, in
-/// [`take_data`](ScalAnaProfiler::take_data), which frees the tables as
-/// it goes.
+/// entry would hold. [`ProfileData`]'s sorted lists are built once, in
+/// [`take_data`](ScalAnaProfiler::take_data): perf by walking the dense
+/// table vertex-major, the edges by one sort.
 pub struct ScalAnaProfiler {
     config: ProfilerConfig,
     /// Sampling period, `1 / sampling_hz`, computed once.
@@ -81,16 +96,18 @@ pub struct ScalAnaProfiler {
     /// Per-rank, per-vertex performance vectors. Every recorded sample
     /// has `count == 1`, so `count > 0` marks the touched entries.
     perf: Vec<Vec<VertexPerf>>,
-    /// Aggregated dependence edges.
-    comm: FxHashMap<EdgeKey, CommAgg>,
+    /// Aggregated dependence edges, each with its last compression key.
+    comm: FxHashMap<EdgeKey, EdgeState>,
     /// Per-rank fraction of a sampling period already elapsed.
     sample_phase: Vec<f64>,
-    /// Per-rank RNG for the random-sampling instrumentation.
+    /// Per-rank RNG for the random-sampling instrumentation; empty when
+    /// every message is examined.
     rngs: Vec<SmallRng>,
     /// Compression keys already persisted: the edge plus tag and bytes.
     /// Tags and sizes are values the profiled program computes, so a
     /// submitted program could choose keys that collide under a fixed
-    /// hash and make every insert a scan; this set keeps SipHash.
+    /// hash and make every insert a scan; this set keeps SipHash. A
+    /// message that repeats its edge's last key never reaches it.
     recorded_keys: HashSet<(EdgeKey, i64, u64)>,
     /// Indirect calls already recorded.
     recorded_indirect: HashSet<(u32, u32, String)>,
@@ -121,30 +138,30 @@ impl ScalAnaProfiler {
     /// Finish the run: persist the per-vertex performance table and
     /// return the collected data.
     pub fn take_data(mut self) -> ProfileData {
-        // Post-mortem dump: one record per touched (vertex, rank). The map
-        // is sized once (growing it would hold two tables at the peak)
-        // and rows move into it one at a time, so the dense and the
-        // hashed copies never both exist in full.
+        // Post-mortem dump: one record per touched (vertex, rank), walked
+        // vertex-major so the list comes out in `(vertex, rank)` order.
+        // The list is sized once: growing it would hold two copies at
+        // the peak.
         let touched = self.perf.iter().flatten().filter(|p| p.count > 0).count();
-        self.data.perf = HashMap::with_capacity(touched);
-        for (rank, row) in std::mem::take(&mut self.perf).into_iter().enumerate() {
-            for (vertex, perf) in row.into_iter().enumerate() {
-                if perf.count == 0 {
+        let vertices = self.perf.iter().map(Vec::len).max().unwrap_or(0);
+        let mut perf = Vec::with_capacity(touched);
+        for vertex in 0..vertices {
+            for (rank, row) in self.perf.iter().enumerate() {
+                let Some(p) = row.get(vertex).filter(|p| p.count > 0) else {
                     continue;
-                }
+                };
                 let vertex = vertex as VertexId;
-                self.writer.vertex_perf(
-                    vertex,
-                    rank as u32,
-                    perf.time,
-                    perf.tot_ins,
-                    perf.wait_time,
-                );
-                self.data.perf.insert((vertex, rank), perf);
+                self.writer
+                    .vertex_perf(vertex, rank as u32, p.time, p.tot_ins, p.wait_time);
+                perf.push(((vertex, rank), *p));
             }
         }
+        self.perf = Vec::new();
+        self.data.perf = perf;
         self.data.storage_bytes = self.writer.bytes_written();
-        self.data.comm = self.comm.drain().collect();
+        let mut comm: Vec<_> = self.comm.drain().map(|(k, e)| (k, e.agg)).collect();
+        comm.sort_unstable_by_key(|(key, _)| comm_order(key));
+        self.data.comm = comm;
         self.data
     }
 
@@ -182,9 +199,13 @@ impl Hook for ScalAnaProfiler {
         self.perf = vec![Vec::new(); nprocs];
         self.comm.clear();
         self.sample_phase = vec![0.0; nprocs];
-        self.rngs = (0..nprocs)
-            .map(|r| SmallRng::seed_from_u64(self.config.seed.wrapping_add(r as u64)))
-            .collect();
+        self.rngs = if self.config.comm_check_probability < 1.0 {
+            (0..nprocs)
+                .map(|r| SmallRng::seed_from_u64(self.config.seed.wrapping_add(r as u64)))
+                .collect()
+        } else {
+            Vec::new()
+        };
     }
 
     #[inline]
@@ -253,14 +274,20 @@ impl Hook for ScalAnaProfiler {
             }
         }
         let edge = (ev.src_rank, ev.src_vertex, ev.dst_rank, ev.dst_vertex);
-        self.comm
-            .entry(edge)
-            .or_default()
-            .add(ev.bytes, ev.wait_time);
-        if self.config.graph_compression && !self.recorded_keys.insert((edge, ev.tag, ev.bytes)) {
+        let state = self.comm.entry(edge).or_default();
+        state.agg.add(ev.bytes, ev.wait_time);
+        if self.config.graph_compression {
             // Same parameters already persisted: the PSG's structure
-            // makes the repeat redundant (graph-guided compression).
-            return 0.02e-6;
+            // makes the repeat redundant (graph-guided compression). The
+            // edge's last key was persisted, so a match needs no lookup.
+            let key = (ev.tag, ev.bytes);
+            let repeat = state.last == Some(key) || {
+                state.last = Some(key);
+                !self.recorded_keys.insert((edge, ev.tag, ev.bytes))
+            };
+            if repeat {
+                return 0.02e-6;
+            }
         }
         self.writer.comm_dep(
             ev.src_rank as u32,
@@ -377,6 +404,39 @@ mod tests {
         assert_eq!(raw.comm_edge_count(), compressed.comm_edge_count());
     }
 
+    /// A ring whose edges alternate two tags: no message repeats its
+    /// edge's previous key, so every compression check falls back to the
+    /// set of persisted keys.
+    const TWO_TAG_RING: &str = r#"
+        fn main() {
+            for it in 0 .. 10 {
+                comp(cycles = 2_300_000);
+                sendrecv(dst = (rank + 1) % nprocs,
+                         src = (rank + nprocs - 1) % nprocs,
+                         sendtag = it % 2, recvtag = it % 2, bytes = 4k);
+            }
+        }
+    "#;
+
+    #[test]
+    fn compression_persists_each_key_once_when_tags_alternate() {
+        let single = profile(
+            &TWO_TAG_RING.replace("it % 2", "0"),
+            4,
+            ProfilerConfig::default(),
+        );
+        let alternating = profile(TWO_TAG_RING, 4, ProfilerConfig::default());
+        assert_eq!(alternating.comm_edge_count(), single.comm_edge_count());
+        assert_eq!(alternating.comm_edge_count(), 4);
+        // 33 B per perf record, 25 B per persisted dependence key: one
+        // key per edge with one tag, two with two.
+        let storage = |d: &ProfileData, keys_per_edge: usize| {
+            (33 * d.perf.len() + 25 * keys_per_edge * d.comm_edge_count()) as u64
+        };
+        assert_eq!(single.storage_bytes, storage(&single, 1));
+        assert_eq!(alternating.storage_bytes, storage(&alternating, 2));
+    }
+
     #[test]
     fn comm_sampling_rate_drops_edges() {
         let full = profile(RING, 4, ProfilerConfig::default());
@@ -389,8 +449,8 @@ mod tests {
             },
         );
         assert!(
-            sampled.comm.values().map(|a| a.count).sum::<u64>()
-                < full.comm.values().map(|a| a.count).sum::<u64>()
+            sampled.comm.iter().map(|(_, a)| a.count).sum::<u64>()
+                < full.comm.iter().map(|(_, a)| a.count).sum::<u64>()
         );
     }
 
@@ -406,7 +466,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let sum_t = |d: &ProfileData| d.perf.values().map(|p| p.time).sum::<f64>();
+        let sum_t = |d: &ProfileData| d.perf.iter().map(|(_, p)| p.time).sum::<f64>();
         assert!(sum_t(&exact) > 0.0);
         assert!(sum_t(&quantized) < sum_t(&exact));
     }
@@ -420,7 +480,7 @@ mod tests {
             }
         "#;
         let data = profile(src, 4, ProfilerConfig::default());
-        let total_wait: f64 = data.perf.values().map(|p| p.wait_time).sum();
+        let total_wait: f64 = data.perf.iter().map(|(_, p)| p.wait_time).sum();
         assert!(
             total_wait > 0.02,
             "three ranks wait ~10ms each: {total_wait}"

@@ -4,8 +4,16 @@
 //! `ScalAna-detect` loads them post-mortem. This module serializes
 //! [`ProfileData`] to a self-contained binary image and back, so the two
 //! stages can run in separate processes — as the real tool's do.
+//!
+//! The image lists perf entries by `(vertex, rank)` and comm edges by
+//! `(dst_rank, dst_vertex, src_rank, src_vertex)`, the orders
+//! [`ProfileData`] already keeps them in: `save` writes the lists as
+//! they are, and `load` pushes entries in image order and rejects an
+//! image whose keys are not strictly increasing
+//! ([`LoadError::Unordered`]), so a loaded profile keeps the invariant
+//! without sorting or hashing.
 
-use crate::data::{CommAgg, ProfileData};
+use crate::data::{comm_order, CommAgg, ProfileData};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use scalana_graph::VertexPerf;
 
@@ -26,11 +34,9 @@ pub fn save(data: &ProfileData) -> Bytes {
         buf.put_f64_le(*t);
     }
 
-    // Perf entries in deterministic order.
-    let mut perf: Vec<_> = data.perf.iter().collect();
-    perf.sort_by_key(|((v, r), _)| (*v, *r));
-    buf.put_u64_le(perf.len() as u64);
-    for ((vertex, rank), p) in perf {
+    debug_assert!(data.perf.windows(2).all(|w| w[0].0 < w[1].0));
+    buf.put_u64_le(data.perf.len() as u64);
+    for ((vertex, rank), p) in &data.perf {
         buf.put_u32_le(*vertex);
         buf.put_u64_le(*rank as u64);
         buf.put_f64_le(p.time);
@@ -44,10 +50,12 @@ pub fn save(data: &ProfileData) -> Bytes {
         buf.put_f64_le(p.bytes);
     }
 
-    let mut comm: Vec<_> = data.comm.iter().collect();
-    comm.sort_by_key(|((sr, sv, dr, dv), _)| (*dr, *dv, *sr, *sv));
-    buf.put_u64_le(comm.len() as u64);
-    for ((src_rank, src_vertex, dst_rank, dst_vertex), agg) in comm {
+    debug_assert!(data
+        .comm
+        .windows(2)
+        .all(|w| comm_order(&w[0].0) < comm_order(&w[1].0)));
+    buf.put_u64_le(data.comm.len() as u64);
+    for ((src_rank, src_vertex, dst_rank, dst_vertex), agg) in &data.comm {
         buf.put_u64_le(*src_rank as u64);
         buf.put_u32_le(*src_vertex);
         buf.put_u64_le(*dst_rank as u64);
@@ -92,6 +100,9 @@ pub enum LoadError {
     },
     /// A time, counter or wait in the named section is NaN or infinite.
     NonFinite(&'static str),
+    /// The named section (`"perf"` or `"comm"`) repeats a key or lists
+    /// one out of order.
+    Unordered(&'static str),
 }
 
 impl std::fmt::Display for LoadError {
@@ -108,6 +119,9 @@ impl std::fmt::Display for LoadError {
             }
             LoadError::NonFinite(section) => {
                 write!(f, "non-finite number in the profile's {section}")
+            }
+            LoadError::Unordered(section) => {
+                write!(f, "profile {section} keys not strictly increasing")
             }
         }
     }
@@ -157,8 +171,9 @@ fn rank_in(rank: u64, nprocs: usize) -> Result<usize, LoadError> {
 /// The image is untrusted (a peer may post one). Nothing sized by its
 /// rank count is allocated before the per-rank times are known to fit
 /// in the buffer and to number exactly `nprocs`; every perf and comm
-/// rank must lie in `0..nprocs`, the range `into_ppg` indexes; every
-/// float must be finite.
+/// rank must lie in `0..nprocs`, the range `into_ppg` indexes; the keys
+/// of each section must be strictly increasing, the order
+/// [`ProfileData`] keeps; every float must be finite.
 pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     need(&buf, 4 + 2)?;
     if buf.get_u32_le() != MAGIC {
@@ -191,6 +206,7 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     need(&buf, 8)?;
     let n_perf = buf.get_u64_le() as usize;
     need_counted(&buf, n_perf, PERF_ENTRY_BYTES)?;
+    data.perf.reserve_exact(n_perf);
     for _ in 0..n_perf {
         let vertex = buf.get_u32_le();
         let rank = rank_in(buf.get_u64_le(), nprocs)?;
@@ -205,12 +221,20 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
             wait_time: buf.get_f64_le(),
             bytes: buf.get_f64_le(),
         };
-        data.perf.insert((vertex, rank), perf);
+        if data
+            .perf
+            .last()
+            .is_some_and(|(prev, _)| *prev >= (vertex, rank))
+        {
+            return Err(LoadError::Unordered("perf"));
+        }
+        data.perf.push(((vertex, rank), perf));
     }
 
     need(&buf, 8)?;
     let n_comm = buf.get_u64_le() as usize;
     need_counted(&buf, n_comm, COMM_ENTRY_BYTES)?;
+    data.comm.reserve_exact(n_comm);
     for _ in 0..n_comm {
         let src_rank = rank_in(buf.get_u64_le(), nprocs)?;
         let src_vertex = buf.get_u32_le();
@@ -221,8 +245,15 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
             bytes: buf.get_u64_le(),
             wait_time: buf.get_f64_le(),
         };
-        data.comm
-            .insert((src_rank, src_vertex, dst_rank, dst_vertex), agg);
+        let key = (src_rank, src_vertex, dst_rank, dst_vertex);
+        if data
+            .comm
+            .last()
+            .is_some_and(|(prev, _)| comm_order(prev) >= comm_order(&key))
+        {
+            return Err(LoadError::Unordered("comm"));
+        }
+        data.comm.push((key, agg));
     }
 
     need(&buf, 8)?;
@@ -252,7 +283,7 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
 fn check_finite(data: &ProfileData) -> Result<(), LoadError> {
     let finite = |values: &[f64]| values.iter().all(|v| v.is_finite());
     let elapsed = finite(&data.rank_elapsed);
-    let perf = data.perf.values().all(|p| {
+    let perf = data.perf.iter().all(|(_, p)| {
         finite(&[
             p.time,
             p.tot_ins,
@@ -264,7 +295,7 @@ fn check_finite(data: &ProfileData) -> Result<(), LoadError> {
             p.bytes,
         ])
     });
-    let comm = data.comm.values().all(|c| c.wait_time.is_finite());
+    let comm = data.comm.iter().all(|(_, c)| c.wait_time.is_finite());
     match (elapsed, perf, comm) {
         (true, true, true) => Ok(()),
         (false, _, _) => Err(LoadError::NonFinite("rank_elapsed")),
@@ -383,13 +414,13 @@ mod tests {
     #[test]
     fn rejects_ranks_outside_the_image() {
         let mut perf = ProfileData::new(2);
-        perf.perf.insert((1, 7), VertexPerf::default());
+        perf.perf.push(((1, 7), VertexPerf::default()));
         assert_eq!(
             load(save(&perf)).err(),
             Some(LoadError::RankOutOfRange { rank: 7, nprocs: 2 })
         );
         let mut comm = ProfileData::new(2);
-        comm.comm.entry((0, 1, 2, 1)).or_default().add(8, 0.0);
+        comm.comm.push(((0, 1, 2, 1), CommAgg::default()));
         assert_eq!(
             load(save(&comm)).err(),
             Some(LoadError::RankOutOfRange { rank: 2, nprocs: 2 })
@@ -406,11 +437,46 @@ mod tests {
             Some(LoadError::NonFinite("rank_elapsed"))
         );
         let mut perf = data.clone();
-        perf.perf.values_mut().next().unwrap().wait_time = f64::INFINITY;
+        perf.perf[0].1.wait_time = f64::INFINITY;
         assert_eq!(load(save(&perf)).err(), Some(LoadError::NonFinite("perf")));
         let mut comm = data;
-        comm.comm.values_mut().next().unwrap().wait_time = f64::NEG_INFINITY;
+        comm.comm[0].1.wait_time = f64::NEG_INFINITY;
         assert_eq!(load(save(&comm)).err(), Some(LoadError::NonFinite("comm")));
+    }
+
+    /// Byte offset of the first perf entry in `data`'s image.
+    fn perf_start(data: &ProfileData) -> usize {
+        4 + 2 + 3 * 8 + 8 + data.rank_elapsed.len() * 8 + 8
+    }
+
+    #[test]
+    fn rejects_swapped_perf_entries() {
+        let data = collected_profile();
+        assert!(data.perf.len() >= 2);
+        let mut image = save(&data).to_vec();
+        let (a, b) = (perf_start(&data), perf_start(&data) + PERF_ENTRY_BYTES);
+        let first = image[a..b].to_vec();
+        image.copy_within(b..b + PERF_ENTRY_BYTES, a);
+        image[b..b + PERF_ENTRY_BYTES].copy_from_slice(&first);
+        assert_eq!(
+            load(Bytes::from(image)).err(),
+            Some(LoadError::Unordered("perf"))
+        );
+    }
+
+    #[test]
+    fn rejects_a_repeated_comm_key() {
+        let data = collected_profile();
+        assert!(data.comm.len() >= 2);
+        let mut image = save(&data).to_vec();
+        let first = perf_start(&data) + data.perf.len() * PERF_ENTRY_BYTES + 8;
+        // The second edge takes the first one's key, its aggregate kept.
+        let key_bytes = 8 + 4 + 8 + 4;
+        image.copy_within(first..first + key_bytes, first + COMM_ENTRY_BYTES);
+        assert_eq!(
+            load(Bytes::from(image)).err(),
+            Some(LoadError::Unordered("comm"))
+        );
     }
 
     #[test]
@@ -421,8 +487,7 @@ mod tests {
         let data = collected_profile();
         assert!(!data.perf.is_empty());
         let image = save(&data);
-        let elapsed_end = 4 + 2 + 3 * 8 + 8 + data.rank_elapsed.len() * 8;
-        let first_perf_end = elapsed_end + 8 + PERF_ENTRY_BYTES;
+        let first_perf_end = perf_start(&data) + PERF_ENTRY_BYTES;
         let truncated = image.slice(0..first_perf_end - 4);
         assert!(matches!(load(truncated), Err(LoadError::Truncated)));
     }

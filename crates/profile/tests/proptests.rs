@@ -11,7 +11,9 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use scalana_graph::VertexPerf;
 use scalana_profile::codec::{Record, RecordReader, RecordWriter};
+use scalana_profile::data::{comm_order, CommAgg};
 use scalana_profile::{store, ProfileData};
+use std::collections::BTreeMap;
 
 /// A writer call we can replay and compare against the decoded stream.
 #[derive(Debug, Clone)]
@@ -103,7 +105,8 @@ fn arb_op() -> BoxedStrategy<Op> {
 /// A synthetic (but structurally valid) profile: every table populated
 /// with arbitrary values, including non-ASCII callee names. Ranks are
 /// consistent with `nprocs` — one elapsed time per rank, every perf and
-/// comm rank below it — as `store::load` requires.
+/// comm rank below it — and each table's keys are unique and sorted in
+/// the order `ProfileData` keeps them, as `store::load` requires.
 fn arb_profile() -> BoxedStrategy<ProfileData> {
     (
         1usize..8,
@@ -127,8 +130,9 @@ fn arb_profile() -> BoxedStrategy<ProfileData> {
             data.rank_elapsed = elapsed;
             data.storage_bytes = 12_345;
             data.sample_count = 678;
+            let mut perf_by_key = BTreeMap::new();
             for (vertex, rank, time, count, ins) in perf {
-                data.perf.insert(
+                perf_by_key.insert(
                     (vertex, rank % nprocs),
                     VertexPerf {
                         time,
@@ -143,15 +147,18 @@ fn arb_profile() -> BoxedStrategy<ProfileData> {
                     },
                 );
             }
+            data.perf = perf_by_key.into_iter().collect();
+            let mut comm_by_order = BTreeMap::new();
             for ((sr, sv, dr, dv), (count, bytes, wait)) in comm {
-                let agg = data
-                    .comm
-                    .entry((sr % nprocs, sv, dr % nprocs, dv))
-                    .or_default();
+                let key = (sr % nprocs, sv, dr % nprocs, dv);
+                let (_, agg) = comm_by_order
+                    .entry(comm_order(&key))
+                    .or_insert((key, CommAgg::default()));
                 agg.count += count;
                 agg.bytes += bytes;
                 agg.wait_time += wait;
             }
+            data.comm = comm_by_order.into_values().collect();
             for (ctx, stmt, name) in indirect {
                 data.indirect_calls.push((ctx, stmt, name));
             }
@@ -271,8 +278,14 @@ proptest! {
             0 => data.rank_elapsed.push(1.0),
             1 => { data.rank_elapsed.pop(); }
             2 => data.nprocs = nprocs + 1 + excess * 1_000_000,
-            3 => { data.perf.insert((0, nprocs + excess), VertexPerf::default()); }
-            _ => { data.comm.insert((0, 1, nprocs + excess, 2), Default::default()); }
+            3 => {
+                // In key order, so the rank is the only fault.
+                let key = (0, nprocs + excess);
+                let at = data.perf.partition_point(|(k, _)| *k < key);
+                data.perf.insert(at, (key, VertexPerf::default()));
+            }
+            // Its destination rank sorts it after every valid edge.
+            _ => data.comm.push(((0, 1, nprocs + excess, 2), Default::default())),
         }
         let result = store::load(store::save(&data));
         match fault {

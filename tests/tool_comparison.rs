@@ -146,13 +146,11 @@ fn sim_bits(result: &SimResult) -> Vec<u64> {
     out
 }
 
-/// `data` as integers, floats by their bit patterns, maps in key order.
+/// `data` as integers, floats by their bit patterns, lists in their order.
 fn profile_bits(data: &ProfileData) -> Vec<u64> {
     let mut out = vec![data.nprocs as u64, data.storage_bytes, data.sample_count];
     out.extend(data.rank_elapsed.iter().map(|t| t.to_bits()));
-    let mut perf: Vec<_> = data.perf.iter().collect();
-    perf.sort_unstable_by_key(|(key, _)| **key);
-    for (&(vertex, rank), p) in perf {
+    for &((vertex, rank), p) in &data.perf {
         out.extend([u64::from(vertex), rank as u64, p.count]);
         out.extend(
             [
@@ -168,9 +166,7 @@ fn profile_bits(data: &ProfileData) -> Vec<u64> {
             .map(f64::to_bits),
         );
     }
-    let mut comm: Vec<_> = data.comm.iter().collect();
-    comm.sort_unstable_by_key(|(key, _)| **key);
-    for (&(src_rank, src_vertex, dst_rank, dst_vertex), agg) in comm {
+    for &((src_rank, src_vertex, dst_rank, dst_vertex), agg) in &data.comm {
         out.extend([
             src_rank as u64,
             u64::from(src_vertex),
