@@ -23,6 +23,11 @@ for bin in crates/bench/src/bin/*.rs; do
   cargo run --release -q -p scalana-bench --bin "$(basename "$bin" .rs)" > /dev/null
 done
 
+echo "==> examples (each exits 0)"
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
