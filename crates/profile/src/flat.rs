@@ -198,8 +198,15 @@ mod tests {
     #[test]
     fn storage_includes_metadata_and_entries() {
         let (flat, _) = profile("fn main() { comp(cycles = 23_000_000); barrier(); }", 4);
-        let metadata = 4 * FlatConfig::default().per_rank_metadata;
-        assert!(flat.storage_bytes() >= metadata);
+        let config = FlatConfig::default();
+        assert!(!flat.histogram.is_empty());
+        // One 29 B entry plus 8 B per call-path frame for each histogram
+        // entry, and the per-rank metadata.
+        let entry = 29 + 8 * u64::from(config.path_depth);
+        assert_eq!(
+            flat.storage_bytes(),
+            flat.histogram.len() as u64 * entry + 4 * config.per_rank_metadata
+        );
     }
 
     #[test]
