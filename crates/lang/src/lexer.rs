@@ -69,7 +69,7 @@ impl<'a> Lexer<'a> {
             };
             let kind = match c {
                 b'0'..=b'9' => self.lex_int(&span)?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_word(),
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_word(&span)?,
                 _ => self.lex_punct(&span)?,
             };
             tokens.push(Token { kind, span });
@@ -160,7 +160,10 @@ impl<'a> Lexer<'a> {
         Ok(TokenKind::Int(value))
     }
 
-    fn lex_word(&mut self) -> TokenKind {
+    /// A keyword or identifier. Names are persisted with a `u16` length
+    /// (indirect-call callees in profile images and discovery traces), so
+    /// a longer identifier is an error rather than a name cut short.
+    fn lex_word(&mut self, span: &Span) -> LangResult<TokenKind> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
@@ -170,7 +173,17 @@ impl<'a> Lexer<'a> {
             }
         }
         let word = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii word");
-        TokenKind::keyword(word).unwrap_or_else(|| TokenKind::Ident(word.to_string()))
+        if word.len() > usize::from(u16::MAX) {
+            return Err(LangError::lex(
+                format!(
+                    "identifier of {} bytes exceeds {} bytes",
+                    word.len(),
+                    u16::MAX
+                ),
+                span.clone(),
+            ));
+        }
+        Ok(TokenKind::keyword(word).unwrap_or_else(|| TokenKind::Ident(word.to_string())))
     }
 
     fn lex_punct(&mut self, span: &Span) -> LangResult<TokenKind> {
@@ -346,6 +359,16 @@ mod tests {
     #[test]
     fn overflow_literal_is_error() {
         assert!(lex("t.mmpi", "99999999999999999999").is_err());
+    }
+
+    #[test]
+    fn identifier_longer_than_u16_max_is_error() {
+        let longest = "x".repeat(usize::from(u16::MAX));
+        assert_eq!(kinds(&longest)[0], TokenKind::Ident(longest.clone()));
+        let err = lex("t.mmpi", &format!("let a = 1;\n  {longest}y")).unwrap_err();
+        assert_eq!(err.kind, crate::error::ErrorKind::Lex);
+        let span = err.span.expect("lex errors carry a span");
+        assert_eq!((span.line, span.col), (2, 3));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! symptoms (`MPI_Waitall` is slow, this loop is hot) but needs
 //! substantial human effort to connect them into a root cause.
 
-use crate::codec::RecordWriter;
+use crate::record;
 use scalana_graph::VertexId;
 use scalana_mpisim::hook::{CompEvent, Hook, MpiExitEvent};
 use std::collections::HashMap;
@@ -83,13 +83,12 @@ impl FlatProfilerHook {
         n
     }
 
-    /// Storage the profile would occupy on disk.
+    /// Storage the profile would occupy on disk: one histogram entry
+    /// with `path_depth` frames per `(vertex, rank)`, plus the per-rank
+    /// metadata.
     pub fn storage_bytes(&self) -> u64 {
-        let mut writer = RecordWriter::new();
-        for ((vertex, rank), (count, time)) in &self.histogram {
-            writer.sample_entry(*rank as u32, *vertex, *count, *time, self.config.path_depth);
-        }
-        writer.bytes_written() + self.nprocs as u64 * self.config.per_rank_metadata
+        let entry = record::SAMPLE_ENTRY + record::SAMPLE_FRAME * u64::from(self.config.path_depth);
+        self.histogram.len() as u64 * entry + self.nprocs as u64 * self.config.per_rank_metadata
     }
 
     /// The top-`n` hottest vertices by total time — the symptom list a

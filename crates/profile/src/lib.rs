@@ -11,8 +11,8 @@
 //!   instrumentation, and indirect-call collection. Produces
 //!   [`ProfileData`] from which the PPG is assembled.
 //! - [`TracerHook`] — the Scalasca-like tracing baseline: every event
-//!   (computation region, MPI enter/exit, message) is timestamped and
-//!   appended to a binary trace. High per-event cost, storage linear in
+//!   (computation region, MPI enter/exit, message) is charged as one
+//!   timestamped trace record. High per-event cost, storage linear in
 //!   event count — reproducing the paper's GB-scale traces and ~25–40%
 //!   overheads.
 //! - [`FlatProfilerHook`] — the HPCToolkit-like profiling baseline:
@@ -21,12 +21,14 @@
 //!   hot spots, not causal chains.
 //!
 //! All three declare per-event virtual-time costs, so tool overhead is a
-//! *measured* quantity inside the simulation ([`overhead`]).
+//! *measured* quantity inside the simulation ([`overhead`]). None writes
+//! its output format: each counts the bytes its records would occupy,
+//! at the sizes [`record`] defines.
 
-pub mod codec;
 pub mod data;
 pub mod flat;
 pub mod overhead;
+pub mod record;
 pub mod recorder;
 pub mod scalana;
 pub mod store;

@@ -11,8 +11,8 @@
 //! run [`take_data`](ScalAnaProfiler::take_data) emits both tables as
 //! the sorted lists [`ProfileData`] holds.
 
-use crate::codec::RecordWriter;
 use crate::data::{comm_order, CommAgg, EdgeKey, ProfileData};
+use crate::record;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scalana_graph::{VertexId, VertexPerf};
@@ -92,7 +92,6 @@ pub struct ScalAnaProfiler {
     /// Sampling period, `1 / sampling_hz`, computed once.
     period: f64,
     data: ProfileData,
-    writer: RecordWriter,
     /// Per-rank, per-vertex performance vectors. Every recorded sample
     /// has `count == 1`, so `count > 0` marks the touched entries.
     perf: Vec<Vec<VertexPerf>>,
@@ -120,7 +119,6 @@ impl ScalAnaProfiler {
             period: 1.0 / config.sampling_hz,
             config,
             data: ProfileData::default(),
-            writer: RecordWriter::new(),
             perf: Vec::new(),
             comm: FxHashMap::default(),
             sample_phase: Vec::new(),
@@ -150,15 +148,12 @@ impl ScalAnaProfiler {
                 let Some(p) = row.get(vertex).filter(|p| p.count > 0) else {
                     continue;
                 };
-                let vertex = vertex as VertexId;
-                self.writer
-                    .vertex_perf(vertex, rank as u32, p.time, p.tot_ins, p.wait_time);
-                perf.push(((vertex, rank), *p));
+                perf.push(((vertex as VertexId, rank), *p));
             }
         }
         self.perf = Vec::new();
+        self.data.storage_bytes += record::VERTEX_PERF * perf.len() as u64;
         self.data.perf = perf;
-        self.data.storage_bytes = self.writer.bytes_written();
         let mut comm: Vec<_> = self.comm.drain().map(|(k, e)| (k, e.agg)).collect();
         comm.sort_unstable_by_key(|(key, _)| comm_order(key));
         self.data.comm = comm;
@@ -289,13 +284,7 @@ impl Hook for ScalAnaProfiler {
                 return 0.02e-6;
             }
         }
-        self.writer.comm_dep(
-            ev.src_rank as u32,
-            ev.src_vertex,
-            ev.dst_vertex,
-            ev.tag as i32,
-            ev.bytes,
-        );
+        self.data.storage_bytes += record::COMM_DEP;
         self.config.comm_record_cost
     }
 
@@ -305,7 +294,7 @@ impl Hook for ScalAnaProfiler {
             self.data
                 .indirect_calls
                 .push((ev.ctx, ev.stmt, ev.callee.clone()));
-            self.writer.indirect_call(ev.ctx, ev.stmt, &ev.callee);
+            self.data.storage_bytes += record::INDIRECT_CALL + ev.callee.len() as u64;
             self.config.comm_record_cost
         } else {
             0.02e-6
@@ -428,10 +417,11 @@ mod tests {
         let alternating = profile(TWO_TAG_RING, 4, ProfilerConfig::default());
         assert_eq!(alternating.comm_edge_count(), single.comm_edge_count());
         assert_eq!(alternating.comm_edge_count(), 4);
-        // 33 B per perf record, 25 B per persisted dependence key: one
-        // key per edge with one tag, two with two.
-        let storage = |d: &ProfileData, keys_per_edge: usize| {
-            (33 * d.perf.len() + 25 * keys_per_edge * d.comm_edge_count()) as u64
+        // One perf record per vector, one dependence record per persisted
+        // key: one key per edge with one tag, two with two.
+        let storage = |d: &ProfileData, keys_per_edge: u64| {
+            record::VERTEX_PERF * d.perf.len() as u64
+                + record::COMM_DEP * keys_per_edge * d.comm_edge_count() as u64
         };
         assert_eq!(single.storage_bytes, storage(&single, 1));
         assert_eq!(alternating.storage_bytes, storage(&alternating, 2));

@@ -103,6 +103,8 @@ pub enum LoadError {
     /// The named section (`"perf"` or `"comm"`) repeats a key or lists
     /// one out of order.
     Unordered(&'static str),
+    /// Bytes follow the image's last section.
+    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for LoadError {
@@ -122,6 +124,9 @@ impl std::fmt::Display for LoadError {
             }
             LoadError::Unordered(section) => {
                 write!(f, "profile {section} keys not strictly increasing")
+            }
+            LoadError::TrailingBytes(n) => {
+                write!(f, "{n} bytes after the profile's last section")
             }
         }
     }
@@ -173,7 +178,8 @@ fn rank_in(rank: u64, nprocs: usize) -> Result<usize, LoadError> {
 /// in the buffer and to number exactly `nprocs`; every perf and comm
 /// rank must lie in `0..nprocs`, the range `into_ppg` indexes; the keys
 /// of each section must be strictly increasing, the order
-/// [`ProfileData`] keeps; every float must be finite.
+/// [`ProfileData`] keeps; every float must be finite; nothing may follow
+/// the last section.
 pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
     need(&buf, 4 + 2)?;
     if buf.get_u32_le() != MAGIC {
@@ -270,6 +276,9 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
         let name = buf.copy_to_bytes(len);
         data.indirect_calls
             .push((ctx, stmt, String::from_utf8_lossy(&name).into_owned()));
+    }
+    if buf.has_remaining() {
+        return Err(LoadError::TrailingBytes(buf.remaining()));
     }
     check_finite(&data)?;
     Ok(data)
@@ -374,6 +383,27 @@ mod tests {
         let image = save(&data);
         let truncated = image.slice(0..image.len() / 2);
         assert!(matches!(load(truncated), Err(LoadError::Truncated)));
+    }
+
+    #[test]
+    fn rejects_bytes_after_the_last_section() {
+        let data = collected_profile();
+        let mut padded = save(&data).to_vec();
+        padded.push(0);
+        assert_eq!(
+            load(Bytes::from(padded)).err(),
+            Some(LoadError::TrailingBytes(1))
+        );
+        // A callee name past `u16::MAX` bytes is saved with its length
+        // cut to 16 bits: the name comes back short and the rest of it
+        // trails the image.
+        let mut long_name = ProfileData::new(1);
+        long_name.rank_elapsed = vec![0.0];
+        long_name.indirect_calls.push((0, 0, "f".repeat(70_001)));
+        assert_eq!(
+            load(save(&long_name)).err(),
+            Some(LoadError::TrailingBytes(70_001 - 4_465))
+        );
     }
 
     #[test]

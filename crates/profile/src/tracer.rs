@@ -1,19 +1,15 @@
 //! The tracing baseline (Scalasca-like).
 //!
-//! Records a timestamped event for *everything*: computation region
-//! enter/exit, every MPI call, every matched message. Storage grows
-//! linearly with event count and overhead with per-event cost — the
-//! behaviour behind the paper's 6.77 GB / 25.3% Table I row and the
-//! 28.26 GB Zeus-MP traces of Fig. 13.
+//! Charges a timestamped event for *everything*: computation region
+//! enter/exit, every MPI call, every matched message. Each event is one
+//! fixed-size [`TRACE_EVENT`](crate::record::TRACE_EVENT) record, so the
+//! tracer counts events and writes none. Storage grows linearly with
+//! event count and overhead with per-event cost — the behaviour behind
+//! the paper's 6.77 GB / 25.3% Table I row and the 28.26 GB Zeus-MP
+//! traces of Fig. 13.
 
-use crate::codec::RecordWriter;
+use crate::record;
 use scalana_mpisim::hook::{CommDepEvent, CompEvent, Hook, MpiEnterEvent, MpiExitEvent};
-
-/// Trace event codes.
-const EV_COMP: u8 = 0;
-const EV_MPI_ENTER: u8 = 1;
-const EV_MPI_EXIT: u8 = 2;
-const EV_MESSAGE: u8 = 3;
 
 /// Tracer cost model.
 #[derive(Debug, Clone)]
@@ -34,8 +30,8 @@ impl Default for TracerConfig {
 /// The tracing hook.
 pub struct TracerHook {
     config: TracerConfig,
-    writer: RecordWriter,
-    nprocs: usize,
+    /// Trace events recorded.
+    records: u64,
     rank_elapsed: Vec<f64>,
 }
 
@@ -44,8 +40,7 @@ impl TracerHook {
     pub fn new(config: TracerConfig) -> TracerHook {
         TracerHook {
             config,
-            writer: RecordWriter::new(),
-            nprocs: 0,
+            records: 0,
             rank_elapsed: Vec::new(),
         }
     }
@@ -57,12 +52,18 @@ impl TracerHook {
 
     /// Bytes of trace produced.
     pub fn storage_bytes(&self) -> u64 {
-        self.writer.bytes_written()
+        self.records * record::TRACE_EVENT
     }
 
     /// Records written.
     pub fn record_count(&self) -> u64 {
-        self.writer.record_count()
+        self.records
+    }
+
+    /// Charge one trace record.
+    fn charge(&mut self) -> f64 {
+        self.records += 1;
+        self.config.record_cost
     }
 
     /// Per-rank elapsed times of the traced run.
@@ -72,42 +73,20 @@ impl TracerHook {
 }
 
 impl Hook for TracerHook {
-    fn on_run_start(&mut self, nprocs: usize) {
-        self.nprocs = nprocs;
+    fn on_comp(&mut self, _ev: &CompEvent) -> f64 {
+        self.charge()
     }
 
-    fn on_comp(&mut self, ev: &CompEvent) -> f64 {
-        self.writer
-            .trace_event(ev.rank as u32, ev.vertex, EV_COMP, ev.start, ev.duration);
-        self.config.record_cost
+    fn on_mpi_enter(&mut self, _ev: &MpiEnterEvent) -> f64 {
+        self.charge()
     }
 
-    fn on_mpi_enter(&mut self, ev: &MpiEnterEvent) -> f64 {
-        self.writer.trace_event(
-            ev.rank as u32,
-            ev.vertex,
-            EV_MPI_ENTER,
-            ev.time,
-            ev.bytes.unwrap_or(0) as f64,
-        );
-        self.config.record_cost
+    fn on_mpi_exit(&mut self, _ev: &MpiExitEvent) -> f64 {
+        self.charge()
     }
 
-    fn on_mpi_exit(&mut self, ev: &MpiExitEvent) -> f64 {
-        self.writer
-            .trace_event(ev.rank as u32, ev.vertex, EV_MPI_EXIT, ev.time, ev.elapsed);
-        self.config.record_cost
-    }
-
-    fn on_comm_dep(&mut self, ev: &CommDepEvent) -> f64 {
-        self.writer.trace_event(
-            ev.dst_rank as u32,
-            ev.dst_vertex,
-            EV_MESSAGE,
-            ev.time,
-            ev.bytes as f64,
-        );
-        self.config.record_cost
+    fn on_comm_dep(&mut self, _ev: &CommDepEvent) -> f64 {
+        self.charge()
     }
 
     fn on_run_end(&mut self, rank_elapsed: &[f64]) {

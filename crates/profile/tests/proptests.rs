@@ -1,106 +1,17 @@
-//! Property-based tests for the profile persistence layer: the record
-//! codec (`RecordWriter`/`RecordReader`) and the profile store
-//! (`store::save`/`store::load`).
-//!
-//! Two properties per format:
+//! Property-based tests for the profile store
+//! (`store::save`/`store::load`):
 //! - **round trip** — whatever is written decodes back losslessly;
-//! - **truncation fuzz** — any prefix of a valid image is rejected
-//!   (store) or cleanly ends the stream (codec); no cut point panics.
+//! - **truncation fuzz** — any strict prefix of a valid image is
+//!   rejected; no cut point panics;
+//! - **corruption** — bad headers and images inconsistent with their
+//!   rank count are rejected with typed errors.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use scalana_graph::VertexPerf;
-use scalana_profile::codec::{Record, RecordReader, RecordWriter};
 use scalana_profile::data::{comm_order, CommAgg};
 use scalana_profile::{store, ProfileData};
 use std::collections::BTreeMap;
-
-/// A writer call we can replay and compare against the decoded stream.
-#[derive(Debug, Clone)]
-enum Op {
-    VertexPerf(u32, u32, f64, f64, f64),
-    CommDep(u32, u32, u32, i32, u64),
-    TraceEvent(u32, u32, u8, f64, f64),
-    SampleEntry(u32, u32, u64, f64, u32),
-    IndirectCall(u32, u32, String),
-}
-
-impl Op {
-    fn write(&self, w: &mut RecordWriter) {
-        match self.clone() {
-            Op::VertexPerf(v, r, t, i, wt) => w.vertex_perf(v, r, t, i, wt),
-            Op::CommDep(sr, sv, dv, tag, b) => w.comm_dep(sr, sv, dv, tag, b),
-            Op::TraceEvent(r, v, k, t, p) => w.trace_event(r, v, k, t, p),
-            Op::SampleEntry(r, v, c, t, len) => w.sample_entry(r, v, c, t, len),
-            Op::IndirectCall(ctx, stmt, name) => w.indirect_call(ctx, stmt, &name),
-        }
-    }
-
-    fn matches(&self, record: &Record) -> bool {
-        match (self, record) {
-            (
-                Op::VertexPerf(v, r, t, i, wt),
-                Record::VertexPerf {
-                    vertex,
-                    rank,
-                    time,
-                    tot_ins,
-                    wait,
-                },
-            ) => v == vertex && r == rank && t == time && i == tot_ins && wt == wait,
-            (
-                Op::CommDep(sr, sv, dv, tg, b),
-                Record::CommDep {
-                    src_rank,
-                    src_vertex,
-                    dst_vertex,
-                    tag,
-                    bytes,
-                },
-            ) => sr == src_rank && sv == src_vertex && dv == dst_vertex && tg == tag && b == bytes,
-            (
-                Op::TraceEvent(r, v, k, t, p),
-                Record::TraceEvent {
-                    rank,
-                    vertex,
-                    kind,
-                    time,
-                    payload,
-                },
-            ) => r == rank && v == vertex && k == kind && t == time && p == payload,
-            (
-                Op::SampleEntry(r, v, c, t, len),
-                Record::SampleEntry {
-                    rank,
-                    vertex,
-                    count,
-                    time,
-                    path,
-                },
-            ) => r == rank && v == vertex && c == count && t == time && path.len() == *len as usize,
-            (Op::IndirectCall(c, s, n), Record::IndirectCall { ctx, stmt, callee }) => {
-                c == ctx && s == stmt && n == callee
-            }
-            _ => false,
-        }
-    }
-}
-
-fn arb_op() -> BoxedStrategy<Op> {
-    prop_oneof![
-        (0u32..64, 0u32..16, 0.0f64..10.0, 0.0f64..1e9, 0.0f64..1.0)
-            .prop_map(|(v, r, t, i, w)| Op::VertexPerf(v, r, t, i, w)),
-        (0u32..16, 0u32..64, 0u32..64, -1i32..1000, 0u64..1_000_000)
-            .prop_map(|(sr, sv, dv, tag, b)| Op::CommDep(sr, sv, dv, tag, b)),
-        (0u32..16, 0u32..64, 0u8..8, 0.0f64..10.0, 0.0f64..1e6)
-            .prop_map(|(r, v, k, t, p)| Op::TraceEvent(r, v, k, t, p)),
-        (0u32..16, 0u32..64, 0u64..10_000, 0.0f64..10.0, 0u32..12)
-            .prop_map(|(r, v, c, t, len)| Op::SampleEntry(r, v, c, t, len)),
-        (0u32..256, 0u32..256, "[a-z_]{0,24}")
-            .prop_map(|(ctx, stmt, name)| Op::IndirectCall(ctx, stmt, name)),
-    ]
-    .boxed()
-}
 
 /// A synthetic (but structurally valid) profile: every table populated
 /// with arbitrary values, including non-ASCII callee names. Ranks are
@@ -169,51 +80,6 @@ fn arb_profile() -> BoxedStrategy<ProfileData> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Every record sequence decodes back to exactly what was written.
-    #[test]
-    fn codec_round_trip_is_lossless(ops in proptest::collection::vec(arb_op(), 0..32)) {
-        let mut writer = RecordWriter::new();
-        for op in &ops {
-            op.write(&mut writer);
-        }
-        prop_assert_eq!(writer.record_count(), ops.len() as u64);
-        let mut reader = RecordReader::new(writer.freeze());
-        for (i, op) in ops.iter().enumerate() {
-            let record = reader.next();
-            prop_assert!(
-                record.as_ref().is_some_and(|r| op.matches(r)),
-                "record {} mismatch: wrote {:?}, read {:?}", i, op, record
-            );
-        }
-        prop_assert_eq!(reader.next(), None);
-    }
-
-    /// Any truncation point decodes a prefix of the written records and
-    /// then cleanly ends the stream — never panics, never invents data.
-    #[test]
-    fn codec_truncation_yields_clean_prefix(
-        ops in proptest::collection::vec(arb_op(), 1..16),
-        cut_seed in 0usize..10_000,
-    ) {
-        let mut writer = RecordWriter::new();
-        for op in &ops {
-            op.write(&mut writer);
-        }
-        let full = writer.freeze();
-        let cut = cut_seed % full.len();
-        let mut reader = RecordReader::new(full.slice(0..cut));
-        let mut decoded = 0usize;
-        while let Some(record) = reader.next() {
-            prop_assert!(decoded < ops.len());
-            prop_assert!(
-                ops[decoded].matches(&record),
-                "prefix record {} diverged at cut {}", decoded, cut
-            );
-            decoded += 1;
-        }
-        prop_assert!(decoded <= ops.len());
-    }
 
     /// `store::save` → `store::load` is lossless for arbitrary profiles.
     #[test]

@@ -28,8 +28,19 @@ for example in examples/*.rs; do
   cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
 done
 
-echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+echo "==> cargo doc --workspace --no-deps (rustdoc and cargo warnings are errors)"
+# `-D warnings` covers rustdoc's warnings only; a cargo warning (an
+# output filename collision, say) fails the step through the grep.
+# No `--quiet`: it hides cargo's warnings too.
+doc_log=$(RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps 2>&1) || {
+  echo "$doc_log"
+  exit 1
+}
+if grep -q '^warning:' <<<"$doc_log"; then
+  echo "$doc_log"
+  echo "cargo doc printed a warning" >&2
+  exit 1
+fi
 
 echo "==> service smoke (serve / submit twice / cache hit / scalana diff)"
 scripts/service_smoke.sh target/release/scalana
