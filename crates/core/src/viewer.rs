@@ -59,6 +59,7 @@ pub fn code_snippet(program: &Program, location: &str) -> Option<String> {
         params: vec![],
         functions: vec![func],
         next_node_id: 0,
+        lowered: None,
     };
     let printed = pretty::print_program(&program);
     for line in printed.lines() {

@@ -1,104 +1,13 @@
 //! Vertex model shared by the expanded and contracted PSG.
 
-use scalana_lang::ast::{MpiOp, NodeId};
+pub use scalana_lang::ast::MpiKind;
+use scalana_lang::ast::NodeId;
 use scalana_lang::span::Span;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a vertex within one PSG.
 pub type VertexId = u32;
-
-/// MPI operation class carried by an MPI vertex (parameter expressions
-/// stay in the AST; the vertex records only the operation kind, as the
-/// paper's PSG does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MpiKind {
-    /// Blocking send.
-    Send,
-    /// Blocking receive.
-    Recv,
-    /// Combined exchange.
-    Sendrecv,
-    /// Non-blocking send.
-    Isend,
-    /// Non-blocking receive.
-    Irecv,
-    /// Wait on one request.
-    Wait,
-    /// Wait on all outstanding requests.
-    Waitall,
-    /// Barrier collective.
-    Barrier,
-    /// Broadcast collective.
-    Bcast,
-    /// Reduce collective.
-    Reduce,
-    /// Allreduce collective.
-    Allreduce,
-    /// All-to-all collective.
-    Alltoall,
-    /// Allgather collective.
-    Allgather,
-}
-
-impl MpiKind {
-    /// Classify an AST MPI operation.
-    pub fn of(op: &MpiOp) -> MpiKind {
-        match op {
-            MpiOp::Send { .. } => MpiKind::Send,
-            MpiOp::Recv { .. } => MpiKind::Recv,
-            MpiOp::Sendrecv { .. } => MpiKind::Sendrecv,
-            MpiOp::Isend { .. } => MpiKind::Isend,
-            MpiOp::Irecv { .. } => MpiKind::Irecv,
-            MpiOp::Wait { .. } => MpiKind::Wait,
-            MpiOp::Waitall => MpiKind::Waitall,
-            MpiOp::Barrier => MpiKind::Barrier,
-            MpiOp::Bcast { .. } => MpiKind::Bcast,
-            MpiOp::Reduce { .. } => MpiKind::Reduce,
-            MpiOp::Allreduce { .. } => MpiKind::Allreduce,
-            MpiOp::Alltoall { .. } => MpiKind::Alltoall,
-            MpiOp::Allgather { .. } => MpiKind::Allgather,
-        }
-    }
-
-    /// Whether all ranks participate. Backtracking (Algorithm 1) stops at
-    /// collective vertices.
-    pub fn is_collective(self) -> bool {
-        matches!(
-            self,
-            MpiKind::Barrier
-                | MpiKind::Bcast
-                | MpiKind::Reduce
-                | MpiKind::Allreduce
-                | MpiKind::Alltoall
-                | MpiKind::Allgather
-        )
-    }
-
-    /// Whether this vertex can accrue wait time blocked on a peer.
-    pub fn can_wait(self) -> bool {
-        !matches!(self, MpiKind::Isend | MpiKind::Irecv)
-    }
-
-    /// MPI-style display name (`MPI_Allreduce`).
-    pub fn mpi_name(self) -> &'static str {
-        match self {
-            MpiKind::Send => "MPI_Send",
-            MpiKind::Recv => "MPI_Recv",
-            MpiKind::Sendrecv => "MPI_Sendrecv",
-            MpiKind::Isend => "MPI_Isend",
-            MpiKind::Irecv => "MPI_Irecv",
-            MpiKind::Wait => "MPI_Wait",
-            MpiKind::Waitall => "MPI_Waitall",
-            MpiKind::Barrier => "MPI_Barrier",
-            MpiKind::Bcast => "MPI_Bcast",
-            MpiKind::Reduce => "MPI_Reduce",
-            MpiKind::Allreduce => "MPI_Allreduce",
-            MpiKind::Alltoall => "MPI_Alltoall",
-            MpiKind::Allgather => "MPI_Allgather",
-        }
-    }
-}
 
 /// Vertex classification, matching the paper's `Root` / `Loop` / `Branch`
 /// / `Comp` / MPI taxonomy plus the two runtime-resolved call forms.
@@ -235,7 +144,7 @@ impl Vertex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalana_lang::ast::Expr;
+    use scalana_lang::ast::{Expr, MpiOp};
 
     #[test]
     fn mpi_kind_classification() {

@@ -5,8 +5,10 @@
 //! data back to them, which is the mechanism the paper implements with
 //! LLVM instruction/debug metadata.
 
+use crate::lower::Lowered;
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Stable identifier of an AST statement, unique within one [`Program`].
 pub type NodeId = u32;
@@ -19,6 +21,8 @@ pub const VAR_NPROCS: &str = "nprocs";
 pub const VAR_ANY: &str = "any";
 /// Runtime value of the wildcard.
 pub const ANY_VALUE: i64 = -1;
+/// The reserved variable names, provided by the runtime.
+pub const RESERVED_VARS: [&str; 3] = [VAR_RANK, VAR_NPROCS, VAR_ANY];
 
 /// A complete MiniMPI program: tunable parameters plus functions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,6 +35,9 @@ pub struct Program {
     pub functions: Vec<Function>,
     /// One past the largest [`NodeId`] in use.
     pub next_node_id: NodeId,
+    /// The program lowered by [`crate::check::check_program`]; `None`
+    /// until it ran. Editing a checked program's AST leaves this stale.
+    pub lowered: Option<Arc<Lowered>>,
 }
 
 impl Program {
@@ -43,6 +50,14 @@ impl Program {
     pub fn main(&self) -> &Function {
         self.function("main")
             .expect("checked program must have `main`")
+    }
+
+    /// The form the simulator runs (see [`crate::lower`]). Panics if
+    /// semantic checking did not run.
+    pub fn lowered(&self) -> &Lowered {
+        self.lowered
+            .as_deref()
+            .expect("checked program must be lowered")
     }
 
     /// Index of a function by name (used as the runtime function id for
@@ -203,18 +218,20 @@ pub enum StmtKind {
 /// All attributes are expressions over locals, `rank`, `nprocs`, and
 /// program parameters, so the same source exhibits different workloads at
 /// different scales — the property non-scalable vertex detection relies on.
+/// The lowered form holds the same attributes as
+/// [`crate::lower::RExpr`]s.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompAttrs {
+pub struct CompAttrs<E = Expr> {
     /// Virtual CPU cycles consumed (drives the rank's clock).
-    pub cycles: Expr,
+    pub cycles: E,
     /// Instructions retired (`PAPI_TOT_INS`); defaults to `cycles`.
-    pub ins: Option<Expr>,
+    pub ins: Option<E>,
     /// Load/store instructions (`PAPI_LST_INS`); defaults to `ins / 4`.
-    pub lst: Option<Expr>,
+    pub lst: Option<E>,
     /// L2 cache misses; defaults to `lst / 100`.
-    pub l2_miss: Option<Expr>,
+    pub l2_miss: Option<E>,
     /// Branch mispredictions; defaults to `ins / 1000`.
-    pub br_miss: Option<Expr>,
+    pub br_miss: Option<E>,
 }
 
 /// MPI operations supported by the simulator and intercepted by hooks.
@@ -309,6 +326,137 @@ pub enum MpiOp {
     },
 }
 
+/// MPI operation class: what a PSG vertex and a lowered MPI statement
+/// record of an [`MpiOp`] (parameter expressions stay in the AST, as in
+/// the paper's PSG).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum MpiKind {
+    /// Blocking send.
+    Send,
+    /// Blocking receive.
+    Recv,
+    /// Combined exchange.
+    Sendrecv,
+    /// Non-blocking send.
+    Isend,
+    /// Non-blocking receive.
+    Irecv,
+    /// Wait on one request.
+    Wait,
+    /// Wait on all outstanding requests.
+    Waitall,
+    /// Barrier collective.
+    Barrier,
+    /// Broadcast collective.
+    Bcast,
+    /// Reduce collective.
+    Reduce,
+    /// Allreduce collective.
+    Allreduce,
+    /// All-to-all collective.
+    Alltoall,
+    /// Allgather collective.
+    Allgather,
+}
+
+impl MpiKind {
+    /// Classify an AST MPI operation.
+    pub fn of(op: &MpiOp) -> MpiKind {
+        match op {
+            MpiOp::Send { .. } => MpiKind::Send,
+            MpiOp::Recv { .. } => MpiKind::Recv,
+            MpiOp::Sendrecv { .. } => MpiKind::Sendrecv,
+            MpiOp::Isend { .. } => MpiKind::Isend,
+            MpiOp::Irecv { .. } => MpiKind::Irecv,
+            MpiOp::Wait { .. } => MpiKind::Wait,
+            MpiOp::Waitall => MpiKind::Waitall,
+            MpiOp::Barrier => MpiKind::Barrier,
+            MpiOp::Bcast { .. } => MpiKind::Bcast,
+            MpiOp::Reduce { .. } => MpiKind::Reduce,
+            MpiOp::Allreduce { .. } => MpiKind::Allreduce,
+            MpiOp::Alltoall { .. } => MpiKind::Alltoall,
+            MpiOp::Allgather { .. } => MpiKind::Allgather,
+        }
+    }
+
+    /// Whether all ranks participate. Backtracking (Algorithm 1) stops at
+    /// collective vertices.
+    pub fn is_collective(self) -> bool {
+        matches!(
+            self,
+            MpiKind::Barrier
+                | MpiKind::Bcast
+                | MpiKind::Reduce
+                | MpiKind::Allreduce
+                | MpiKind::Alltoall
+                | MpiKind::Allgather
+        )
+    }
+
+    /// Whether this vertex can accrue wait time blocked on a peer.
+    pub fn can_wait(self) -> bool {
+        !matches!(self, MpiKind::Isend | MpiKind::Irecv)
+    }
+
+    /// MPI-style display name (`MPI_Allreduce`).
+    pub fn mpi_name(self) -> &'static str {
+        match self {
+            MpiKind::Send => "MPI_Send",
+            MpiKind::Recv => "MPI_Recv",
+            MpiKind::Sendrecv => "MPI_Sendrecv",
+            MpiKind::Isend => "MPI_Isend",
+            MpiKind::Irecv => "MPI_Irecv",
+            MpiKind::Wait => "MPI_Wait",
+            MpiKind::Waitall => "MPI_Waitall",
+            MpiKind::Barrier => "MPI_Barrier",
+            MpiKind::Bcast => "MPI_Bcast",
+            MpiKind::Reduce => "MPI_Reduce",
+            MpiKind::Allreduce => "MPI_Allreduce",
+            MpiKind::Alltoall => "MPI_Alltoall",
+            MpiKind::Allgather => "MPI_Allgather",
+        }
+    }
+}
+
+/// One match for both [`MpiOp::operands`] and [`MpiOp::operands_mut`]:
+/// binding modes make its fields `&` or `&mut` references.
+macro_rules! named_operands {
+    ($op:expr) => {
+        match $op {
+            MpiOp::Send { dst, tag, bytes }
+            | MpiOp::Isend {
+                dst, tag, bytes, ..
+            } => {
+                vec![("dst", dst), ("tag", tag), ("bytes", bytes)]
+            }
+            MpiOp::Recv { src, tag } | MpiOp::Irecv { src, tag, .. } => {
+                vec![("src", src), ("tag", tag)]
+            }
+            MpiOp::Sendrecv {
+                dst,
+                sendtag,
+                src,
+                recvtag,
+                bytes,
+            } => vec![
+                ("dst", dst),
+                ("sendtag", sendtag),
+                ("src", src),
+                ("recvtag", recvtag),
+                ("bytes", bytes),
+            ],
+            MpiOp::Wait { req } => vec![("req", req)],
+            MpiOp::Waitall | MpiOp::Barrier => vec![],
+            MpiOp::Bcast { root, bytes } | MpiOp::Reduce { root, bytes } => {
+                vec![("root", root), ("bytes", bytes)]
+            }
+            MpiOp::Allreduce { bytes } | MpiOp::Alltoall { bytes } | MpiOp::Allgather { bytes } => {
+                vec![("bytes", bytes)]
+            }
+        }
+    };
+}
+
 impl MpiOp {
     /// Short lowercase name, matching the source syntax.
     pub fn name(&self) -> &'static str {
@@ -333,20 +481,23 @@ impl MpiOp {
     ///
     /// Backtracking (Algorithm 1) stops at collective vertices.
     pub fn is_collective(&self) -> bool {
-        matches!(
-            self,
-            MpiOp::Barrier
-                | MpiOp::Bcast { .. }
-                | MpiOp::Reduce { .. }
-                | MpiOp::Allreduce { .. }
-                | MpiOp::Alltoall { .. }
-                | MpiOp::Allgather { .. }
-        )
+        MpiKind::of(self).is_collective()
     }
 
     /// Whether this operation can block waiting on another process.
     pub fn can_wait(&self) -> bool {
-        !matches!(self, MpiOp::Isend { .. } | MpiOp::Irecv { .. })
+        MpiKind::of(self).can_wait()
+    }
+
+    /// The operand expressions with their argument names, in source
+    /// order (an `isend`/`irecv`'s request variable is not an operand).
+    pub fn operands(&self) -> Vec<(&'static str, &Expr)> {
+        named_operands!(self)
+    }
+
+    /// [`MpiOp::operands`], mutably.
+    pub fn operands_mut(&mut self) -> Vec<(&'static str, &mut Expr)> {
+        named_operands!(self)
     }
 }
 
@@ -551,6 +702,7 @@ mod tests {
                 span: Span::synthetic("t.mmpi", 1),
             }],
             next_node_id: 3,
+            lowered: None,
         };
         let mut seen = vec![];
         program.for_each_stmt(|s| seen.push(s.id));

@@ -340,6 +340,7 @@ impl ProgramBuilder {
             params: self.params,
             functions: self.functions,
             next_node_id: self.generator.next_id,
+            lowered: None,
         };
         check::check_program(&mut program)?;
         Ok(program)

@@ -1,22 +1,28 @@
 //! Semantic checking for MiniMPI programs.
 //!
-//! Validates the properties the later pipeline stages rely on:
+//! Validates the properties the later pipeline stages rely on, then
+//! lowers the program once and stores the result on it:
 //! - `main` exists and takes no arguments,
 //! - function names are unique and do not shadow intrinsics/builtins,
-//! - direct calls and `&func` references target existing functions with
-//!   matching arity,
-//! - every variable is defined before use (block-scoped),
-//! - program parameters do not collide with reserved names.
+//! - program parameters are unique, do not collide with reserved names
+//!   and have a printable default,
+//! - names inside function bodies are left to the scope walk of
+//!   [`crate::lower`]: direct calls and `&func` references target
+//!   existing functions with matching arity, every variable is defined
+//!   before use (block-scoped), and no function declares a parameter
+//!   twice.
 //!
 //! Recursive and mutually recursive calls are allowed — the PSG handles
 //! them as cycles, exactly as the paper's inter-procedural analysis does.
 
 use crate::ast::*;
 use crate::error::{LangError, LangResult};
-use crate::span::Span;
+use crate::lower::lower;
 use std::collections::HashSet;
+use std::sync::Arc;
 
-/// Names that cannot be used for functions (intrinsics would shadow them).
+/// Statement intrinsics. A function may not take one of their names,
+/// nor a builtin's ([`BuiltinFn::from_name`]).
 const INTRINSIC_NAMES: &[&str] = &[
     "comp",
     "send",
@@ -32,30 +38,23 @@ const INTRINSIC_NAMES: &[&str] = &[
     "allreduce",
     "alltoall",
     "allgather",
-    "min",
-    "max",
-    "log2",
-    "abs",
 ];
 
-/// Reserved variable names provided by the runtime.
-const RESERVED_VARS: &[&str] = &[VAR_RANK, VAR_NPROCS, VAR_ANY];
-
-/// Run all semantic checks. The program is taken mutably for parity with
-/// future lowering passes; the current checks do not rewrite it.
+/// Run all semantic checks and store the lowered program in
+/// [`Program::lowered`]. The AST itself is not rewritten.
 pub fn check_program(program: &mut Program) -> LangResult<()> {
     check_function_table(program)?;
     check_params(program)?;
-    for func in &program.functions {
-        check_function(program, func)?;
-    }
+    program.lowered = Some(Arc::new(lower(program)?));
     Ok(())
 }
 
 fn check_function_table(program: &Program) -> LangResult<()> {
     let mut seen = HashSet::new();
     for func in &program.functions {
-        if INTRINSIC_NAMES.contains(&func.name.as_str()) {
+        if INTRINSIC_NAMES.contains(&func.name.as_str())
+            || BuiltinFn::from_name(&func.name).is_some()
+        {
             return Err(LangError::semantic(
                 format!("function `{}` shadows an intrinsic", func.name),
                 Some(func.span.clone()),
@@ -116,241 +115,6 @@ fn check_params(program: &Program) -> LangResult<()> {
         }
     }
     Ok(())
-}
-
-/// Lexical scope stack for variable definedness.
-struct Scopes {
-    stack: Vec<HashSet<String>>,
-}
-
-impl Scopes {
-    fn new(globals: impl IntoIterator<Item = String>) -> Self {
-        let mut root = HashSet::new();
-        for name in RESERVED_VARS {
-            root.insert((*name).to_string());
-        }
-        root.extend(globals);
-        Scopes { stack: vec![root] }
-    }
-
-    fn push(&mut self) {
-        self.stack.push(HashSet::new());
-    }
-
-    fn pop(&mut self) {
-        self.stack.pop();
-    }
-
-    fn define(&mut self, name: &str) {
-        self.stack
-            .last_mut()
-            .expect("scope stack non-empty")
-            .insert(name.to_string());
-    }
-
-    fn is_defined(&self, name: &str) -> bool {
-        self.stack.iter().rev().any(|s| s.contains(name))
-    }
-}
-
-fn check_function(program: &Program, func: &Function) -> LangResult<()> {
-    let mut scopes = Scopes::new(
-        program
-            .params
-            .iter()
-            .map(|p| p.name.clone())
-            .chain(func.params.iter().cloned()),
-    );
-    check_block(program, func, &func.body, &mut scopes)
-}
-
-fn check_block(
-    program: &Program,
-    func: &Function,
-    block: &Block,
-    scopes: &mut Scopes,
-) -> LangResult<()> {
-    scopes.push();
-    for stmt in &block.stmts {
-        check_stmt(program, func, stmt, scopes)?;
-    }
-    scopes.pop();
-    Ok(())
-}
-
-fn check_stmt(
-    program: &Program,
-    func: &Function,
-    stmt: &Stmt,
-    scopes: &mut Scopes,
-) -> LangResult<()> {
-    let span = &stmt.span;
-    match &stmt.kind {
-        StmtKind::Let { name, value } => {
-            check_expr(program, value, scopes, span)?;
-            scopes.define(name);
-        }
-        StmtKind::Assign { name, value } => {
-            if !scopes.is_defined(name) {
-                return Err(LangError::semantic(
-                    format!(
-                        "assignment to undefined variable `{name}` in `{}`",
-                        func.name
-                    ),
-                    Some(span.clone()),
-                ));
-            }
-            check_expr(program, value, scopes, span)?;
-        }
-        StmtKind::For {
-            var,
-            start,
-            end,
-            body,
-        } => {
-            check_expr(program, start, scopes, span)?;
-            check_expr(program, end, scopes, span)?;
-            scopes.push();
-            scopes.define(var);
-            check_block(program, func, body, scopes)?;
-            scopes.pop();
-        }
-        StmtKind::While { cond, body } => {
-            check_expr(program, cond, scopes, span)?;
-            check_block(program, func, body, scopes)?;
-        }
-        StmtKind::If {
-            cond,
-            then_block,
-            else_block,
-        } => {
-            check_expr(program, cond, scopes, span)?;
-            check_block(program, func, then_block, scopes)?;
-            if let Some(e) = else_block {
-                check_block(program, func, e, scopes)?;
-            }
-        }
-        StmtKind::Call { callee, args } => {
-            let target = program.function(callee).ok_or_else(|| {
-                LangError::semantic(
-                    format!("call to undefined function `{callee}`"),
-                    Some(span.clone()),
-                )
-            })?;
-            if target.params.len() != args.len() {
-                return Err(LangError::semantic(
-                    format!(
-                        "`{callee}` takes {} argument(s), got {}",
-                        target.params.len(),
-                        args.len()
-                    ),
-                    Some(span.clone()),
-                ));
-            }
-            for arg in args {
-                check_expr(program, arg, scopes, span)?;
-            }
-        }
-        StmtKind::CallIndirect { target, args } => {
-            check_expr(program, target, scopes, span)?;
-            for arg in args {
-                check_expr(program, arg, scopes, span)?;
-            }
-        }
-        StmtKind::Comp(attrs) => {
-            check_expr(program, &attrs.cycles, scopes, span)?;
-            for e in [&attrs.ins, &attrs.lst, &attrs.l2_miss, &attrs.br_miss]
-                .into_iter()
-                .flatten()
-            {
-                check_expr(program, e, scopes, span)?;
-            }
-        }
-        StmtKind::Mpi(op) => {
-            check_mpi(program, op, scopes, span)?;
-        }
-        StmtKind::Return => {}
-    }
-    Ok(())
-}
-
-fn check_mpi(program: &Program, op: &MpiOp, scopes: &mut Scopes, span: &Span) -> LangResult<()> {
-    let mut exprs: Vec<&Expr> = Vec::new();
-    match op {
-        MpiOp::Send { dst, tag, bytes } => exprs.extend([dst, tag, bytes]),
-        MpiOp::Recv { src, tag } => exprs.extend([src, tag]),
-        MpiOp::Sendrecv {
-            dst,
-            sendtag,
-            src,
-            recvtag,
-            bytes,
-        } => {
-            exprs.extend([dst, sendtag, src, recvtag, bytes]);
-        }
-        MpiOp::Isend {
-            dst,
-            tag,
-            bytes,
-            req,
-        } => {
-            exprs.extend([dst, tag, bytes]);
-            scopes.define(req);
-        }
-        MpiOp::Irecv { src, tag, req } => {
-            exprs.extend([src, tag]);
-            scopes.define(req);
-        }
-        MpiOp::Wait { req } => exprs.push(req),
-        MpiOp::Waitall | MpiOp::Barrier => {}
-        MpiOp::Bcast { root, bytes } | MpiOp::Reduce { root, bytes } => {
-            exprs.extend([root, bytes]);
-        }
-        MpiOp::Allreduce { bytes } | MpiOp::Alltoall { bytes } | MpiOp::Allgather { bytes } => {
-            exprs.push(bytes);
-        }
-    }
-    for e in exprs {
-        check_expr(program, e, scopes, span)?;
-    }
-    Ok(())
-}
-
-fn check_expr(program: &Program, expr: &Expr, scopes: &Scopes, span: &Span) -> LangResult<()> {
-    match expr {
-        Expr::Int(_) => Ok(()),
-        Expr::Var(name) => {
-            if scopes.is_defined(name) {
-                Ok(())
-            } else {
-                Err(LangError::semantic(
-                    format!("use of undefined variable `{name}`"),
-                    Some(span.clone()),
-                ))
-            }
-        }
-        Expr::FuncRef(name) => {
-            if program.function(name).is_some() {
-                Ok(())
-            } else {
-                Err(LangError::semantic(
-                    format!("`&{name}` references undefined function"),
-                    Some(span.clone()),
-                ))
-            }
-        }
-        Expr::Unary { expr, .. } => check_expr(program, expr, scopes, span),
-        Expr::Binary { lhs, rhs, .. } => {
-            check_expr(program, lhs, scopes, span)?;
-            check_expr(program, rhs, scopes, span)
-        }
-        Expr::Builtin { args, .. } => {
-            for a in args {
-                check_expr(program, a, scopes, span)?;
-            }
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]
@@ -448,6 +212,33 @@ mod tests {
     fn request_variable_is_defined_by_binding() {
         let src = "fn main() { let r = irecv(src = any); wait(r); }";
         parse_program("t.mmpi", src).unwrap();
+    }
+
+    #[test]
+    fn a_request_operand_cannot_read_its_own_request() {
+        for (src, name) in [
+            (
+                "fn main() { let r = isend(dst = r, tag = 0, bytes = 8); wait(r); }",
+                "r",
+            ),
+            (
+                "fn main() { let q = irecv(src = q, tag = 0); wait(q); }",
+                "q",
+            ),
+        ] {
+            let err = parse_program("t.mmpi", src).unwrap_err();
+            assert!(
+                err.message
+                    .contains(&format!("use of undefined variable `{name}`")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_duplicate_parameter() {
+        let err = parse_program("t.mmpi", "fn main() { f(1, 2); } fn f(a, a) { }").unwrap_err();
+        assert!(err.message.contains("duplicate parameter `a`"), "{err}");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! - a typed AST ([`ast`]) in which every statement carries a stable
 //!   [`ast::NodeId`] used to key Program Structure Graph vertices and
 //!   runtime performance attribution,
-//! - semantic checking ([`check`]): name resolution, arity, intrinsic
-//!   argument validation,
+//! - semantic checking ([`check`]) and lowering ([`lower`]): one scope
+//!   walk per program checks every name and arity and produces the
+//!   slot-resolved form the simulator runs, stored on the checked
+//!   [`Program`] ([`Program::lowered`]),
 //! - a pretty-printer ([`pretty`]) whose output re-parses to the same AST,
 //! - a programmatic [`builder`] used by the workload generators in
 //!   `scalana-apps`.
@@ -47,6 +49,7 @@ pub mod builder;
 pub mod check;
 pub mod error;
 pub mod lexer;
+pub mod lower;
 pub mod parser;
 pub mod pretty;
 pub mod span;
@@ -57,7 +60,7 @@ pub use builder::ProgramBuilder;
 pub use error::{LangError, LangResult};
 pub use span::{SourceFile, Span};
 
-/// Parse and semantically check a MiniMPI program in one step.
+/// Parse, semantically check and lower a MiniMPI program in one step.
 ///
 /// `file_name` is recorded into every [`Span`] so that downstream
 /// root-cause reports can print `file:line` locations.

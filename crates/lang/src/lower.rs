@@ -1,21 +1,28 @@
-//! Name resolution: the checked AST lowered, once per run, into the
-//! slot-resolved form the interpreter executes.
+//! Lowering: the one scope walk over a program, run once by
+//! [`crate::check::check_program`], which stores the result on the
+//! [`Program`] (see [`Program::lowered`]).
 //!
-//! Every name a statement mentions is settled here instead of on every
-//! execution. A variable read becomes a frame slot, the executing rank,
-//! or — for `nprocs`, `any` and program parameters, which are constant
-//! for a run — a literal. `let` and assignment both become one "set
-//! slot" statement; `for` and `isend`/`irecv` carry the slot they bind.
-//! Calls and `&f` references carry a function index, and each MPI
-//! statement carries its [`MpiKind`].
+//! The walk decides every name a statement mentions and reports what it
+//! cannot decide: a use of an undefined variable, an assignment to an
+//! undefined variable, a call to an undefined function or with the wrong
+//! number of arguments, a `&f` of an undefined function, and a function
+//! that declares a parameter twice. What it produces is the form the
+//! simulator executes. A variable read becomes a frame slot, the
+//! executing rank, `nprocs`, a program parameter's index or the wildcard
+//! literal. `let` and assignment both become one "set slot" statement;
+//! `for` and `isend`/`irecv` carry the slot they bind. Calls and `&f`
+//! references carry a function index, and each MPI statement carries its
+//! [`MpiKind`]. Nothing in the lowered form depends on a run: a run
+//! supplies `nprocs` and one value per declared parameter.
 //!
-//! Slots come from one static scope walk per function that follows the
-//! interpreter's historical block-scoped environment exactly:
+//! Slots follow the interpreter's block-scoped environment exactly:
 //! - a `let` reuses a binding of the same name in the same scope, and
 //!   otherwise takes a new slot (shadowing any outer binding);
 //! - an assignment updates the nearest visible binding, and when there
-//!   is none — e.g. assigning a program parameter — binds the name in
-//!   the innermost scope;
+//!   is none — assigning a program parameter or a reserved name — binds
+//!   the name in the innermost scope;
+//! - a request operand is read before `isend`/`irecv` binds its request
+//!   variable;
 //! - a function's parameters and its body's top-level statements share
 //!   one scope; every nested block, and a `for` loop's induction
 //!   variable, opens a new one;
@@ -25,32 +32,34 @@
 //! Within one scope instance statements execute in order and at most
 //! once (loops open a fresh body scope per iteration), so the static walk
 //! sees the same bindings at every read as the runtime would. Slots are
-//! allocated as a stack, the way the environment pushed and truncated
-//! entries, so a frame needs only as many slots as it has live
-//! bindings at its deepest point.
+//! allocated as a stack, so a frame needs only as many slots as it has
+//! live bindings at its deepest point.
 //!
 //! The AST stays the source of node ids, locations and the PSG: a
-//! resolved statement keeps its statement's [`NodeId`].
+//! lowered statement keeps its statement's [`NodeId`].
 
-use crate::value::{FuncId, Value};
-use scalana_graph::MpiKind;
-use scalana_lang::ast::{
-    BinOp, BuiltinFn, CompAttrs, Expr, Function, MpiOp, Stmt, StmtKind, UnOp, ANY_VALUE, VAR_ANY,
-    VAR_NPROCS, VAR_RANK,
-};
-use scalana_lang::{NodeId, Program};
-use std::collections::HashMap;
+use crate::ast::*;
+use crate::error::{LangError, LangResult};
+use crate::span::Span;
 
 /// Index of a variable within its frame's slot window.
 pub type Slot = u32;
 
-/// A resolved expression.
+/// Index of a function in [`Program::functions`] and in
+/// [`Lowered::functions`], which keeps that order.
+pub type FuncId = u32;
+
+/// A lowered expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RExpr {
-    /// A constant: a literal, `nprocs`, `any` or a program parameter.
+    /// A literal or `any`.
     Int(i64),
     /// The executing rank.
     Rank,
+    /// The run's rank count.
+    Nprocs,
+    /// A program parameter, by its index in [`Program::params`].
+    Param(u32),
     /// A local variable.
     Slot(Slot),
     /// `&f`.
@@ -80,16 +89,16 @@ pub enum RExpr {
     },
 }
 
-/// A resolved statement; `id` is the AST statement's node id.
+/// A lowered statement; `id` is the AST statement's node id.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RStmt {
-    /// The AST statement this was resolved from.
+    /// The AST statement this was lowered from.
     pub id: NodeId,
     /// The statement payload.
     pub kind: RStmtKind,
 }
 
-/// Resolved statement forms.
+/// Lowered statement forms.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RStmtKind {
     /// `let x = ..;` or `x = ..;`.
@@ -153,26 +162,13 @@ pub enum RStmtKind {
     Return,
 }
 
-/// Resolved `comp` attributes (see [`CompAttrs`] for the defaults).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RComp {
-    /// Cycles.
-    pub cycles: RExpr,
-    /// Instructions retired.
-    pub ins: Option<RExpr>,
-    /// Load/store instructions.
-    pub lst: Option<RExpr>,
-    /// L2 misses.
-    pub l2_miss: Option<RExpr>,
-    /// Branch mispredictions.
-    pub br_miss: Option<RExpr>,
-}
+/// Lowered `comp` attributes.
+pub type RComp = CompAttrs<RExpr>;
 
-/// MPI operands, one variant per shape the engine handles. The resolved
-/// form holds expressions ([`RMpiOp`]), which the interpreter evaluates
-/// into numbers ([`crate::interp::EvaluatedOp`]). Every collective is
-/// `Collective`; `barrier` and the rootless ones get literal zero
-/// operands.
+/// MPI operands, one variant per shape the simulator handles. The
+/// lowered form holds expressions ([`RMpiOp`]), which the simulator
+/// evaluates into numbers. Every collective is `Collective`; `barrier`
+/// and the rootless ones get literal zero operands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Operands<I, B> {
     /// Blocking send.
@@ -204,7 +200,7 @@ pub enum Operands<I, B> {
         /// Payload bytes each way.
         bytes: B,
     },
-    /// Non-blocking send; the engine binds `req_slot`.
+    /// Non-blocking send; the simulator binds `req_slot`.
     Isend {
         /// Destination rank.
         dst: I,
@@ -215,7 +211,7 @@ pub enum Operands<I, B> {
         /// Request variable to bind, in the current frame.
         req_slot: Slot,
     },
-    /// Non-blocking receive; the engine binds `req_slot`.
+    /// Non-blocking receive; the simulator binds `req_slot`.
     Irecv {
         /// Source rank or `any` (-1).
         src: I,
@@ -240,7 +236,7 @@ pub enum Operands<I, B> {
     },
 }
 
-/// Resolved MPI operands.
+/// Lowered MPI operands.
 pub type RMpiOp = Operands<RExpr, RExpr>;
 
 impl<I, B> Operands<I, B> {
@@ -300,105 +296,101 @@ impl<I, B> Operands<I, B> {
     }
 }
 
-/// A resolved function.
+/// A lowered function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RFunction {
     /// Source name (reported for indirect calls).
     pub name: String,
-    /// Per formal parameter: the slot its argument lands in, and what
-    /// the parameter reads when an indirect call passes too few
-    /// arguments to bind it (the program parameter of that name, or 0).
-    pub params: Vec<(Slot, Value)>,
+    /// Per formal parameter: the slot its argument lands in, and the
+    /// program parameter of the same name, which the parameter reads
+    /// when an indirect call passes too few arguments to bind it (0 when
+    /// there is none).
+    pub params: Vec<(Slot, Option<u32>)>,
     /// Slots a frame of this function needs.
     pub slots: u32,
     /// Function body.
     pub body: Vec<RStmt>,
 }
 
-/// A program resolved for one run (one rank count, one parameter set).
+/// A lowered program: what the simulator runs, at any rank count and
+/// with any parameter values.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Resolved {
+pub struct Lowered {
     /// Every function, indexed by [`FuncId`] (the AST's order).
     pub functions: Vec<RFunction>,
     /// The entry function.
     pub main: FuncId,
 }
 
-/// Resolve a checked program for a run at `nprocs` ranks with the given
-/// parameter overrides (merged over the declared defaults; an override
-/// may name a parameter the program does not declare).
-pub fn resolve(program: &Program, overrides: &HashMap<String, i64>, nprocs: usize) -> Resolved {
-    let mut resolver = Resolver::new(program, overrides, nprocs);
+/// Lower a program whose function table and parameters are valid
+/// (unique names, a `main`), or report the first naming error in it.
+pub(crate) fn lower(program: &Program) -> LangResult<Lowered> {
     let functions = program
         .functions
         .iter()
-        .map(|f| resolver.function(f))
-        .collect();
-    Resolved {
+        .map(|func| {
+            Lowerer {
+                program,
+                func,
+                span: &func.span,
+                bindings: Vec::new(),
+                scope_starts: vec![0],
+                high_water: 0,
+            }
+            .function()
+        })
+        .collect::<LangResult<_>>()?;
+    Ok(Lowered {
         functions,
-        main: func_id(program, "main"),
-    }
+        main: program.function_index("main").expect("checked `main`") as FuncId,
+    })
 }
 
-fn func_id(program: &Program, name: &str) -> FuncId {
-    program
-        .function_index(name)
-        .expect("checked program: function exists") as FuncId
-}
-
-/// The static scope walk. `bindings` mirrors the environment's entry
-/// stack: a binding's index is its slot.
-pub(crate) struct Resolver<'a> {
+/// The scope walk over one function. `bindings` mirrors the
+/// interpreter's frame: a binding's index is its slot.
+struct Lowerer<'a> {
     program: &'a Program,
-    overrides: &'a HashMap<String, i64>,
-    nprocs: i64,
+    func: &'a Function,
+    /// The statement being lowered, where its errors point.
+    span: &'a Span,
     bindings: Vec<&'a str>,
     /// Start index of each open scope in `bindings`.
     scope_starts: Vec<usize>,
-    /// Most bindings live at once in the current function.
+    /// Most bindings live at once.
     high_water: usize,
 }
 
-impl<'a> Resolver<'a> {
-    pub(crate) fn new(
-        program: &'a Program,
-        overrides: &'a HashMap<String, i64>,
-        nprocs: usize,
-    ) -> Resolver<'a> {
-        Resolver {
-            program,
-            overrides,
-            nprocs: nprocs as i64,
-            bindings: Vec::new(),
-            scope_starts: vec![0],
-            high_water: 0,
+impl<'a> Lowerer<'a> {
+    fn function(mut self) -> LangResult<RFunction> {
+        let mut params = Vec::with_capacity(self.func.params.len());
+        for p in &self.func.params {
+            if self.bindings.contains(&p.as_str()) {
+                return Err(
+                    self.error(format!("duplicate parameter `{p}` in `{}`", self.func.name))
+                );
+            }
+            params.push((self.push(p), self.param(p)));
         }
-    }
-
-    fn function(&mut self, func: &'a Function) -> RFunction {
-        self.bindings.clear();
-        self.scope_starts = vec![0];
-        self.high_water = 0;
-        let params = func
-            .params
-            .iter()
-            .map(|p| (self.define(p), Value::Int(self.param(p).unwrap_or(0))))
-            .collect();
         // The body's top level shares the parameters' scope.
-        let body = self.stmts(&func.body.stmts);
-        RFunction {
+        let func = self.func;
+        let body = self.stmts(&func.body.stmts)?;
+        Ok(RFunction {
             name: func.name.clone(),
             params,
             slots: self.high_water as u32,
             body,
-        }
+        })
     }
 
-    fn block(&mut self, stmts: &'a [Stmt]) -> Vec<RStmt> {
+    fn error(&self, message: String) -> LangError {
+        LangError::semantic(message, Some(self.span.clone()))
+    }
+
+    fn block(&mut self, stmts: &'a [Stmt]) -> LangResult<Vec<RStmt>> {
         self.scope_starts.push(self.bindings.len());
-        let out = self.stmts(stmts);
+        let out = self.stmts(stmts)?;
         self.pop_scope();
-        out
+        Ok(out)
     }
 
     fn pop_scope(&mut self) {
@@ -406,36 +398,33 @@ impl<'a> Resolver<'a> {
         self.bindings.truncate(start);
     }
 
-    fn stmts(&mut self, stmts: &'a [Stmt]) -> Vec<RStmt> {
-        stmts.iter().map(|s| self.stmt(s)).collect()
+    fn stmts(&mut self, stmts: &'a [Stmt]) -> LangResult<Vec<RStmt>> {
+        let mut out = Vec::with_capacity(stmts.len());
+        for stmt in stmts {
+            out.push(self.stmt(stmt)?);
+        }
+        Ok(out)
     }
 
-    fn stmt(&mut self, stmt: &'a Stmt) -> RStmt {
+    /// Lowers the statements that hold blocks and leaves the rest to
+    /// [`Lowerer::simple_stmt`]: the walk recurses through this frame
+    /// once per nested block, and an unoptimised build would reserve it
+    /// room for every statement form's temporaries.
+    fn stmt(&mut self, stmt: &'a Stmt) -> LangResult<RStmt> {
+        // Every expression of a statement is lowered before its blocks,
+        // so errors point at the right statement.
+        self.span = &stmt.span;
         let kind = match &stmt.kind {
-            StmtKind::Let { name, value } => {
-                let value = self.expr(value);
-                RStmtKind::Set {
-                    slot: self.define(name),
-                    value,
-                }
-            }
-            StmtKind::Assign { name, value } => {
-                let value = self.expr(value);
-                RStmtKind::Set {
-                    slot: self.assign(name),
-                    value,
-                }
-            }
             StmtKind::For {
                 var,
                 start,
                 end,
                 body,
             } => {
-                let (start, end) = (self.expr(start), self.expr(end));
+                let (start, end) = (self.expr(start)?, self.expr(end)?);
                 self.scope_starts.push(self.bindings.len());
                 let slot = self.define(var);
-                let body = self.block(&body.stmts);
+                let body = self.block(&body.stmts)?;
                 self.pop_scope();
                 RStmtKind::For {
                     slot,
@@ -445,56 +434,104 @@ impl<'a> Resolver<'a> {
                 }
             }
             StmtKind::While { cond, body } => RStmtKind::While {
-                cond: self.expr(cond),
-                body: self.block(&body.stmts),
+                cond: self.expr(cond)?,
+                body: self.block(&body.stmts)?,
             },
             StmtKind::If {
                 cond,
                 then_block,
                 else_block,
             } => RStmtKind::If {
-                cond: self.expr(cond),
-                then_block: self.block(&then_block.stmts),
-                else_block: else_block.as_ref().map(|b| self.block(&b.stmts)),
+                cond: self.expr(cond)?,
+                then_block: self.block(&then_block.stmts)?,
+                else_block: (else_block.as_ref())
+                    .map(|b| self.block(&b.stmts))
+                    .transpose()?,
             },
-            StmtKind::Call { callee, args } => RStmtKind::Call {
-                func: func_id(self.program, callee),
-                args: self.exprs(args),
-            },
+            kind => self.simple_stmt(kind)?,
+        };
+        Ok(RStmt { id: stmt.id, kind })
+    }
+
+    fn simple_stmt(&mut self, kind: &'a StmtKind) -> LangResult<RStmtKind> {
+        Ok(match kind {
+            StmtKind::Let { name, value } => {
+                let value = self.expr(value)?;
+                RStmtKind::Set {
+                    slot: self.define(name),
+                    value,
+                }
+            }
+            StmtKind::Assign { name, value } => {
+                let target = self.lookup(name);
+                if target.is_none()
+                    && !RESERVED_VARS.contains(&name.as_str())
+                    && self.param(name).is_none()
+                {
+                    return Err(self.error(format!(
+                        "assignment to undefined variable `{name}` in `{}`",
+                        self.func.name
+                    )));
+                }
+                let value = self.expr(value)?;
+                RStmtKind::Set {
+                    slot: target.unwrap_or_else(|| self.push(name)),
+                    value,
+                }
+            }
+            StmtKind::Call { callee, args } => {
+                let Some(func) = self.program.function_index(callee) else {
+                    return Err(self.error(format!("call to undefined function `{callee}`")));
+                };
+                let arity = self.program.functions[func].params.len();
+                if arity != args.len() {
+                    return Err(self.error(format!(
+                        "`{callee}` takes {arity} argument(s), got {}",
+                        args.len()
+                    )));
+                }
+                RStmtKind::Call {
+                    func: func as FuncId,
+                    args: self.exprs(args)?,
+                }
+            }
             StmtKind::CallIndirect { target, args } => RStmtKind::CallIndirect {
-                target: self.expr(target),
-                args: self.exprs(args),
+                target: self.expr(target)?,
+                args: self.exprs(args)?,
             },
-            StmtKind::Comp(attrs) => RStmtKind::Comp(self.comp(attrs)),
+            StmtKind::Comp(attrs) => RStmtKind::Comp(self.comp(attrs)?),
             StmtKind::Mpi(op) => RStmtKind::Mpi {
                 kind: MpiKind::of(op),
-                op: self.mpi(op),
+                op: self.mpi(op)?,
             },
             StmtKind::Return => RStmtKind::Return,
-        };
-        RStmt { id: stmt.id, kind }
+            StmtKind::For { .. } | StmtKind::While { .. } | StmtKind::If { .. } => {
+                unreachable!("`stmt` lowers statements with blocks")
+            }
+        })
     }
 
-    fn comp(&mut self, attrs: &CompAttrs) -> RComp {
-        RComp {
-            cycles: self.expr(&attrs.cycles),
-            ins: attrs.ins.as_ref().map(|e| self.expr(e)),
-            lst: attrs.lst.as_ref().map(|e| self.expr(e)),
-            l2_miss: attrs.l2_miss.as_ref().map(|e| self.expr(e)),
-            br_miss: attrs.br_miss.as_ref().map(|e| self.expr(e)),
-        }
+    fn comp(&self, attrs: &CompAttrs) -> LangResult<RComp> {
+        let opt = |e: &Option<Expr>| e.as_ref().map(|e| self.expr(e)).transpose();
+        Ok(RComp {
+            cycles: self.expr(&attrs.cycles)?,
+            ins: opt(&attrs.ins)?,
+            lst: opt(&attrs.lst)?,
+            l2_miss: opt(&attrs.l2_miss)?,
+            br_miss: opt(&attrs.br_miss)?,
+        })
     }
 
-    fn mpi(&mut self, op: &'a MpiOp) -> RMpiOp {
-        match op {
+    fn mpi(&mut self, op: &'a MpiOp) -> LangResult<RMpiOp> {
+        Ok(match op {
             MpiOp::Send { dst, tag, bytes } => RMpiOp::Send {
-                dst: self.expr(dst),
-                tag: self.expr(tag),
-                bytes: self.expr(bytes),
+                dst: self.expr(dst)?,
+                tag: self.expr(tag)?,
+                bytes: self.expr(bytes)?,
             },
             MpiOp::Recv { src, tag } => RMpiOp::Recv {
-                src: self.expr(src),
-                tag: self.expr(tag),
+                src: self.expr(src)?,
+                tag: self.expr(tag)?,
             },
             MpiOp::Sendrecv {
                 dst,
@@ -503,20 +540,20 @@ impl<'a> Resolver<'a> {
                 recvtag,
                 bytes,
             } => RMpiOp::Sendrecv {
-                dst: self.expr(dst),
-                sendtag: self.expr(sendtag),
-                src: self.expr(src),
-                recvtag: self.expr(recvtag),
-                bytes: self.expr(bytes),
+                dst: self.expr(dst)?,
+                sendtag: self.expr(sendtag)?,
+                src: self.expr(src)?,
+                recvtag: self.expr(recvtag)?,
+                bytes: self.expr(bytes)?,
             },
-            // The engine binds the request after evaluating the operands.
+            // The operands are read before the request variable is bound.
             MpiOp::Isend {
                 dst,
                 tag,
                 bytes,
                 req,
             } => {
-                let (dst, tag, bytes) = (self.expr(dst), self.expr(tag), self.expr(bytes));
+                let (dst, tag, bytes) = (self.expr(dst)?, self.expr(tag)?, self.expr(bytes)?);
                 RMpiOp::Isend {
                     dst,
                     tag,
@@ -525,7 +562,7 @@ impl<'a> Resolver<'a> {
                 }
             }
             MpiOp::Irecv { src, tag, req } => {
-                let (src, tag) = (self.expr(src), self.expr(tag));
+                let (src, tag) = (self.expr(src)?, self.expr(tag)?);
                 RMpiOp::Irecv {
                     src,
                     tag,
@@ -533,7 +570,7 @@ impl<'a> Resolver<'a> {
                 }
             }
             MpiOp::Wait { req } => RMpiOp::Wait {
-                req: self.expr(req),
+                req: self.expr(req)?,
             },
             MpiOp::Waitall => RMpiOp::Waitall,
             MpiOp::Barrier => RMpiOp::Collective {
@@ -541,89 +578,85 @@ impl<'a> Resolver<'a> {
                 bytes: RExpr::Int(0),
             },
             MpiOp::Bcast { root, bytes } | MpiOp::Reduce { root, bytes } => RMpiOp::Collective {
-                root: self.expr(root),
-                bytes: self.expr(bytes),
+                root: self.expr(root)?,
+                bytes: self.expr(bytes)?,
             },
             MpiOp::Allreduce { bytes } | MpiOp::Alltoall { bytes } | MpiOp::Allgather { bytes } => {
                 RMpiOp::Collective {
                     root: RExpr::Int(0),
-                    bytes: self.expr(bytes),
+                    bytes: self.expr(bytes)?,
                 }
             }
-        }
+        })
     }
 
-    fn exprs(&self, exprs: &[Expr]) -> Vec<RExpr> {
+    fn exprs(&self, exprs: &[Expr]) -> LangResult<Vec<RExpr>> {
         exprs.iter().map(|e| self.expr(e)).collect()
     }
 
-    /// Resolve an expression against the bindings visible now.
-    pub(crate) fn expr(&self, expr: &Expr) -> RExpr {
-        match expr {
+    /// Lower an expression against the bindings visible now.
+    fn expr(&self, expr: &Expr) -> LangResult<RExpr> {
+        Ok(match expr {
             Expr::Int(v) => RExpr::Int(*v),
-            Expr::Var(name) => self.read(name),
-            Expr::FuncRef(name) => RExpr::Func(func_id(self.program, name)),
+            Expr::Var(name) => self.read(name)?,
+            Expr::FuncRef(name) => match self.program.function_index(name) {
+                Some(func) => RExpr::Func(func as FuncId),
+                None => return Err(self.error(format!("`&{name}` references undefined function"))),
+            },
             Expr::Unary { op, expr } => RExpr::Unary {
                 op: *op,
-                expr: Box::new(self.expr(expr)),
+                expr: Box::new(self.expr(expr)?),
             },
             Expr::Binary { op, lhs, rhs } => RExpr::Binary {
                 op: *op,
-                lhs: Box::new(self.expr(lhs)),
-                rhs: Box::new(self.expr(rhs)),
+                lhs: Box::new(self.expr(lhs)?),
+                rhs: Box::new(self.expr(rhs)?),
             },
             Expr::Builtin { func, args } => RExpr::Builtin {
                 func: *func,
-                args: self.exprs(args),
+                args: self.exprs(args)?,
             },
-        }
-    }
-
-    fn read(&self, name: &str) -> RExpr {
-        match name {
-            VAR_RANK => RExpr::Rank,
-            VAR_NPROCS => RExpr::Int(self.nprocs),
-            VAR_ANY => RExpr::Int(ANY_VALUE),
-            _ => {
-                if let Some(slot) = self.bindings.iter().rposition(|b| *b == name) {
-                    RExpr::Slot(slot as Slot)
-                } else if let Some(v) = self.param(name) {
-                    RExpr::Int(v)
-                } else {
-                    debug_assert!(false, "unbound read of `{name}` in a checked program");
-                    RExpr::Int(0)
-                }
-            }
-        }
-    }
-
-    /// A program parameter's value for this run.
-    fn param(&self, name: &str) -> Option<i64> {
-        self.overrides.get(name).copied().or_else(|| {
-            self.program
-                .params
-                .iter()
-                .find(|p| p.name == name)
-                .map(|p| p.default)
         })
+    }
+
+    fn read(&self, name: &str) -> LangResult<RExpr> {
+        Ok(match name {
+            VAR_RANK => RExpr::Rank,
+            VAR_NPROCS => RExpr::Nprocs,
+            VAR_ANY => RExpr::Int(ANY_VALUE),
+            _ => match self.lookup(name) {
+                Some(slot) => RExpr::Slot(slot),
+                None => RExpr::Param(
+                    self.param(name)
+                        .ok_or_else(|| self.error(format!("use of undefined variable `{name}`")))?,
+                ),
+            },
+        })
+    }
+
+    /// The nearest visible binding of `name`.
+    fn lookup(&self, name: &str) -> Option<Slot> {
+        self.bindings
+            .iter()
+            .rposition(|b| *b == name)
+            .map(|i| i as Slot)
+    }
+
+    /// The index of the program parameter `name`.
+    fn param(&self, name: &str) -> Option<u32> {
+        self.program
+            .params
+            .iter()
+            .position(|p| p.name == name)
+            .map(|i| i as u32)
     }
 
     /// Bind `name` in the innermost scope, reusing a binding of the same
     /// name there.
-    pub(crate) fn define(&mut self, name: &'a str) -> Slot {
+    fn define(&mut self, name: &'a str) -> Slot {
         let start = *self.scope_starts.last().expect("open scope");
         match self.bindings[start..].iter().rposition(|b| *b == name) {
             Some(i) => (start + i) as Slot,
-            None => self.push(name),
-        }
-    }
-
-    /// The nearest visible binding of `name`, or a new one in the
-    /// innermost scope when there is none (assigning a program parameter
-    /// or a reserved name). Checked programs reach that second case.
-    fn assign(&mut self, name: &'a str) -> Slot {
-        match self.bindings.iter().rposition(|b| *b == name) {
-            Some(i) => i as Slot,
             None => self.push(name),
         }
     }
@@ -638,14 +671,13 @@ impl<'a> Resolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalana_lang::parse_program;
+    use crate::parse_program;
 
-    fn resolve_src(src: &str) -> Resolved {
-        let program = parse_program("t.mmpi", src).unwrap();
-        resolve(&program, &HashMap::new(), 8)
+    fn lower_src(src: &str) -> Lowered {
+        parse_program("t.mmpi", src).unwrap().lowered().clone()
     }
 
-    fn main_body(r: &Resolved) -> &[RStmt] {
+    fn main_body(r: &Lowered) -> &[RStmt] {
         &r.functions[r.main as usize].body
     }
 
@@ -665,7 +697,7 @@ mod tests {
 
     #[test]
     fn lets_in_one_scope_reuse_a_slot() {
-        let r = resolve_src("fn main() { let x = 1; let x = x + 1; }");
+        let r = lower_src("fn main() { let x = 1; let x = x + 1; }");
         let body = main_body(&r);
         assert_eq!(set(&body[0]).0, 0);
         let (slot, value) = set(&body[1]);
@@ -676,7 +708,7 @@ mod tests {
 
     #[test]
     fn inner_let_shadows_and_its_slot_is_reused_after_the_scope() {
-        let r = resolve_src(
+        let r = lower_src(
             "fn main() { let x = 1; if rank == 0 { let x = x; } if rank == 1 { let y = 2; } \
              let z = x; }",
         );
@@ -698,14 +730,14 @@ mod tests {
 
     #[test]
     fn assign_updates_the_nearest_binding() {
-        let r = resolve_src("fn main() { let x = 1; if rank == 0 { let y = 0; x = 9; } }");
+        let r = lower_src("fn main() { let x = 1; if rank == 0 { let y = 0; x = 9; } }");
         let inner = then_block(&main_body(&r)[1]);
         assert_eq!(set(&inner[1]).0, 0);
     }
 
     #[test]
     fn assigning_an_unbound_name_binds_it_in_the_innermost_scope() {
-        let r = resolve_src(
+        let r = lower_src(
             "param N = 100; fn main() { let a = 0; if rank == 0 { N = N + 1; let b = N; } \
              let c = N; }",
         );
@@ -718,26 +750,22 @@ mod tests {
                 1,
                 &RExpr::Binary {
                     op: BinOp::Add,
-                    lhs: Box::new(RExpr::Int(100)),
+                    lhs: Box::new(RExpr::Param(0)),
                     rhs: Box::new(RExpr::Int(1)),
                 }
             )
         );
         assert_eq!(set(&inner[1]), (2, &RExpr::Slot(1)));
         // After the block `N` is the parameter again.
-        assert_eq!(set(&body[2]), (1, &RExpr::Int(100)));
+        assert_eq!(set(&body[2]), (1, &RExpr::Param(0)));
     }
 
     #[test]
     fn reserved_names_and_params_resolve_to_runtime_values() {
-        let program = parse_program(
-            "t.mmpi",
+        let r = lower_src(
             "param N = 100; param M = 5; fn main() { let rank = 50; \
              let a = rank + nprocs + any + N + M; }",
-        )
-        .unwrap();
-        let overrides = HashMap::from([("M".to_string(), 7), ("X".to_string(), 1)]);
-        let r = resolve(&program, &overrides, 16);
+        );
         let mut reads = Vec::new();
         fn leaves(e: &RExpr, out: &mut Vec<RExpr>) {
             match e {
@@ -753,23 +781,23 @@ mod tests {
             reads,
             [
                 RExpr::Rank,
-                RExpr::Int(16),
+                RExpr::Nprocs,
                 RExpr::Int(ANY_VALUE),
-                RExpr::Int(100),
-                RExpr::Int(7)
+                RExpr::Param(0),
+                RExpr::Param(1)
             ]
         );
     }
 
     #[test]
     fn function_params_take_the_first_slots_and_share_the_body_scope() {
-        let r = resolve_src(
+        let r = lower_src(
             "param n = 7; param m = 3; fn main() { f(1, 2); } \
              fn f(n, k) { let n = n + k; for i in 0 .. n { let j = i; } }",
         );
         let f = &r.functions[1];
         assert_eq!(f.name, "f");
-        assert_eq!(f.params, [(0, Value::Int(7)), (1, Value::Int(0))]);
+        assert_eq!(f.params, [(0, Some(0)), (1, None)]);
         assert_eq!(set(&f.body[0]).0, 0, "same scope as the parameter");
         let RStmtKind::For { slot, body, .. } = &f.body[1].kind else {
             panic!("expected a for")
@@ -781,7 +809,7 @@ mod tests {
 
     #[test]
     fn calls_mpi_and_requests_carry_indices() {
-        let r = resolve_src(
+        let r = lower_src(
             "fn main() { let f = &leaf; leaf(); if rank == 0 { \
              let q = irecv(src = any, tag = 1); wait(q); } barrier(); } fn leaf() { }",
         );
@@ -808,6 +836,22 @@ mod tests {
             RStmtKind::Mpi {
                 kind: MpiKind::Barrier,
                 op: RMpiOp::Collective { .. }
+            }
+        ));
+    }
+
+    #[test]
+    fn a_request_operand_reads_the_outer_binding_of_its_name() {
+        let r = lower_src("fn main() { let r = 3; if rank == 0 { let r = isend(dst = r); } }");
+        let RStmtKind::Mpi { op, .. } = &then_block(&main_body(&r)[1])[0].kind else {
+            panic!("expected mpi")
+        };
+        assert!(matches!(
+            op,
+            RMpiOp::Isend {
+                dst: RExpr::Slot(0),
+                req_slot: 1,
+                ..
             }
         ));
     }

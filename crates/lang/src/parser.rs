@@ -27,11 +27,23 @@ use crate::error::{LangError, LangResult};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 
+/// Deepest combined block and expression nesting the parser accepts.
+/// The parser and every later walk over the tree recurse once per
+/// level, so without a bound a source of ~10k `(`s (a 20 KB request
+/// body) overflows a worker thread's stack, and a stack overflow aborts
+/// the whole process. Each binary operator in a chain counts as one
+/// level, since `a + b + c` nests to the left. No program of the
+/// paper's comes close to this depth. An unoptimised build spends up to
+/// about 6.5 KB of stack per nested block while parsing, so 256 blocks
+/// still fit a thread's default 2 MiB.
+pub const MAX_DEPTH: u32 = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: NodeId,
     file_name: String,
+    depth: u32,
 }
 
 /// Parse a token stream into a [`Program`]. Does not run semantic checks;
@@ -42,6 +54,7 @@ pub fn parse(file_name: &str, _source: &str, tokens: Vec<Token>) -> LangResult<P
         pos: 0,
         next_id: 0,
         file_name: file_name.to_string(),
+        depth: 0,
     };
     parser.program()
 }
@@ -100,6 +113,26 @@ impl Parser {
         }
     }
 
+    /// Parse one nesting level deeper, or fail at the current token once
+    /// past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> LangResult<T>) -> LangResult<T> {
+        self.enter()?;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    fn enter(&mut self) -> LangResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(LangError::parse(
+                format!("nesting deeper than {MAX_DEPTH}"),
+                self.span(),
+            ));
+        }
+        Ok(())
+    }
+
     fn fresh_id(&mut self) -> NodeId {
         let id = self.next_id;
         self.next_id += 1;
@@ -127,6 +160,7 @@ impl Parser {
             params,
             functions,
             next_node_id: self.next_id,
+            lowered: None,
         })
     }
 
@@ -193,8 +227,11 @@ impl Parser {
         })
     }
 
+    /// Enters a nesting level without [`Parser::nested`]: blocks recurse
+    /// through the largest frames, and a closure call would add two.
     fn block(&mut self) -> LangResult<Block> {
         self.expect(&TokenKind::LBrace)?;
+        self.enter()?;
         let mut stmts = Vec::new();
         while *self.peek() != TokenKind::RBrace {
             if *self.peek() == TokenKind::Eof {
@@ -205,6 +242,7 @@ impl Parser {
             }
             stmts.push(self.stmt()?);
         }
+        self.depth -= 1;
         self.expect(&TokenKind::RBrace)?;
         Ok(Block { stmts })
     }
@@ -212,26 +250,26 @@ impl Parser {
     fn stmt(&mut self) -> LangResult<Stmt> {
         let span = self.span();
         let id = self.fresh_id();
-        let kind = match self.peek().clone() {
-            TokenKind::KwLet => self.let_stmt()?,
-            TokenKind::KwFor => self.for_stmt()?,
-            TokenKind::KwWhile => self.while_stmt()?,
-            TokenKind::KwIf => self.if_stmt()?,
-            TokenKind::KwReturn => {
-                self.bump();
-                self.expect(&TokenKind::Semi)?;
-                StmtKind::Return
-            }
-            TokenKind::KwCall => self.call_indirect_stmt()?,
-            TokenKind::Ident(name) => self.ident_stmt(name)?,
-            other => {
-                return Err(LangError::parse(
-                    format!("expected statement, found {other}"),
-                    span,
-                ));
-            }
-        };
+        let kind = match self.peek() {
+            TokenKind::KwLet => self.let_stmt(),
+            TokenKind::KwFor => self.for_stmt(),
+            TokenKind::KwWhile => self.while_stmt(),
+            TokenKind::KwIf => self.if_stmt(),
+            TokenKind::KwReturn => self.return_stmt(),
+            TokenKind::KwCall => self.call_indirect_stmt(),
+            TokenKind::Ident(name) => self.ident_stmt(name.clone()),
+            other => Err(LangError::parse(
+                format!("expected statement, found {other}"),
+                span.clone(),
+            )),
+        }?;
         Ok(Stmt { id, span, kind })
+    }
+
+    fn return_stmt(&mut self) -> LangResult<StmtKind> {
+        self.bump();
+        self.expect(&TokenKind::Semi)?;
+        Ok(StmtKind::Return)
     }
 
     fn let_stmt(&mut self) -> LangResult<StmtKind> {
@@ -287,7 +325,7 @@ impl Parser {
                 // `else if` desugars to an else block with one if-stmt.
                 let span = self.span();
                 let id = self.fresh_id();
-                let kind = self.if_stmt()?;
+                let kind = self.nested(Self::if_stmt)?;
                 Some(Block {
                     stmts: vec![Stmt { id, span, kind }],
                 })
@@ -332,19 +370,7 @@ impl Parser {
                 ));
             }
         };
-        self.expect(&TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if *self.peek() != TokenKind::RParen {
-            loop {
-                args.push(self.expr()?);
-                if *self.peek() == TokenKind::Comma {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-        self.expect(&TokenKind::RParen)?;
+        let args = self.list(Self::expr)?;
         self.expect(&TokenKind::Semi)?;
         Ok(StmtKind::CallIndirect { target, args })
     }
@@ -390,196 +416,150 @@ impl Parser {
     }
 
     fn arg_list(&mut self) -> LangResult<Vec<Arg>> {
-        self.expect(&TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if *self.peek() != TokenKind::RParen {
-            loop {
-                let span = self.span();
-                // Named argument: IDENT `=` expr (but not `==`).
-                let name = if let TokenKind::Ident(n) = self.peek().clone() {
-                    if *self.peek2() == TokenKind::Assign {
-                        self.bump();
-                        self.bump();
-                        Some(n)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                let value = self.expr()?;
-                args.push(Arg { name, value, span });
-                if *self.peek() == TokenKind::Comma {
-                    self.bump();
-                } else {
-                    break;
+        self.list(|p| {
+            let span = p.span();
+            // Named argument: IDENT `=` expr (but not `==`).
+            let name = match p.peek().clone() {
+                TokenKind::Ident(n) if *p.peek2() == TokenKind::Assign => {
+                    p.bump();
+                    p.bump();
+                    Some(n)
                 }
+                _ => None,
+            };
+            let value = p.expr()?;
+            Ok(Arg { name, value, span })
+        })
+    }
+
+    /// `( [item ("," item)*] )`.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> LangResult<T>) -> LangResult<Vec<T>> {
+        self.expect(&TokenKind::LParen)?;
+        let mut items = Vec::new();
+        if *self.peek() != TokenKind::RParen {
+            items.push(item(self)?);
+            while *self.peek() == TokenKind::Comma {
+                self.bump();
+                items.push(item(self)?);
             }
         }
         self.expect(&TokenKind::RParen)?;
-        Ok(args)
+        Ok(items)
     }
 
     // ----- expressions (precedence climbing) -----
 
     fn expr(&mut self) -> LangResult<Expr> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == TokenKind::OrOr {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.cmp_expr()?;
-        while *self.peek() == TokenKind::AndAnd {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> LangResult<Expr> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::NotEq => BinOp::Ne,
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(Expr::bin(op, lhs, rhs))
-    }
-
-    fn add_expr(&mut self) -> LangResult<Expr> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> LangResult<Expr> {
+    /// A left-associative chain of operators binding at least as tightly
+    /// as `min` (see [`binary_op`]). A comparison takes neither a
+    /// comparison nor a `&&`/`||` as its left operand. Each operator of a
+    /// chain counts as one nesting level, since `a + b + c` nests to the
+    /// left.
+    fn binary(&mut self, min: u8) -> LangResult<Expr> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
+        let mut loosest = u8::MAX;
+        while let Some((op, prec)) = binary_op(self.peek()) {
+            if prec < min || (prec == CMP && loosest <= CMP) {
+                break;
+            }
             self.bump();
-            let rhs = self.unary_expr()?;
+            self.enter()?;
+            let rhs = self.binary(prec + 1)?;
             lhs = Expr::bin(op, lhs, rhs);
+            loosest = prec;
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> LangResult<Expr> {
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let expr = self.unary_expr()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    expr: Box::new(expr),
-                })
-            }
-            TokenKind::Bang => {
-                self.bump();
-                let expr = self.unary_expr()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    expr: Box::new(expr),
-                })
-            }
-            _ => self.primary(),
-        }
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Bang => UnOp::Not,
+            _ => return self.primary(),
+        };
+        self.bump();
+        let expr = Box::new(self.nested(Self::unary_expr)?);
+        Ok(Expr::Unary { op, expr })
     }
 
     fn primary(&mut self) -> LangResult<Expr> {
         let span = self.span();
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::Int(v))
-            }
-            TokenKind::Amp => {
-                self.bump();
-                let (name, _) = self.expect_ident()?;
-                Ok(Expr::FuncRef(name))
-            }
+        let expr = match self.bump().kind {
+            TokenKind::Int(v) => Expr::Int(v),
+            TokenKind::Amp => Expr::FuncRef(self.expect_ident()?.0),
             TokenKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(e)
+                e
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if *self.peek() == TokenKind::LParen {
-                    let func = BuiltinFn::from_name(&name).ok_or_else(|| {
-                        LangError::parse(
-                            format!(
-                                "unknown builtin `{name}` in expression (user functions \
-                                     cannot be called in expressions)"
-                            ),
-                            span.clone(),
-                        )
-                    })?;
-                    self.bump();
-                    let mut args = Vec::new();
-                    if *self.peek() != TokenKind::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if *self.peek() == TokenKind::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&TokenKind::RParen)?;
-                    if args.len() != func.arity() {
-                        return Err(LangError::parse(
-                            format!(
-                                "builtin `{}` takes {} argument(s), got {}",
-                                func.name(),
-                                func.arity(),
-                                args.len()
-                            ),
-                            span,
-                        ));
-                    }
-                    Ok(Expr::Builtin { func, args })
-                } else {
-                    Ok(Expr::Var(name))
-                }
+            TokenKind::Ident(name) if *self.peek() == TokenKind::LParen => {
+                self.builtin(&name, span)?
             }
-            other => Err(LangError::parse(
-                format!("expected expression, found {other}"),
-                span,
-            )),
-        }
+            TokenKind::Ident(name) => Expr::Var(name),
+            other => {
+                return Err(LangError::parse(
+                    format!("expected expression, found {other}"),
+                    span,
+                ))
+            }
+        };
+        Ok(expr)
     }
+
+    /// A builtin call `name(args)`, at the `(`.
+    fn builtin(&mut self, name: &str, span: Span) -> LangResult<Expr> {
+        let func = BuiltinFn::from_name(name).ok_or_else(|| {
+            LangError::parse(
+                format!(
+                    "unknown builtin `{name}` in expression (user functions \
+                         cannot be called in expressions)"
+                ),
+                span.clone(),
+            )
+        })?;
+        let args = self.list(|p| p.nested(Self::expr))?;
+        if args.len() != func.arity() {
+            return Err(LangError::parse(
+                format!(
+                    "builtin `{}` takes {} argument(s), got {}",
+                    func.name(),
+                    func.arity(),
+                    args.len()
+                ),
+                span,
+            ));
+        }
+        Ok(Expr::Builtin { func, args })
+    }
+}
+
+/// Precedence of the comparison operators.
+const CMP: u8 = 2;
+
+/// A binary operator token's operator and precedence, loosest first:
+/// `||`, `&&`, comparisons, `+ -`, `* / %`.
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 0),
+        TokenKind::AndAnd => (BinOp::And, 1),
+        TokenKind::Lt => (BinOp::Lt, CMP),
+        TokenKind::Le => (BinOp::Le, CMP),
+        TokenKind::Gt => (BinOp::Gt, CMP),
+        TokenKind::Ge => (BinOp::Ge, CMP),
+        TokenKind::EqEq => (BinOp::Eq, CMP),
+        TokenKind::NotEq => (BinOp::Ne, CMP),
+        TokenKind::Plus => (BinOp::Add, 3),
+        TokenKind::Minus => (BinOp::Sub, 3),
+        TokenKind::Star => (BinOp::Mul, 4),
+        TokenKind::Slash => (BinOp::Div, 4),
+        TokenKind::Percent => (BinOp::Mod, 4),
+        _ => return None,
+    })
 }
 
 // ----- intrinsic construction -----
@@ -967,5 +947,46 @@ mod tests {
             &stmts[0].kind,
             StmtKind::Mpi(MpiOp::Sendrecv { .. })
         ));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // 10^5 levels of each kind. Unbounded, each overflows the 2 MiB
+        // stack of a spawned thread, which aborts the process.
+        let n = 100_000;
+        let sources = [
+            format!(
+                "fn main() {{ let x = {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!("fn main() {{ let x = {}1; }}", "- ".repeat(n)),
+            format!("fn main() {{ let x = {}1; }}", "!".repeat(n)),
+            format!("fn main() {{ let x = 1{}; }}", " + 1".repeat(n)),
+            format!("fn main() {{ {}{} }}", "if 1 { ".repeat(n), "} ".repeat(n)),
+            format!("fn main() {{ if 1 {{ }}{} }}", " else if 1 { }".repeat(n)),
+        ];
+        std::thread::spawn(move || {
+            for src in &sources {
+                eprintln!("case {}", &src[..30]);
+                let err = parse_src(src).unwrap_err();
+                assert_eq!(err.kind, crate::error::ErrorKind::Parse);
+                assert!(
+                    err.message.contains("nesting deeper than 256"),
+                    "{}: {err}",
+                    &src[..40]
+                );
+            }
+        })
+        .join()
+        .unwrap();
+        // Nesting within the bound still parses.
+        let depth = MAX_DEPTH as usize - 8;
+        let src = format!(
+            "fn main() {{ let x = {}1{}; }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        parse_src(&src).unwrap();
     }
 }

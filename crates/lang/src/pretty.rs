@@ -131,89 +131,16 @@ fn print_stmt(out: &mut String, stmt: &Stmt, level: usize) {
 }
 
 fn print_mpi(out: &mut String, op: &MpiOp) {
-    match op {
-        MpiOp::Send { dst, tag, bytes } => {
-            let _ = write!(
-                out,
-                "send(dst = {}, tag = {}, bytes = {});",
-                expr(dst),
-                expr(tag),
-                expr(bytes)
-            );
-        }
-        MpiOp::Recv { src, tag } => {
-            let _ = write!(out, "recv(src = {}, tag = {});", expr(src), expr(tag));
-        }
-        MpiOp::Sendrecv {
-            dst,
-            sendtag,
-            src,
-            recvtag,
-            bytes,
-        } => {
-            let _ = write!(
-                out,
-                "sendrecv(dst = {}, sendtag = {}, src = {}, recvtag = {}, bytes = {});",
-                expr(dst),
-                expr(sendtag),
-                expr(src),
-                expr(recvtag),
-                expr(bytes)
-            );
-        }
-        MpiOp::Isend {
-            dst,
-            tag,
-            bytes,
-            req,
-        } => {
-            let _ = write!(
-                out,
-                "let {req} = isend(dst = {}, tag = {}, bytes = {});",
-                expr(dst),
-                expr(tag),
-                expr(bytes)
-            );
-        }
-        MpiOp::Irecv { src, tag, req } => {
-            let _ = write!(
-                out,
-                "let {req} = irecv(src = {}, tag = {});",
-                expr(src),
-                expr(tag)
-            );
-        }
-        MpiOp::Wait { req } => {
-            let _ = write!(out, "wait({});", expr(req));
-        }
-        MpiOp::Waitall => out.push_str("waitall();"),
-        MpiOp::Barrier => out.push_str("barrier();"),
-        MpiOp::Bcast { root, bytes } => {
-            let _ = write!(
-                out,
-                "bcast(root = {}, bytes = {});",
-                expr(root),
-                expr(bytes)
-            );
-        }
-        MpiOp::Reduce { root, bytes } => {
-            let _ = write!(
-                out,
-                "reduce(root = {}, bytes = {});",
-                expr(root),
-                expr(bytes)
-            );
-        }
-        MpiOp::Allreduce { bytes } => {
-            let _ = write!(out, "allreduce(bytes = {});", expr(bytes));
-        }
-        MpiOp::Alltoall { bytes } => {
-            let _ = write!(out, "alltoall(bytes = {});", expr(bytes));
-        }
-        MpiOp::Allgather { bytes } => {
-            let _ = write!(out, "allgather(bytes = {});", expr(bytes));
-        }
+    if let MpiOp::Isend { req, .. } | MpiOp::Irecv { req, .. } = op {
+        let _ = write!(out, "let {req} = ");
     }
+    let args: Vec<String> = match op {
+        MpiOp::Wait { req } => vec![expr(req)],
+        _ => (op.operands().into_iter())
+            .map(|(name, e)| format!("{name} = {}", expr(e)))
+            .collect(),
+    };
+    let _ = write!(out, "{}({});", op.name(), args.join(", "));
 }
 
 /// Render an expression (fully parenthesized compounds, so precedence is
@@ -275,9 +202,12 @@ fn expr_atom(e: &Expr) -> String {
 /// the round-trip invariant.
 ///
 /// Useful for structural comparisons in round-trip tests, where the
-/// re-parsed AST has different source locations.
+/// re-parsed AST has different source locations. The lowered form is
+/// dropped: it is derived from the AST, and only a checked program has
+/// one.
 pub fn normalize_spans(program: &Program) -> Program {
     let mut p = program.clone();
+    p.lowered = None;
     let fixed = Span::synthetic("<normalized>", 0);
     for param in &mut p.params {
         param.span = fixed.clone();
@@ -337,55 +267,12 @@ fn normalize_block(block: &mut Block, fixed: &Span) {
                     normalize_expr(e);
                 }
             }
-            StmtKind::Mpi(op) => normalize_mpi(op),
+            StmtKind::Mpi(op) => {
+                for (_, e) in op.operands_mut() {
+                    normalize_expr(e);
+                }
+            }
             StmtKind::Return => {}
-        }
-    }
-}
-
-fn normalize_mpi(op: &mut MpiOp) {
-    match op {
-        MpiOp::Send { dst, tag, bytes } => {
-            normalize_expr(dst);
-            normalize_expr(tag);
-            normalize_expr(bytes);
-        }
-        MpiOp::Recv { src, tag } => {
-            normalize_expr(src);
-            normalize_expr(tag);
-        }
-        MpiOp::Sendrecv {
-            dst,
-            sendtag,
-            src,
-            recvtag,
-            bytes,
-        } => {
-            normalize_expr(dst);
-            normalize_expr(sendtag);
-            normalize_expr(src);
-            normalize_expr(recvtag);
-            normalize_expr(bytes);
-        }
-        MpiOp::Isend {
-            dst, tag, bytes, ..
-        } => {
-            normalize_expr(dst);
-            normalize_expr(tag);
-            normalize_expr(bytes);
-        }
-        MpiOp::Irecv { src, tag, .. } => {
-            normalize_expr(src);
-            normalize_expr(tag);
-        }
-        MpiOp::Wait { req } => normalize_expr(req),
-        MpiOp::Waitall | MpiOp::Barrier => {}
-        MpiOp::Bcast { root, bytes } | MpiOp::Reduce { root, bytes } => {
-            normalize_expr(root);
-            normalize_expr(bytes);
-        }
-        MpiOp::Allreduce { bytes } | MpiOp::Alltoall { bytes } | MpiOp::Allgather { bytes } => {
-            normalize_expr(bytes);
         }
     }
 }

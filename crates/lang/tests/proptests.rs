@@ -292,6 +292,7 @@ fn arb_program() -> impl Strategy<Value = Program> {
                         },
                     ],
                     next_node_id: 0,
+                    lowered: None,
                 };
                 renumber(&mut program);
                 program

@@ -46,10 +46,11 @@
 //! one of whose requests completed (a matched receive or a released
 //! rendezvous send). Nothing else can let either step progress, so the
 //! marked ranks are exactly those a full scan could advance.
-//! Names are resolved once per run, before any rank starts
-//! ([`crate::resolve`]): ranks execute a slot-resolved program, program
-//! parameters and `nprocs` are literals in it, and binding a request id
-//! writes the request slot an `isend`/`irecv` carries.
+//! Ranks execute the program's lowered form
+//! ([`scalana_lang::Program::lowered`]), which checking produced once per
+//! program: a variable is a frame slot, and binding a request id writes
+//! the request slot an `isend`/`irecv` carries. A run adds only its
+//! values: `nprocs` and one table of parameter values, read by index.
 //! The engine and the interpreter are generic over the hook type, so the
 //! whole event loop is compiled once per tool: a profiler's callbacks for
 //! every computation, MPI exit and dependence event inline into it
@@ -60,13 +61,14 @@
 //! evaluation, the machine's cost formulas, attribution lookups, the
 //! profiler's callbacks) are marked `#[inline]` to stay inlinable there.
 
+use crate::eval::Run;
 use crate::fxhash::FxHashMap;
 use crate::hook::{CommDepEvent, Hook, MpiEnterEvent, MpiExitEvent, NullHook};
 use crate::interp::{EvaluatedOp, MpiCall, Pmu, RankState, StepCtx, StepOutcome, StmtCosts};
 use crate::machine::{CollectiveModel, MachineConfig};
-use crate::resolve::{resolve, Resolved};
 use crate::value::Value;
 use scalana_graph::{AttrIndex, MpiKind, Psg, VertexId};
+use scalana_lang::lower::Lowered;
 use scalana_lang::Program;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -225,11 +227,14 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Simulation<'p, 'g, 'h, H> {
 
     /// Run to completion.
     pub fn run(self) -> Result<SimResult, SimError> {
-        let program = resolve(self.program, &self.config.params, self.config.nprocs);
+        let program = self.program.lowered();
+        let params: Vec<i64> = (self.program.params.iter())
+            .map(|p| *self.config.params.get(&p.name).unwrap_or(&p.default))
+            .collect();
         let attr = AttrIndex::build(self.psg, self.program.next_node_id);
         match self.hook {
-            Some(hook) => Engine::new(&program, self.psg, attr, self.config, hook).run(),
-            None => Engine::new(&program, self.psg, attr, self.config, &mut NullHook).run(),
+            Some(hook) => Engine::new(program, &params, self.psg, attr, self.config, hook).run(),
+            None => Engine::new(program, &params, self.psg, attr, self.config, &mut NullHook).run(),
         }
     }
 }
@@ -521,7 +526,8 @@ enum MpiOutcome {
 
 impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     fn new(
-        program: &'p Resolved,
+        program: &'p Lowered,
+        params: &'p [i64],
         psg: &'g Psg,
         attr: AttrIndex,
         config: SimConfig,
@@ -529,7 +535,20 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     ) -> Self {
         let n = config.nprocs;
         let ranks = (0..n)
-            .map(|r| RankState::new(r, program, psg, &config.machine, config.max_steps_per_rank))
+            .map(|r| {
+                let run = Run {
+                    rank: r as i64,
+                    nprocs: n as i64,
+                    params,
+                };
+                RankState::new(
+                    program,
+                    run,
+                    psg,
+                    &config.machine,
+                    config.max_steps_per_rank,
+                )
+            })
             .collect();
         Engine {
             psg,
@@ -1300,6 +1319,34 @@ mod tests {
         Simulation::new(&program, &psg, SimConfig::with_nprocs(nprocs))
             .run()
             .unwrap()
+    }
+
+    #[test]
+    fn programs_just_inside_the_nesting_bound_run_on_a_default_thread() {
+        // The parser's bound must leave every later walk over the tree
+        // (lowering, the PSG, simulation, drop) room on a thread's
+        // default 2 MiB stack, in unoptimised builds too.
+        let n = scalana_lang::parser::MAX_DEPTH as usize - 6;
+        let sources = [
+            format!(
+                "fn main() {{ {} comp(cycles = 1); {} }}",
+                "if 1 { ".repeat(n),
+                "} ".repeat(n)
+            ),
+            format!(
+                "fn main() {{ comp(cycles = {}1{}); }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!("fn main() {{ comp(cycles = 1{}); }}", " + 1".repeat(n)),
+        ];
+        std::thread::spawn(move || {
+            for src in &sources {
+                assert_eq!(run(src, 2).nprocs, 2);
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     fn run_counting(src: &str, nprocs: usize) -> (SimResult, CountingHook) {

@@ -1,34 +1,50 @@
-//! Expression evaluation over the slot-resolved form.
+//! Expression evaluation over the lowered form.
 //!
 //! Total semantics: division/modulo by zero yield zero (the simulator
 //! must never trap on a workload expression), arithmetic wraps. Names
-//! were settled by [`crate::resolve`] before the run, so evaluation sees
-//! only literals, the executing rank, and the current frame's slots.
+//! were settled when the program was checked ([`scalana_lang::lower`]),
+//! so evaluation sees only literals, the executing rank, the run's
+//! values of `nprocs` and of each parameter, and the current frame's
+//! slots.
 
-use crate::resolve::RExpr;
 use crate::value::Value;
 use scalana_lang::ast::{BinOp, BuiltinFn, UnOp};
+use scalana_lang::lower::RExpr;
 
-/// Evaluate an expression against a frame's `slots` on rank `rank`.
-pub fn eval(expr: &RExpr, slots: &[Value], rank: i64) -> Value {
+/// What an expression reads besides its frame's slots.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// The executing rank.
+    pub rank: i64,
+    /// The run's rank count.
+    pub nprocs: i64,
+    /// The run's value of each declared program parameter, in
+    /// declaration order: the default unless the run overrides it.
+    pub params: &'a [i64],
+}
+
+/// Evaluate an expression against a frame's `slots` in `run`.
+pub fn eval(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> Value {
     match expr {
         RExpr::Int(v) => Value::Int(*v),
-        RExpr::Rank => Value::Int(rank),
+        RExpr::Rank => Value::Int(run.rank),
+        RExpr::Nprocs => Value::Int(run.nprocs),
+        RExpr::Param(i) => Value::Int(run.params[*i as usize]),
         RExpr::Slot(s) => slots[*s as usize],
         RExpr::Func(f) => Value::Func(*f),
         RExpr::Unary { op, expr } => {
-            let v = eval_int(expr, slots, rank);
+            let v = eval_int(expr, slots, run);
             Value::Int(match op {
                 UnOp::Neg => v.wrapping_neg(),
                 UnOp::Not => i64::from(v == 0),
             })
         }
-        RExpr::Binary { op, lhs, rhs } => Value::Int(eval_bin(*op, lhs, rhs, slots, rank)),
+        RExpr::Binary { op, lhs, rhs } => Value::Int(eval_bin(*op, lhs, rhs, slots, run)),
         RExpr::Builtin { func, args } => {
-            let a = eval_int(&args[0], slots, rank);
+            let a = eval_int(&args[0], slots, run);
             Value::Int(match func {
-                BuiltinFn::Min => a.min(eval_int(&args[1], slots, rank)),
-                BuiltinFn::Max => a.max(eval_int(&args[1], slots, rank)),
+                BuiltinFn::Min => a.min(eval_int(&args[1], slots, run)),
+                BuiltinFn::Max => a.max(eval_int(&args[1], slots, run)),
                 BuiltinFn::Abs => a.wrapping_abs(),
                 BuiltinFn::Log2 => {
                     if a <= 1 {
@@ -45,23 +61,23 @@ pub fn eval(expr: &RExpr, slots: &[Value], rank: i64) -> Value {
 /// Evaluate to an integer; function references coerce to 0 (checked
 /// programs never do arithmetic on them).
 #[inline]
-pub fn eval_int(expr: &RExpr, slots: &[Value], rank: i64) -> i64 {
-    eval(expr, slots, rank).as_int().unwrap_or(0)
+pub fn eval_int(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
+    eval(expr, slots, run).as_int().unwrap_or(0)
 }
 
-fn eval_bin(op: BinOp, lhs: &RExpr, rhs: &RExpr, slots: &[Value], rank: i64) -> i64 {
+fn eval_bin(op: BinOp, lhs: &RExpr, rhs: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
     // Short-circuit logical operators.
     match op {
         BinOp::And => {
-            return i64::from(eval(lhs, slots, rank).truthy() && eval(rhs, slots, rank).truthy());
+            return i64::from(eval(lhs, slots, run).truthy() && eval(rhs, slots, run).truthy());
         }
         BinOp::Or => {
-            return i64::from(eval(lhs, slots, rank).truthy() || eval(rhs, slots, rank).truthy());
+            return i64::from(eval(lhs, slots, run).truthy() || eval(rhs, slots, run).truthy());
         }
         _ => {}
     }
-    let a = eval_int(lhs, slots, rank);
-    let b = eval_int(rhs, slots, rank);
+    let a = eval_int(lhs, slots, run);
+    let b = eval_int(rhs, slots, run);
     match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
@@ -93,28 +109,35 @@ fn eval_bin(op: BinOp, lhs: &RExpr, rhs: &RExpr, slots: &[Value], rank: i64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolve::Resolver;
     use scalana_lang::ast::Expr;
     use scalana_lang::builder::*;
-    use scalana_lang::parse_program;
-    use std::collections::HashMap;
+    use scalana_lang::lower::RStmtKind;
 
-    /// Resolve `expr` in `main` of a program with `param N = 100` and a
-    /// function `leaf`, at 8 ranks, with `locals` bound to slots 0.., and
-    /// evaluate it on rank 3.
+    /// Lower `expr` in `main` of a program with `param N = 100` and a
+    /// function `leaf`, after `let`s binding `locals` to slots 0.., and
+    /// evaluate it on rank 3 of 8.
     fn ev_with(expr: &Expr, locals: &[(&str, i64)]) -> Value {
-        let program =
-            parse_program("t.mmpi", "param N = 100; fn main() { } fn leaf() { }").unwrap();
-        let overrides = HashMap::new();
-        let mut resolver = Resolver::new(&program, &overrides, 8);
-        let slots: Vec<Value> = locals
-            .iter()
-            .map(|&(name, v)| {
-                resolver.define(name);
-                Value::Int(v)
-            })
-            .collect();
-        eval(&resolver.expr(expr), &slots, 3)
+        let mut b = ProgramBuilder::new("t.mmpi");
+        b.param("N", 100);
+        b.function("main", &[], |f| {
+            for &(name, v) in locals {
+                f.let_(name, int(v));
+            }
+            f.let_("result", expr.clone());
+        });
+        b.function("leaf", &[], |_| {});
+        let program = b.finish().unwrap();
+        let main = &program.lowered().functions[0];
+        let RStmtKind::Set { value, .. } = &main.body.last().unwrap().kind else {
+            panic!("expected a set")
+        };
+        let slots: Vec<Value> = locals.iter().map(|&(_, v)| Value::Int(v)).collect();
+        let run = Run {
+            rank: 3,
+            nprocs: 8,
+            params: &[100],
+        };
+        eval(value, &slots, &run)
     }
 
     fn ev(expr: &Expr) -> i64 {

@@ -1,6 +1,6 @@
 //! Per-rank interpreter with an explicit control stack.
 //!
-//! Each rank executes the slot-resolved program ([`crate::resolve`]),
+//! Each rank executes the program's lowered form ([`scalana_lang::lower`]),
 //! keeping its control state (block cursors, loop counters, call frames)
 //! in explicit stacks so execution can *suspend* at blocking MPI
 //! operations and resume when the engine completes them — the
@@ -18,12 +18,12 @@
 //! (`attr_override`), exactly the coarse attribution the paper has before
 //! runtime refinement fills the graph in.
 
-use crate::eval::{eval, eval_int};
+use crate::eval::{eval, eval_int, Run};
 use crate::hook::{CompEvent, Hook, IndirectCallEvent};
 use crate::machine::{MachineConfig, NoiseStream};
-use crate::resolve::{Operands, RComp, RExpr, RMpiOp, RStmt, RStmtKind, Resolved, Slot};
 use crate::value::{FuncId, Value};
 use scalana_graph::{AttrIndex, CtxId, MpiKind, Psg, VertexId};
+use scalana_lang::lower::{Lowered, Operands, RComp, RExpr, RMpiOp, RStmt, RStmtKind, Slot};
 use scalana_lang::NodeId;
 
 /// Per-statement interpreter micro-costs, in cycles. These model the
@@ -145,7 +145,9 @@ pub struct RankState<'r> {
     pub pmu: Pmu,
     /// Remaining statement budget.
     pub steps_left: u64,
-    program: &'r Resolved,
+    program: &'r Lowered,
+    /// This rank's `rank`, and the run's `nprocs` and parameters.
+    run: Run<'r>,
     frames: Vec<Frame>,
     slots: Vec<Value>,
     control: Vec<Ctl<'r>>,
@@ -156,21 +158,23 @@ pub struct RankState<'r> {
 }
 
 impl<'r> RankState<'r> {
-    /// Set up a rank at the entry of `main`.
+    /// Set up rank `run.rank` at the entry of `main`.
     pub fn new(
-        rank: usize,
-        program: &'r Resolved,
+        program: &'r Lowered,
+        run: Run<'r>,
         psg: &Psg,
         machine: &MachineConfig,
         max_steps: u64,
     ) -> RankState<'r> {
         let main = &program.functions[program.main as usize];
+        let rank = run.rank as usize;
         RankState {
             rank,
             clock: 0.0,
             pmu: Pmu::default(),
             steps_left: max_steps,
             program,
+            run,
             frames: vec![Frame {
                 ctx: psg.root_ctx(),
                 attr_override: None,
@@ -214,12 +218,12 @@ impl<'r> RankState<'r> {
 
     #[inline]
     fn eval(&self, expr: &RExpr) -> Value {
-        eval(expr, self.locals(), self.rank as i64)
+        eval(expr, self.locals(), &self.run)
     }
 
     #[inline]
     fn eval_int(&self, expr: &RExpr) -> i64 {
-        eval_int(expr, self.locals(), self.rank as i64)
+        eval_int(expr, self.locals(), &self.run)
     }
 
     /// The vertex to attribute `stmt` to in the current frame.
@@ -428,7 +432,7 @@ impl<'r> RankState<'r> {
                 };
                 let frame = self.frame();
                 let (caller_ctx, caller_override) = (frame.ctx, frame.attr_override);
-                let program: &'r Resolved = self.program;
+                let program: &'r Lowered = self.program;
                 let callee = program.functions[func as usize].name.as_str();
                 let cost = ctx.hook.on_indirect_call(&IndirectCallEvent {
                     rank: self.rank,
@@ -476,7 +480,7 @@ impl<'r> RankState<'r> {
         new_ctx: CtxId,
         attr_override: Option<VertexId>,
     ) {
-        let program: &'r Resolved = self.program;
+        let program: &'r Lowered = self.program;
         let callee = &program.functions[func as usize];
         let caller_base = self.frame().slot_base;
         let base = self.slots.len();
@@ -485,12 +489,12 @@ impl<'r> RankState<'r> {
         let (caller, new) = self.slots.split_at_mut(base);
         let caller = &caller[caller_base..];
         if args.len() < callee.params.len() {
-            for &(slot, unbound) in &callee.params[args.len()..] {
-                new[slot as usize] = unbound;
+            for &(slot, param) in &callee.params[args.len()..] {
+                new[slot as usize] = Value::Int(param.map_or(0, |p| self.run.params[p as usize]));
             }
         }
         for (&(slot, _), arg) in callee.params.iter().zip(args) {
-            new[slot as usize] = eval(arg, caller, self.rank as i64);
+            new[slot as usize] = eval(arg, caller, &self.run);
         }
         self.frames.push(Frame {
             ctx: new_ctx,
@@ -551,14 +555,15 @@ impl<'r> RankState<'r> {
 mod tests {
     use super::*;
     use crate::hook::NullHook;
-    use crate::resolve::resolve;
     use scalana_graph::{build_psg, PsgOptions};
-    use scalana_lang::parse_program;
-    use std::collections::HashMap;
+    use scalana_lang::{parse_program, Program};
 
-    /// A program resolved at `nprocs` ranks with its PSG and machine.
+    /// A checked program run at `nprocs` ranks with its default
+    /// parameters, its PSG and machine.
     struct Fixture {
-        program: Resolved,
+        program: Program,
+        nprocs: usize,
+        params: Vec<i64>,
         psg: Psg,
         attr: AttrIndex,
         machine: MachineConfig,
@@ -566,18 +571,31 @@ mod tests {
 
     impl Fixture {
         fn new(src: &str, nprocs: usize) -> Fixture {
-            let ast = parse_program("t.mmpi", src).unwrap();
-            let psg = build_psg(&ast, &PsgOptions::default());
+            let program = parse_program("t.mmpi", src).unwrap();
+            let psg = build_psg(&program, &PsgOptions::default());
             Fixture {
-                program: resolve(&ast, &HashMap::new(), nprocs),
-                attr: AttrIndex::build(&psg, ast.next_node_id),
+                params: program.params.iter().map(|p| p.default).collect(),
+                attr: AttrIndex::build(&psg, program.next_node_id),
+                program,
+                nprocs,
                 psg,
                 machine: MachineConfig::default(),
             }
         }
 
         fn rank(&self, rank: usize, max_steps: u64) -> RankState<'_> {
-            RankState::new(rank, &self.program, &self.psg, &self.machine, max_steps)
+            let run = Run {
+                rank: rank as i64,
+                nprocs: self.nprocs as i64,
+                params: &self.params,
+            };
+            RankState::new(
+                self.program.lowered(),
+                run,
+                &self.psg,
+                &self.machine,
+                max_steps,
+            )
         }
 
         fn ctx<'a>(&'a self, hook: &'a mut NullHook) -> StepCtx<'a, NullHook> {
@@ -808,5 +826,36 @@ mod tests {
              fn g(n) { comp(cycles = n, ins = n, lst = 0, miss = 0, brmiss = 0); }",
         );
         assert_eq!(pmu.tot_ins, 7.0 + 100.0 + 4.0 + 2.0 * 20.0);
+    }
+
+    #[test]
+    fn one_checked_program_runs_at_any_scale_and_parameter_value() {
+        // `N` is read directly and, through an indirect call that passes
+        // no argument, as the default of `g`'s parameter `N`.
+        let program = parse_program(
+            "t.mmpi",
+            "param N = 1000; fn main() { comp(cycles = N * nprocs, ins = N * nprocs, \
+             lst = 0, miss = 0, brmiss = 0); let f = &g; call f(); } \
+             fn g(N) { comp(cycles = N, ins = N, lst = 0, miss = 0, brmiss = 0); }",
+        )
+        .unwrap();
+        let psg = build_psg(&program, &PsgOptions::default());
+        for nprocs in [2, 8] {
+            for n in [None, Some(3)] {
+                let mut config = crate::SimConfig::with_nprocs(nprocs);
+                if let Some(n) = n {
+                    config = config.with_param("N", n);
+                }
+                let result = crate::Simulation::new(&program, &psg, config)
+                    .run()
+                    .unwrap();
+                let n = n.unwrap_or(1000) as f64;
+                let expected = n * nprocs as f64 + n + 4.0 + 20.0;
+                assert_eq!(result.rank_pmu.len(), nprocs);
+                for pmu in &result.rank_pmu {
+                    assert_eq!(pmu.tot_ins, expected, "{nprocs} ranks, N = {n}");
+                }
+            }
+        }
     }
 }

@@ -18,13 +18,12 @@
 //! - [`machine`]: the platform model (core frequency, per-rank speed
 //!   heterogeneity, LogGP-style network, collective cost models, seeded
 //!   noise),
-//! - [`resolve`]: name resolution, run once per simulation: the checked
-//!   AST lowered to a form whose variables are frame slots, whose
-//!   parameters and `nprocs` are literals, and whose calls carry
-//!   function indices,
-//! - [`interp`] and [`eval`]: the per-rank interpreter over that form
-//!   (explicit slot and control stacks so a rank suspends mid-program at
-//!   blocking MPI operations) and its expression evaluator,
+//! - [`interp`] and [`eval`]: the per-rank interpreter over the
+//!   program's lowered form ([`scalana_lang::lower`], produced once per
+//!   program when it is checked: variables are frame slots, calls carry
+//!   function indices), with explicit slot and control stacks so a rank
+//!   suspends mid-program at blocking MPI operations, and its expression
+//!   evaluator, which reads `nprocs` and the parameters from the run,
 //! - [`engine`]: the scheduler and message-matching core (eager and
 //!   rendezvous point-to-point, wildcard receives, non-blocking request
 //!   tracking, sequence-matched collectives),
@@ -61,7 +60,6 @@ pub mod fxhash;
 pub mod hook;
 pub mod interp;
 pub mod machine;
-pub mod resolve;
 pub mod value;
 
 pub use engine::{SimConfig, SimError, SimResult, Simulation};

@@ -7,9 +7,7 @@
 
 use std::fmt;
 
-/// Index of a function in [`scalana_lang::Program::functions`] (and in
-/// the resolved program's function table, which keeps that order).
-pub type FuncId = u32;
+pub use scalana_lang::lower::FuncId;
 
 /// A MiniMPI runtime value: 64-bit integers (which also serve as request
 /// handles) or function references for indirect calls.

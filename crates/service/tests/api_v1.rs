@@ -223,6 +223,33 @@ fn a_deadlocking_program_fails_with_the_simulator_error() {
 }
 
 #[test]
+fn a_too_deeply_nested_program_fails_and_the_daemon_survives() {
+    // 10^4 nested parentheses: a ~20 KB body. Parsing runs on a worker
+    // thread, where unbounded recursion would overflow its stack and
+    // abort the daemon.
+    let addr = boot(1);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let text = format!(
+        "fn main() {{ let x = {}1{}; }}",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    let response = conn
+        .request_json("POST", paths::JOBS, &submit_body(&text, &[2, 4]))
+        .unwrap();
+    let key = response.get("job").unwrap().as_str().unwrap().to_string();
+    let doc = conn.wait_for_job(&key, Duration::from_secs(120)).unwrap();
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    let (code, _) = conn.request("GET", paths::HEALTHZ, "").unwrap();
+    assert_eq!(code, 200);
+
+    let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
+}
+
+#[test]
 fn longpoll_wait_parks_until_completion() {
     let addr = boot(2);
     let mut conn = Conn::connect(&addr).unwrap();

@@ -64,4 +64,7 @@ echo "==> scalbench population (every generated pool program analyzes; about a m
 # analysis, including `analysis_to_json`, as CI does.
 cargo test --release --offline --quiet --manifest-path scalbench/Cargo.toml -- --ignored every_pool_program_analyzes
 
+echo "==> lines of Rust per crate, non-test and test (printed, not gated)"
+scripts/loc.sh
+
 echo "smoke: all green"
