@@ -114,14 +114,18 @@ mod tests {
     use scalana_lang::lower::RStmtKind;
 
     /// Lower `expr` in `main` of a program with `param N = 100` and a
-    /// function `leaf`, after `let`s binding `locals` to slots 0.., and
-    /// evaluate it on rank 3 of 8.
-    fn ev_with(expr: &Expr, locals: &[(&str, i64)]) -> Value {
+    /// function `leaf` (index 1), after `let`s binding `locals` to slots
+    /// 0.., and evaluate it on rank 3 of 8.
+    fn ev_with(expr: &Expr, locals: &[(&str, Value)]) -> Value {
         let mut b = ProgramBuilder::new("t.mmpi");
         b.param("N", 100);
         b.function("main", &[], |f| {
             for &(name, v) in locals {
-                f.let_(name, int(v));
+                let init = match v {
+                    Value::Int(v) => int(v),
+                    Value::Func(_) => func_ref("leaf"),
+                };
+                f.let_(name, init);
             }
             f.let_("result", expr.clone());
         });
@@ -131,7 +135,7 @@ mod tests {
         let RStmtKind::Set { value, .. } = &main.body.last().unwrap().kind else {
             panic!("expected a set")
         };
-        let slots: Vec<Value> = locals.iter().map(|&(_, v)| Value::Int(v)).collect();
+        let slots: Vec<Value> = locals.iter().map(|&(_, v)| v).collect();
         let run = Run {
             rank: 3,
             nprocs: 8,
@@ -159,9 +163,12 @@ mod tests {
     #[test]
     fn params_resolve_and_locals_shadow() {
         assert_eq!(ev(&var("N")), 100);
-        assert_eq!(ev_with(&var("N"), &[("N", 5)]), Value::Int(5));
+        assert_eq!(ev_with(&var("N"), &[("N", Value::Int(5))]), Value::Int(5));
         assert_eq!(
-            ev_with(&(var("a") - var("b")), &[("a", 10), ("b", 4)]),
+            ev_with(
+                &(var("a") - var("b")),
+                &[("a", Value::Int(10)), ("b", Value::Int(4))]
+            ),
             Value::Int(6)
         );
     }
@@ -203,5 +210,70 @@ mod tests {
     #[test]
     fn wrapping_no_panic() {
         let _ = ev(&(int(i64::MAX) + int(1))); // must not panic
+    }
+
+    fn not(e: Expr) -> Expr {
+        Expr::Unary {
+            op: UnOp::Not,
+            expr: Box::new(e),
+        }
+    }
+
+    #[test]
+    fn funcref_is_true_in_logic_and_zero_in_arithmetic() {
+        let f = || func_ref("leaf");
+        assert_eq!(ev(&and(f(), int(1))), 1);
+        assert_eq!(ev(&and(int(1), f())), 1);
+        assert_eq!(ev(&or(f(), int(0))), 1);
+        assert_eq!(ev(&or(int(0), f())), 1);
+        // Outside `&&`/`||` a reference reads as the integer 0.
+        assert_eq!(ev(&not(f())), 1);
+        assert_eq!(ev(&-f()), 0);
+        assert_eq!(ev(&(f() + int(1))), 1);
+        assert_eq!(ev(&eq(f(), int(0))), 1);
+        assert_eq!(ev(&max(f(), int(-4))), 0);
+    }
+
+    #[test]
+    fn slot_holding_a_funcref() {
+        let g = [("g", Value::Func(1))];
+        assert_eq!(ev_with(&var("g"), &g), Value::Func(1));
+        assert_eq!(ev_with(&(var("g") + int(1)), &g), Value::Int(1));
+        assert_eq!(ev_with(&(var("g") * int(7)), &g), Value::Int(0));
+        assert_eq!(ev_with(&and(var("g"), int(5)), &g), Value::Int(1));
+        assert_eq!(ev_with(&or(int(0), var("g")), &g), Value::Int(1));
+        assert_eq!(ev_with(&not(var("g")), &g), Value::Int(1));
+    }
+
+    #[test]
+    fn overflowing_division_and_abs_wrap() {
+        assert_eq!(ev(&(int(i64::MIN) / int(-1))), i64::MIN);
+        assert_eq!(ev(&(int(i64::MIN) % int(-1))), 0);
+        assert_eq!(ev(&abs(int(i64::MIN))), i64::MIN);
+        assert_eq!(ev(&-int(i64::MIN)), i64::MIN);
+        assert_eq!(ev(&(int(i64::MAX) * int(2))), -2);
+        assert_eq!(ev(&(int(i64::MIN) - int(1))), i64::MAX);
+    }
+
+    #[test]
+    fn log2_of_values_at_most_one_is_zero() {
+        for v in [1, 0, -1, -1024, i64::MIN] {
+            assert_eq!(ev(&log2(int(v))), 0, "log2({v})");
+        }
+        assert_eq!(ev(&log2(int(i64::MAX))), 62);
+    }
+
+    #[test]
+    fn division_and_modulo_by_zero_from_any_operand() {
+        let x = [("x", Value::Int(0))];
+        for num in [i64::MIN, -7, 0, 7, i64::MAX] {
+            assert_eq!(ev(&(int(num) / int(0))), 0, "{num} / 0");
+            assert_eq!(ev(&(int(num) % int(0))), 0, "{num} % 0");
+            assert_eq!(ev_with(&(int(num) / var("x")), &x), Value::Int(0));
+            assert_eq!(ev_with(&(int(num) % var("x")), &x), Value::Int(0));
+        }
+        assert_eq!(ev(&(int(7) / (rank() - int(3)))), 0);
+        assert_eq!(ev(&(int(-7) / int(2))), -3);
+        assert_eq!(ev(&(int(-7) % int(2))), -1);
     }
 }

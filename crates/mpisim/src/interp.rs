@@ -808,6 +808,20 @@ mod tests {
     }
 
     #[test]
+    fn funcref_slot_is_a_true_condition_and_zero_in_arithmetic() {
+        // `if g` and `if &leaf` take their branches; `!g` and `g + 10`
+        // read the reference as 0, so `if !g` is taken too.
+        let (_, pmu) = run_single(
+            "fn main() { let g = &leaf; if g { comp(cycles = 1000, ins = 1000, lst = 0, \
+             miss = 0, brmiss = 0); } if !g { comp(cycles = 100, ins = 100, lst = 0, \
+             miss = 0, brmiss = 0); } if &leaf { comp(cycles = 20000, ins = 20000, lst = 0, \
+             miss = 0, brmiss = 0); } comp(cycles = g + 10, ins = g + 10, lst = 0, miss = 0, \
+             brmiss = 0); } fn leaf() { }",
+        );
+        assert_eq!(pmu.tot_ins, 21110.0 + 4.0 + 3.0 * 4.0);
+    }
+
+    #[test]
     fn function_param_shadows_program_param() {
         let (_, pmu) = run_single(
             "param n = 7; fn main() { f(1000); } fn f(n) { comp(cycles = n, ins = n, \

@@ -17,17 +17,29 @@
 //! and LU at `[16, 64, 256]`, one generated program that resolves an
 //! indirect call inside a loop, and `serve_overlap`'s 48 generated
 //! programs (the population scalbench draws them from) at
-//! `[2, 4, 8, 16, 32, 64]` and at `[2, 64]`. A digest is regenerated
-//! only on the commit *before* a change, never to make a change pass: run
-//! `cargo test --test sim_digest -- --nocapture` and paste the table it
-//! prints.
+//! `[2, 4, 8, 16, 32, 64]` and at `[2, 64]`.
+//!
+//! A second table pins the other tools' numbers: `measure_overhead`'s
+//! baseline time, and each tool's elapsed time and storage bytes, for
+//! the tracer, the flat profiler and the ScalAna profiler on CG at 128
+//! ranks and ZMP at 16, sampling at 200 Hz and at 20 kHz (the figures'
+//! rate).
+//!
+//! A digest is regenerated only on the commit *before* a change, never
+//! to make a change pass: run `cargo test --test sim_digest --
+//! --nocapture` and paste the tables it prints.
 
 use scalana_core::{
     assemble, profile_one_scale_observed, refined_psg, ProfiledRuns, ScalAnaConfig,
 };
+use scalana_graph::{build_psg, PsgOptions};
 use scalana_lang::{parse_program, Program};
 use scalana_mpisim::hook::CountingHook;
-use scalana_profile::{store, ProfileData};
+use scalana_mpisim::SimConfig;
+use scalana_profile::overhead::ToolKind;
+use scalana_profile::{
+    measure_overhead, store, FlatConfig, ProfileData, ProfilerConfig, TracerConfig,
+};
 use scalana_service::hash::StableHasher;
 use scalana_service::jsonify::{render_report, report_to_json};
 use std::sync::Arc;
@@ -374,5 +386,83 @@ fn simulated_outputs_match_recorded_digests() {
         "simulated output changed for {changed:?} (rows: {} recorded, {} now); now:\n{table}",
         expected.len(),
         actual.len()
+    );
+}
+
+/// One recorded tool measurement: label and the digest of the baseline
+/// time and each tool's elapsed time (as bits) and storage bytes.
+#[rustfmt::skip]
+const TOOLS_EXPECTED: &[(&str, u64)] = &[
+    ("CG@128/200Hz", 0x6e0ca6444e4fb807),
+    ("CG@128/20000Hz", 0x93cab81a73a6d918),
+    ("ZMP@16/200Hz", 0x95e05c7c92b6035e),
+    ("ZMP@16/20000Hz", 0x7b1e2de313b76633),
+];
+
+/// The digested `measure_overhead` row of `app` at `nprocs` ranks, every
+/// sampling tool at `sampling_hz`.
+fn tool_row(app: &str, nprocs: usize, sampling_hz: f64) -> (String, u64) {
+    let app = scalana_apps::by_name(app).expect("paper app");
+    let psg = build_psg(&app.program, &PsgOptions::default());
+    let mut config = SimConfig::with_nprocs(nprocs);
+    config.machine = Arc::new(app.machine.clone());
+    let tools = [
+        ToolKind::Tracer(TracerConfig::default()),
+        ToolKind::Flat(FlatConfig {
+            sampling_hz,
+            ..FlatConfig::default()
+        }),
+        ToolKind::ScalAna(ProfilerConfig {
+            sampling_hz,
+            ..ProfilerConfig::default()
+        }),
+    ];
+    let report = measure_overhead(&app.program, &psg, &config, &tools).expect("measured run");
+    let mut hasher = StableHasher::new();
+    hasher.write_bytes(&report.baseline.to_bits().to_le_bytes());
+    for tool in &report.tools {
+        hasher.write_bytes(&tool.elapsed.to_bits().to_le_bytes());
+        hasher.write_bytes(&tool.storage_bytes.to_le_bytes());
+    }
+    (
+        format!("{}@{nprocs}/{sampling_hz}Hz", app.name),
+        hasher.finish(),
+    )
+}
+
+#[test]
+fn tool_measurements_match_recorded_digests() {
+    let inputs = [
+        ("CG", 128, 200.0),
+        ("CG", 128, 20_000.0),
+        ("ZMP", 16, 200.0),
+        ("ZMP", 16, 20_000.0),
+    ];
+    let actual: Vec<(String, u64)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .iter()
+            .map(|&(app, nprocs, hz)| scope.spawn(move || tool_row(app, nprocs, hz)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("measurement thread"))
+            .collect()
+    });
+    let table: Vec<String> = actual
+        .iter()
+        .map(|(label, digest)| format!("    (\"{label}\", {digest:#018x}),"))
+        .collect();
+    let table = format!(
+        "const TOOLS_EXPECTED: &[(&str, u64)] = &[\n{}\n];",
+        table.join("\n")
+    );
+    println!("{table}");
+    let expected: Vec<(String, u64)> = TOOLS_EXPECTED
+        .iter()
+        .map(|&(label, digest)| (label.to_string(), digest))
+        .collect();
+    assert!(
+        actual == expected,
+        "tool measurements changed; now:\n{table}"
     );
 }
