@@ -6,6 +6,15 @@
 //! so evaluation sees only literals, the executing rank, the run's
 //! values of `nprocs` and of each parameter, and the current frame's
 //! slots.
+//!
+//! The evaluator's core is [`eval_int`], which works on `i64` alone:
+//! every operator and builtin produces an integer, so no intermediate is
+//! a [`Value`]. An operand that is a leaf (a literal, a slot, a
+//! parameter, `rank` or `nprocs`) is read in place rather than through
+//! a recursive call. Only a function reference is not an integer; it
+//! reads as 0 in arithmetic and as true under `&&` and `||`
+//! ([`eval_truthy`]). [`eval`] builds a [`Value`] only at the root of an
+//! expression that can be one: a `&f` leaf, or a slot that may hold one.
 
 use crate::value::Value;
 use scalana_lang::ast::{BinOp, BuiltinFn, UnOp};
@@ -26,25 +35,29 @@ pub struct Run<'a> {
 /// Evaluate an expression against a frame's `slots` in `run`.
 pub fn eval(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> Value {
     match expr {
-        RExpr::Int(v) => Value::Int(*v),
-        RExpr::Rank => Value::Int(run.rank),
-        RExpr::Nprocs => Value::Int(run.nprocs),
-        RExpr::Param(i) => Value::Int(run.params[*i as usize]),
         RExpr::Slot(s) => slots[*s as usize],
         RExpr::Func(f) => Value::Func(*f),
+        _ => Value::Int(eval_int(expr, slots, run)),
+    }
+}
+
+/// Evaluate to an integer; function references read as 0 (checked
+/// programs never do arithmetic on them).
+pub fn eval_int(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
+    match expr {
         RExpr::Unary { op, expr } => {
-            let v = eval_int(expr, slots, run);
-            Value::Int(match op {
+            let v = operand(expr, slots, run);
+            match op {
                 UnOp::Neg => v.wrapping_neg(),
                 UnOp::Not => i64::from(v == 0),
-            })
+            }
         }
-        RExpr::Binary { op, lhs, rhs } => Value::Int(eval_bin(*op, lhs, rhs, slots, run)),
+        RExpr::Binary { op, lhs, rhs } => binary(*op, lhs, rhs, slots, run),
         RExpr::Builtin { func, args } => {
-            let a = eval_int(&args[0], slots, run);
-            Value::Int(match func {
-                BuiltinFn::Min => a.min(eval_int(&args[1], slots, run)),
-                BuiltinFn::Max => a.max(eval_int(&args[1], slots, run)),
+            let a = operand(&args[0], slots, run);
+            match func {
+                BuiltinFn::Min => a.min(operand(&args[1], slots, run)),
+                BuiltinFn::Max => a.max(operand(&args[1], slots, run)),
                 BuiltinFn::Abs => a.wrapping_abs(),
                 BuiltinFn::Log2 => {
                     if a <= 1 {
@@ -53,31 +66,49 @@ pub fn eval(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> Value {
                         63 - a.leading_zeros() as i64
                     }
                 }
-            })
+            }
         }
+        leaf => operand(leaf, slots, run),
     }
 }
 
-/// Evaluate to an integer; function references coerce to 0 (checked
-/// programs never do arithmetic on them).
-#[inline]
-pub fn eval_int(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
-    eval(expr, slots, run).as_int().unwrap_or(0)
+/// Whether an expression is true: a nonzero integer or a function
+/// reference.
+pub fn eval_truthy(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> bool {
+    match expr {
+        RExpr::Slot(s) => slots[*s as usize].truthy(),
+        RExpr::Func(_) => true,
+        _ => operand(expr, slots, run) != 0,
+    }
 }
 
-fn eval_bin(op: BinOp, lhs: &RExpr, rhs: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
+/// An operand's integer: a leaf read in place, anything else evaluated.
+#[inline(always)]
+fn operand(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
+    match expr {
+        RExpr::Int(v) => *v,
+        RExpr::Slot(s) => slots[*s as usize].as_int().unwrap_or(0),
+        RExpr::Param(i) => run.params[*i as usize],
+        RExpr::Rank => run.rank,
+        RExpr::Nprocs => run.nprocs,
+        RExpr::Func(_) => 0,
+        _ => eval_int(expr, slots, run),
+    }
+}
+
+fn binary(op: BinOp, lhs: &RExpr, rhs: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
     // Short-circuit logical operators.
     match op {
         BinOp::And => {
-            return i64::from(eval(lhs, slots, run).truthy() && eval(rhs, slots, run).truthy());
+            return i64::from(eval_truthy(lhs, slots, run) && eval_truthy(rhs, slots, run));
         }
         BinOp::Or => {
-            return i64::from(eval(lhs, slots, run).truthy() || eval(rhs, slots, run).truthy());
+            return i64::from(eval_truthy(lhs, slots, run) || eval_truthy(rhs, slots, run));
         }
         _ => {}
     }
-    let a = eval_int(lhs, slots, run);
-    let b = eval_int(rhs, slots, run);
+    let a = operand(lhs, slots, run);
+    let b = operand(rhs, slots, run);
     match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),

@@ -12,13 +12,18 @@
 //! callee's slot count and evaluates its arguments straight into the new
 //! slots; `return` truncates both stacks.
 //!
+//! A rank prices its computations at one rate, its cycles per second
+//! ([`MachineConfig::rank_rate`]), computed when the rank is set up: a
+//! `comp`'s duration is its stalled cycles divided by that rate, the
+//! operations [`MachineConfig::comp_seconds`] performs, in its order.
+//!
 //! Attribution: every executed statement is mapped to its contracted PSG
 //! vertex through the `(context, statement)` attribution map. Statements
 //! inside *unresolved* indirect calls fall back to the `CallSite` vertex
 //! (`attr_override`), exactly the coarse attribution the paper has before
 //! runtime refinement fills the graph in.
 
-use crate::eval::{eval, eval_int, Run};
+use crate::eval::{eval, eval_int, eval_truthy, Run};
 use crate::hook::{CompEvent, Hook, IndirectCallEvent};
 use crate::machine::{MachineConfig, NoiseStream};
 use crate::value::{FuncId, Value};
@@ -148,6 +153,8 @@ pub struct RankState<'r> {
     program: &'r Lowered,
     /// This rank's `rank`, and the run's `nprocs` and parameters.
     run: Run<'r>,
+    /// This rank's cycles per second ([`MachineConfig::rank_rate`]).
+    rate: f64,
     frames: Vec<Frame>,
     slots: Vec<Value>,
     control: Vec<Ctl<'r>>,
@@ -175,6 +182,7 @@ impl<'r> RankState<'r> {
             steps_left: max_steps,
             program,
             run,
+            rate: machine.rank_rate(rank),
             frames: vec![Frame {
                 ctx: psg.root_ctx(),
                 attr_override: None,
@@ -226,6 +234,11 @@ impl<'r> RankState<'r> {
         eval_int(expr, self.locals(), &self.run)
     }
 
+    #[inline]
+    fn eval_truthy(&self, expr: &RExpr) -> bool {
+        eval_truthy(expr, self.locals(), &self.run)
+    }
+
     /// The vertex to attribute `stmt` to in the current frame.
     fn attr_vertex<H: Hook + ?Sized>(&self, ctx: &StepCtx<'_, H>, stmt_id: NodeId) -> VertexId {
         let frame = self.frame();
@@ -258,7 +271,7 @@ impl<'r> RankState<'r> {
         let Some((vertex, cycles)) = self.pending.take() else {
             return;
         };
-        let duration = ctx.machine.comp_seconds(self.rank, cycles, 0.0);
+        let duration = ctx.machine.stalled_cycles(cycles, 0.0) / self.rate;
         let ev = CompEvent {
             rank: self.rank,
             vertex,
@@ -338,7 +351,7 @@ impl<'r> RankState<'r> {
                     stmt_id,
                 } => {
                     let (cond, body, stmt_id) = (*cond, *body, *stmt_id);
-                    if self.eval(cond).truthy() {
+                    if self.eval_truthy(cond) {
                         self.control.push(Ctl::Seq {
                             stmts: body,
                             idx: 0,
@@ -405,7 +418,7 @@ impl<'r> RankState<'r> {
                 then_block,
                 else_block,
             } => {
-                let block = if self.eval(cond).truthy() {
+                let block = if self.eval_truthy(cond) {
                     Some(then_block)
                 } else {
                     else_block.as_ref()
@@ -515,22 +528,25 @@ impl<'r> RankState<'r> {
         ctx: &mut StepCtx<'_, H>,
     ) {
         self.flush_pending(ctx);
-        let attr = |e: &Option<RExpr>| e.as_ref().map(|e| self.eval_int(e).max(0) as f64);
-        let cycles = self.eval_int(&comp.cycles).max(0) as f64;
+        let (slots, run) = (self.locals(), &self.run);
+        let count = |e: &RExpr| eval_int(e, slots, run).max(0) as f64;
+        let attr = |e: &Option<RExpr>| e.as_ref().map(count);
+        let cycles = count(&comp.cycles);
         let ins = attr(&comp.ins).unwrap_or(cycles);
         let lst = attr(&comp.lst).unwrap_or(ins / 4.0);
         let l2_miss = attr(&comp.l2_miss).unwrap_or(lst / 100.0);
         let br_miss = attr(&comp.br_miss).unwrap_or(ins / 1000.0);
 
         let noise = self.noise.next_factor();
-        let duration = ctx.machine.comp_seconds(self.rank, cycles, l2_miss) * noise;
+        let stalled = ctx.machine.stalled_cycles(cycles, l2_miss);
+        let duration = stalled / self.rate * noise;
         let ev = CompEvent {
             rank: self.rank,
             vertex,
             start: self.clock,
             duration,
             tot_ins: ins,
-            tot_cyc: cycles + l2_miss * ctx.machine.miss_penalty_cycles,
+            tot_cyc: stalled,
             lst_ins: lst,
             l2_miss,
             br_miss,
@@ -555,6 +571,7 @@ impl<'r> RankState<'r> {
 mod tests {
     use super::*;
     use crate::hook::NullHook;
+    use crate::machine::CoreSpeed;
     use scalana_graph::{build_psg, PsgOptions};
     use scalana_lang::{parse_program, Program};
 
@@ -819,6 +836,50 @@ mod tests {
              brmiss = 0); } fn leaf() { }",
         );
         assert_eq!(pmu.tot_ins, 21110.0 + 4.0 + 3.0 * 4.0);
+    }
+
+    #[test]
+    fn comp_durations_are_comp_seconds_at_every_rank_speed() {
+        // Rank 1 runs at 0.37 of nominal; each `comp` event's duration
+        // and cycles must be the bits `comp_seconds` and `stalled_cycles`
+        // give, micro-cost batches included (no noise). Every count is
+        // an integer, so `tot_cyc` gives back the cycles exactly.
+        #[derive(Default)]
+        struct Comps(Vec<CompEvent>);
+        impl Hook for Comps {
+            fn on_comp(&mut self, ev: &CompEvent) -> f64 {
+                self.0.push(*ev);
+                0.0
+            }
+        }
+        let mut fx = Fixture::new(
+            "fn main() { let x = 3; comp(cycles = 1_234_567, miss = 777); \
+             comp(cycles = 99_991 * x, ins = 5, miss = 3); x = 1; comp(cycles = 1, miss = 0); }",
+            2,
+        );
+        fx.machine.core_speed = CoreSpeed::PerRank(vec![1.0, 0.37]);
+        for r in 0..2 {
+            let mut hook = Comps::default();
+            let mut ctx = StepCtx {
+                psg: &fx.psg,
+                attr: &fx.attr,
+                machine: &fx.machine,
+                hook: &mut hook,
+                costs: StmtCosts::default(),
+            };
+            let mut rank = fx.rank(r, 1000);
+            let StepOutcome::Done = rank.step(&mut ctx) else {
+                panic!()
+            };
+            assert_eq!(hook.0.len(), 5, "three comps and two micro-cost batches");
+            for ev in &hook.0 {
+                let cycles = ev.tot_cyc - ev.l2_miss * fx.machine.miss_penalty_cycles;
+                let want = fx.machine.comp_seconds(r, cycles, ev.l2_miss);
+                assert_eq!(ev.duration.to_bits(), want.to_bits(), "rank {r}: {ev:?}");
+                let stalled = fx.machine.stalled_cycles(cycles, ev.l2_miss);
+                assert_eq!(ev.tot_cyc.to_bits(), stalled.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -97,8 +97,22 @@ impl MachineConfig {
     /// Seconds to execute `cycles` (plus miss stalls) on `rank`.
     #[inline]
     pub fn comp_seconds(&self, rank: usize, cycles: f64, l2_miss: f64) -> f64 {
-        let effective = cycles + l2_miss * self.miss_penalty_cycles;
-        effective / (self.freq_hz * self.core_speed.factor(rank))
+        self.stalled_cycles(cycles, l2_miss) / self.rank_rate(rank)
+    }
+
+    /// Cycles a computation holds its core: its own plus the stalls of
+    /// its L2 misses.
+    #[inline]
+    pub fn stalled_cycles(&self, cycles: f64, l2_miss: f64) -> f64 {
+        cycles + l2_miss * self.miss_penalty_cycles
+    }
+
+    /// Cycles per second on `rank`: the core frequency times the rank's
+    /// speed factor. `stalled_cycles / rank_rate` is
+    /// [`comp_seconds`](MachineConfig::comp_seconds).
+    #[inline]
+    pub fn rank_rate(&self, rank: usize) -> f64 {
+        self.freq_hz * self.core_speed.factor(rank)
     }
 
     /// Wire time of one message: latency plus serialization.

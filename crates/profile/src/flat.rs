@@ -9,6 +9,7 @@
 //! substantial human effort to connect them into a root cause.
 
 use crate::record;
+use crate::sampling::SamplingClock;
 use scalana_graph::VertexId;
 use scalana_mpisim::hook::{CompEvent, Hook, MpiExitEvent};
 use std::collections::HashMap;
@@ -52,7 +53,8 @@ pub struct HotSpot {
 pub struct FlatProfilerHook {
     config: FlatConfig,
     nprocs: usize,
-    phase: Vec<f64>,
+    /// The timer: its period and each rank's phase.
+    clock: SamplingClock,
     /// (vertex, rank) → (samples, seconds).
     histogram: HashMap<(VertexId, usize), (u64, f64)>,
     rank_elapsed: Vec<f64>,
@@ -62,9 +64,9 @@ impl FlatProfilerHook {
     /// New flat profiler.
     pub fn new(config: FlatConfig) -> FlatProfilerHook {
         FlatProfilerHook {
+            clock: SamplingClock::new(config.sampling_hz),
             config,
             nprocs: 0,
-            phase: Vec::new(),
             histogram: HashMap::new(),
             rank_elapsed: Vec::new(),
         }
@@ -73,14 +75,6 @@ impl FlatProfilerHook {
     /// Default cost model.
     pub fn with_defaults() -> FlatProfilerHook {
         FlatProfilerHook::new(FlatConfig::default())
-    }
-
-    fn take_samples(&mut self, rank: usize, duration: f64) -> u64 {
-        let period = 1.0 / self.config.sampling_hz;
-        let total = self.phase[rank] + duration;
-        let n = (total / period).floor() as u64;
-        self.phase[rank] = total - n as f64 * period;
-        n
     }
 
     /// Storage the profile would occupy on disk: one histogram entry
@@ -92,22 +86,26 @@ impl FlatProfilerHook {
     }
 
     /// The top-`n` hottest vertices by total time — the symptom list a
-    /// user gets, without causal structure.
+    /// user gets, without causal structure. Each vertex sums its ranks
+    /// in rank order, so the times do not depend on the histogram's
+    /// iteration order.
     pub fn hot_spots(&self, n: usize) -> Vec<HotSpot> {
-        let mut agg: HashMap<VertexId, (u64, f64)> = HashMap::new();
-        for ((vertex, _), (count, time)) in &self.histogram {
-            let e = agg.entry(*vertex).or_default();
-            e.0 += count;
-            e.1 += time;
+        let mut entries: Vec<_> = self.histogram.iter().collect();
+        entries.sort_unstable_by_key(|(key, _)| **key);
+        let mut spots: Vec<HotSpot> = Vec::new();
+        for (&(vertex, _), &(samples, time)) in entries {
+            match spots.last_mut() {
+                Some(spot) if spot.vertex == vertex => {
+                    spot.samples += samples;
+                    spot.time += time;
+                }
+                _ => spots.push(HotSpot {
+                    vertex,
+                    time,
+                    samples,
+                }),
+            }
         }
-        let mut spots: Vec<HotSpot> = agg
-            .into_iter()
-            .map(|(vertex, (samples, time))| HotSpot {
-                vertex,
-                time,
-                samples,
-            })
-            .collect();
         spots.sort_by(|a, b| {
             b.time
                 .partial_cmp(&a.time)
@@ -127,12 +125,12 @@ impl FlatProfilerHook {
 impl Hook for FlatProfilerHook {
     fn on_run_start(&mut self, nprocs: usize) {
         self.nprocs = nprocs;
-        self.phase = vec![0.0; nprocs];
+        self.clock.start(nprocs);
         self.histogram.clear();
     }
 
     fn on_comp(&mut self, ev: &CompEvent) -> f64 {
-        let n = self.take_samples(ev.rank, ev.duration);
+        let n = self.clock.advance(ev.rank, ev.duration);
         let e = self.histogram.entry((ev.vertex, ev.rank)).or_default();
         e.0 += n;
         e.1 += ev.duration;
@@ -145,7 +143,7 @@ impl Hook for FlatProfilerHook {
         // idle-waiting on the network, so it does not delay completion
         // (charging it would compound exponentially through pipelined
         // waits — each rank's inflated wait inflating the next).
-        let n = self.take_samples(ev.rank, ev.elapsed);
+        let n = self.clock.advance(ev.rank, ev.elapsed);
         let e = self.histogram.entry((ev.vertex, ev.rank)).or_default();
         e.0 += n;
         e.1 += ev.elapsed;
@@ -206,6 +204,33 @@ mod tests {
             flat.storage_bytes(),
             flat.histogram.len() as u64 * entry + 4 * config.per_rank_metadata
         );
+    }
+
+    #[test]
+    fn hot_spots_are_identical_across_runs() {
+        // Ranks wait different times at each MPI vertex, so a vertex's
+        // total depends on the order its ranks are summed in.
+        let src = r#"
+            fn main() {
+                for it in 0 .. 6 {
+                    comp(cycles = 1_000_003 * (rank + 1) + 777 * it);
+                    allreduce(bytes = 8);
+                    comp(cycles = 333_331 * ((rank * 7 + it) % 5 + 1));
+                    barrier();
+                }
+            }
+        "#;
+        let spots = |flat: &FlatProfilerHook| -> Vec<(VertexId, u64, u64)> {
+            flat.hot_spots(usize::MAX)
+                .iter()
+                .map(|s| (s.vertex, s.time.to_bits(), s.samples))
+                .collect()
+        };
+        let first = spots(&profile(src, 64).0);
+        assert!(first.len() >= 4, "{first:?}");
+        for _ in 0..4 {
+            assert_eq!(spots(&profile(src, 64).0), first);
+        }
     }
 
     #[test]

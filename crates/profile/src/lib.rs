@@ -21,7 +21,9 @@
 //!   hot spots, not causal chains.
 //!
 //! All three declare per-event virtual-time costs, so tool overhead is a
-//! *measured* quantity inside the simulation ([`overhead`]). None writes
+//! *measured* quantity inside the simulation ([`overhead`]). The two
+//! sampling tools count their timer ticks on one [`SamplingClock`].
+//! None writes
 //! its output format: each counts the bytes its records would occupy,
 //! at the sizes [`record`] defines.
 
@@ -30,6 +32,7 @@ pub mod flat;
 pub mod overhead;
 pub mod record;
 pub mod recorder;
+pub mod sampling;
 pub mod scalana;
 pub mod store;
 pub mod tracer;
@@ -38,5 +41,6 @@ pub use data::ProfileData;
 pub use flat::{FlatConfig, FlatProfilerHook};
 pub use overhead::{measure_overhead, OverheadReport, ToolRun};
 pub use recorder::IndirectRecorder;
+pub use sampling::SamplingClock;
 pub use scalana::{ProfilerConfig, ScalAnaProfiler};
 pub use tracer::{TracerConfig, TracerHook};

@@ -13,6 +13,7 @@
 
 use crate::data::{comm_order, CommAgg, EdgeKey, ProfileData};
 use crate::record;
+use crate::sampling::SamplingClock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scalana_graph::{VertexId, VertexPerf};
@@ -89,16 +90,14 @@ struct EdgeState {
 /// table vertex-major, the edges by one sort.
 pub struct ScalAnaProfiler {
     config: ProfilerConfig,
-    /// Sampling period, `1 / sampling_hz`, computed once.
-    period: f64,
+    /// The timer: its period and each rank's phase.
+    clock: SamplingClock,
     data: ProfileData,
     /// Per-rank, per-vertex performance vectors. Every recorded sample
     /// has `count == 1`, so `count > 0` marks the touched entries.
     perf: Vec<Vec<VertexPerf>>,
     /// Aggregated dependence edges, each with its last compression key.
     comm: FxHashMap<EdgeKey, EdgeState>,
-    /// Per-rank fraction of a sampling period already elapsed.
-    sample_phase: Vec<f64>,
     /// Per-rank RNG for the random-sampling instrumentation; empty when
     /// every message is examined.
     rngs: Vec<SmallRng>,
@@ -116,12 +115,11 @@ impl ScalAnaProfiler {
     /// New profiler with the given configuration.
     pub fn new(config: ProfilerConfig) -> ScalAnaProfiler {
         ScalAnaProfiler {
-            period: 1.0 / config.sampling_hz,
+            clock: SamplingClock::new(config.sampling_hz),
             config,
             data: ProfileData::default(),
             perf: Vec::new(),
             comm: FxHashMap::default(),
-            sample_phase: Vec::new(),
             rngs: Vec::new(),
             recorded_keys: HashSet::new(),
             recorded_indirect: HashSet::new(),
@@ -165,17 +163,6 @@ impl ScalAnaProfiler {
         self.data.sample_count
     }
 
-    /// Count timer ticks inside an interval and update the rank's phase.
-    #[inline]
-    fn take_samples(&mut self, rank: usize, duration: f64) -> u64 {
-        let period = self.period;
-        let total = self.sample_phase[rank] + duration;
-        let n = (total / period).floor() as u64;
-        self.sample_phase[rank] = total - n as f64 * period;
-        self.data.sample_count += n;
-        n
-    }
-
     /// Merge a sample into the `(vertex, rank)` vector.
     #[inline]
     fn add_perf(&mut self, vertex: VertexId, rank: usize, delta: &VertexPerf) {
@@ -193,7 +180,7 @@ impl Hook for ScalAnaProfiler {
         self.data = ProfileData::new(nprocs);
         self.perf = vec![Vec::new(); nprocs];
         self.comm.clear();
-        self.sample_phase = vec![0.0; nprocs];
+        self.clock.start(nprocs);
         self.rngs = if self.config.comm_check_probability < 1.0 {
             (0..nprocs)
                 .map(|r| SmallRng::seed_from_u64(self.config.seed.wrapping_add(r as u64)))
@@ -205,7 +192,8 @@ impl Hook for ScalAnaProfiler {
 
     #[inline]
     fn on_comp(&mut self, ev: &CompEvent) -> f64 {
-        let n = self.take_samples(ev.rank, ev.duration);
+        let n = self.clock.advance(ev.rank, ev.duration);
+        self.data.sample_count += n;
         let delta = if self.config.exact_attribution {
             VertexPerf {
                 time: ev.duration,
@@ -219,7 +207,7 @@ impl Hook for ScalAnaProfiler {
             }
         } else {
             // Timer-quantized attribution: whole periods only.
-            let seen = n as f64 * self.period;
+            let seen = n as f64 * self.clock.period();
             let scale = if ev.duration > 0.0 {
                 seen / ev.duration
             } else {
@@ -248,7 +236,7 @@ impl Hook for ScalAnaProfiler {
     #[inline]
     fn on_mpi_exit(&mut self, ev: &MpiExitEvent) -> f64 {
         // PMPI wrappers time the operation exactly.
-        self.take_samples(ev.rank, ev.elapsed);
+        self.data.sample_count += self.clock.advance(ev.rank, ev.elapsed);
         let delta = VertexPerf {
             time: ev.elapsed,
             count: 1,
