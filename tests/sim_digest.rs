@@ -15,9 +15,12 @@
 //!
 //! The inputs are the 11 paper apps at `pipeline_cold`'s scale sets, CG
 //! and LU at `[16, 64, 256]`, one generated program that resolves an
-//! indirect call inside a loop, and `serve_overlap`'s 48 generated
+//! indirect call inside a loop, `serve_overlap`'s 48 generated
 //! programs (the population scalbench draws them from) at
-//! `[2, 4, 8, 16, 32, 64]` and at `[2, 64]`.
+//! `[2, 4, 8, 16, 32, 64]` and at `[2, 64]`, one hand-written program
+//! whose loops read and write their variables in every way the
+//! lowering tells apart, at `[2, 4, 8]`, and one row that digests 200
+//! more generated programs together, at `[2, 3, 8]`.
 //!
 //! A second table pins the other tools' numbers: `measure_overhead`'s
 //! baseline time, and each tool's elapsed time and storage bytes, for
@@ -79,6 +82,80 @@ fn helper(n) {
     }
 }
 "#;
+
+/// Loops in every shape that decides which of their expressions are
+/// loop-invariant: a `while` whose condition has an invariant part, a
+/// loop-carried assignment, request variables bound by `irecv`/`isend`
+/// and read in the same loop, nested loops that read the outer
+/// induction variable, an invariant under an untaken branch, zero-trip
+/// loops, `return` inside a loop, division by zero inside invariant
+/// expressions, and an indirect call in a loop.
+const LOOP_SHAPES: &str = r#"
+param N = 6;
+param Z = 0;
+
+fn main() {
+    let g = &work;
+    let acc = 0;
+    let k = 5 + rank % 3;
+    while k > N / 3 - 1 && Z * 7 == 0 {
+        acc = acc + k * (N + rank);
+        k = k - 1;
+        comp(cycles = 1000 * (N + 1) + acc, ins = N * 7 / Z + acc, lst = (rank + 3) % Z + 5);
+    }
+    for it in 0 .. 3 {
+        let r = irecv(src = (rank + nprocs - 1) % nprocs, tag = it + 1);
+        let s = isend(dst = (rank + 1) % nprocs, tag = it + 1, bytes = 64 * (N + 2) + r % 4);
+        comp(cycles = 100 + (r % 5) * 10 + (s % 3) * (N * 4), ins = 90 + r * 0 + N / Z);
+        wait(r);
+        wait(s);
+        for j in 0 .. it + 1 {
+            comp(cycles = 100 * (it + 1) + j * (N * 2), ins = it * 10 + N * 3);
+            for q in 0 .. j % 2 + 1 {
+                comp(cycles = N * nprocs + q + it * j, ins = (N + it) * (rank + 1));
+            }
+        }
+        if rank < 0 {
+            comp(cycles = N * 1000 + 7);
+        }
+        for z in 0 .. Z {
+            comp(cycles = N * 99 + z);
+        }
+        while Z > 0 {
+            comp(cycles = N * 98);
+        }
+        call g(N * 2 + it, acc / Z + rank * 3);
+        barrier();
+    }
+    early(N);
+    allreduce(bytes = 8 * (N + 1));
+}
+
+fn work(n, m) {
+    comp(cycles = n * 50 + 10 + m);
+}
+
+fn early(n) {
+    let i = 0;
+    while i < 100 {
+        comp(cycles = n * 300 + i * 7);
+        for t in 0 .. 10 {
+            comp(cycles = n * 40 + t, ins = n * 30 + i);
+            if t == n / 3 + i {
+                return;
+            }
+        }
+        i = i + 1;
+    }
+    comp(cycles = 999999);
+}
+"#;
+
+/// A second generated population: its generator seed, program count and
+/// scales.
+const POPULATION_SEED: u64 = 7;
+const POPULATION_PROGRAMS: usize = 200;
+const POPULATION_SCALES: [usize; 3] = [2, 3, 8];
 
 /// One recorded input: label, simulated events over all scales, text
 /// report digest, JSON report digest, one image digest per scale.
@@ -196,6 +273,8 @@ const EXPECTED: &[Expected] = &[
     ("overlap_46@2,64", 891, 0x0d5a128c7fcacb00, 0xe0683d5d9ea13cea, &[0xdfce85fc0698785a, 0xa279619d895fd617]),
     ("overlap_47", 2352, 0xb0c92a227022cdbd, 0x7d4cd9ae9c24b89d, &[0x8d5dcf8bcd9b91c6, 0x1af09ea5d42ab748, 0x206b61efe6348ea4, 0xf5c32bee67adbc52, 0x0b809e7ac5803ff0, 0xec41de41c7b25be9]),
     ("overlap_47@2,64", 1240, 0xe9eba67a3230296d, 0x45df0c73a0eb0dbf, &[0x8d5dcf8bcd9b91c6, 0xec41de41c7b25be9]),
+    ("loop-shapes", 1673, 0xd1ffd63699853cf8, 0x25a9df106b1e6006, &[0x58a52626bc77bad5, 0x2a77af6f76d50651, 0xf6767dff238455ea]),
+    ("wgen7x200@2,3,8", 46212, 0x1e2f53927d84509e, 0x72668264697b8e98, &[0xca896d315ceac021, 0xd16c6ea1b51ec827, 0x9976cf8065433892]),
 ];
 
 /// One program, simulated once per scale of its first scale set and
@@ -256,7 +335,45 @@ fn cases() -> Vec<Case> {
             ],
         });
     }
+    cases.push(Case {
+        program: parse_program("loops.mmpi", LOOP_SHAPES).expect("hand-written source parses"),
+        config: ScalAnaConfig::default(),
+        scale_sets: vec![("loop-shapes".to_string(), vec![2, 4, 8])],
+    });
     cases
+}
+
+/// The population's rows folded into one: events summed, and the report,
+/// JSON and per-scale image digests each digested in program order.
+fn population_row() -> Row {
+    let rows: Vec<Row> = (0..POPULATION_PROGRAMS)
+        .flat_map(|p| {
+            let label = format!("population_{p}");
+            let text = scalana_wgen::generate(POPULATION_SEED, p).pretty();
+            digest(&Case {
+                program: parse_program(&format!("{label}.mmpi"), &text)
+                    .expect("generated source parses"),
+                config: ScalAnaConfig::default(),
+                scale_sets: vec![(label, POPULATION_SCALES.to_vec())],
+            })
+        })
+        .collect();
+    let fold = |field: &dyn Fn(&Row) -> u64| {
+        let mut hasher = StableHasher::new();
+        for row in &rows {
+            hasher.write_bytes(&field(row).to_le_bytes());
+        }
+        hasher.finish()
+    };
+    Row {
+        label: format!("wgen{POPULATION_SEED}x{POPULATION_PROGRAMS}@2,3,8"),
+        events: rows.iter().map(|r| r.events).sum(),
+        report: fold(&|r| r.report),
+        report_json: fold(&|r| r.report_json),
+        images: (0..POPULATION_SCALES.len())
+            .map(|i| fold(&|r| r.images[i]))
+            .collect(),
+    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -356,11 +473,14 @@ fn simulated_outputs_match_recorded_digests() {
     let cases = cases();
     // One thread per input keeps a debug-build run to a few seconds.
     let actual: Vec<Row> = std::thread::scope(|scope| {
+        let population = scope.spawn(population_row);
         let handles: Vec<_> = cases.iter().map(|c| scope.spawn(|| digest(c))).collect();
-        handles
+        let mut rows: Vec<Row> = handles
             .into_iter()
             .flat_map(|h| h.join().expect("digest thread"))
-            .collect()
+            .collect();
+        rows.push(population.join().expect("population thread"));
+        rows
     });
     let table: Vec<String> = actual.iter().map(Row::line).collect();
     let table = format!("const EXPECTED: &[Expected] = &[\n{}\n];", table.join("\n"));
