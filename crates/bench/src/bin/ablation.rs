@@ -5,6 +5,9 @@
 //! 3. cross-rank aggregation strategy — non-scalable detection hits,
 //! 4. sampling frequency — overhead vs samples,
 //! 5. wait-time edge pruning — backtracking search cost.
+//!
+//! Detection wall-clock times (ablations 1 and 5) go to stderr, the rest
+//! to stdout.
 
 use scalana_bench::Table;
 use scalana_core::{analyze_app, ScalAnaConfig};
@@ -24,13 +27,8 @@ fn main() {
 
 fn ablate_contraction() {
     println!("== Ablation 1: graph contraction ==\n");
-    let mut table = Table::new(&[
-        "Program",
-        "#V raw",
-        "#V contracted",
-        "detect raw",
-        "detect contr.",
-    ]);
+    let mut table = Table::new(&["Program", "#V raw", "#V contracted"]);
+    let mut timings = Table::new(&["Program", "detect raw", "detect contr."]);
     for name in ["CG", "MG", "ZMP"] {
         let app = scalana_apps::by_name(name).unwrap();
         let raw = build_psg(
@@ -53,11 +51,15 @@ fn ablate_contraction() {
             name.to_string(),
             raw.vertex_count().to_string(),
             contracted.vertex_count().to_string(),
+        ]);
+        timings.row(vec![
+            name.to_string(),
             format!("{:.2} ms", time_detect(false)),
             format!("{:.2} ms", time_detect(true)),
         ]);
     }
     table.print();
+    timings.eprint();
     println!();
 }
 
@@ -144,7 +146,8 @@ fn ablate_sampling() {
 fn ablate_wait_prune() {
     println!("== Ablation 5: wait-time pruning of dependence edges ==\n");
     let app = scalana_apps::zeusmp::build(false);
-    let mut table = Table::new(&["prune threshold", "total path steps", "detect time"]);
+    let mut table = Table::new(&["prune threshold", "total path steps"]);
+    let mut timings = Table::new(&["prune threshold", "detect time"]);
     for (label, prune) in [
         ("off (0)", 0.0),
         ("1e-7 s (default)", 1e-7),
@@ -155,11 +158,12 @@ fn ablate_wait_prune() {
         config.machine = app.machine.clone();
         let analysis = analyze_app(&app, &[4, 8, 16, 32], &config).unwrap();
         let steps: usize = analysis.report.paths.iter().map(|p| p.steps.len()).sum();
-        table.row(vec![
+        table.row(vec![label.to_string(), steps.to_string()]);
+        timings.row(vec![
             label.to_string(),
-            steps.to_string(),
             format!("{:.2} ms", analysis.detect_seconds * 1e3),
         ]);
     }
     table.print();
+    timings.eprint();
 }

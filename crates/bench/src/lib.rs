@@ -121,6 +121,12 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+
+    /// Print to stderr: the place for wall-clock cells, so that a
+    /// harness's stdout depends only on the build.
+    pub fn eprint(&self) {
+        eprint!("{}", self.render());
+    }
 }
 
 /// ASCII sparkline-ish bar for harness "figures".
