@@ -35,6 +35,33 @@
 //! allocated as a stack, so a frame needs only as many slots as it has
 //! live bindings at its deepest point.
 //!
+//! After the walk, each function's loops are hoisted, outermost first.
+//! Every non-leaf expression anywhere in a `for` or `while` body — a
+//! `comp` attribute, a set value, a condition, a call argument, a nested
+//! loop's bounds, an MPI operand — that reads no slot the body writes is
+//! moved, as large as it is, into a hidden slot, and the loop carries
+//! the `(slot, expression)` pairs, which the simulator evaluates once on
+//! each entry to the loop. A `while` condition is part of its own body
+//! here; a `for` loop's bounds belong to the enclosing code. A body
+//! writes a slot when it sets it, when the slot is a nested `for`
+//! loop's induction variable or an `isend`/`irecv` request variable, and
+//! a `for` loop writes its own induction variable. So an inner-loop
+//! expression that reads an outer loop's induction variable is hoisted
+//! to the inner loop only. Hidden slots are numbered from the function's
+//! high-water mark up, as a stack: a loop's hidden slots stay reserved
+//! while its body's loops take theirs above them, and a sibling loop
+//! reuses them. [`RFunction::slots`] counts them.
+//!
+//! Hoisting is exact. An expression is pure and total (division by zero
+//! is 0, arithmetic wraps), so evaluating it early — for a loop that
+//! runs no iteration, or under a branch that is not taken — cannot trap
+//! and cannot change its value: the slots it reads hold the same values
+//! at loop entry as at every iteration. A non-leaf expression always
+//! evaluates to an integer, and an integer slot reads back as that
+//! integer, as a value, an operand or a truth value alike. Leaves (a
+//! literal, a slot, a parameter, `rank`, `nprocs`, `&f`) stay where
+//! they are: reading one costs no more than reading a hidden slot.
+//!
 //! The AST stays the source of node ids, locations and the PSG: a
 //! lowered statement keeps its statement's [`NodeId`].
 
@@ -116,6 +143,9 @@ pub enum RStmtKind {
         start: RExpr,
         /// Exclusive end.
         end: RExpr,
+        /// The body's loop-invariant expressions and the hidden slots
+        /// they are evaluated into on loop entry.
+        hoisted: Vec<(Slot, RExpr)>,
         /// Loop body.
         body: Vec<RStmt>,
     },
@@ -123,6 +153,9 @@ pub enum RStmtKind {
     While {
         /// Continuation condition.
         cond: RExpr,
+        /// The condition's and the body's loop-invariant expressions and
+        /// the hidden slots they are evaluated into on loop entry.
+        hoisted: Vec<(Slot, RExpr)>,
         /// Loop body.
         body: Vec<RStmt>,
     },
@@ -239,6 +272,46 @@ pub enum Operands<I, B> {
 /// Lowered MPI operands.
 pub type RMpiOp = Operands<RExpr, RExpr>;
 
+impl<T> Operands<T, T> {
+    /// Pass every operand, in order, to `f`; request slots are not
+    /// operands.
+    fn for_each_mut(&mut self, mut f: impl FnMut(&mut T)) {
+        match self {
+            Operands::Send { dst, tag, bytes }
+            | Operands::Isend {
+                dst, tag, bytes, ..
+            } => {
+                f(dst);
+                f(tag);
+                f(bytes);
+            }
+            Operands::Recv { src, tag } | Operands::Irecv { src, tag, .. } => {
+                f(src);
+                f(tag);
+            }
+            Operands::Sendrecv {
+                dst,
+                sendtag,
+                src,
+                recvtag,
+                bytes,
+            } => {
+                f(dst);
+                f(sendtag);
+                f(src);
+                f(recvtag);
+                f(bytes);
+            }
+            Operands::Wait { req } => f(req),
+            Operands::Waitall => {}
+            Operands::Collective { root, bytes } => {
+                f(root);
+                f(bytes);
+            }
+        }
+    }
+}
+
 impl<I, B> Operands<I, B> {
     /// The same operation with every rank, tag and request operand passed
     /// through `int` and every byte count through `bytes`.
@@ -306,7 +379,7 @@ pub struct RFunction {
     /// when an indirect call passes too few arguments to bind it (0 when
     /// there is none).
     pub params: Vec<(Slot, Option<u32>)>,
-    /// Slots a frame of this function needs.
+    /// Slots a frame of this function needs, hidden slots included.
     pub slots: u32,
     /// Function body.
     pub body: Vec<RStmt>,
@@ -373,11 +446,19 @@ impl<'a> Lowerer<'a> {
         }
         // The body's top level shares the parameters' scope.
         let func = self.func;
-        let body = self.stmts(&func.body.stmts)?;
+        let mut body = self.stmts(&func.body.stmts)?;
+        let high_water = self.high_water as Slot;
+        let mut hoister = Hoister {
+            top: high_water,
+            slots: high_water,
+            written: Vec::new(),
+            hoisted: Vec::new(),
+        };
+        hoister.block(&mut body);
         Ok(RFunction {
             name: func.name.clone(),
             params,
-            slots: self.high_water as u32,
+            slots: hoister.slots,
             body,
         })
     }
@@ -430,11 +511,13 @@ impl<'a> Lowerer<'a> {
                     slot,
                     start,
                     end,
+                    hoisted: Vec::new(),
                     body,
                 }
             }
             StmtKind::While { cond, body } => RStmtKind::While {
                 cond: self.expr(cond)?,
+                hoisted: Vec::new(),
                 body: self.block(&body.stmts)?,
             },
             StmtKind::If {
@@ -668,6 +751,207 @@ impl<'a> Lowerer<'a> {
     }
 }
 
+/// Loop-invariant code motion over one lowered function (see the module
+/// doc).
+struct Hoister {
+    /// The next free hidden slot.
+    top: Slot,
+    /// Slots the function needs so far, hidden slots included.
+    slots: Slot,
+    /// The slots the loop being hoisted writes.
+    written: Vec<Slot>,
+    /// The expressions hoisted out of that loop so far.
+    hoisted: Vec<(Slot, RExpr)>,
+}
+
+impl Hoister {
+    /// Hoist every loop in `stmts`, each before the loops in its body.
+    fn block(&mut self, stmts: &mut [RStmt]) {
+        for stmt in stmts {
+            match &mut stmt.kind {
+                RStmtKind::For {
+                    slot,
+                    hoisted,
+                    body,
+                    ..
+                } => {
+                    self.written.clear();
+                    self.written.push(*slot);
+                    writes(body, &mut self.written);
+                    self.hoist_loop(None, hoisted, body);
+                }
+                RStmtKind::While {
+                    cond,
+                    hoisted,
+                    body,
+                } => {
+                    self.written.clear();
+                    writes(body, &mut self.written);
+                    self.hoist_loop(Some(cond), hoisted, body);
+                }
+                RStmtKind::If {
+                    then_block,
+                    else_block,
+                    ..
+                } => {
+                    self.block(then_block);
+                    if let Some(block) = else_block {
+                        self.block(block);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Hoist one loop's invariants against `self.written`, then the loops
+    /// in its body above its hidden slots.
+    fn hoist_loop(
+        &mut self,
+        cond: Option<&mut RExpr>,
+        hoisted: &mut Vec<(Slot, RExpr)>,
+        body: &mut [RStmt],
+    ) {
+        let base = self.top;
+        if let Some(cond) = cond {
+            self.root(cond);
+        }
+        self.exprs_in(body);
+        *hoisted = std::mem::take(&mut self.hoisted);
+        self.block(body);
+        self.top = base;
+    }
+
+    /// Hoist out of every expression in `stmts`, nested blocks included.
+    fn exprs_in(&mut self, stmts: &mut [RStmt]) {
+        for stmt in stmts {
+            match &mut stmt.kind {
+                RStmtKind::Set { value, .. } => self.root(value),
+                RStmtKind::For {
+                    start, end, body, ..
+                } => {
+                    self.root(start);
+                    self.root(end);
+                    self.exprs_in(body);
+                }
+                RStmtKind::While { cond, body, .. } => {
+                    self.root(cond);
+                    self.exprs_in(body);
+                }
+                RStmtKind::If {
+                    cond,
+                    then_block,
+                    else_block,
+                } => {
+                    self.root(cond);
+                    self.exprs_in(then_block);
+                    if let Some(block) = else_block {
+                        self.exprs_in(block);
+                    }
+                }
+                RStmtKind::Call { args, .. } => args.iter_mut().for_each(|a| self.root(a)),
+                RStmtKind::CallIndirect { target, args } => {
+                    self.root(target);
+                    args.iter_mut().for_each(|a| self.root(a));
+                }
+                RStmtKind::Comp(comp) => {
+                    self.root(&mut comp.cycles);
+                    [
+                        &mut comp.ins,
+                        &mut comp.lst,
+                        &mut comp.l2_miss,
+                        &mut comp.br_miss,
+                    ]
+                    .into_iter()
+                    .flatten()
+                    .for_each(|e| self.root(e));
+                }
+                RStmtKind::Mpi { op, .. } => op.for_each_mut(|e| self.root(e)),
+                RStmtKind::Return => {}
+            }
+        }
+    }
+
+    /// Hoist the largest invariant non-leaf parts of a whole expression.
+    fn root(&mut self, expr: &mut RExpr) {
+        if self.invariant(expr) {
+            self.take(expr);
+        }
+    }
+
+    /// Whether `expr` reads no written slot. When it does, its largest
+    /// invariant non-leaf parts are hoisted; when it does not, it is left
+    /// whole for the caller to hoist with whatever contains it.
+    fn invariant(&mut self, expr: &mut RExpr) -> bool {
+        match expr {
+            RExpr::Slot(slot) => !self.written.contains(slot),
+            RExpr::Unary { expr, .. } => self.invariant(expr),
+            RExpr::Binary { lhs, rhs, .. } => {
+                let (l, r) = (self.invariant(lhs), self.invariant(rhs));
+                if l != r {
+                    self.take(if l { lhs } else { rhs });
+                }
+                l && r
+            }
+            RExpr::Builtin { args, .. } => {
+                let invariant: Vec<bool> = args.iter_mut().map(|a| self.invariant(a)).collect();
+                let all = invariant.iter().all(|&i| i);
+                if !all {
+                    for (arg, _) in args.iter_mut().zip(invariant).filter(|&(_, i)| i) {
+                        self.take(arg);
+                    }
+                }
+                all
+            }
+            RExpr::Int(_) | RExpr::Rank | RExpr::Nprocs | RExpr::Param(_) | RExpr::Func(_) => true,
+        }
+    }
+
+    /// Move an invariant non-leaf expression into the next hidden slot.
+    fn take(&mut self, expr: &mut RExpr) {
+        if matches!(
+            expr,
+            RExpr::Unary { .. } | RExpr::Binary { .. } | RExpr::Builtin { .. }
+        ) {
+            let slot = self.top;
+            self.top += 1;
+            self.slots = self.slots.max(self.top);
+            self.hoisted
+                .push((slot, std::mem::replace(expr, RExpr::Slot(slot))));
+        }
+    }
+}
+
+/// Add every slot `stmts` write to `out`: set slots, `for` induction
+/// variables and request variables, nested blocks included.
+fn writes(stmts: &[RStmt], out: &mut Vec<Slot>) {
+    for stmt in stmts {
+        match &stmt.kind {
+            RStmtKind::Set { slot, .. } => out.push(*slot),
+            RStmtKind::For { slot, body, .. } => {
+                out.push(*slot);
+                writes(body, out);
+            }
+            RStmtKind::While { body, .. } => writes(body, out),
+            RStmtKind::If {
+                then_block,
+                else_block,
+                ..
+            } => {
+                writes(then_block, out);
+                if let Some(block) = else_block {
+                    writes(block, out);
+                }
+            }
+            RStmtKind::Mpi {
+                op: RMpiOp::Isend { req_slot, .. } | RMpiOp::Irecv { req_slot, .. },
+                ..
+            } => out.push(*req_slot),
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,6 +1122,195 @@ mod tests {
                 op: RMpiOp::Collective { .. }
             }
         ));
+    }
+
+    /// An expression in a compact form: `s3` is slot 3, `p0` parameter 0,
+    /// `&1` a reference to function 1.
+    fn show(e: &RExpr) -> String {
+        match e {
+            RExpr::Int(v) => v.to_string(),
+            RExpr::Rank => "rank".into(),
+            RExpr::Nprocs => "nprocs".into(),
+            RExpr::Param(i) => format!("p{i}"),
+            RExpr::Slot(s) => format!("s{s}"),
+            RExpr::Func(f) => format!("&{f}"),
+            RExpr::Unary { op, expr } => {
+                let op = if *op == UnOp::Neg { "-" } else { "!" };
+                format!("{op}{}", show(expr))
+            }
+            RExpr::Binary { op, lhs, rhs } => {
+                format!("({} {} {})", show(lhs), op.symbol(), show(rhs))
+            }
+            RExpr::Builtin { func, args } => {
+                let args: Vec<String> = args.iter().map(show).collect();
+                format!("{}({})", func.name(), args.join(", "))
+            }
+        }
+    }
+
+    /// A loop's hoisted list and body.
+    fn hoisted(stmt: &RStmt) -> (Vec<(Slot, String)>, &[RStmt]) {
+        let (hoisted, body) = match &stmt.kind {
+            RStmtKind::For { hoisted, body, .. } | RStmtKind::While { hoisted, body, .. } => {
+                (hoisted, body)
+            }
+            other => panic!("expected a loop, got {other:?}"),
+        };
+        let list = hoisted.iter().map(|(s, e)| (*s, show(e))).collect();
+        (list, body)
+    }
+
+    fn comp_cycles(stmt: &RStmt) -> String {
+        match &stmt.kind {
+            RStmtKind::Comp(comp) => show(&comp.cycles),
+            other => panic!("expected a comp, got {other:?}"),
+        }
+    }
+
+    fn pairs(list: &[(Slot, &str)]) -> Vec<(Slot, String)> {
+        list.iter().map(|&(s, e)| (s, e.to_string())).collect()
+    }
+
+    #[test]
+    fn a_while_hoists_the_invariant_part_of_its_condition_but_not_carried_values() {
+        let r = lower_src(
+            "param N = 6; fn main() { let k = 5; let acc = 0; \
+             while k > N / 3 - 1 { acc = acc + k * (N + rank); k = k - 1; } }",
+        );
+        let body = main_body(&r);
+        let (list, inner) = hoisted(&body[2]);
+        // Slots 0 and 1 are `k` and `acc`; hidden slots start at 2.
+        assert_eq!(list, pairs(&[(2, "((p0 / 3) - 1)"), (3, "(p0 + rank)")]));
+        let RStmtKind::While { cond, .. } = &body[2].kind else {
+            panic!("expected a while")
+        };
+        assert_eq!(show(cond), "(s0 > s2)");
+        assert_eq!(show(set(&inner[0]).1), "(s1 + (s0 * s3))");
+        assert_eq!(show(set(&inner[1]).1), "(s0 - 1)");
+        assert_eq!(r.functions[r.main as usize].slots, 4);
+    }
+
+    #[test]
+    fn request_variables_bound_in_the_body_are_written() {
+        let r = lower_src(
+            "fn main() { for it in 0 .. 3 { let q = irecv(src = any, tag = it); \
+             comp(cycles = q % 5 + nprocs * 2); wait(q); } }",
+        );
+        let (list, inner) = hoisted(&main_body(&r)[0]);
+        assert_eq!(list, pairs(&[(2, "(nprocs * 2)")]));
+        assert_eq!(comp_cycles(&inner[1]), "((s1 % 5) + s2)");
+    }
+
+    #[test]
+    fn an_expression_reading_the_outer_induction_variable_is_hoisted_to_the_inner_loop() {
+        let r = lower_src(
+            "param N = 6; fn main() { for i in 0 .. 3 { for j in 0 .. i + 1 { \
+             comp(cycles = i * N + j, ins = N * 3); } } }",
+        );
+        let (outer, body) = hoisted(&main_body(&r)[0]);
+        assert_eq!(outer, pairs(&[(2, "(p0 * 3)")]));
+        let RStmtKind::For { end, .. } = &body[0].kind else {
+            panic!("expected a for")
+        };
+        assert_eq!(
+            show(end),
+            "(s0 + 1)",
+            "reads `i`: not hoisted to the outer loop"
+        );
+        let (inner, body) = hoisted(&body[0]);
+        assert_eq!(inner, pairs(&[(3, "(s0 * p0)")]));
+        let RStmtKind::Comp(comp) = &body[0].kind else {
+            panic!("expected a comp")
+        };
+        assert_eq!(show(&comp.cycles), "(s3 + s1)");
+        assert_eq!(show(comp.ins.as_ref().unwrap()), "s2");
+        assert_eq!(r.functions[r.main as usize].slots, 4);
+    }
+
+    #[test]
+    fn sibling_loops_reuse_hidden_slots_above_the_high_water_mark() {
+        let r = lower_src(
+            "fn main() { let x = 1; for i in 0 .. 2 { comp(cycles = nprocs * 2 + i); } \
+             for j in 0 .. 2 { comp(cycles = nprocs * 3, ins = nprocs * 4); } \
+             f(); } fn f() { for i in 0 .. 2 { comp(cycles = nprocs * 5); } }",
+        );
+        let body = main_body(&r);
+        assert_eq!(hoisted(&body[1]).0, pairs(&[(2, "(nprocs * 2)")]));
+        assert_eq!(
+            hoisted(&body[2]).0,
+            pairs(&[(2, "(nprocs * 3)"), (3, "(nprocs * 4)")])
+        );
+        assert_eq!(r.functions[r.main as usize].slots, 4);
+        // `f` numbers its own: its high-water mark is 1.
+        assert_eq!(
+            hoisted(&r.functions[1].body[0]).0,
+            pairs(&[(1, "(nprocs * 5)")])
+        );
+        assert_eq!(r.functions[1].slots, 2);
+    }
+
+    #[test]
+    fn branches_zero_trip_loops_return_and_division_by_zero_are_hoisted_from() {
+        let r = lower_src(
+            "param N = 6; param Z = 0; fn main() { for t in 0 .. 10 { \
+             if rank < 0 { comp(cycles = N * 1000); } \
+             for z in 0 .. Z { comp(cycles = N * 99 + z); } \
+             if t == N / Z { return; } } }",
+        );
+        let (list, body) = hoisted(&main_body(&r)[0]);
+        assert_eq!(
+            list,
+            pairs(&[
+                (2, "(rank < 0)"),
+                (3, "(p0 * 1000)"),
+                (4, "(p0 * 99)"),
+                (5, "(p0 / p1)"),
+            ])
+        );
+        assert_eq!(comp_cycles(&then_block(&body[0])[0]), "s3");
+        let (inner, zero_trip) = hoisted(&body[1]);
+        assert_eq!(inner, [], "nothing left that the inner loop alone keeps");
+        assert_eq!(comp_cycles(&zero_trip[0]), "(s4 + s1)");
+        let RStmtKind::If { cond, .. } = &body[2].kind else {
+            panic!("expected an if")
+        };
+        assert_eq!(show(cond), "(s0 == s5)");
+        assert_eq!(r.functions[r.main as usize].slots, 6);
+    }
+
+    #[test]
+    fn an_indirect_call_keeps_its_target_and_hoists_its_arguments() {
+        let r = lower_src(
+            "param N = 6; fn main() { for it in 0 .. 3 { let g = &leaf; \
+             call g(N * 2 + it, -N); } } fn leaf(a, b) { }",
+        );
+        let (list, body) = hoisted(&main_body(&r)[0]);
+        assert_eq!(list, pairs(&[(2, "(p0 * 2)"), (3, "-p0")]));
+        assert_eq!(show(set(&body[0]).1), "&1");
+        let RStmtKind::CallIndirect { target, args } = &body[1].kind else {
+            panic!("expected an indirect call")
+        };
+        assert_eq!(show(target), "s1");
+        let args: Vec<String> = args.iter().map(show).collect();
+        assert_eq!(args, ["(s2 + s0)", "s3"]);
+    }
+
+    #[test]
+    fn leaves_written_values_and_a_loops_own_bounds_stay() {
+        let r = lower_src(
+            "param N = 6; fn main() { let x = 2; for i in 0 .. N * 2 { \
+             comp(cycles = N, ins = x); x = x + 1; comp(cycles = x * 2); \
+             send(dst = (rank + 1) % nprocs, tag = i, bytes = x); } }",
+        );
+        let (list, body) = hoisted(&main_body(&r)[1]);
+        assert_eq!(list, pairs(&[(2, "((rank + 1) % nprocs)")]));
+        let RStmtKind::For { end, .. } = &main_body(&r)[1].kind else {
+            panic!("expected a for")
+        };
+        assert_eq!(show(end), "(p0 * 2)");
+        assert_eq!(comp_cycles(&body[0]), "p0");
+        assert_eq!(comp_cycles(&body[2]), "(s0 * 2)");
+        assert_eq!(r.functions[r.main as usize].slots, 3);
     }
 
     #[test]

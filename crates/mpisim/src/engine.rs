@@ -1339,6 +1339,21 @@ mod tests {
                 ")".repeat(n)
             ),
             format!("fn main() {{ comp(cycles = 1{}); }}", " + 1".repeat(n)),
+            // Loops, and deep expressions inside one, go through hoisting.
+            format!(
+                "fn main() {{ {} comp(cycles = i * 2); {} }}",
+                "for i in 0 .. 1 { ".repeat(n),
+                "} ".repeat(n)
+            ),
+            format!(
+                "fn main() {{ for i in 0 .. 2 {{ comp(cycles = nprocs{} + i); }} }}",
+                " + 1".repeat(n)
+            ),
+            format!(
+                "fn main() {{ for i in 0 .. 2 {{ comp(cycles = {}i{}); }} }}",
+                "(".repeat(n - 1),
+                " * 2 + nprocs)".repeat(n - 1)
+            ),
         ];
         std::thread::spawn(move || {
             for src in &sources {

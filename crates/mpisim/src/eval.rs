@@ -12,9 +12,11 @@
 //! a [`Value`]. An operand that is a leaf (a literal, a slot, a
 //! parameter, `rank` or `nprocs`) is read in place rather than through
 //! a recursive call. Only a function reference is not an integer; it
-//! reads as 0 in arithmetic and as true under `&&` and `||`
-//! ([`eval_truthy`]). [`eval`] builds a [`Value`] only at the root of an
-//! expression that can be one: a `&f` leaf, or a slot that may hold one.
+//! reads as 0 in arithmetic and as true under `&&`, `||` and `!`
+//! ([`eval_truthy`]), so `!&f` is 0 and exactly one of `if g { .. }` and
+//! `if !g { .. }` runs. [`eval`] builds a [`Value`] only at the root of
+//! an expression that can be one: a `&f` leaf, or a slot that may hold
+//! one.
 
 use crate::value::Value;
 use scalana_lang::ast::{BinOp, BuiltinFn, UnOp};
@@ -45,13 +47,10 @@ pub fn eval(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> Value {
 /// programs never do arithmetic on them).
 pub fn eval_int(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
     match expr {
-        RExpr::Unary { op, expr } => {
-            let v = operand(expr, slots, run);
-            match op {
-                UnOp::Neg => v.wrapping_neg(),
-                UnOp::Not => i64::from(v == 0),
-            }
-        }
+        RExpr::Unary { op, expr } => match op {
+            UnOp::Neg => operand(expr, slots, run).wrapping_neg(),
+            UnOp::Not => i64::from(!eval_truthy(expr, slots, run)),
+        },
         RExpr::Binary { op, lhs, rhs } => binary(*op, lhs, rhs, slots, run),
         RExpr::Builtin { func, args } => {
             let a = operand(&args[0], slots, run);
@@ -84,7 +83,7 @@ pub fn eval_truthy(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> bool {
 
 /// An operand's integer: a leaf read in place, anything else evaluated.
 #[inline(always)]
-fn operand(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
+pub(crate) fn operand(expr: &RExpr, slots: &[Value], run: &Run<'_>) -> i64 {
     match expr {
         RExpr::Int(v) => *v,
         RExpr::Slot(s) => slots[*s as usize].as_int().unwrap_or(0),
@@ -257,8 +256,9 @@ mod tests {
         assert_eq!(ev(&and(int(1), f())), 1);
         assert_eq!(ev(&or(f(), int(0))), 1);
         assert_eq!(ev(&or(int(0), f())), 1);
-        // Outside `&&`/`||` a reference reads as the integer 0.
-        assert_eq!(ev(&not(f())), 1);
+        assert_eq!(ev(&not(f())), 0);
+        assert_eq!(ev(&not(not(f()))), 1);
+        // Outside `&&`, `||` and `!` a reference reads as the integer 0.
         assert_eq!(ev(&-f()), 0);
         assert_eq!(ev(&(f() + int(1))), 1);
         assert_eq!(ev(&eq(f(), int(0))), 1);
@@ -273,7 +273,8 @@ mod tests {
         assert_eq!(ev_with(&(var("g") * int(7)), &g), Value::Int(0));
         assert_eq!(ev_with(&and(var("g"), int(5)), &g), Value::Int(1));
         assert_eq!(ev_with(&or(int(0), var("g")), &g), Value::Int(1));
-        assert_eq!(ev_with(&not(var("g")), &g), Value::Int(1));
+        assert_eq!(ev_with(&not(var("g")), &g), Value::Int(0));
+        assert_eq!(ev_with(&not(not(var("g"))), &g), Value::Int(1));
     }
 
     #[test]

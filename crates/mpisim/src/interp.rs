@@ -21,9 +21,18 @@
 //! vertex through the `(context, statement)` attribution map. Statements
 //! inside *unresolved* indirect calls fall back to the `CallSite` vertex
 //! (`attr_override`), exactly the coarse attribution the paper has before
-//! runtime refinement fills the graph in.
+//! runtime refinement fills the graph in. A loop looks its vertex up once,
+//! on entry, and its control entry keeps it for every iteration's
+//! micro-cost: the frame cannot change while that entry is on top of the
+//! control stack.
+//!
+//! On entry a loop also evaluates the expressions lowering hoisted out of
+//! it into their hidden slots ([`scalana_lang::lower`]'s module doc says
+//! which and why that is exact). That takes no step and charges no
+//! micro-cost, so budgets and PMU totals are those of the unhoisted
+//! program; a `comp` attribute that was hoisted is then a slot read.
 
-use crate::eval::{eval, eval_int, eval_truthy, Run};
+use crate::eval::{eval, eval_truthy, operand, Run};
 use crate::hook::{CompEvent, Hook, IndirectCallEvent};
 use crate::machine::{MachineConfig, NoiseStream};
 use crate::value::{FuncId, Value};
@@ -122,12 +131,12 @@ enum Ctl<'r> {
         next: i64,
         end: i64,
         body: &'r [RStmt],
-        stmt_id: NodeId,
+        vertex: VertexId,
     },
     While {
         cond: &'r RExpr,
         body: &'r [RStmt],
-        stmt_id: NodeId,
+        vertex: VertexId,
     },
 }
 
@@ -231,7 +240,7 @@ impl<'r> RankState<'r> {
 
     #[inline]
     fn eval_int(&self, expr: &RExpr) -> i64 {
-        eval_int(expr, self.locals(), &self.run)
+        operand(expr, self.locals(), &self.run)
     }
 
     #[inline]
@@ -327,30 +336,25 @@ impl<'r> RankState<'r> {
                     next,
                     end,
                     body,
-                    stmt_id,
+                    vertex,
                 } => {
                     if *next < *end {
                         let value = *next;
                         *next += 1;
-                        let (slot, body, stmt_id) = (*slot, *body, *stmt_id);
+                        let (slot, body, vertex) = (*slot, *body, *vertex);
                         self.slots[slot_base + slot as usize] = Value::Int(value);
                         self.control.push(Ctl::Seq {
                             stmts: body,
                             idx: 0,
                         });
                         self.steps_left = self.steps_left.saturating_sub(1);
-                        let vertex = self.attr_vertex(ctx, stmt_id);
                         self.charge_micro(ctx, vertex, ctx.costs.loop_iter);
                     } else {
                         self.control.pop();
                     }
                 }
-                Ctl::While {
-                    cond,
-                    body,
-                    stmt_id,
-                } => {
-                    let (cond, body, stmt_id) = (*cond, *body, *stmt_id);
+                Ctl::While { cond, body, vertex } => {
+                    let (cond, body, vertex) = (*cond, *body, *vertex);
                     if self.eval_truthy(cond) {
                         self.control.push(Ctl::Seq {
                             stmts: body,
@@ -360,7 +364,6 @@ impl<'r> RankState<'r> {
                         self.control.pop();
                     }
                     self.steps_left = self.steps_left.saturating_sub(1);
-                    let vertex = self.attr_vertex(ctx, stmt_id);
                     self.charge_micro(ctx, vertex, ctx.costs.loop_iter);
                 }
             }
@@ -389,27 +392,30 @@ impl<'r> RankState<'r> {
                 slot,
                 start,
                 end,
+                hoisted,
                 body,
             } => {
                 let s = self.eval_int(start);
                 let e = self.eval_int(end);
                 self.set_slot(*slot, Value::Int(s));
+                self.set_hoisted(hoisted);
                 self.control.push(Ctl::For {
                     slot: *slot,
                     next: s,
                     end: e,
                     body,
-                    stmt_id: stmt.id,
+                    vertex,
                 });
                 self.charge_micro(ctx, vertex, ctx.costs.simple);
                 None
             }
-            RStmtKind::While { cond, body } => {
-                self.control.push(Ctl::While {
-                    cond,
-                    body,
-                    stmt_id: stmt.id,
-                });
+            RStmtKind::While {
+                cond,
+                hoisted,
+                body,
+            } => {
+                self.set_hoisted(hoisted);
+                self.control.push(Ctl::While { cond, body, vertex });
                 self.charge_micro(ctx, vertex, ctx.costs.simple);
                 None
             }
@@ -486,6 +492,14 @@ impl<'r> RankState<'r> {
         }
     }
 
+    /// Evaluate a loop's hoisted expressions into their hidden slots.
+    fn set_hoisted(&mut self, hoisted: &[(Slot, RExpr)]) {
+        let base = self.frame().slot_base;
+        for (slot, expr) in hoisted {
+            self.slots[base + *slot as usize] = Value::Int(self.eval_int(expr));
+        }
+    }
+
     fn push_call_frame(
         &mut self,
         func: FuncId,
@@ -529,7 +543,7 @@ impl<'r> RankState<'r> {
     ) {
         self.flush_pending(ctx);
         let (slots, run) = (self.locals(), &self.run);
-        let count = |e: &RExpr| eval_int(e, slots, run).max(0) as f64;
+        let count = |e: &RExpr| operand(e, slots, run).max(0) as f64;
         let attr = |e: &Option<RExpr>| e.as_ref().map(count);
         let cycles = count(&comp.cycles);
         let ins = attr(&comp.ins).unwrap_or(cycles);
@@ -826,8 +840,8 @@ mod tests {
 
     #[test]
     fn funcref_slot_is_a_true_condition_and_zero_in_arithmetic() {
-        // `if g` and `if &leaf` take their branches; `!g` and `g + 10`
-        // read the reference as 0, so `if !g` is taken too.
+        // `if g` and `if &leaf` take their branches and `if !g` does not;
+        // `g + 10` reads the reference as 0.
         let (_, pmu) = run_single(
             "fn main() { let g = &leaf; if g { comp(cycles = 1000, ins = 1000, lst = 0, \
              miss = 0, brmiss = 0); } if !g { comp(cycles = 100, ins = 100, lst = 0, \
@@ -835,7 +849,42 @@ mod tests {
              miss = 0, brmiss = 0); } comp(cycles = g + 10, ins = g + 10, lst = 0, miss = 0, \
              brmiss = 0); } fn leaf() { }",
         );
-        assert_eq!(pmu.tot_ins, 21110.0 + 4.0 + 3.0 * 4.0);
+        assert_eq!(pmu.tot_ins, 21010.0 + 4.0 + 3.0 * 4.0);
+    }
+
+    #[test]
+    fn hoisted_invariants_take_no_step_and_charge_no_micro_cost() {
+        // Micro-costs: `let` 4; three loop statements 4 each; three `for`
+        // iterations and two `while` tests 4 each; four sets 4 each: 52.
+        // Steps: 4 statements at the top level, 3 iterations, 6 body
+        // statements, 2 `while` tests and 1 body statement: 16.
+        let src = "param N = 10; fn main() { let x = 0; for i in 0 .. 3 { \
+                   comp(cycles = N * 10 + i, ins = N * 10, lst = N, miss = 0, brmiss = 0); \
+                   x = x + N * 2; } while x > N * 5 { x = x - N * 3; } \
+                   for z in 0 .. N - 10 { comp(cycles = N * 99 + z); } }";
+        let fx = Fixture::new(src, 1);
+        let hoisted: Vec<usize> = (fx.program.lowered().functions[0].body[1..])
+            .iter()
+            .map(|stmt| match &stmt.kind {
+                RStmtKind::For { hoisted, .. } | RStmtKind::While { hoisted, .. } => hoisted.len(),
+                other => panic!("expected a loop, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            hoisted,
+            [3, 2, 1],
+            "N * 10 and N * 2, N * 5 and N * 3, N * 99"
+        );
+        let (_, pmu) = run_single(src);
+        assert_eq!(pmu.tot_ins, 300.0 + 52.0);
+        assert_eq!(pmu.tot_cyc, 303.0 + 52.0);
+        // A budget trips when it reaches 0 before the rank finishes.
+        for (budget, completes) in [(16, false), (17, true)] {
+            let mut config = crate::SimConfig::with_nprocs(1);
+            config.max_steps_per_rank = budget;
+            let result = crate::Simulation::new(&fx.program, &fx.psg, config).run();
+            assert_eq!(result.is_ok(), completes, "budget {budget}: {result:?}");
+        }
     }
 
     #[test]
