@@ -7,6 +7,9 @@
 //! cargo run --release -p scalana-bench --bin table1_overhead_cg
 //! ```
 //!
+//! `tests/golden_figures.rs` runs every binary and compares its stdout
+//! byte for byte with `golden/<binary>.txt`.
+//!
 //! | binary | paper artifact |
 //! |---|---|
 //! | `table1_overhead_cg`    | Table I: CG overhead/storage across tools |
@@ -15,6 +18,7 @@
 //! | `fig6_ppg`              | Fig. 6: a PPG with performance vectors |
 //! | `fig7_problematic`      | Fig. 7: non-scalable & abnormal vertex examples |
 //! | `fig8_backtracking`     | Fig. 8: backtracking paths over a PPG |
+//! | `fig9_viewer`           | Fig. 9: the viewer (root causes, paths, snippets) |
 //! | `table2_psg_stats`      | Table II: PSG sizes for all 11 programs |
 //! | `table3_static_overhead`| Table III: static-analysis overhead |
 //! | `fig10_runtime_overhead`| Fig. 10: per-app runtime overhead, 3 tools |
@@ -26,6 +30,7 @@
 //! | `fig16_nekbone`         | Fig. 16: Nekbone diagnosis + PMU data |
 //! | `speedup_after_fix`     | §VI-D: before/after-fix speedups |
 //! | `ablation`              | design-choice ablations (DESIGN.md §5) |
+//! | `tianhe_scale`          | §VI: overhead and the Nekbone fix at 2,048 ranks |
 
 use scalana_apps::App;
 use scalana_mpisim::SimConfig;

@@ -18,11 +18,6 @@ cargo build --release
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
-echo "==> figure binaries (each of the paper's figure/table harnesses exits 0)"
-for bin in crates/bench/src/bin/*.rs; do
-  cargo run --release -q -p scalana-bench --bin "$(basename "$bin" .rs)" > /dev/null
-done
-
 echo "==> examples (each exits 0)"
 for example in examples/*.rs; do
   cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
