@@ -19,8 +19,11 @@
 //! programs (the population scalbench draws them from) at
 //! `[2, 4, 8, 16, 32, 64]` and at `[2, 64]`, one hand-written program
 //! whose loops read and write their variables in every way the
-//! lowering tells apart, at `[2, 4, 8]`, and one row that digests 200
-//! more generated programs together, at `[2, 3, 8]`.
+//! lowering tells apart, at `[2, 4, 8]`, one hand-written program whose
+//! requests and dependence edges take every shape the engine's request
+//! table and the profiler's compression keys tell apart, at `[2, 4, 8]`,
+//! and one row that digests 200 more generated programs together, at
+//! `[2, 3, 8]`.
 //!
 //! A second table pins the other tools' numbers: `measure_overhead`'s
 //! baseline time, and each tool's elapsed time and storage bytes, for
@@ -151,6 +154,58 @@ fn early(n) {
 }
 "#;
 
+/// Point-to-point requests and dependence edges in every shape the
+/// engine's request table and the profiler's compression keys tell
+/// apart: waits out of post order, a `waitall` after partial waits, a
+/// rendezvous `isend` (96 KiB, above the 64 KiB eager threshold), a
+/// wildcard receive, an `isend` that is never waited on followed by
+/// more requests, one edge that cycles three `(tag, bytes)` keys, and
+/// one edge whose every message carries a new tag (LU's `tag * 100 +
+/// k`).
+const REQUEST_SHAPES: &str = r#"
+param ROUNDS = 6;
+
+fn main() {
+    let right = (rank + 1) % nprocs;
+    let left = (rank + nprocs - 1) % nprocs;
+    for it in 0 .. ROUNDS {
+        let r1 = irecv(src = left, tag = 1);
+        let r2 = irecv(src = left, tag = 2);
+        let r3 = irecv(src = left, tag = 3);
+        let s1 = isend(dst = right, tag = 1, bytes = 256);
+        let s2 = isend(dst = right, tag = 2, bytes = 96k);
+        let s3 = isend(dst = right, tag = 3, bytes = 512 * (it % 3 + 1));
+        comp(cycles = 20_000 * (rank + 1) + 5_000 * it);
+        wait(r3);
+        wait(s2);
+        wait(r1);
+        waitall();
+        sendrecv(dst = right, sendtag = 10 + it % 3, src = left, recvtag = 10 + it % 3,
+                 bytes = 1k * (it % 3 + 1));
+        for k in 0 .. 3 {
+            sendrecv(dst = left, sendtag = it * 100 + k, src = right, recvtag = it * 100 + k,
+                     bytes = 2k);
+        }
+        if rank == 0 {
+            for k in 1 .. nprocs {
+                recv(src = any, tag = 7);
+            }
+        } else {
+            comp(cycles = 3_000 * rank);
+            send(dst = 0, tag = 7, bytes = 64 * rank);
+        }
+    }
+    let lost = isend(dst = right, tag = 50, bytes = 128);
+    recv(src = left, tag = 50);
+    for k in 0 .. 4 {
+        let q = irecv(src = left, tag = 60 + k);
+        send(dst = right, tag = 60 + k, bytes = 32);
+        wait(q);
+    }
+    allreduce(bytes = 8);
+}
+"#;
+
 /// A second generated population: its generator seed, program count and
 /// scales.
 const POPULATION_SEED: u64 = 7;
@@ -274,6 +329,7 @@ const EXPECTED: &[Expected] = &[
     ("overlap_47", 2352, 0xb0c92a227022cdbd, 0x7d4cd9ae9c24b89d, &[0x8d5dcf8bcd9b91c6, 0x1af09ea5d42ab748, 0x206b61efe6348ea4, 0xf5c32bee67adbc52, 0x0b809e7ac5803ff0, 0xec41de41c7b25be9]),
     ("overlap_47@2,64", 1240, 0xe9eba67a3230296d, 0x45df0c73a0eb0dbf, &[0x8d5dcf8bcd9b91c6, 0xec41de41c7b25be9]),
     ("loop-shapes", 1673, 0xd1ffd63699853cf8, 0x25a9df106b1e6006, &[0x58a52626bc77bad5, 0x2a77af6f76d50651, 0xf6767dff238455ea]),
+    ("request-shapes", 4477, 0x992ece6624178443, 0x78d68b0c713eb68f, &[0x2deb3a5c6f54f81e, 0xea62fe24bef969ca, 0xf2c1768c2f708afb]),
     ("wgen7x200@2,3,8", 46212, 0x1e2f53927d84509e, 0x72668264697b8e98, &[0xca896d315ceac021, 0xd16c6ea1b51ec827, 0x9976cf8065433892]),
 ];
 
@@ -339,6 +395,12 @@ fn cases() -> Vec<Case> {
         program: parse_program("loops.mmpi", LOOP_SHAPES).expect("hand-written source parses"),
         config: ScalAnaConfig::default(),
         scale_sets: vec![("loop-shapes".to_string(), vec![2, 4, 8])],
+    });
+    cases.push(Case {
+        program: parse_program("requests.mmpi", REQUEST_SHAPES)
+            .expect("hand-written source parses"),
+        config: ScalAnaConfig::default(),
+        scale_sets: vec![("request-shapes".to_string(), vec![2, 4, 8])],
     });
     cases
 }
