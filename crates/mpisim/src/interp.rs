@@ -301,12 +301,11 @@ impl<'r> RankState<'r> {
     }
 
     /// Run until the next MPI operation, completion, or budget
-    /// exhaustion.
+    /// exhaustion. A statement, a `for` iteration and a `while` test each
+    /// take one step; leaving a block, a loop or a function takes none,
+    /// so a budget of N steps runs an N-step program to completion.
     pub fn step<H: Hook + ?Sized>(&mut self, ctx: &mut StepCtx<'_, H>) -> StepOutcome {
         loop {
-            if self.steps_left == 0 {
-                return StepOutcome::BudgetExhausted;
-            }
             let Some(frame) = self.frames.last() else {
                 self.flush_pending(ctx);
                 self.finished = true;
@@ -325,6 +324,9 @@ impl<'r> RankState<'r> {
                         self.control.pop();
                         continue;
                     };
+                    if self.steps_left == 0 {
+                        return StepOutcome::BudgetExhausted;
+                    }
                     *idx += 1;
                     self.steps_left -= 1;
                     if let Some(call) = self.exec_stmt(stmt, ctx) {
@@ -339,6 +341,9 @@ impl<'r> RankState<'r> {
                     vertex,
                 } => {
                     if *next < *end {
+                        if self.steps_left == 0 {
+                            return StepOutcome::BudgetExhausted;
+                        }
                         let value = *next;
                         *next += 1;
                         let (slot, body, vertex) = (*slot, *body, *vertex);
@@ -347,13 +352,16 @@ impl<'r> RankState<'r> {
                             stmts: body,
                             idx: 0,
                         });
-                        self.steps_left = self.steps_left.saturating_sub(1);
+                        self.steps_left -= 1;
                         self.charge_micro(ctx, vertex, ctx.costs.loop_iter);
                     } else {
                         self.control.pop();
                     }
                 }
                 Ctl::While { cond, body, vertex } => {
+                    if self.steps_left == 0 {
+                        return StepOutcome::BudgetExhausted;
+                    }
                     let (cond, body, vertex) = (*cond, *body, *vertex);
                     if self.eval_truthy(cond) {
                         self.control.push(Ctl::Seq {
@@ -363,7 +371,7 @@ impl<'r> RankState<'r> {
                     } else {
                         self.control.pop();
                     }
-                    self.steps_left = self.steps_left.saturating_sub(1);
+                    self.steps_left -= 1;
                     self.charge_micro(ctx, vertex, ctx.costs.loop_iter);
                 }
             }
@@ -878,8 +886,8 @@ mod tests {
         let (_, pmu) = run_single(src);
         assert_eq!(pmu.tot_ins, 300.0 + 52.0);
         assert_eq!(pmu.tot_cyc, 303.0 + 52.0);
-        // A budget trips when it reaches 0 before the rank finishes.
-        for (budget, completes) in [(16, false), (17, true)] {
+        // A budget of exactly the program's 16 steps completes it.
+        for (budget, completes) in [(15, false), (16, true)] {
             let mut config = crate::SimConfig::with_nprocs(1);
             config.max_steps_per_rank = budget;
             let result = crate::Simulation::new(&fx.program, &fx.psg, config).run();
