@@ -36,9 +36,14 @@
 //! record *which* requests they cover (`ReqWait`) instead of cloning
 //! request-id vectors, and statement attribution goes through a dense
 //! [`AttrIndex`] snapshot rather than hash-map lookups per statement.
-//! The per-rank request tables and the collective table, probed on
-//! every MPI operation, hash with [`FxHashMap`] instead of SipHash; the
-//! one order-sensitive walk over them (ready collectives) sorts first.
+//! A rank's requests sit in a window indexed by id (`Requests`): ids
+//! are handed out 1, 2, 3, … per rank, so a lookup is a subtraction and
+//! a bounds check, freeing a request trims the window's front past the
+//! slots already freed, and a blocked `waitall`'s re-check reads one
+//! slot per outstanding request instead of hashing its id. The
+//! collective table, probed on every collective, hashes with
+//! [`FxHashMap`] instead of SipHash; its one order-sensitive walk
+//! (ready collectives) sorts first.
 //! The quiescence phase visits only ranks that changed since it last
 //! looked, in ascending rank order, which is the order of a full scan:
 //! receive matching visits ranks whose mailbox got a deposit or whose
@@ -401,6 +406,64 @@ enum Request {
     Complete { t: f64, dep: Option<DepInfo> },
 }
 
+/// One rank's live requests, indexed by id. Ids are handed out 1, 2,
+/// 3, … and the live ones lie in the window `[base, base + len)`: slot
+/// `i` holds request `base + i`, or `None` once it was waited on. A
+/// removal trims freed slots off the front, so the window starts at
+/// the oldest live request and ends at the newest. An id outside the
+/// window, or a freed slot, is unknown.
+#[derive(Debug)]
+struct Requests {
+    /// Id of `slots[0]`; with `slots` empty, the next id to hand out.
+    base: i64,
+    slots: VecDeque<Option<Request>>,
+}
+
+impl Requests {
+    fn new() -> Requests {
+        Requests {
+            base: 1,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// Store `req` under the next id and return the id.
+    #[inline]
+    fn push(&mut self, req: Request) -> i64 {
+        self.slots.push_back(Some(req));
+        self.base + self.slots.len() as i64 - 1
+    }
+
+    #[inline]
+    fn index(&self, id: i64) -> Option<usize> {
+        let i = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        (i < self.slots.len()).then_some(i)
+    }
+
+    #[inline]
+    fn get(&self, id: i64) -> Option<&Request> {
+        self.slots[self.index(id)?].as_ref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, id: i64) -> Option<&mut Request> {
+        let i = self.index(id)?;
+        self.slots[i].as_mut()
+    }
+
+    /// Free request `id`, returning it if it was live.
+    #[inline]
+    fn remove(&mut self, id: i64) -> Option<Request> {
+        let i = self.index(id)?;
+        let req = self.slots[i].take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        req
+    }
+}
+
 /// Which requests a blocked operation waits on. `AllOutstanding` lets
 /// `waitall` (and the quiescence re-checks) reference the live
 /// outstanding set instead of cloning an id vector per wait — sound
@@ -503,8 +566,7 @@ struct Engine<'p, 'g, 'h, H: Hook + ?Sized> {
     runnable: VecDeque<usize>,
     mailboxes: Vec<Mailbox>,
     send_seq: Vec<u64>,
-    requests: Vec<FxHashMap<i64, Request>>,
-    next_req: Vec<i64>,
+    requests: Vec<Requests>,
     /// Pending receive requests per rank, in post order.
     recv_order: Vec<VecDeque<i64>>,
     /// Un-waited non-blocking requests per rank (for `waitall`).
@@ -560,8 +622,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             runnable: (0..n).collect(),
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
             send_seq: vec![0; n],
-            requests: vec![FxHashMap::default(); n],
-            next_req: vec![1; n],
+            requests: (0..n).map(|_| Requests::new()).collect(),
             recv_order: vec![VecDeque::new(); n],
             outstanding: vec![Vec::new(); n],
             coll_seq: vec![0; n],
@@ -685,10 +746,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     }
 
     fn alloc_req(&mut self, r: usize, req: Request) -> i64 {
-        let id = self.next_req[r];
-        self.next_req[r] += 1;
-        self.requests[r].insert(id, req);
-        id
+        self.requests[r].push(req)
     }
 
     fn enter_event(&mut self, r: usize, call: &MpiCall) -> f64 {
@@ -907,7 +965,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             EvaluatedOp::Wait { req } => {
                 let posted = enter + o;
                 self.ranks[r].clock = posted;
-                if !self.requests[r].contains_key(&req) {
+                if self.requests[r].get(req).is_none() {
                     return Err(SimError::UnknownRequest { rank: r, req });
                 }
                 self.match_rank_recvs(r, false);
@@ -999,7 +1057,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
 
     fn requests_complete(&self, r: usize, reqs: ReqWait) -> bool {
         let complete =
-            |id: &i64| matches!(self.requests[r].get(id), Some(Request::Complete { .. }));
+            |&id: &i64| matches!(self.requests[r].get(id), Some(Request::Complete { .. }));
         match reqs {
             ReqWait::One(id) => complete(&id),
             ReqWait::AllOutstanding => self.outstanding[r].iter().all(complete),
@@ -1038,7 +1096,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             }
         };
         let mut done = ready;
-        for id in ids {
+        for &id in ids {
             if let Some(Request::Complete { t, .. }) = self.requests[r].get(id) {
                 done = done.max(*t);
             }
@@ -1046,7 +1104,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
         self.ranks[r].clock = self.ranks[r].clock.max(done);
         let waited = (done - ready).max(0.0);
         // Emit one dependence edge per request that carried a message.
-        for id in ids {
+        for &id in ids {
             if let Some(Request::Complete { t, dep: Some(dep) }) = self.requests[r].remove(id) {
                 let ev = CommDepEvent {
                     src_rank: dep.src_rank,
@@ -1074,7 +1132,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             let Some(&req_id) = self.recv_order[r].front() else {
                 break;
             };
-            let Some(&Request::RecvPending { src, tag, posted }) = self.requests[r].get(&req_id)
+            let Some(&Request::RecvPending { src, tag, posted }) = self.requests[r].get(req_id)
             else {
                 // Stale entry; drop it.
                 self.recv_order[r].pop_front();
@@ -1100,18 +1158,15 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 msg.arrival.max(posted)
             };
             self.req_completed.insert(r);
-            self.requests[r].insert(
-                req_id,
-                Request::Complete {
-                    t,
-                    dep: Some(DepInfo {
-                        src_rank: msg.src_rank,
-                        src_vertex: msg.src_vertex,
-                        tag: msg.tag,
-                        bytes: msg.bytes,
-                    }),
-                },
-            );
+            *self.requests[r].get_mut(req_id).expect("pending receive") = Request::Complete {
+                t,
+                dep: Some(DepInfo {
+                    src_rank: msg.src_rank,
+                    src_vertex: msg.src_vertex,
+                    tag: msg.tag,
+                    bytes: msg.bytes,
+                }),
+            };
             self.recv_order[r].pop_front();
             progressed = true;
         }
@@ -1122,13 +1177,11 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
         match sreq {
             Some(id) => {
                 self.req_completed.insert(sender);
-                self.requests[sender].insert(
-                    id,
-                    Request::Complete {
-                        t: finish,
-                        dep: None,
-                    },
-                );
+                // Nothing frees a send request before it completes.
+                *self.requests[sender].get_mut(id).expect("pending send") = Request::Complete {
+                    t: finish,
+                    dep: None,
+                };
             }
             None => {
                 if let Status::Blocked(Blocked::RdvSend {

@@ -497,3 +497,103 @@ fn waitall_after_unmatched_wildcard_irecv_deadlocks() {
     let err = run(src, 2).unwrap_err();
     assert!(matches!(err, SimError::Deadlock { .. }));
 }
+
+#[test]
+fn wait_on_an_id_that_names_no_live_request_is_unknown() {
+    // Ids outside the rank's request window (0, negative, far past the
+    // newest) and ids freed by an earlier wait, at the window's front and
+    // in a hole behind a live request, are all unknown.
+    let src = r#"
+        param ID = 0;
+        param FREE = 0;
+        fn main() {
+            if rank == 0 {
+                let a = irecv(src = 1, tag = 0);
+                let b = irecv(src = 1, tag = 1);
+                let c = irecv(src = 1, tag = 2);
+                if FREE == 1 {
+                    wait(a);
+                    wait(a);
+                } else if FREE == 2 {
+                    wait(b);
+                    wait(b);
+                } else {
+                    wait(ID);
+                }
+                waitall();
+            } else {
+                send(dst = 0, tag = 0, bytes = 8);
+                send(dst = 0, tag = 1, bytes = 8);
+                send(dst = 0, tag = 2, bytes = 8);
+            }
+        }
+    "#;
+    let program = parse_program("t.mmpi", src).unwrap();
+    let psg = build_psg(&program, &PsgOptions::default());
+    let run = |id: i64, free: i64| {
+        let config = SimConfig::with_nprocs(2)
+            .with_param("ID", id)
+            .with_param("FREE", free);
+        Simulation::new(&program, &psg, config).run()
+    };
+    for id in [0, -1, -7, i64::MIN, 4, i64::MAX] {
+        assert_eq!(
+            run(id, 0).unwrap_err(),
+            SimError::UnknownRequest { rank: 0, req: id },
+            "wait({id})"
+        );
+    }
+    assert_eq!(
+        run(0, 1).unwrap_err(),
+        SimError::UnknownRequest { rank: 0, req: 1 },
+        "freed at the front"
+    );
+    assert_eq!(
+        run(0, 2).unwrap_err(),
+        SimError::UnknownRequest { rank: 0, req: 2 },
+        "freed in a hole"
+    );
+    // Each live id waits fine.
+    for id in 1..=3 {
+        run(id, 0).unwrap();
+    }
+}
+
+#[test]
+fn waits_in_any_order_over_a_thousand_requests_give_one_result() {
+    // Every rank posts 500 receives and 500 eager sends, so its request
+    // ids are 1 ..= 1000, computes long enough for every message to
+    // arrive, then waits on each id once, stepping through the ids by
+    // STRIDE (coprime to 1000): in post order (1), nearly reversed (999),
+    // or scattered (337), which leaves holes all over the request window.
+    // Every wait finds its request complete, so the order cannot change
+    // any clock.
+    let src = r#"
+        param STRIDE = 1;
+        fn main() {
+            let right = (rank + 1) % nprocs;
+            let left = (rank + nprocs - 1) % nprocs;
+            for i in 0 .. 500 {
+                let r = irecv(src = left, tag = i);
+            }
+            for i in 0 .. 500 {
+                let s = isend(dst = right, tag = i, bytes = 64 + i);
+            }
+            comp(cycles = 230_000_000);
+            for i in 0 .. 1000 {
+                wait(i * STRIDE % 1000 + 1);
+            }
+            waitall();
+            barrier();
+        }
+    "#;
+    let program = parse_program("t.mmpi", src).unwrap();
+    let psg = build_psg(&program, &PsgOptions::default());
+    let run = |stride: i64| {
+        let config = SimConfig::with_nprocs(4).with_param("STRIDE", stride);
+        Simulation::new(&program, &psg, config).run().unwrap()
+    };
+    let in_order = run(1);
+    assert_eq!(run(999), in_order, "reversed");
+    assert_eq!(run(337), in_order, "scattered");
+}

@@ -3,13 +3,13 @@
 //!
 //! Per event the profiler does a lookup, not a hash of program data:
 //! performance vectors sum into a dense per-rank table indexed by
-//! vertex, and each dependence edge keeps its aggregate and the last
-//! `(tag, bytes)` it persisted in one [`FxHashMap`] entry. Most messages
-//! repeat their edge's previous parameters, so the compression check
-//! compares against that last key first and consults the set of every
-//! persisted key only when the parameters changed. At the end of the
-//! run [`take_data`](ScalAnaProfiler::take_data) emits both tables as
-//! the sorted lists [`ProfileData`] holds.
+//! vertex, and each dependence edge keeps its aggregate and the
+//! `(tag, bytes)` keys it persisted in one [`FxHashMap`] entry. Most
+//! messages repeat their edge's previous parameters, so the compression
+//! check compares against the edge's last key first and searches the
+//! edge's own persisted keys only when the parameters changed. At the
+//! end of the run [`take_data`](ScalAnaProfiler::take_data) emits both
+//! tables as the sorted lists [`ProfileData`] holds.
 
 use crate::data::{comm_order, CommAgg, EdgeKey, ProfileData};
 use crate::record;
@@ -21,7 +21,7 @@ use scalana_mpisim::fxhash::FxHashMap;
 use scalana_mpisim::hook::{
     CommDepEvent, CompEvent, Hook, IndirectCallEvent, MpiEnterEvent, MpiExitEvent,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// ScalAna profiler knobs (paper §V user parameters plus cost model).
 #[derive(Debug, Clone)]
@@ -66,12 +66,42 @@ impl Default for ProfilerConfig {
 }
 
 /// One dependence edge as the profiler tracks it during the run.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// The edge's persisted compression keys are its first one, inline,
+/// and any later ones in an ordered set. Tags and sizes are values the
+/// profiled program computes, so a submitted program could choose keys
+/// that collide under a fixed hash and make every insert a scan; an
+/// ordered set hashes nothing, and a search costs O(log k) for an edge
+/// with k keys. An edge that only ever carries one key allocates
+/// nothing.
+#[derive(Debug, Default)]
 struct EdgeState {
     agg: CommAgg,
     /// The `(tag, bytes)` of the edge's previous examined message, which
-    /// is always a key already in `recorded_keys`.
+    /// is always one of its persisted keys.
     last: Option<(i64, u64)>,
+    /// The edge's first persisted key.
+    first: Option<(i64, u64)>,
+    /// Every later persisted key.
+    more: BTreeSet<(i64, u64)>,
+}
+
+impl EdgeState {
+    /// Persist `key` unless the edge already did: `true` if it is new.
+    #[inline]
+    fn persist(&mut self, key: (i64, u64)) -> bool {
+        if self.last == Some(key) {
+            return false;
+        }
+        self.last = Some(key);
+        match self.first {
+            None => {
+                self.first = Some(key);
+                true
+            }
+            Some(first) => first != key && self.more.insert(key),
+        }
+    }
 }
 
 /// The ScalAna profiling hook. Attach with
@@ -83,11 +113,13 @@ struct EdgeState {
 /// accumulate in a dense per-rank table indexed by vertex (`perf[rank]
 /// [vertex]`, grown on first touch), and the dependence edges, whose
 /// keys are ranks and vertices, sit behind [`FxHashMap`] rather than
-/// SipHash. Each `(vertex, rank)` vector and each edge still sums its
-/// events in event order, so every float is the one a per-event map
-/// entry would hold. [`ProfileData`]'s sorted lists are built once, in
-/// [`take_data`](ScalAnaProfiler::take_data): perf by walking the dense
-/// table vertex-major, the edges by one sort.
+/// SipHash. Each edge keeps the compression keys it persisted in its own
+/// entry, first inline and the rest in an ordered set, so no tag or size
+/// the program computes is ever hashed. Each `(vertex, rank)` vector and
+/// each edge still sums its events in event order, so every float is the
+/// one a per-event map entry would hold. [`ProfileData`]'s sorted lists
+/// are built once, in [`take_data`](ScalAnaProfiler::take_data): perf by
+/// walking the dense table vertex-major, the edges by one sort.
 pub struct ScalAnaProfiler {
     config: ProfilerConfig,
     /// The timer: its period and each rank's phase.
@@ -96,17 +128,11 @@ pub struct ScalAnaProfiler {
     /// Per-rank, per-vertex performance vectors. Every recorded sample
     /// has `count == 1`, so `count > 0` marks the touched entries.
     perf: Vec<Vec<VertexPerf>>,
-    /// Aggregated dependence edges, each with its last compression key.
+    /// Aggregated dependence edges, each with its compression keys.
     comm: FxHashMap<EdgeKey, EdgeState>,
     /// Per-rank RNG for the random-sampling instrumentation; empty when
     /// every message is examined.
     rngs: Vec<SmallRng>,
-    /// Compression keys already persisted: the edge plus tag and bytes.
-    /// Tags and sizes are values the profiled program computes, so a
-    /// submitted program could choose keys that collide under a fixed
-    /// hash and make every insert a scan; this set keeps SipHash. A
-    /// message that repeats its edge's last key never reaches it.
-    recorded_keys: HashSet<(EdgeKey, i64, u64)>,
     /// Indirect calls already recorded.
     recorded_indirect: HashSet<(u32, u32, String)>,
 }
@@ -121,7 +147,6 @@ impl ScalAnaProfiler {
             perf: Vec::new(),
             comm: FxHashMap::default(),
             rngs: Vec::new(),
-            recorded_keys: HashSet::new(),
             recorded_indirect: HashSet::new(),
         }
     }
@@ -261,14 +286,8 @@ impl Hook for ScalAnaProfiler {
         state.agg.add(ev.bytes, ev.wait_time);
         if self.config.graph_compression {
             // Same parameters already persisted: the PSG's structure
-            // makes the repeat redundant (graph-guided compression). The
-            // edge's last key was persisted, so a match needs no lookup.
-            let key = (ev.tag, ev.bytes);
-            let repeat = state.last == Some(key) || {
-                state.last = Some(key);
-                !self.recorded_keys.insert((edge, ev.tag, ev.bytes))
-            };
-            if repeat {
+            // makes the repeat redundant (graph-guided compression).
+            if !state.persist((ev.tag, ev.bytes)) {
                 return 0.02e-6;
             }
         }
@@ -413,6 +432,52 @@ mod tests {
         };
         assert_eq!(single.storage_bytes, storage(&single, 1));
         assert_eq!(alternating.storage_bytes, storage(&alternating, 2));
+    }
+
+    #[test]
+    fn compression_persists_each_of_three_cycled_keys_once() {
+        // Tags and sizes cycle through three keys, so the edge's last key
+        // never matches and every repeat is found among its other keys.
+        let cycling = TWO_TAG_RING
+            .replace("0 .. 10", "0 .. 12")
+            .replace("it % 2", "it % 3")
+            .replace("bytes = 4k", "bytes = 1k * (it % 3 + 1)");
+        let data = profile(&cycling, 4, ProfilerConfig::default());
+        assert_eq!(data.comm_edge_count(), 4);
+        assert!(data.comm.iter().all(|(_, agg)| agg.count == 12));
+        assert_eq!(
+            data.storage_bytes,
+            record::VERTEX_PERF * data.perf.len() as u64
+                + record::COMM_DEP * 3 * data.comm_edge_count() as u64
+        );
+    }
+
+    #[test]
+    fn an_edge_with_a_new_tag_per_message_persists_every_message() {
+        // One edge, 10,000 messages, each with its own tag (LU's
+        // `tag * 100 + k` taken to the limit): each key is new, and each
+        // check is one search among the edge's keys, not a scan.
+        let src = r#"
+            fn main() {
+                for it in 0 .. 10000 {
+                    if rank == 0 {
+                        send(dst = 1, tag = it, bytes = 8);
+                    } else {
+                        recv(src = 0, tag = it);
+                    }
+                }
+            }
+        "#;
+        let start = std::time::Instant::now();
+        let data = profile(src, 2, ProfilerConfig::default());
+        let elapsed = start.elapsed();
+        assert_eq!(data.comm_edge_count(), 1);
+        assert_eq!(data.comm[0].1.count, 10_000);
+        assert_eq!(
+            data.storage_bytes,
+            record::VERTEX_PERF * data.perf.len() as u64 + record::COMM_DEP * 10_000
+        );
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]
