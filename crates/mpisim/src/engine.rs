@@ -38,9 +38,11 @@
 //! [`AttrIndex`] snapshot rather than hash-map lookups per statement.
 //! A rank's requests sit in a window indexed by id (`Requests`): ids
 //! are handed out 1, 2, 3, … per rank, so a lookup is a subtraction and
-//! a bounds check, freeing a request trims the window's front past the
-//! slots already freed, and a blocked `waitall`'s re-check reads one
-//! slot per outstanding request instead of hashing its id. The
+//! a bounds check, and retiring a request trims the window's front past
+//! the slots already freed. The window is also what `waitall` covers (a
+//! blocking operation retires its request before the rank runs on), so
+//! no separate outstanding list is kept, and a blocked `waitall`'s
+//! re-check reads the window's slots instead of hashing ids. The
 //! collective table, probed on every collective, hashes with
 //! [`FxHashMap`] instead of SipHash; its one order-sensitive walk
 //! (ready collectives) sorts first.
@@ -408,10 +410,15 @@ enum Request {
 
 /// One rank's live requests, indexed by id. Ids are handed out 1, 2,
 /// 3, … and the live ones lie in the window `[base, base + len)`: slot
-/// `i` holds request `base + i`, or `None` once it was waited on. A
-/// removal trims freed slots off the front, so the window starts at
-/// the oldest live request and ends at the newest. An id outside the
-/// window, or a freed slot, is unknown.
+/// `i` holds request `base + i`, or `None` once it was retired. After a
+/// retirement [`trim`](Requests::trim) drops freed slots off the front,
+/// so the window starts at the oldest live request and ends at the
+/// newest. An id outside the window, or a freed slot, is unknown.
+///
+/// A blocking operation's request is retired before its rank runs on,
+/// so whenever a rank reaches an MPI call, its live requests are exactly
+/// its un-waited `isend`s and `irecv`s, in post order: what `waitall`
+/// covers.
 #[derive(Debug)]
 struct Requests {
     /// Id of `slots[0]`; with `slots` empty, the next id to hand out.
@@ -451,28 +458,34 @@ impl Requests {
         self.slots[i].as_mut()
     }
 
-    /// Free request `id`, returning it if it was live.
+    /// Drop freed slots off the front of the window.
     #[inline]
-    fn remove(&mut self, id: i64) -> Option<Request> {
-        let i = self.index(id)?;
-        let req = self.slots[i].take();
+    fn trim(&mut self) {
         while let Some(None) = self.slots.front() {
             self.slots.pop_front();
             self.base += 1;
         }
-        req
+    }
+
+    /// Ids of the live requests, in post order.
+    fn live_ids(&self) -> Vec<i64> {
+        (self.base..)
+            .zip(&self.slots)
+            .filter_map(|(id, slot)| slot.map(|_| id))
+            .collect()
     }
 }
 
 /// Which requests a blocked operation waits on. `AllOutstanding` lets
-/// `waitall` (and the quiescence re-checks) reference the live
-/// outstanding set instead of cloning an id vector per wait — sound
+/// `waitall` (and the quiescence re-checks) cover the rank's whole
+/// request window instead of cloning an id vector per wait — sound
 /// because a blocked rank cannot post new requests.
 #[derive(Debug, Clone, Copy)]
 enum ReqWait {
     /// A single request (blocking recv, sendrecv, `wait`).
     One(i64),
-    /// Every currently-outstanding non-blocking request (`waitall`).
+    /// Every live request of the rank: its un-waited non-blocking
+    /// requests (`waitall`).
     AllOutstanding,
 }
 
@@ -486,8 +499,6 @@ enum Blocked {
         vertex: VertexId,
         enter: f64,
         ready: f64,
-        /// Requests to drop from the outstanding set on completion.
-        drop_outstanding: bool,
     },
     /// Rendezvous blocking send waiting for its receiver.
     RdvSend {
@@ -569,8 +580,6 @@ struct Engine<'p, 'g, 'h, H: Hook + ?Sized> {
     requests: Vec<Requests>,
     /// Pending receive requests per rank, in post order.
     recv_order: Vec<VecDeque<i64>>,
-    /// Un-waited non-blocking requests per rank (for `waitall`).
-    outstanding: Vec<Vec<i64>>,
     coll_seq: Vec<u64>,
     collectives: FxHashMap<u64, CollInstance>,
     /// Ranks whose mailbox got a deposit or whose receive queue got a
@@ -624,7 +633,6 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
             send_seq: vec![0; n],
             requests: (0..n).map(|_| Requests::new()).collect(),
             recv_order: vec![VecDeque::new(); n],
-            outstanding: vec![Vec::new(); n],
             coll_seq: vec![0; n],
             collectives: FxHashMap::default(),
             recv_changed: RankSet::new(n),
@@ -674,7 +682,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                     let what = match reqs {
                         ReqWait::One(id) => format!("request {id}"),
                         ReqWait::AllOutstanding => {
-                            format!("requests {:?}", self.outstanding[r])
+                            format!("requests {:?}", self.requests[r].live_ids())
                         }
                     };
                     format!("rank {r}: blocked in {} on {what}", kind.mpi_name())
@@ -888,7 +896,6 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                     );
                     id
                 };
-                self.outstanding[r].push(req);
                 self.ranks[r].set_slot(req_slot, Value::Int(req));
                 self.ranks[r].clock = send_time;
                 self.exit_event(r, call.vertex, call.kind, enter, 0.0);
@@ -901,7 +908,6 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 let posted = enter + o;
                 let req = self.alloc_req(r, Request::RecvPending { src, tag, posted });
                 self.post_recv(r, req);
-                self.outstanding[r].push(req);
                 self.ranks[r].set_slot(req_slot, Value::Int(req));
                 self.ranks[r].clock = posted;
                 self.exit_event(r, call.vertex, call.kind, enter, 0.0);
@@ -916,15 +922,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 let req = self.alloc_req(r, Request::RecvPending { src, tag, posted });
                 self.post_recv(r, req);
                 self.match_rank_recvs(r, false);
-                self.finish_or_block(
-                    r,
-                    ReqWait::One(req),
-                    call.kind,
-                    call.vertex,
-                    enter,
-                    posted,
-                    false,
-                )
+                self.finish_or_block(r, ReqWait::One(req), call.kind, call.vertex, enter, posted)
             }
             EvaluatedOp::Sendrecv {
                 dst,
@@ -952,15 +950,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 );
                 self.post_recv(r, req);
                 self.match_rank_recvs(r, false);
-                self.finish_or_block(
-                    r,
-                    ReqWait::One(req),
-                    call.kind,
-                    call.vertex,
-                    enter,
-                    posted,
-                    false,
-                )
+                self.finish_or_block(r, ReqWait::One(req), call.kind, call.vertex, enter, posted)
             }
             EvaluatedOp::Wait { req } => {
                 let posted = enter + o;
@@ -969,20 +959,12 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                     return Err(SimError::UnknownRequest { rank: r, req });
                 }
                 self.match_rank_recvs(r, false);
-                self.finish_or_block(
-                    r,
-                    ReqWait::One(req),
-                    call.kind,
-                    call.vertex,
-                    enter,
-                    posted,
-                    true,
-                )
+                self.finish_or_block(r, ReqWait::One(req), call.kind, call.vertex, enter, posted)
             }
             EvaluatedOp::Waitall => {
                 let posted = enter + o;
                 self.ranks[r].clock = posted;
-                if self.outstanding[r].is_empty() {
+                if self.requests[r].slots.is_empty() {
                     self.exit_event(r, call.vertex, call.kind, enter, 0.0);
                     return Ok(MpiOutcome::Completed);
                 }
@@ -994,7 +976,6 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                     call.vertex,
                     enter,
                     posted,
-                    true,
                 )
             }
             EvaluatedOp::Collective { root, bytes } => {
@@ -1028,7 +1009,6 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
 
     /// If the covered requests are all complete, finish the operation
     /// now; otherwise block on them.
-    #[allow(clippy::too_many_arguments)]
     fn finish_or_block(
         &mut self,
         r: usize,
@@ -1037,10 +1017,9 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
         vertex: VertexId,
         enter: f64,
         ready: f64,
-        drop_outstanding: bool,
     ) -> Result<MpiOutcome, SimError> {
         if self.requests_complete(r, reqs) {
-            self.complete_on_requests(r, reqs, kind, vertex, enter, ready, drop_outstanding);
+            self.complete_on_requests(r, reqs, kind, vertex, enter, ready);
             Ok(MpiOutcome::Completed)
         } else {
             self.status[r] = Status::Blocked(Blocked::OnRequests {
@@ -1049,24 +1028,25 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 vertex,
                 enter,
                 ready,
-                drop_outstanding,
             });
             Ok(MpiOutcome::BlockedNow)
         }
     }
 
     fn requests_complete(&self, r: usize, reqs: ReqWait) -> bool {
-        let complete =
-            |&id: &i64| matches!(self.requests[r].get(id), Some(Request::Complete { .. }));
+        let complete = |req: Option<&Request>| matches!(req, Some(Request::Complete { .. }));
         match reqs {
-            ReqWait::One(id) => complete(&id),
-            ReqWait::AllOutstanding => self.outstanding[r].iter().all(complete),
+            ReqWait::One(id) => complete(self.requests[r].get(id)),
+            ReqWait::AllOutstanding => self.requests[r]
+                .slots
+                .iter()
+                .flatten()
+                .all(|q| complete(Some(q))),
         }
     }
 
     /// All covered requests complete: advance the clock, emit dependence
-    /// and exit events, drop the requests.
-    #[allow(clippy::too_many_arguments)]
+    /// and exit events, retire the requests.
     fn complete_on_requests(
         &mut self,
         r: usize,
@@ -1075,37 +1055,27 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
         vertex: VertexId,
         enter: f64,
         ready: f64,
-        drop_outstanding: bool,
     ) {
-        let one: [i64; 1];
-        let taken: Vec<i64>;
-        let ids: &[i64] = match reqs {
+        // The covered slots of the rank's window, in post order.
+        let covered = match reqs {
             ReqWait::One(id) => {
-                one = [id];
-                if drop_outstanding {
-                    if let Some(pos) = self.outstanding[r].iter().position(|&x| x == id) {
-                        self.outstanding[r].remove(pos);
-                    }
-                }
-                &one
+                let i = self.requests[r].index(id).expect("a complete request");
+                i..i + 1
             }
-            ReqWait::AllOutstanding => {
-                debug_assert!(drop_outstanding, "waitall always drops its requests");
-                taken = std::mem::take(&mut self.outstanding[r]);
-                &taken
-            }
+            ReqWait::AllOutstanding => 0..self.requests[r].slots.len(),
         };
         let mut done = ready;
-        for &id in ids {
-            if let Some(Request::Complete { t, .. }) = self.requests[r].get(id) {
-                done = done.max(*t);
+        for i in covered.clone() {
+            if let Some(Request::Complete { t, .. }) = self.requests[r].slots[i] {
+                done = done.max(t);
             }
         }
         self.ranks[r].clock = self.ranks[r].clock.max(done);
         let waited = (done - ready).max(0.0);
         // Emit one dependence edge per request that carried a message.
-        for &id in ids {
-            if let Some(Request::Complete { t, dep: Some(dep) }) = self.requests[r].remove(id) {
+        for i in covered {
+            if let Some(Request::Complete { t, dep: Some(dep) }) = self.requests[r].slots[i].take()
+            {
                 let ev = CommDepEvent {
                     src_rank: dep.src_rank,
                     src_vertex: dep.src_vertex,
@@ -1120,6 +1090,7 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 self.ranks[r].clock += cost;
             }
         }
+        self.requests[r].trim();
         self.exit_event(r, vertex, kind, enter, waited);
     }
 
@@ -1217,13 +1188,12 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
                 vertex,
                 enter,
                 ready,
-                drop_outstanding,
             }) = self.status[r]
             else {
                 continue;
             };
             if self.requests_complete(r, reqs) {
-                self.complete_on_requests(r, reqs, kind, vertex, enter, ready, drop_outstanding);
+                self.complete_on_requests(r, reqs, kind, vertex, enter, ready);
                 self.wake(r);
                 progress = true;
             }

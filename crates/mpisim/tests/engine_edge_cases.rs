@@ -495,7 +495,13 @@ fn waitall_after_unmatched_wildcard_irecv_deadlocks() {
         }
     "#;
     let err = run(src, 2).unwrap_err();
-    assert!(matches!(err, SimError::Deadlock { .. }));
+    let SimError::Deadlock { detail } = err else {
+        panic!("expected deadlock, got {err:?}")
+    };
+    assert!(
+        detail.contains("rank 0: blocked in MPI_Waitall on requests [1]"),
+        "detail names the waited-on request: {detail}"
+    );
 }
 
 #[test]
