@@ -1034,14 +1034,10 @@ impl<'p, 'g, 'h, H: Hook + ?Sized> Engine<'p, 'g, 'h, H> {
     }
 
     fn requests_complete(&self, r: usize, reqs: ReqWait) -> bool {
-        let complete = |req: Option<&Request>| matches!(req, Some(Request::Complete { .. }));
+        let complete = |req: &Request| matches!(req, Request::Complete { .. });
         match reqs {
-            ReqWait::One(id) => complete(self.requests[r].get(id)),
-            ReqWait::AllOutstanding => self.requests[r]
-                .slots
-                .iter()
-                .flatten()
-                .all(|q| complete(Some(q))),
+            ReqWait::One(id) => self.requests[r].get(id).is_some_and(complete),
+            ReqWait::AllOutstanding => self.requests[r].slots.iter().flatten().all(complete),
         }
     }
 
