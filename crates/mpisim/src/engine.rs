@@ -279,10 +279,17 @@ struct Message {
 struct Mailbox {
     slots: Vec<Message>,
     free: Vec<u32>,
-    /// Sparse queue table; distinct `(source, tag)` pairs per receiver
-    /// are few, so a scanned `Vec` beats hashing and keeps iteration
-    /// order deterministic (insertion order).
+    /// Sparse queue table. Its first `live` entries are the `(source,
+    /// tag)` pairs holding messages; a queue that drains is swapped
+    /// behind them and re-keyed by the next new pair, so the table only
+    /// grows with the pairs live at once (a fresh tag per message costs
+    /// one entry, not one per tag) and lookups scan live pairs only.
+    /// Those are few per receiver, so a scanned `Vec` beats hashing. No
+    /// lookup depends on table order: a specific receive finds its key,
+    /// an any-tag receive takes the least (unique) send sequence, and a
+    /// wildcard receive sorts by deposit sequence.
     queues: Vec<((usize, i64), VecDeque<u32>)>,
+    live: usize,
     deposits: u64,
 }
 
@@ -301,14 +308,21 @@ impl Mailbox {
                 (self.slots.len() - 1) as u32
             }
         };
-        match self.queues.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, q)) => q.push_back(slot),
-            None => {
-                let mut q = VecDeque::with_capacity(4);
-                q.push_back(slot);
-                self.queues.push((key, q));
-            }
+        if let Some((_, q)) = self.queues[..self.live].iter_mut().find(|(k, _)| *k == key) {
+            q.push_back(slot);
+            return;
         }
+        if self.live == self.queues.len() {
+            self.queues.push((key, VecDeque::with_capacity(4)));
+        }
+        let (k, q) = &mut self.queues[self.live];
+        *k = key;
+        q.push_back(slot);
+        self.live += 1;
+    }
+
+    fn live_queues(&self) -> &[((usize, i64), VecDeque<u32>)] {
+        &self.queues[..self.live]
     }
 
     #[inline]
@@ -324,7 +338,7 @@ impl Mailbox {
             // the smallest send sequence.
             let key = (src as usize, tag);
             return self
-                .queues
+                .live_queues()
                 .iter()
                 .find(|(k, _)| *k == key)
                 .and_then(|(_, q)| q.front().copied());
@@ -333,7 +347,7 @@ impl Mailbox {
             // Any tag from one source: smallest send sequence across the
             // source's queue fronts (each queue is sequence-ascending).
             let mut best: Option<u32> = None;
-            for (k, q) in &self.queues {
+            for (k, q) in self.live_queues() {
                 if k.0 != src as usize {
                     continue;
                 }
@@ -349,7 +363,7 @@ impl Mailbox {
         // historical comparator (same-source by sequence, cross-source by
         // (arrival, source, sequence)), which is order-sensitive.
         let mut candidates: Vec<u32> = Vec::new();
-        for (k, q) in &self.queues {
+        for (k, q) in self.live_queues() {
             if tag >= 0 && k.1 != tag {
                 continue;
             }
@@ -383,9 +397,14 @@ impl Mailbox {
     fn consume(&mut self, slot: u32) -> Message {
         let msg = self.slots[slot as usize];
         let key = (msg.src_rank, msg.tag);
-        if let Some((_, q)) = self.queues.iter_mut().find(|(k, _)| *k == key) {
+        if let Some(i) = self.live_queues().iter().position(|(k, _)| *k == key) {
+            let q = &mut self.queues[i].1;
             if let Some(pos) = q.iter().position(|&s| s == slot) {
                 q.remove(pos);
+            }
+            if q.is_empty() {
+                self.live -= 1;
+                self.queues.swap(i, self.live);
             }
         }
         self.free.push(slot);
@@ -1392,6 +1411,30 @@ mod tests {
             .run()
             .unwrap();
         (result, hook)
+    }
+
+    #[test]
+    fn drained_mailbox_queues_are_reused_for_new_pairs() {
+        let mut mailbox = Mailbox::default();
+        for tag in 0..10_000 {
+            mailbox.deposit(Message {
+                src_rank: 1,
+                src_vertex: 0,
+                tag,
+                bytes: 8,
+                send_time: 0.0,
+                send_seq: tag as u64,
+                arrival: 0.0,
+                rendezvous: false,
+                rdv_sender: None,
+                deposit_seq: 0,
+            });
+            let slot = mailbox.find_match(1, tag).expect("just deposited");
+            assert_eq!(mailbox.consume(slot).tag, tag);
+        }
+        assert_eq!(mailbox.queues.len(), 1, "one live pair at a time");
+        assert_eq!(mailbox.live, 0, "every queue drained");
+        assert_eq!(mailbox.slots.len(), 1);
     }
 
     #[test]

@@ -603,3 +603,35 @@ fn waits_in_any_order_over_a_thousand_requests_give_one_result() {
     assert_eq!(run(999), in_order, "reversed");
     assert_eq!(run(337), in_order, "scattered");
 }
+
+#[test]
+fn ping_pong_with_a_new_tag_per_message() {
+    // Every message drains its `(source, tag)` pair before the next
+    // pair appears, so the receiver's queue table re-keys one entry
+    // over and over. Matching must be unaffected, including the
+    // any-tag and wildcard receives that scan the whole table.
+    let src = r#"
+        fn main() {
+            for i in 0 .. 200 {
+                if rank == 0 {
+                    send(dst = 1, tag = 2 * i, bytes = 64);
+                    recv(src = 1, tag = 2 * i + 1);
+                } else {
+                    recv(src = 0, tag = 2 * i);
+                    send(dst = 0, tag = 2 * i + 1, bytes = 64);
+                }
+            }
+            if rank == 0 {
+                send(dst = 1, tag = 9001, bytes = 64);
+                send(dst = 1, tag = 9000, bytes = 64);
+            } else {
+                recv(src = 0, tag = any);
+                recv(src = any, tag = any);
+            }
+        }
+    "#;
+    let deps = run_deps(src, 2);
+    let mut expected: Vec<(usize, i64)> = (0..400).map(|t| ((t % 2) as usize, t)).collect();
+    expected.extend([(0, 9001), (0, 9000)]);
+    assert_eq!(deps, expected);
+}

@@ -1,8 +1,9 @@
 //! The process observability epoch: one `Instant` captured on first
 //! use, from which every recorded timestamp is a monotonic nanosecond
 //! offset. Offsets from one epoch are directly comparable across
-//! threads, which is what lets [`crate::ring::merge`] interleave rings
-//! into a single timeline.
+//! threads, which is what lets spans opened on different threads (a
+//! job's stages run on the reactor and on a worker) share one per-job
+//! timeline.
 
 use std::sync::OnceLock;
 use std::time::Instant;

@@ -9,18 +9,18 @@
 //! picture is served from a [`MetricsRegistry`] whose text exposition
 //! is byte-deterministic (and therefore golden-testable).
 //!
-//! Three layers, cheapest first:
+//! Two layers:
 //!
-//! - [`ring`] — lock-free per-thread seqlock rings of typed events
-//!   (`span_enter`/`span_exit`/`counter`/`gauge`, monotonic timestamps
-//!   from one process [`clock::epoch`]), merged into a global timeline
-//!   only on demand;
 //! - [`metrics`] — `Arc`-backed [`Counter`]/[`Gauge`] handles and
 //!   log-bucketed latency [`Histogram`]s (p50/p90/p99/max from
 //!   power-of-two buckets), registered by name and rendered as sorted
 //!   Prometheus-style text;
-//! - [`mod@span`] — RAII glue: one guard object records the ring events
-//!   and feeds the latency histogram on drop.
+//! - [`mod@span`] — RAII stage timers: a guard notes [`now_ns`] when it
+//!   opens and feeds its elapsed time to a latency histogram on drop.
+//!
+//! Nothing is recorded that no reader consumes: `/v1/metrics` renders
+//! the registry, and per-job traces are assembled by the service from
+//! [`Span::start_ns`]/[`Span::elapsed_ns`] stamps on the same clock.
 //!
 //! The crate is dependency-free on purpose: it sits underneath
 //! everything else in the workspace (the service, the simulator hook
@@ -29,12 +29,10 @@
 
 pub mod clock;
 pub mod metrics;
-pub mod ring;
 pub mod span;
 
 pub use clock::{epoch, now_ns};
 pub use metrics::{
     render_families, Counter, Family, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
 };
-pub use ring::{label, merge, record, Event, EventKind, LabelId, RING_CAPACITY};
-pub use span::{span, span_timed, Span};
+pub use span::{span_timed, Span};

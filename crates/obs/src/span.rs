@@ -1,37 +1,23 @@
-//! RAII spans: enter on construction, exit on drop, with the duration
-//! recorded both as a ring event (for timeline reconstruction) and,
-//! optionally, into a latency [`Histogram`] (for `/v1/metrics`).
+//! RAII stage timers: a [`Span`] notes the clock when it opens and
+//! records its elapsed time into a latency [`Histogram`] (the one
+//! `/v1/metrics` renders) when it is dropped.
 
 use crate::clock::now_ns;
 use crate::metrics::Histogram;
-use crate::ring::{record, EventKind, LabelId};
 
-/// An open span. Dropping it records the exit event; the duration is
-/// also fed to the attached histogram, if any.
+/// An open stage timer. Dropping it feeds the elapsed time to its
+/// histogram.
 #[derive(Debug)]
 pub struct Span {
-    label: LabelId,
     start_ns: u64,
-    histogram: Option<Histogram>,
+    histogram: Histogram,
 }
 
-/// Open a span identified by an interned label.
-pub fn span(label: LabelId) -> Span {
-    record(EventKind::SpanEnter, label, 0);
+/// Open a span whose duration lands in `histogram` on drop.
+pub fn span_timed(histogram: &Histogram) -> Span {
     Span {
-        label,
         start_ns: now_ns(),
-        histogram: None,
-    }
-}
-
-/// Open a span whose duration also lands in `histogram` on exit.
-pub fn span_timed(label: LabelId, histogram: &Histogram) -> Span {
-    record(EventKind::SpanEnter, label, 0);
-    Span {
-        label,
-        start_ns: now_ns(),
-        histogram: Some(histogram.clone()),
+        histogram: histogram.clone(),
     }
 }
 
@@ -49,35 +35,33 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed = self.elapsed_ns();
-        record(EventKind::SpanExit, self.label, elapsed);
-        if let Some(histogram) = &self.histogram {
-            histogram.record(elapsed);
-        }
+        self.histogram.record(self.elapsed_ns());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{label, merge};
 
     #[test]
-    fn span_records_enter_exit_and_histogram() {
+    fn span_feeds_its_histogram_once() {
         let hist = Histogram::detached();
-        let id = label("span-test-roundtrip");
-        {
-            let _span = span_timed(id, &hist);
-        }
+        let before = now_ns();
+        let start = {
+            let span = span_timed(&hist);
+            assert_eq!(hist.snapshot().count, 0, "nothing recorded while open");
+            span.start_ns()
+        };
+        let after = now_ns();
+        assert!(
+            before <= start && start <= after,
+            "start_ns is on now_ns's clock"
+        );
         let snap = hist.snapshot();
         assert_eq!(snap.count, 1);
-        let events: Vec<_> = merge()
-            .into_iter()
-            .filter(|e| e.label == "span-test-roundtrip")
-            .collect();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::SpanEnter);
-        assert_eq!(events[1].kind, EventKind::SpanExit);
-        assert!(events[1].ts_ns >= events[0].ts_ns);
+        assert!(
+            snap.sum <= after - start,
+            "the recorded time is the span's own"
+        );
     }
 }

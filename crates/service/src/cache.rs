@@ -193,8 +193,10 @@ pub enum WaitOutcome {
 /// Observability handles the registry reports into. Detached (inert)
 /// by default so tests and library callers pay nothing; the daemon
 /// wires them to its [`crate::metrics::ServiceMetrics`] registry via
-/// [`Registry::with_obs`].
-#[derive(Debug)]
+/// [`Registry::with_obs`]. Result evictions need no handle here: the
+/// registry counts them itself ([`StatsSnapshot::evicted`], which
+/// `/v1/metrics` mirrors as `scalana_cache_result_evicted_total`).
+#[derive(Debug, Default)]
 pub struct RegistryObs {
     /// Long-poll waiters that actually parked.
     pub parks: obs::Counter,
@@ -207,21 +209,6 @@ pub struct RegistryObs {
     pub queue_wait_ns: obs::Histogram,
     /// Worker claim → terminal transition.
     pub job_ns: obs::Histogram,
-    /// Ring label stamped on each result-cache eviction event.
-    pub evict_label: obs::LabelId,
-}
-
-impl Default for RegistryObs {
-    fn default() -> RegistryObs {
-        RegistryObs {
-            parks: obs::Counter::detached(),
-            wakes: obs::Counter::detached(),
-            parked: obs::Gauge::detached(),
-            queue_wait_ns: obs::Histogram::detached(),
-            job_ns: obs::Histogram::detached(),
-            evict_label: obs::label("result_evict"),
-        }
-    }
 }
 
 /// The shared registry.
@@ -470,7 +457,6 @@ impl Registry {
                 jobs.remove(&oldest);
                 self.evicted.fetch_add(1, Ordering::Relaxed);
                 self.results_held.fetch_sub(1, Ordering::Relaxed);
-                obs::record(obs::EventKind::Counter, self.obs.evict_label, 1);
             }
         }
     }

@@ -229,7 +229,7 @@ fn profile_one_scale_instrumented(
     config: &ScalAnaConfig,
     nprocs: usize,
 ) -> (Result<ProfileData, String>, TraceSpan) {
-    let stage = obs::span_timed(metrics.lbl_simulate, &metrics.simulate_ns);
+    let stage = obs::span_timed(&metrics.simulate_ns);
     let result = guarded(|| {
         let mut observer = ObsSimHook::new(metrics);
         profile_one_scale_observed(program, psg, config, nprocs, &mut observer)
@@ -278,7 +278,7 @@ fn run_job(ctx: &ExecCtx<'_>, key: &str) {
     };
 
     let prepared = guarded(|| {
-        let stage = obs::span_timed(ctx.metrics.lbl_resolve, &ctx.metrics.resolve_ns);
+        let stage = obs::span_timed(&ctx.metrics.resolve_ns);
 
         // Refined PSG: program + PSG options + discovery scale. A hit
         // skips the parse, ScalAna-static *and* the indirect-call
@@ -505,7 +505,7 @@ fn assemble_and_complete(ctx: &ExecCtx<'_>, work: &Arc<JobWork>) {
         images.push((nprocs, image));
     }
 
-    let stage = obs::span_timed(ctx.metrics.lbl_assemble, &ctx.metrics.assemble_ns);
+    let stage = obs::span_timed(&ctx.metrics.assemble_ns);
     let result = guarded(|| {
         // Timed like `scalana_core::assemble` times it (Table IV).
         let started = Instant::now();

@@ -1,6 +1,6 @@
 //! The daemon's self-observation surface: one [`ServiceMetrics`] per
 //! server instance, owning the [`scalana_obs`] registry plus cached
-//! handles and interned ring labels for every instrumented stage.
+//! handles for every instrumented stage.
 //!
 //! Handles are registered once at server construction; the hot paths
 //! (request handling, workers, the simulator hook) only touch the
@@ -10,7 +10,7 @@
 //! time from the same atomics `/stats` reads, so the two endpoints can
 //! never disagree about a cache tier.
 
-use scalana_obs::{label, Counter, Family, Gauge, Histogram, LabelId, MetricsRegistry};
+use scalana_obs::{Counter, Family, Gauge, Histogram, MetricsRegistry};
 
 /// Per-server observability state: registry + pre-registered handles.
 #[derive(Debug)]
@@ -70,16 +70,6 @@ pub struct ServiceMetrics {
     /// High-water mark of in-flight MPI operations (entered, not yet
     /// exited) — the hook-layer proxy for mailbox-slab occupancy.
     pub sim_inflight_peak: Gauge,
-
-    /// Interned ring labels for the span timeline.
-    pub lbl_http: LabelId,
-    pub lbl_parse: LabelId,
-    pub lbl_resolve: LabelId,
-    pub lbl_simulate: LabelId,
-    pub lbl_assemble: LabelId,
-    pub lbl_render: LabelId,
-    pub lbl_write: LabelId,
-    pub lbl_evict: LabelId,
 }
 
 impl Default for ServiceMetrics {
@@ -112,14 +102,6 @@ impl ServiceMetrics {
             sim_events: registry.counter("scalana_sim_events_total"),
             sim_run_ns: registry.histogram("scalana_sim_run_ns"),
             sim_inflight_peak: registry.gauge("scalana_sim_inflight_ops_peak"),
-            lbl_http: label("http"),
-            lbl_parse: label("parse"),
-            lbl_resolve: label("resolve"),
-            lbl_simulate: label("simulate"),
-            lbl_assemble: label("assemble"),
-            lbl_render: label("render"),
-            lbl_write: label("write"),
-            lbl_evict: label("result_evict"),
             registry,
         }
     }

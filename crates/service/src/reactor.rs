@@ -473,8 +473,7 @@ impl Reactor<'_> {
                 .record(now.saturating_sub(conn.read_started.take().unwrap_or(now)));
             self.state.metrics.http_requests.inc();
 
-            let route_guard =
-                obs::span_timed(self.state.metrics.lbl_render, &self.state.metrics.render_ns);
+            let route_guard = obs::span_timed(&self.state.metrics.render_ns);
             let (routed, action) = server::route(&request, self.state);
             drop(route_guard);
 
@@ -607,8 +606,7 @@ impl Reactor<'_> {
         if conn.out_pos >= conn.out.len() {
             return;
         }
-        let write_guard =
-            obs::span_timed(self.state.metrics.lbl_write, &self.state.metrics.write_ns);
+        let write_guard = obs::span_timed(&self.state.metrics.write_ns);
         while conn.out_pos < conn.out.len() {
             match (&conn.stream).write(&conn.out[conn.out_pos..]) {
                 Ok(0) => {

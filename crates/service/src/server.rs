@@ -242,7 +242,7 @@ impl Server {
         let addr = listener.local_addr()?;
         // The registry records into the same handles `/v1/metrics`
         // renders — long-poll park/wake counters, queue-wait and
-        // whole-job histograms, the eviction ring label.
+        // whole-job histograms.
         let metrics = ServiceMetrics::new();
         let registry =
             Registry::with_result_capacity(config.max_cached_results).with_obs(RegistryObs {
@@ -251,7 +251,6 @@ impl Server {
                 parked: metrics.longpoll_parked.clone(),
                 queue_wait_ns: metrics.queue_wait_ns.clone(),
                 job_ns: metrics.job_ns.clone(),
-                evict_label: metrics.lbl_evict,
             });
         // Durable tier: open (never fails hard — a broken directory
         // degrades to memory-only) validates and indexes what is on
@@ -841,7 +840,7 @@ fn submit(request: &Request, state: &State) -> Response {
     // Stamped before parsing: the trace's time zero, so the `submit`
     // span accounts for parse + validation + registration.
     let recv_ns = obs::now_ns();
-    let parse_guard = obs::span_timed(state.metrics.lbl_parse, &state.metrics.parse_ns);
+    let parse_guard = obs::span_timed(&state.metrics.parse_ns);
     let doc = match parse(&request.body) {
         Ok(doc) => doc,
         Err(e) => {
@@ -951,29 +950,6 @@ pub fn spec_from_request(
     })
 }
 
-/// Decode a parsed submission document into a [`JobSpec`]
-/// (compatibility wrapper over [`SubmitRequest::from_json`] +
-/// [`spec_from_request`]). Errors carry the HTTP status to answer with:
-/// `400` for malformed requests, `404` for a `program_hash` the daemon
-/// does not (or no longer does) know.
-pub fn spec_from_doc(
-    doc: &Json,
-    defaults: &ScalAnaConfig,
-    programs: &ProgramIndex,
-) -> Result<JobSpec, (u16, String)> {
-    SubmitRequest::from_json(doc)
-        .and_then(|request| spec_from_request(request, defaults, programs))
-        .map_err(|error| (error.http_status(), error.message))
-}
-
-/// Decode a submission body into a [`JobSpec`] (compatibility wrapper
-/// over [`spec_from_doc`] without program-hash resolution).
-pub fn parse_submit(body: &str, defaults: &ScalAnaConfig) -> Result<JobSpec, String> {
-    let doc = parse(body).map_err(|e| format!("bad JSON: {e}"))?;
-    let programs = ProgramIndex::new(1);
-    spec_from_doc(&doc, defaults, &programs).map_err(|(_, message)| message)
-}
-
 fn result(key: &str, state: &State) -> Response {
     let Some(view) = state.registry.status(key) else {
         return error_response(&ApiError::new(ErrorCode::UnknownJob, "unknown job"));
@@ -1037,17 +1013,27 @@ fn profile(key: &str, nprocs: &str, state: &State) -> Response {
 mod tests {
     use super::*;
 
+    /// A submission body through the daemon's own path: JSON parse
+    /// (as `submit` does), [`SubmitRequest::from_json`], then
+    /// [`spec_from_request`].
+    fn spec_from_body(body: &str, programs: &ProgramIndex) -> Result<JobSpec, ApiError> {
+        let doc =
+            parse(body).map_err(|e| ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}")))?;
+        let request = SubmitRequest::from_json(&doc)?;
+        spec_from_request(request, &ScalAnaConfig::default(), programs)
+    }
+
     #[test]
     fn parse_submit_accepts_app_and_source_forms() {
-        let defaults = ScalAnaConfig::default();
-        let spec = parse_submit(r#"{"app":"CG","scales":[2,4],"top":3}"#, &defaults).unwrap();
+        let programs = ProgramIndex::new(1);
+        let spec = spec_from_body(r#"{"app":"CG","scales":[2,4],"top":3}"#, &programs).unwrap();
         assert!(matches!(&spec.program, JobProgram::App(n) if n == "CG"));
         assert_eq!(spec.scales, vec![2, 4]);
         assert_eq!(spec.config.detect.top_k, 3);
 
-        let spec = parse_submit(
+        let spec = spec_from_body(
             r#"{"source":"fn main() { }","name":"x.mmpi","params":{"N":5},"abnorm_thd":1.5}"#,
-            &defaults,
+            &programs,
         )
         .unwrap();
         assert!(matches!(&spec.program, JobProgram::Source { name, .. } if name == "x.mmpi"));
@@ -1058,7 +1044,7 @@ mod tests {
 
     #[test]
     fn parse_submit_rejects_bad_requests() {
-        let defaults = ScalAnaConfig::default();
+        let programs = ProgramIndex::new(1);
         for (body, needle) in [
             ("{}", "exactly one"),
             (r#"{"app":"CG","source":"x"}"#, "exactly one"),
@@ -1073,14 +1059,14 @@ mod tests {
             (r#"{"app":"CG","wat":1}"#, "unknown field"),
             ("not json", "bad JSON"),
         ] {
-            let err = parse_submit(body, &defaults).unwrap_err();
-            assert!(err.contains(needle), "{body} -> {err}");
+            let err = spec_from_body(body, &programs).unwrap_err();
+            assert_eq!(err.http_status(), 400, "{body} -> {}", err.message);
+            assert!(err.message.contains(needle), "{body} -> {}", err.message);
         }
     }
 
     #[test]
     fn spec_from_doc_resolves_program_hashes() {
-        let defaults = ScalAnaConfig::default();
         let programs = ProgramIndex::new(0);
         let original = JobProgram::Source {
             name: "h.mmpi".to_string(),
@@ -1088,15 +1074,18 @@ mod tests {
         };
         let hash = programs.remember(&original);
 
-        let doc = parse(&format!(r#"{{"program_hash":"{hash}","scales":[2,4]}}"#)).unwrap();
-        let spec = spec_from_doc(&doc, &defaults, &programs).unwrap();
+        let body = format!(r#"{{"program_hash":"{hash}","scales":[2,4]}}"#);
+        let spec = spec_from_body(&body, &programs).unwrap();
         assert_eq!(spec.program.content_hash(), hash);
         assert_eq!(spec.scales, vec![2, 4]);
 
-        let doc = parse(r#"{"program_hash":"doesnotexist0000"}"#).unwrap();
-        let (code, message) = spec_from_doc(&doc, &defaults, &programs).unwrap_err();
-        assert_eq!(code, 404, "unknown hash is Not Found, not Bad Request");
-        assert!(message.contains("re-send"), "{message}");
+        let err = spec_from_body(r#"{"program_hash":"doesnotexist0000"}"#, &programs).unwrap_err();
+        assert_eq!(
+            err.http_status(),
+            404,
+            "unknown hash is Not Found, not Bad Request"
+        );
+        assert!(err.message.contains("re-send"), "{}", err.message);
     }
 
     #[test]

@@ -246,6 +246,19 @@ fn metrics_cache_counters_always_agree_with_stats() {
     // The simulator hook observed every simulated scale.
     assert_eq!(sample(&samples, "scalana_sim_runs_total"), 3);
     assert!(sample(&samples, "scalana_sim_events_total") > 0);
+    // Each stage span fed its histogram exactly once per stage run:
+    // one simulate per simulated scale, one parse per submission, one
+    // resolve and one assemble per executed job. Every span closes
+    // before its job's terminal transition, which the long-poll waited
+    // for, so the counts are exact.
+    assert_eq!(
+        sample(&samples, "scalana_stage_simulate_ns_count"),
+        sample(&samples, "scalana_sim_runs_total")
+    );
+    for stage in ["parse", "resolve", "assemble"] {
+        let family = format!("scalana_stage_{stage}_ns_count");
+        assert_eq!(sample(&samples, &family), 2, "{family}");
+    }
     let _ = client::request(&addr, "POST", paths::SHUTDOWN, "");
 }
 
