@@ -80,6 +80,11 @@ const USAGE: &str = "usage:
 const DEFAULT_ADDR: &str = "127.0.0.1:7878";
 
 fn run(args: &[String]) -> Result<(), String> {
+    if args.first().is_some_and(|a| a == "help") || args.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{USAGE}");
+        return Ok(());
+    }
     match args.first().map(String::as_str) {
         Some("static") => cmd_static(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),

@@ -7,15 +7,12 @@
 //! flight (coalesced onto the running job) — and never re-runs the
 //! simulator. Hit/miss counters are exported via `/stats`.
 //!
-//! The map is sharded N-way by key hash: submissions, status polls, and
-//! worker completions for different jobs touch different locks, so the
-//! registry no longer serializes the daemon under concurrent clients.
-//! Only FIFO eviction coordinates across shards, through a small
-//! completion-order list behind its own lock (taken strictly *after*
-//! any shard lock is released — never while holding one).
+//! The records, their completion order and the long-poll waiters parked
+//! on each record sit behind one lock. While it is held the registry
+//! only pushes onto the job queue (in [`Registry::submit`]'s `enqueue`)
+//! and calls [`WaitWaker::wake`].
 
 use crate::job::{JobOutput, JobSpec};
-use crate::sharded::shard_index;
 use scalana_api::trace::{TraceResponse, TraceSpan};
 use scalana_obs as obs;
 use std::collections::{HashMap, VecDeque};
@@ -77,6 +74,11 @@ pub struct JobRecord {
     /// `assemble`), attached by the worker just before the terminal
     /// transition; offsets are epoch nanoseconds, rebased at read.
     run_spans: Vec<TraceSpan>,
+    /// Completion subscriptions ([`Registry::subscribe`]) parked on this
+    /// job as `(token, waker)`, drained by the terminal transition. Only
+    /// a `Queued` or `Running` record has any, so neither eviction (of a
+    /// `Done` record) nor the replacement of a `Failed` one drops one.
+    waiters: Vec<(u64, Arc<dyn WaitWaker>)>,
 }
 
 /// Status view returned to HTTP handlers (no lock held).
@@ -128,40 +130,20 @@ pub struct StatsSnapshot {
     pub evicted: u64,
 }
 
-/// Shards of the job map. Keys are uniform content hashes; 16 locks is
-/// plenty to keep the expected contention per lock negligible for the
-/// connection counts the daemon admits.
-const REGISTRY_SHARDS: usize = 16;
-
-/// One registry shard: the record map and the list of completion
-/// subscriptions ([`Registry::subscribe`]) the daemon's event loop
-/// parks instead of threads. Terminal transitions (`complete`/`fail`)
-/// drain the matching subscriptions.
-///
-/// Lock order within a shard is `records` → `waiters`, always: both
-/// subscription registration and the terminal-transition drain happen
-/// under the `records` lock, which is what makes park-vs-complete
-/// race-free — a subscription either observes the terminal status in
-/// `records` or is enlisted before the transition can start draining.
+/// What the registry's one lock guards.
 #[derive(Debug, Default)]
-struct Shard {
-    records: Mutex<HashMap<String, JobRecord>>,
-    waiters: Mutex<Vec<Waiter>>,
-}
-
-/// One parked completion subscription.
-#[derive(Debug)]
-struct Waiter {
-    key: String,
-    token: u64,
-    waker: Arc<dyn WaitWaker>,
+struct Jobs {
+    records: HashMap<String, JobRecord>,
+    /// Keys of the `Done` records in completion order, a repeat submit
+    /// moving its key to the back — the FIFO eviction candidates.
+    done_order: VecDeque<String>,
 }
 
 /// Sink for completion notifications: [`Registry::subscribe`] hands the
 /// registry one of these per parked waiter, and the terminal transition
 /// calls [`wake`](WaitWaker::wake) with the waiter's token. Called with
-/// a shard `records` lock held, so implementations must be quick and
-/// must never call back into the registry (the daemon's implementation
+/// the registry lock held, so implementations must be quick and must
+/// never call back into the registry (the daemon's implementation
 /// pushes the token onto a ready queue and signals an eventfd).
 pub trait WaitWaker: Send + Sync + std::fmt::Debug {
     /// Deliver a completion notification for the subscription `token`.
@@ -214,23 +196,16 @@ pub struct RegistryObs {
 /// The shared registry.
 #[derive(Debug)]
 pub struct Registry {
-    shards: Box<[Shard]>,
+    jobs: Mutex<Jobs>,
     /// Observability sinks (inert unless wired by the daemon).
     obs: RegistryObs,
-    /// Keys in completion order, a repeat submit moving its key to the
-    /// back — the FIFO eviction candidates. Guarded by its own lock;
-    /// never taken while a shard lock is held.
-    done_order: Mutex<VecDeque<String>>,
     /// Retain at most this many completed results (0 = unbounded). The
     /// daemon must bound it: each `JobOutput` holds per-scale profile
     /// images and each spec its full source text, so an unbounded map
     /// grows monotonically under a stream of distinct jobs until OOM.
     max_results: usize,
-    /// Completed results currently held — kept as an atomic so `/stats`
-    /// and `results_cached` never touch the shard locks.
-    results_held: AtomicUsize,
-    /// Subscriptions currently parked across all shards (mirrored into
-    /// `obs.parked` so `/v1/metrics` sees it without touching locks).
+    /// Subscriptions currently parked (mirrored into `obs.parked` so
+    /// `/v1/metrics` sees it without taking the lock).
     parked: AtomicUsize,
     /// Generation source for [`JobRecord::generation`].
     generations: AtomicU64,
@@ -247,11 +222,9 @@ pub struct Registry {
 impl Default for Registry {
     fn default() -> Registry {
         Registry {
-            shards: (0..REGISTRY_SHARDS).map(|_| Shard::default()).collect(),
+            jobs: Mutex::default(),
             obs: RegistryObs::default(),
-            done_order: Mutex::new(VecDeque::new()),
             max_results: 0,
-            results_held: AtomicUsize::new(0),
             parked: AtomicUsize::new(0),
             generations: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
@@ -262,6 +235,19 @@ impl Default for Registry {
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Jobs {
+    /// Move a repeat-submitted `done` job to the back of the eviction
+    /// FIFO, so completions between a client's `wait` and its
+    /// `GET result` evict older results first.
+    fn refresh_done_order(&mut self, key: &str) {
+        if let Some(index) = self.done_order.iter().rposition(|k| k == key) {
+            if let Some(entry) = self.done_order.remove(index) {
+                self.done_order.push_back(entry);
+            }
         }
     }
 }
@@ -299,15 +285,10 @@ impl Registry {
         self
     }
 
-    /// The shard holding `key`.
-    fn shard(&self, key: &str) -> &Shard {
-        &self.shards[shard_index(key, self.shards.len())]
-    }
-
     /// Register a submission. Failed jobs are retried (their record is
     /// replaced and the submission counts as a miss).
     ///
-    /// `enqueue` is called *inside* the key's shard lock for fresh jobs
+    /// `enqueue` is called *inside* the registry lock for fresh jobs
     /// and must be non-blocking (the bounded
     /// [`crate::queue::JobQueue::push`] is). Holding the lock makes
     /// lookup → register → enqueue atomic: without it, a concurrent
@@ -332,15 +313,14 @@ impl Registry {
         F: FnOnce(&str) -> bool,
     {
         let key = spec.key();
-        let mut jobs = self.shard(&key).records.lock().unwrap();
-        match jobs.get(&key) {
+        let mut jobs = self.jobs.lock().unwrap();
+        match jobs.records.get(&key) {
             Some(record) if record.status != JobStatus::Failed => {
                 self.submitted.fetch_add(1, Ordering::Relaxed);
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 let hit = view(&key, record);
-                drop(jobs);
                 if hit.status == JobStatus::Done {
-                    self.refresh_done_order(&key);
+                    jobs.refresh_done_order(&key);
                 }
                 SubmitOutcome::Existing(hit)
             }
@@ -351,7 +331,7 @@ impl Registry {
                 }
                 self.submitted.fetch_add(1, Ordering::Relaxed);
                 self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                jobs.insert(
+                jobs.records.insert(
                     key.clone(),
                     JobRecord {
                         spec,
@@ -364,23 +344,10 @@ impl Registry {
                         started_ns: 0,
                         terminal_ns: 0,
                         run_spans: Vec::new(),
+                        waiters: Vec::new(),
                     },
                 );
                 SubmitOutcome::Fresh(key)
-            }
-        }
-    }
-
-    /// Move a repeat-submitted `done` job to the back of the eviction
-    /// FIFO, so completions between a client's `wait` and its
-    /// `GET result` evict older results first. Called with no shard lock
-    /// held; a key not in the FIFO (in flight, or already evicted) is
-    /// left alone.
-    fn refresh_done_order(&self, key: &str) {
-        let mut done_order = self.done_order.lock().unwrap();
-        if let Some(index) = done_order.iter().rposition(|k| k == key) {
-            if let Some(entry) = done_order.remove(index) {
-                done_order.push_back(entry);
             }
         }
     }
@@ -389,8 +356,8 @@ impl Registry {
     /// generation, which the execution must echo back to
     /// [`complete`](Registry::complete)/[`fail`](Registry::fail).
     pub fn start(&self, key: &str) -> Option<(JobSpec, u64)> {
-        let mut jobs = self.shard(key).records.lock().unwrap();
-        let record = jobs.get_mut(key)?;
+        let mut jobs = self.jobs.lock().unwrap();
+        let record = jobs.records.get_mut(key)?;
         if record.status != JobStatus::Queued {
             return None;
         }
@@ -410,55 +377,42 @@ impl Registry {
     /// evicted to make room — an evicted job simply re-runs on its next
     /// submission.
     pub fn complete(&self, key: &str, generation: u64, output: JobOutput) {
-        {
-            let shard = self.shard(key);
-            let mut jobs = shard.records.lock().unwrap();
-            let Some(record) = jobs.get_mut(key) else {
-                return;
-            };
-            if record.status != JobStatus::Running || record.generation != generation {
-                return;
-            }
-            record.status = JobStatus::Done;
-            record.result = Some(Arc::new(output));
-            record.error = None;
-            record.terminal_ns = obs::now_ns();
-            self.obs
-                .job_ns
-                .record(record.terminal_ns.saturating_sub(record.started_ns));
-            // Count the completion before waking anyone: a client woken
-            // by the transition must find `completed`/`results_cached`
-            // already reflecting the job it just observed (`fail()`
-            // orders its counter the same way).
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            self.results_held.fetch_add(1, Ordering::Relaxed);
-            // Wake long-poll waiters while still holding the shard lock
-            // (no waiter can miss the transition).
-            self.drain_waiters(shard, key);
+        let mut jobs = self.jobs.lock().unwrap();
+        let Some(record) = jobs.records.get_mut(key) else {
+            return;
+        };
+        if record.status != JobStatus::Running || record.generation != generation {
+            return;
         }
-
-        // Eviction holds the completion-order lock and takes one shard
-        // lock per candidate; the shard lock above is already released,
-        // so the done_order → shard order is the only one that exists.
-        let mut done_order = self.done_order.lock().unwrap();
-        done_order.push_back(key.to_string());
-        while self.max_results > 0 && done_order.len() > self.max_results {
-            let Some(oldest) = done_order.pop_front() else {
-                break;
-            };
-            // Entries in done_order are Done for as long as they exist
-            // (Done is terminal); a stale key — evicted earlier, then
-            // resubmitted and completed again — is simply skipped.
-            let mut jobs = self.shard(&oldest).records.lock().unwrap();
-            if jobs
-                .get(&oldest)
-                .is_some_and(|r| r.status == JobStatus::Done)
-            {
-                jobs.remove(&oldest);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-                self.results_held.fetch_sub(1, Ordering::Relaxed);
-            }
+        record.status = JobStatus::Done;
+        record.result = Some(Arc::new(output));
+        record.error = None;
+        record.terminal_ns = obs::now_ns();
+        self.obs
+            .job_ns
+            .record(record.terminal_ns.saturating_sub(record.started_ns));
+        let waiters = std::mem::take(&mut record.waiters);
+        // Count the completion and evict before waking anyone: a client
+        // woken by the transition must find `completed`/`results_cached`
+        // already reflecting the job it just observed (`fail()` orders
+        // its counter the same way).
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        jobs.done_order.push_back(key.to_string());
+        let mut evicted = Vec::new();
+        while self.max_results > 0 && jobs.done_order.len() > self.max_results {
+            let oldest = jobs
+                .done_order
+                .pop_front()
+                .expect("longer than max_results");
+            evicted.extend(jobs.records.remove(&oldest));
+            self.evicted.fetch_add(1, Ordering::Relaxed);
         }
+        // Still under the lock, so no waiter can miss the transition.
+        self.wake_all(waiters);
+        // An evicted result holds every scale's profile image: free it
+        // without the lock.
+        drop(jobs);
+        drop(evicted);
     }
 
     /// Worker failed. No-ops unless the record is still the `Running`
@@ -468,9 +422,8 @@ impl Registry {
     /// that a resubmission has already replaced, must not clobber a
     /// freshly queued retry with a stale error.
     pub fn fail(&self, key: &str, generation: u64, error: String) {
-        let shard = self.shard(key);
-        let mut jobs = shard.records.lock().unwrap();
-        if let Some(record) = jobs.get_mut(key) {
+        let mut jobs = self.jobs.lock().unwrap();
+        if let Some(record) = jobs.records.get_mut(key) {
             if record.status != JobStatus::Running || record.generation != generation {
                 return;
             }
@@ -481,34 +434,32 @@ impl Registry {
                 .job_ns
                 .record(record.terminal_ns.saturating_sub(record.started_ns));
             self.failed.fetch_add(1, Ordering::Relaxed);
-            self.drain_waiters(shard, key);
+            let waiters = std::mem::take(&mut record.waiters);
+            self.wake_all(waiters);
         }
     }
 
-    /// Wake and remove every subscription parked on `key`. Must be
-    /// called with the shard's `records` lock held (the terminal
-    /// transition is still in progress, so no new subscription can
-    /// slip in between the status change and the drain).
-    fn drain_waiters(&self, shard: &Shard, key: &str) {
-        let mut waiters = shard.waiters.lock().unwrap();
-        let mut index = 0;
-        while index < waiters.len() {
-            if waiters[index].key == key {
-                let waiter = waiters.swap_remove(index);
-                waiter.waker.wake(waiter.token);
-                self.obs.wakes.inc();
-                let now = self.parked.fetch_sub(1, Ordering::Relaxed) - 1;
-                self.obs.parked.set(now as u64);
-            } else {
-                index += 1;
-            }
+    /// Wake the subscriptions a terminal transition took off its record.
+    /// Called with the registry lock held, so no new subscription can
+    /// slip in between the status change and the wake.
+    fn wake_all(&self, waiters: Vec<(u64, Arc<dyn WaitWaker>)>) {
+        for (token, waker) in &waiters {
+            waker.wake(*token);
+            self.obs.wakes.inc();
         }
+        self.unpark(waiters.len());
+    }
+
+    /// Count `removed` subscriptions off the parked gauge.
+    fn unpark(&self, removed: usize) {
+        let now = self.parked.fetch_sub(removed, Ordering::Relaxed) - removed;
+        self.obs.parked.set(now as u64);
     }
 
     /// Status of one job.
     pub fn status(&self, key: &str) -> Option<StatusView> {
-        let jobs = self.shard(key).records.lock().unwrap();
-        jobs.get(key).map(|record| view(key, record))
+        let jobs = self.jobs.lock().unwrap();
+        jobs.records.get(key).map(|record| view(key, record))
     }
 
     /// Attach the execution's child spans (epoch-nanosecond offsets)
@@ -518,8 +469,8 @@ impl Registry {
     /// the record is still the `Running` execution identified by
     /// `generation`.
     pub fn attach_run_spans(&self, key: &str, generation: u64, spans: Vec<TraceSpan>) {
-        let mut jobs = self.shard(key).records.lock().unwrap();
-        if let Some(record) = jobs.get_mut(key) {
+        let mut jobs = self.jobs.lock().unwrap();
+        if let Some(record) = jobs.records.get_mut(key) {
             if record.status == JobStatus::Running && record.generation == generation {
                 record.run_spans = spans;
             }
@@ -540,8 +491,8 @@ impl Registry {
     /// Re-submitting an identical job coalesces onto this record, so
     /// the trace always describes the execution that actually ran.
     pub fn trace(&self, key: &str) -> Option<(JobStatus, Option<TraceResponse>)> {
-        let jobs = self.shard(key).records.lock().unwrap();
-        let record = jobs.get(key)?;
+        let jobs = self.jobs.lock().unwrap();
+        let record = jobs.records.get(key)?;
         if !matches!(record.status, JobStatus::Done | JobStatus::Failed) || record.terminal_ns == 0
         {
             return Some((record.status, None));
@@ -598,23 +549,18 @@ impl Registry {
     /// away, wait budget elapsed) must [`Registry::unsubscribe`].
     ///
     /// The registration is race-free against `complete`/`fail`: both
-    /// the status check here and the drain there run under the shard's
-    /// `records` lock, so a subscription either sees the terminal
-    /// status inline or is enlisted before the drain runs.
+    /// the status check here and the drain there run under the registry
+    /// lock, so a subscription either sees the terminal status inline or
+    /// is enlisted on the record before the drain runs.
     pub fn subscribe(&self, key: &str, token: u64, waker: Arc<dyn WaitWaker>) -> SubscribeOutcome {
-        let shard = self.shard(key);
-        let jobs = shard.records.lock().unwrap();
-        let Some(record) = jobs.get(key) else {
+        let mut jobs = self.jobs.lock().unwrap();
+        let Some(record) = jobs.records.get_mut(key) else {
             return SubscribeOutcome::Unknown;
         };
         if matches!(record.status, JobStatus::Done | JobStatus::Failed) {
             return SubscribeOutcome::Terminal(view(key, record));
         }
-        shard.waiters.lock().unwrap().push(Waiter {
-            key: key.to_string(),
-            token,
-            waker,
-        });
+        record.waiters.push((token, waker));
         self.obs.parks.inc();
         let now = self.parked.fetch_add(1, Ordering::Relaxed) + 1;
         self.obs.parked.set(now as u64);
@@ -627,17 +573,15 @@ impl Registry {
     /// already fired (or was never parked) and the caller races a
     /// pending notification for this token.
     pub fn unsubscribe(&self, key: &str, token: u64) -> bool {
-        let shard = self.shard(key);
-        // Taken in the shard's records → waiters order so removal can
-        // never interleave with a terminal drain for the same key.
-        let _jobs = shard.records.lock().unwrap();
-        let mut waiters = shard.waiters.lock().unwrap();
-        let before = waiters.len();
-        waiters.retain(|w| !(w.key == key && w.token == token));
-        let removed = before - waiters.len();
+        let mut jobs = self.jobs.lock().unwrap();
+        let Some(record) = jobs.records.get_mut(key) else {
+            return false;
+        };
+        let before = record.waiters.len();
+        record.waiters.retain(|(t, _)| *t != token);
+        let removed = before - record.waiters.len();
         if removed > 0 {
-            let now = self.parked.fetch_sub(removed, Ordering::Relaxed) - removed;
-            self.obs.parked.set(now as u64);
+            self.unpark(removed);
         }
         removed > 0
     }
@@ -663,19 +607,17 @@ impl Registry {
         after: Option<&str>,
         limit: usize,
     ) -> (Vec<StatusView>, Option<String>) {
-        let mut matching: Vec<StatusView> = Vec::new();
-        for shard in self.shards.iter() {
-            let jobs = shard.records.lock().unwrap();
-            for (key, record) in jobs.iter() {
-                if state.is_some_and(|s| s != record.status) {
-                    continue;
-                }
-                if after.is_some_and(|a| key.as_str() <= a) {
-                    continue;
-                }
-                matching.push(view(key, record));
-            }
-        }
+        let mut matching: Vec<StatusView> = self
+            .jobs
+            .lock()
+            .unwrap()
+            .records
+            .iter()
+            .filter(|(key, record)| {
+                state.is_none_or(|s| s == record.status) && after.is_none_or(|a| key.as_str() > a)
+            })
+            .map(|(key, record)| view(key, record))
+            .collect();
         matching.sort_by(|a, b| a.key.cmp(&b.key));
         let more = matching.len() > limit;
         matching.truncate(limit);
@@ -687,10 +629,9 @@ impl Registry {
         (matching, next_after)
     }
 
-    /// Completed results currently held in the cache (lock-free — a
-    /// counter, not a scan, so `/stats` never contends with submissions).
+    /// Completed results currently held in the cache.
     pub fn results_cached(&self) -> usize {
-        self.results_held.load(Ordering::Relaxed)
+        self.jobs.lock().unwrap().done_order.len()
     }
 
     /// Counter snapshot.
@@ -984,6 +925,16 @@ mod tests {
         // One gives up early; only the survivor is woken.
         assert!(registry.unsubscribe(&key, 11));
         assert!(!registry.unsubscribe(&key, 11), "second removal is a no-op");
+        assert_eq!(registry.parked(), 1);
+
+        // Another job's completion wakes nobody parked on this one.
+        let other = match accept(&registry, spec("fn main() { barrier(); }")) {
+            SubmitOutcome::Fresh(other) => other,
+            other => panic!("{other:?}"),
+        };
+        let (job, generation) = registry.start(&other).unwrap();
+        registry.complete(&other, generation, job.execute().unwrap());
+        assert!(waker.0.lock().unwrap().is_empty());
         assert_eq!(registry.parked(), 1);
 
         let (job, generation) = registry.start(&key).unwrap();

@@ -19,11 +19,8 @@
 //!   per-scale), and execution (profiles are persisted via
 //!   `scalana_profile::store`, the way the real tool hands images from
 //!   its profiler to its detector);
-//! - [`sharded`] — N-way sharded FIFO-bounded maps, the concurrency
-//!   substrate under every cache below;
 //! - [`queue`] / [`cache`] — bounded two-lane task queue and the
-//!   sharded content-addressed registry/result cache with hit/miss
-//!   counters;
+//!   content-addressed registry/result cache with hit/miss counters;
 //! - [`tiers`] — the one place that decides which tier (memory, then
 //!   disk) answers a profile image or PSG discovery trace, which tiers
 //!   admit it and what is counted. The tiers themselves:
@@ -89,7 +86,6 @@ pub mod queue;
 #[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod server;
-pub mod sharded;
 pub mod store;
 pub mod tiers;
 

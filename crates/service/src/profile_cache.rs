@@ -25,28 +25,96 @@
 //!   `submit --program-hash` can re-reference an uploaded program
 //!   without re-sending its source.
 //!
-//! All three are FIFO-bounded [`crate::sharded`] maps (the PSG cache
-//! and the trace shelf a single shard each, so their capacities are
-//! exact); the per-scale hit/miss/eviction counters feed `/stats`.
+//! Each map sits behind one lock and holds exactly its capacity, the
+//! oldest insertion evicted first; the per-scale hit/miss/eviction
+//! counters feed `/stats`.
 
 use crate::job::JobProgram;
-use crate::sharded::ShardedMap;
 use bytes::Bytes;
 use scalana_core::RunSummary;
 use scalana_graph::{Ppg, Psg};
 use scalana_lang::Program;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Shard count shared by the daemon's content-addressed maps. Keys are
-/// uniform content hashes, so this just has to exceed the plausible
-/// number of simultaneously contending threads.
-pub const CACHE_SHARDS: usize = 16;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Encoded PSG discovery traces the memory tier keeps resident — the
 /// one in-memory copy of a trace in the daemon (a few hundred bytes
 /// each; the durable store, when configured, holds every one).
 pub const TRACE_CAPACITY: usize = 256;
+
+/// Programs the daemon's [`ProgramIndex`] keeps for `--program-hash`.
+pub const PROGRAM_CAPACITY: usize = 512;
+
+/// A string-keyed map behind one lock that holds at most `capacity`
+/// entries (0 = unbounded), evicting the oldest insertion first.
+struct FifoMap<V> {
+    capacity: usize,
+    inner: Mutex<Fifo<V>>,
+}
+
+struct Fifo<V> {
+    map: HashMap<String, V>,
+    /// The keys of `map`, oldest insertion first.
+    order: VecDeque<String>,
+}
+
+impl<V> std::fmt::Debug for FifoMap<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FifoMap")
+            .field("capacity", &self.capacity)
+            .field("len", &self.inner.lock().unwrap().map.len())
+            .finish()
+    }
+}
+
+impl<V: Clone> FifoMap<V> {
+    fn new(capacity: usize) -> FifoMap<V> {
+        FifoMap {
+            capacity,
+            inner: Mutex::new(Fifo {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+            }),
+        }
+    }
+
+    fn get(&self, key: &str) -> Option<V> {
+        self.inner.lock().unwrap().map.get(key).cloned()
+    }
+
+    /// Insert `value` unless `key` is present: keys are content
+    /// addresses, so the resident value is an equal one and keeps its
+    /// place. Returns the evicted values, for the caller to drop once
+    /// the lock is released (an image's decoded PPG is large).
+    fn insert(&self, key: String, value: V) -> Vec<V> {
+        let mut fifo = self.inner.lock().unwrap();
+        let mut evicted = Vec::new();
+        if fifo.map.contains_key(&key) {
+            return evicted;
+        }
+        fifo.map.insert(key.clone(), value);
+        fifo.order.push_back(key);
+        while self.capacity > 0 && fifo.map.len() > self.capacity {
+            let oldest = fifo.order.pop_front().expect("order holds every key");
+            evicted.extend(fifo.map.remove(&oldest));
+        }
+        evicted
+    }
+
+    /// Take `key`'s value out of the map.
+    fn remove(&self, key: &str) -> Option<V> {
+        let mut fifo = self.inner.lock().unwrap();
+        let value = fifo.map.remove(key)?;
+        // Rare (a corrupt entry), so a scan of the order is fine.
+        fifo.order.retain(|k| k != key);
+        Some(value)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.lock().unwrap().map.len()
+    }
+}
 
 /// What detection consumes of one profiled scale
 /// ([`scalana_core::scale_ppg`]).
@@ -93,15 +161,11 @@ impl CachedScale {
 /// hit/miss accounting.
 #[derive(Debug)]
 pub struct ProfileCache {
-    capacity: usize,
-    images: ShardedMap<Arc<CachedScale>>,
-    traces: ShardedMap<Bytes>,
+    images: FifoMap<Arc<CachedScale>>,
+    traces: FifoMap<Bytes>,
     hits: AtomicU64,
     misses: AtomicU64,
     evicted: AtomicU64,
-    /// Mirror of the total entry count, so `/stats` reads it without
-    /// touching the shard locks.
-    entries: AtomicU64,
 }
 
 /// `/stats` snapshot of a [`ProfileCache`].
@@ -120,23 +184,21 @@ pub struct ProfileCacheStats {
 }
 
 impl ProfileCache {
-    /// Cache holding at most ~`capacity` profile images (0 = unbounded)
-    /// and exactly [`TRACE_CAPACITY`] traces.
+    /// Cache holding at most `capacity` profile images (0 = unbounded)
+    /// and [`TRACE_CAPACITY`] traces.
     pub fn new(capacity: usize) -> ProfileCache {
         ProfileCache {
-            capacity,
-            images: ShardedMap::new(CACHE_SHARDS, capacity),
-            traces: ShardedMap::new(1, TRACE_CAPACITY),
+            images: FifoMap::new(capacity),
+            traces: FifoMap::new(TRACE_CAPACITY),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
         }
     }
 
     /// The image capacity this cache was built with (0 = unbounded).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.images.capacity
     }
 
     /// The resident entry for one scale, if any. Counts nothing: the
@@ -161,23 +223,15 @@ impl ProfileCache {
     /// Insert a scale's image (freshly simulated, or read from the
     /// store). Only the bytes are retained until a job hits the entry.
     pub fn store(&self, key: String, image: Bytes) {
-        let outcome = self.images.insert(key, Arc::new(CachedScale::new(image)));
-        if outcome.added {
-            self.entries.fetch_add(1, Ordering::Relaxed);
-        }
-        if outcome.evicted > 0 {
-            self.evicted
-                .fetch_add(outcome.evicted as u64, Ordering::Relaxed);
-            self.entries
-                .fetch_sub(outcome.evicted as u64, Ordering::Relaxed);
-        }
+        let evicted = self.images.insert(key, Arc::new(CachedScale::new(image)));
+        self.evicted
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 
     /// Drop an image that failed to deserialize (counts as eviction).
     pub fn invalidate(&self, key: &str) {
-        if self.images.remove(key) {
+        if self.images.remove(key).is_some() {
             self.evicted.fetch_add(1, Ordering::Relaxed);
-            self.entries.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -196,13 +250,13 @@ impl ProfileCache {
         self.traces.remove(key);
     }
 
-    /// Counter snapshot for `/stats` — all lock-free.
+    /// Counter snapshot for `/stats`.
     pub fn stats(&self) -> ProfileCacheStats {
         ProfileCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed) as usize,
+            entries: self.images.len(),
         }
     }
 }
@@ -220,19 +274,16 @@ pub struct CachedPsg {
 /// Refined-PSG cache (values shared by `Arc`, never copied).
 #[derive(Debug)]
 pub struct PsgCache {
-    psgs: ShardedMap<CachedPsg>,
+    psgs: FifoMap<CachedPsg>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl PsgCache {
-    /// Cache holding exactly `capacity` refined PSGs (0 = unbounded).
-    /// One shard: a job looks up once, so there is no contention to
-    /// spread, and per-shard FIFO bounds would evict well before
-    /// `capacity` distinct keys are resident.
+    /// Cache holding at most `capacity` refined PSGs (0 = unbounded).
     pub fn new(capacity: usize) -> PsgCache {
         PsgCache {
-            psgs: ShardedMap::new(1, capacity),
+            psgs: FifoMap::new(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -265,38 +316,25 @@ impl PsgCache {
 /// Programs previously seen by the daemon, addressable by content hash.
 #[derive(Debug)]
 pub struct ProgramIndex {
-    programs: ShardedMap<JobProgram>,
-    /// Mirror of the entry count (lock-free `/stats`).
-    entries: AtomicU64,
+    programs: FifoMap<JobProgram>,
 }
 
 impl ProgramIndex {
-    /// Index retaining at most ~`capacity` programs (0 = unbounded).
+    /// Index retaining at most `capacity` programs (0 = unbounded); the
+    /// daemon's holds [`PROGRAM_CAPACITY`].
     pub fn new(capacity: usize) -> ProgramIndex {
         ProgramIndex {
-            programs: ShardedMap::new(CACHE_SHARDS, capacity),
-            entries: AtomicU64::new(0),
+            programs: FifoMap::new(capacity),
         }
     }
 
     /// Remember `program` under its content hash; returns the hash (the
     /// handle echoed back to clients). The key is a content address —
-    /// equal hash means equal program — so an already-indexed program is
-    /// left untouched: no source-sized clone, no shard write, and its
-    /// FIFO eviction position is unchanged (re-insertion would not
-    /// refresh it either).
+    /// equal hash means equal program — so an already-indexed program
+    /// keeps its entry and its FIFO eviction position.
     pub fn remember(&self, program: &JobProgram) -> String {
         let hash = program.content_hash();
-        if self.programs.get(&hash).is_none() {
-            let outcome = self.programs.insert(hash.clone(), program.clone());
-            if outcome.added {
-                self.entries.fetch_add(1, Ordering::Relaxed);
-            }
-            if outcome.evicted > 0 {
-                self.entries
-                    .fetch_sub(outcome.evicted as u64, Ordering::Relaxed);
-            }
-        }
+        self.programs.insert(hash.clone(), program.clone());
         hash
     }
 
@@ -307,9 +345,9 @@ impl ProgramIndex {
         self.programs.get(hash)
     }
 
-    /// Programs currently indexed (lock-free).
+    /// Programs currently indexed.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed) as usize
+        self.programs.len()
     }
 
     /// No programs indexed.
@@ -321,6 +359,103 @@ impl ProgramIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A key shaped like the daemon's: a 16-hex-digit content hash.
+    fn content_key(i: usize) -> String {
+        let mut h = crate::hash::StableHasher::new();
+        h.write_usize(i);
+        h.hex()
+    }
+
+    #[test]
+    fn fifo_map_round_trips_and_keeps_a_present_key() {
+        let map: FifoMap<u32> = FifoMap::new(0);
+        assert!(map.insert("a".into(), 1).is_empty());
+        map.insert("b".into(), 2);
+        assert_eq!(map.get("a"), Some(1));
+        assert_eq!(map.get("missing"), None);
+        // A present key keeps its value: keys are content addresses.
+        map.insert("a".into(), 3);
+        assert_eq!(map.get("a"), Some(1));
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.remove("a"), Some(1));
+        assert_eq!(map.remove("a"), None);
+        assert_eq!(map.len(), 1);
+    }
+
+    #[test]
+    fn fifo_map_evicts_the_oldest_insertion() {
+        let map: FifoMap<u32> = FifoMap::new(2);
+        map.insert("a".into(), 1);
+        map.insert("b".into(), 2);
+        assert_eq!(map.insert("c".into(), 3), vec![1], "oldest evicted");
+        assert_eq!(map.get("a"), None);
+        assert_eq!((map.get("b"), map.get("c")), (Some(2), Some(3)));
+        // A removed key comes back as the newest insertion.
+        assert_eq!(map.remove("b"), Some(2));
+        map.insert("b".into(), 4);
+        assert_eq!(map.insert("d".into(), 5), vec![3]);
+        assert_eq!(map.get("c"), None);
+        assert_eq!((map.get("b"), map.get("d")), (Some(4), Some(5)));
+        assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_access_is_safe() {
+        let capacity = 64;
+        let map: FifoMap<usize> = FifoMap::new(capacity);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let map = &map;
+                scope.spawn(move || {
+                    for i in 0..128 {
+                        map.insert(format!("t{t}-{i}"), i);
+                        let _ = map.get(&format!("t{t}-{i}"));
+                    }
+                });
+            }
+        });
+        assert_eq!(map.len(), capacity, "the capacity is exact");
+    }
+
+    #[test]
+    fn profile_cache_holds_its_capacity_of_distinct_keys() {
+        let capacity = 1024;
+        let cache = ProfileCache::new(capacity);
+        for i in 0..capacity {
+            cache.store(content_key(i), Bytes::new());
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evicted), (capacity, 0));
+        assert!((0..capacity).all(|i| cache.peek(&content_key(i)).is_some()));
+        // One more evicts exactly the oldest.
+        cache.store(content_key(capacity), Bytes::new());
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evicted), (capacity, 1));
+        assert!(cache.peek(&content_key(0)).is_none());
+    }
+
+    #[test]
+    fn program_index_holds_its_capacity_of_distinct_programs() {
+        let index = ProgramIndex::new(PROGRAM_CAPACITY);
+        let program = |i: usize| JobProgram::Source {
+            name: "p.mmpi".to_string(),
+            text: format!("fn main() {{ comp(cycles = {i}); }}"),
+        };
+        let hashes: Vec<String> = (0..PROGRAM_CAPACITY)
+            .map(|i| index.remember(&program(i)))
+            .collect();
+        assert_eq!(index.len(), PROGRAM_CAPACITY);
+        assert!(hashes.iter().all(|hash| index.resolve(hash).is_some()));
+        // Remembering a known program changes nothing.
+        index.remember(&program(0));
+        assert_eq!(index.len(), PROGRAM_CAPACITY);
+        // One more evicts exactly the oldest.
+        index.remember(&program(PROGRAM_CAPACITY));
+        assert_eq!(index.len(), PROGRAM_CAPACITY);
+        assert!(index.resolve(&hashes[0]).is_none());
+        assert!(index.resolve(&hashes[1]).is_some());
+    }
 
     #[test]
     fn profile_cache_counts_hits_misses_evictions() {
@@ -396,8 +531,7 @@ mod tests {
     #[test]
     fn psg_cache_keeps_capacity_distinct_keys_resident() {
         // The daemon's default capacity, with keys shaped like the real
-        // ones: over 16 shards of 4, some of 64 content hashes collide
-        // five to a shard and push each other out.
+        // ones: all 64 content hashes stay resident.
         let capacity = 64;
         let cache = PsgCache::new(capacity);
         let entry = refined("fn main() { barrier(); }");

@@ -83,8 +83,8 @@ const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(1280);
 
 /// The [`WaitWaker`] workers call at terminal transitions: push the
-/// parked connection's token, signal the eventfd. Called with a
-/// registry shard lock held, so it must stay this small.
+/// parked connection's token, signal the eventfd. Called with the
+/// registry lock held, so it must stay this small.
 #[derive(Debug)]
 struct LoopWaker {
     ready: Mutex<Vec<u64>>,

@@ -32,7 +32,7 @@
 //! threads executes them *per scale* ([`crate::exec`]): each requested
 //! scale resolves through the tier chain ([`crate::tiers`]) first, only
 //! the misses are simulated — fanned out across the pool, not one
-//! worker per job — and whole-job results live in the sharded
+//! worker per job — and whole-job results live in the
 //! [`Registry`], so identical re-submissions are answered without
 //! touching the queue and overlapping ones re-simulate only their
 //! genuinely new scales.
@@ -51,7 +51,7 @@ use crate::http::Request;
 use crate::job::{JobProgram, JobSpec};
 use crate::json::{parse, Json};
 use crate::metrics::ServiceMetrics;
-use crate::profile_cache::{ProfileCache, ProgramIndex, PsgCache};
+use crate::profile_cache::{ProfileCache, ProgramIndex, PsgCache, PROGRAM_CAPACITY};
 use crate::queue::JobQueue;
 use crate::store::{DiskStore, RealIo, StoreIo, StoreSnapshot};
 use crate::tiers::Tiers;
@@ -85,11 +85,11 @@ pub struct ServiceConfig {
     /// daemon must bound them.
     pub max_cached_results: usize,
     /// Per-scale profile images the memory tier retains (oldest
-    /// evicted first; 0 = unbounded). The unit of cross-job reuse: one
-    /// entry per (program, profile config, discovery scale, scale). An
-    /// entry a job has hit also holds the image's decoded PPG + run
-    /// summary, so this count bounds those too. (Discovery traces have
-    /// a fixed bound beside it,
+    /// evicted first; 0 = unbounded; the bound is exact). The unit of
+    /// cross-job reuse: one entry per (program, profile config,
+    /// discovery scale, scale). An entry a job has hit also holds the
+    /// image's decoded PPG + run summary, so this count bounds those
+    /// too. (Discovery traces have a fixed bound beside it,
     /// [`TRACE_CAPACITY`](crate::profile_cache::TRACE_CAPACITY).)
     pub max_cached_profiles: usize,
     /// Refined PSGs retained, each with its parsed program (oldest
@@ -97,17 +97,12 @@ pub struct ServiceConfig {
     /// extremely reusable — one per (program, PSG options, discovery
     /// scale).
     pub max_cached_psgs: usize,
-    /// Programs indexed by content hash for `--program-hash` reuse
-    /// (0 = unbounded).
-    pub max_indexed_programs: usize,
     /// Connections served concurrently before new ones are shed with a
     /// `503` + `Retry-After`. A connection costs the event loop one fd
     /// and a small state machine (not a thread), so the default is
     /// sized for thousands of parked long-pollers; the real ceiling is
     /// the process fd limit.
     pub max_connections: usize,
-    /// Base analysis configuration; per-request knobs override it.
-    pub default_config: ScalAnaConfig,
     /// Durable store directory (`--store-dir`) — the disk tier. When
     /// set, profile images and PSG discovery traces are written behind
     /// to disk, memory misses read through it, and the memory tier
@@ -136,9 +131,7 @@ impl Default for ServiceConfig {
             max_cached_results: 256,
             max_cached_profiles: 1024,
             max_cached_psgs: 64,
-            max_indexed_programs: 512,
             max_connections: 16_384,
-            default_config: ScalAnaConfig::default(),
             store_dir: None,
             store_quota: 0,
             store_io: None,
@@ -170,7 +163,6 @@ pub(crate) struct State {
     /// at exposition time). The event loop stores its live count here.
     pub(crate) connections: AtomicUsize,
     pub(crate) max_connections: usize,
-    pub(crate) default_config: ScalAnaConfig,
     /// Per-server observability: stage histograms, simulator counters,
     /// and the `/v1/metrics` exposition registry. Owned here (not
     /// global) so in-process daemons never share counters.
@@ -268,7 +260,7 @@ impl Server {
             queue: JobQueue::new(config.queue_capacity),
             profiles: ProfileCache::new(config.max_cached_profiles),
             psgs: PsgCache::new(config.max_cached_psgs),
-            programs: ProgramIndex::new(config.max_indexed_programs),
+            programs: ProgramIndex::new(PROGRAM_CAPACITY),
             store,
             idle_timeout: config.idle_timeout.max(Duration::from_secs(1)),
             workers: config.workers.max(1),
@@ -276,7 +268,6 @@ impl Server {
             addr,
             connections: AtomicUsize::new(0),
             max_connections: config.max_connections.max(1),
-            default_config: config.default_config.clone(),
             metrics,
             started: Instant::now(),
             #[cfg(target_os = "linux")]
@@ -874,7 +865,7 @@ fn submit(request: &Request, state: &State) -> Response {
 /// Register one submission document; returns the acknowledgment.
 fn submit_one(doc: &Json, state: &State, recv_ns: u64) -> Result<SubmitAck, ApiError> {
     let request = SubmitRequest::from_json(doc)?;
-    let spec = spec_from_request(request, &state.default_config, &state.programs)?;
+    let spec = spec_from_request(request, &state.programs)?;
     // Remember the program so later submissions can reference it by
     // hash instead of re-sending the source.
     let program_hash = state.programs.remember(&spec.program);
@@ -900,10 +891,9 @@ fn submit_one(doc: &Json, state: &State, recv_ns: u64) -> Result<SubmitAck, ApiE
 /// Resolve a validated [`SubmitRequest`] into an executable [`JobSpec`]:
 /// app names are checked against the built-in table, `program_hash`
 /// against the daemon's program index, and the per-request knobs are
-/// laid over the daemon's default configuration.
+/// laid over the default configuration.
 pub fn spec_from_request(
     request: SubmitRequest,
-    defaults: &ScalAnaConfig,
     programs: &ProgramIndex,
 ) -> Result<JobSpec, ApiError> {
     let program = match request.program {
@@ -930,7 +920,7 @@ pub fn spec_from_request(
     let scales = request
         .scales
         .unwrap_or_else(|| dto::DEFAULT_SCALES.to_vec());
-    let mut config = defaults.clone();
+    let mut config = ScalAnaConfig::default();
     if let Some(thd) = request.abnorm_thd {
         config.detect.abnorm_thd = thd;
     }
@@ -1020,7 +1010,7 @@ mod tests {
         let doc =
             parse(body).map_err(|e| ApiError::new(ErrorCode::BadJson, format!("bad JSON: {e}")))?;
         let request = SubmitRequest::from_json(&doc)?;
-        spec_from_request(request, &ScalAnaConfig::default(), programs)
+        spec_from_request(request, programs)
     }
 
     #[test]

@@ -37,6 +37,26 @@ fn write_demo(name: &str) -> std::path::PathBuf {
 }
 
 #[test]
+fn help_prints_usage_to_stdout_and_succeeds() {
+    let cases: [&[&str]; 7] = [
+        &["--help"],
+        &["-h"],
+        &["help"],
+        &["analyze", "--help"],
+        &["static", "prog.mmpi", "-h"],
+        &["submit", "--app", "CG", "--help"],
+        &["serve", "--help"],
+    ];
+    for args in cases {
+        let (stdout, stderr, ok) = scalana(args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(stdout.contains("scalana analyze"), "{args:?}: {stdout}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn static_command_prints_stats() {
     let path = write_demo("cli_static.mmpi");
     let (stdout, _, ok) = scalana(&["static", path.to_str().unwrap()]);
