@@ -9,8 +9,7 @@
 //! [`into_ppg`](ProfileData::into_ppg) walks each list once, so nothing
 //! between the hook and the PPG hashes a key or sorts again.
 
-use scalana_graph::{CommDep, CtxId, Ppg, Psg, VertexId, VertexPerf};
-use scalana_lang::ast::NodeId;
+use scalana_graph::{CommDep, Ppg, Psg, VertexId, VertexPerf};
 use std::sync::Arc;
 
 /// A dependence edge: `(src_rank, src_vertex, dst_rank, dst_vertex)`.
@@ -44,8 +43,6 @@ pub struct ProfileData {
     pub storage_bytes: u64,
     /// Timer samples taken.
     pub sample_count: u64,
-    /// Indirect calls observed (context, statement, callee).
-    pub indirect_calls: Vec<(CtxId, NodeId, String)>,
 }
 
 /// Aggregate over one dependence edge.

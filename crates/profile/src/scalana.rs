@@ -298,9 +298,6 @@ impl Hook for ScalAnaProfiler {
     fn on_indirect_call(&mut self, ev: &IndirectCallEvent) -> f64 {
         let key = (ev.ctx, ev.stmt, ev.callee.clone());
         if self.recorded_indirect.insert(key) {
-            self.data
-                .indirect_calls
-                .push((ev.ctx, ev.stmt, ev.callee.clone()));
             self.data.storage_bytes += record::INDIRECT_CALL + ev.callee.len() as u64;
             self.config.comm_record_cost
         } else {
@@ -539,12 +536,22 @@ mod tests {
             }
             fn leaf() { comp(cycles = 100); }
         "#;
-        let data = profile(src, 2, ProfilerConfig::default());
+        let program = parse_program("t.mmpi", src).unwrap();
+        let psg = build_psg(&program, &PsgOptions::default());
+        let mut profiler = ScalAnaProfiler::with_defaults();
+        Simulation::new(&program, &psg, SimConfig::with_nprocs(2))
+            .with_hook(&mut profiler)
+            .run()
+            .unwrap();
+        let callees: Vec<&str> = profiler
+            .recorded_indirect
+            .iter()
+            .map(|(_, _, callee)| callee.as_str())
+            .collect();
         assert_eq!(
-            data.indirect_calls.len(),
-            1,
+            callees,
+            ["leaf"],
             "deduplicated across iterations and ranks"
         );
-        assert_eq!(data.indirect_calls[0].2, "leaf");
     }
 }

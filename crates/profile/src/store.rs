@@ -5,74 +5,133 @@
 //! [`ProfileData`] to a self-contained binary image and back, so the two
 //! stages can run in separate processes — as the real tool's do.
 //!
-//! The image lists perf entries by `(vertex, rank)` and comm edges by
-//! `(dst_rank, dst_vertex, src_rank, src_vertex)`, the orders
-//! [`ProfileData`] already keeps them in: `save` writes the lists as
-//! they are, and `load` pushes entries in image order and rejects an
-//! image whose keys are not strictly increasing
-//! ([`LoadError::Unordered`]), so a loaded profile keeps the invariant
-//! without sorting or hashing.
+//! # Image layout, version 2
+//!
+//! Integers are LEB128 varints unless a width is given; floats are raw
+//! little-endian `f64`s.
+//!
+//! - Header: magic `u32`, version `u16`, then `nprocs`, `storage_bytes`
+//!   and `sample_count`.
+//! - `rank_elapsed`: exactly `nprocs` floats, with no count of their own.
+//! - Perf: a count, then per entry `vertex`, `rank`, a `u16` mask of the
+//!   fields present (bit 0 `count`, bits 1–8 the floats in
+//!   [`VertexPerf`]'s field order), `count` if present, and each present
+//!   float. A field is absent exactly when it is zero (`+0.0` for a
+//!   float, so `-0.0` is kept bit for bit).
+//! - Comm: a count, then per edge `dst_rank`, `dst_vertex`, `src_rank`,
+//!   `src_vertex`, `count` and `bytes`, then `wait_time` as a float.
+//!
+//! Perf entries are listed by `(vertex, rank)` and comm edges by
+//! [`comm_order`], the orders [`ProfileData`] already keeps them in:
+//! `save` writes the lists as they are, and `load` pushes entries in
+//! image order and rejects an image whose keys are not strictly
+//! increasing ([`LoadError::Unordered`]), so a loaded profile keeps the
+//! invariant without sorting or hashing.
+//!
+//! `load` accepts only bytes `save` can write: a varint longer than it
+//! needs to be, a mask bit above bit 8 or a present field that holds
+//! zero is [`LoadError::Malformed`]. An image is therefore the one
+//! encoding of its profile, and `save(load(image)) == image` whenever
+//! `load` accepts.
 
 use crate::data::{comm_order, CommAgg, ProfileData};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use scalana_graph::VertexPerf;
+use bytes::Bytes;
+use scalana_graph::{VertexId, VertexPerf};
 
 const MAGIC: u32 = 0x5ca1_a701;
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+
+/// Mask bit of a perf entry's `count`; bits 1–8 flag its floats.
+const COUNT_BIT: u16 = 1;
+/// Every bit a perf entry's mask may set.
+const MASK_BITS: u16 = 0x1ff;
+
+/// A perf field flagged present that holds zero: `save` leaves such a
+/// field out.
+const ZERO_PRESENT: LoadError = LoadError::Malformed("zero field flagged present");
+
+/// Fewest bytes one perf entry takes: one-byte vertex and rank, the mask.
+const PERF_MIN_BYTES: usize = 1 + 1 + 2;
+/// Fewest bytes one comm edge takes: six one-byte varints, the wait.
+const COMM_MIN_BYTES: usize = 6 + 8;
+
+/// A perf entry's floats in mask-bit order (bits 1–8).
+fn floats(p: &VertexPerf) -> [f64; 8] {
+    [
+        p.time,
+        p.tot_ins,
+        p.tot_cyc,
+        p.lst_ins,
+        p.l2_miss,
+        p.br_miss,
+        p.wait_time,
+        p.bytes,
+    ]
+}
+
+fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        buf.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    buf.push(value as u8);
+}
 
 /// Serialize a profile to bytes.
 pub fn save(data: &ProfileData) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u64_le(data.nprocs as u64);
-    buf.put_u64_le(data.storage_bytes);
-    buf.put_u64_le(data.sample_count);
-
-    buf.put_u64_le(data.rank_elapsed.len() as u64);
+    let mut buf = Vec::with_capacity(
+        6 + 3 * 10 + 8 * data.rank_elapsed.len() + 24 * data.perf.len() + 24 * data.comm.len(),
+    );
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    put_varint(&mut buf, data.nprocs as u64);
+    put_varint(&mut buf, data.storage_bytes);
+    put_varint(&mut buf, data.sample_count);
     for t in &data.rank_elapsed {
-        buf.put_f64_le(*t);
+        buf.extend_from_slice(&t.to_le_bytes());
     }
 
     debug_assert!(data.perf.windows(2).all(|w| w[0].0 < w[1].0));
-    buf.put_u64_le(data.perf.len() as u64);
+    put_varint(&mut buf, data.perf.len() as u64);
     for ((vertex, rank), p) in &data.perf {
-        buf.put_u32_le(*vertex);
-        buf.put_u64_le(*rank as u64);
-        buf.put_f64_le(p.time);
-        buf.put_u64_le(p.count);
-        buf.put_f64_le(p.tot_ins);
-        buf.put_f64_le(p.tot_cyc);
-        buf.put_f64_le(p.lst_ins);
-        buf.put_f64_le(p.l2_miss);
-        buf.put_f64_le(p.br_miss);
-        buf.put_f64_le(p.wait_time);
-        buf.put_f64_le(p.bytes);
+        put_varint(&mut buf, u64::from(*vertex));
+        put_varint(&mut buf, *rank as u64);
+        let floats = floats(p);
+        let mut mask = if p.count != 0 { COUNT_BIT } else { 0 };
+        for (bit, v) in floats.iter().enumerate() {
+            if v.to_bits() != 0 {
+                mask |= 2 << bit;
+            }
+        }
+        buf.extend_from_slice(&mask.to_le_bytes());
+        if p.count != 0 {
+            put_varint(&mut buf, p.count);
+        }
+        for v in floats.iter().filter(|v| v.to_bits() != 0) {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     debug_assert!(data
         .comm
         .windows(2)
         .all(|w| comm_order(&w[0].0) < comm_order(&w[1].0)));
-    buf.put_u64_le(data.comm.len() as u64);
-    for ((src_rank, src_vertex, dst_rank, dst_vertex), agg) in &data.comm {
-        buf.put_u64_le(*src_rank as u64);
-        buf.put_u32_le(*src_vertex);
-        buf.put_u64_le(*dst_rank as u64);
-        buf.put_u32_le(*dst_vertex);
-        buf.put_u64_le(agg.count);
-        buf.put_u64_le(agg.bytes);
-        buf.put_f64_le(agg.wait_time);
+    put_varint(&mut buf, data.comm.len() as u64);
+    for (key, agg) in &data.comm {
+        let (dst_rank, dst_vertex, src_rank, src_vertex) = comm_order(key);
+        for value in [
+            dst_rank as u64,
+            u64::from(dst_vertex),
+            src_rank as u64,
+            u64::from(src_vertex),
+            agg.count,
+            agg.bytes,
+        ] {
+            put_varint(&mut buf, value);
+        }
+        buf.extend_from_slice(&agg.wait_time.to_le_bytes());
     }
-
-    buf.put_u64_le(data.indirect_calls.len() as u64);
-    for (ctx, stmt, callee) in &data.indirect_calls {
-        buf.put_u32_le(*ctx);
-        buf.put_u32_le(*stmt);
-        buf.put_u16_le(callee.len() as u16);
-        buf.put_slice(callee.as_bytes());
-    }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Deserialization failures.
@@ -82,15 +141,11 @@ pub enum LoadError {
     BadMagic,
     /// Unsupported format version.
     BadVersion(u16),
-    /// Truncated or corrupt payload.
+    /// The image ends inside a field, or holds fewer bytes than its
+    /// counts claim.
     Truncated,
-    /// `rank_elapsed` does not hold exactly one entry per rank.
-    ElapsedLen {
-        /// The image's rank count.
-        nprocs: usize,
-        /// Entries it carries.
-        len: usize,
-    },
+    /// Bytes `save` never writes; the reason names what is wrong.
+    Malformed(&'static str),
     /// A perf or comm entry names a rank outside `0..nprocs`.
     RankOutOfRange {
         /// The offending rank.
@@ -113,9 +168,7 @@ impl std::fmt::Display for LoadError {
             LoadError::BadMagic => write!(f, "not a ScalAna profile image"),
             LoadError::BadVersion(v) => write!(f, "unsupported profile version {v}"),
             LoadError::Truncated => write!(f, "truncated profile image"),
-            LoadError::ElapsedLen { nprocs, len } => {
-                write!(f, "{len} per-rank times in a {nprocs}-rank profile")
-            }
+            LoadError::Malformed(reason) => write!(f, "malformed profile image: {reason}"),
             LoadError::RankOutOfRange { rank, nprocs } => {
                 write!(f, "rank {rank} in a {nprocs}-rank profile")
             }
@@ -134,151 +187,213 @@ impl std::fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-fn need(buf: &Bytes, n: usize) -> Result<(), LoadError> {
-    if buf.remaining() < n {
-        Err(LoadError::Truncated)
-    } else {
-        Ok(())
-    }
+/// A cursor over an image. Every read checks its bounds and fails with
+/// [`LoadError::Truncated`] past the end; nothing it returns is trusted.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-/// Bounds-check a length-prefixed section: `count` elements of at least
-/// `elem_size` bytes each must fit in the remaining buffer. Uses checked
-/// arithmetic so a hostile 2⁶⁴-ish count cannot overflow the product
-/// (which would otherwise panic in debug builds or pass the check and
-/// panic inside the vendored `Bytes` accessors in release builds).
-fn need_counted(buf: &Bytes, count: usize, elem_size: usize) -> Result<(), LoadError> {
-    match count.checked_mul(elem_size) {
-        Some(total) if buf.remaining() >= total => Ok(()),
-        _ => Err(LoadError::Truncated),
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
-}
 
-/// Exact byte size of one serialized perf entry:
-/// vertex u32 + rank u64 + 9 × 8-byte metric fields.
-const PERF_ENTRY_BYTES: usize = 4 + 8 + 9 * 8;
-/// Exact byte size of one serialized comm edge.
-const COMM_ENTRY_BYTES: usize = 8 + 4 + 8 + 4 + 8 + 8 + 8;
-/// Minimum byte size of one indirect-call record (empty callee name).
-const INDIRECT_MIN_BYTES: usize = 4 + 4 + 2;
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8], LoadError> {
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + n)
+            .ok_or(LoadError::Truncated)?;
+        self.pos += n;
+        Ok(bytes)
+    }
 
-/// A rank read from an image, checked against its rank count.
-fn rank_in(rank: u64, nprocs: usize) -> Result<usize, LoadError> {
-    if rank < nprocs as u64 {
-        Ok(rank as usize)
-    } else {
-        Err(LoadError::RankOutOfRange { rank, nprocs })
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], LoadError> {
+        Ok(self.bytes(N)?.try_into().expect("N bytes"))
+    }
+
+    fn f64(&mut self) -> Result<f64, LoadError> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// A canonical LEB128 `u64`: at most 10 bytes, no bits past bit 63,
+    /// and no redundant high zero byte.
+    #[inline]
+    fn varint(&mut self) -> Result<u64, LoadError> {
+        // Most keys, ranks and counts fit in one byte.
+        match self.buf.get(self.pos) {
+            Some(&byte) if byte < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(byte))
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    #[cold]
+    fn long_varint(&mut self) -> Result<u64, LoadError> {
+        let mut value = 0;
+        for i in 0..10 {
+            let byte = *self.buf.get(self.pos).ok_or(LoadError::Truncated)?;
+            self.pos += 1;
+            if i == 9 && byte > 1 {
+                return Err(LoadError::Malformed(if byte & 0x80 != 0 {
+                    "varint longer than 10 bytes"
+                } else {
+                    "varint overflows u64"
+                }));
+            }
+            value |= u64::from(byte & 0x7f) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(LoadError::Malformed("non-canonical varint"));
+                }
+                return Ok(value);
+            }
+        }
+        unreachable!("the tenth byte ends the varint or fails")
+    }
+
+    fn vertex(&mut self) -> Result<VertexId, LoadError> {
+        VertexId::try_from(self.varint()?).map_err(|_| LoadError::Malformed("vertex beyond u32"))
+    }
+
+    fn rank(&mut self, nprocs: usize) -> Result<usize, LoadError> {
+        match self.varint()? {
+            rank if rank < nprocs as u64 => Ok(rank as usize),
+            rank => Err(LoadError::RankOutOfRange { rank, nprocs }),
+        }
+    }
+
+    /// An element count, checked against the bytes left before anything
+    /// is allocated for it: `count` elements of at least `min_bytes`
+    /// each must fit. Checked arithmetic, so a hostile 2⁶⁴-ish count
+    /// cannot overflow into a passing check.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, LoadError> {
+        let count = self.varint()?;
+        match count.checked_mul(min_bytes as u64) {
+            Some(total) if total <= self.remaining() as u64 => Ok(count as usize),
+            _ => Err(LoadError::Truncated),
+        }
     }
 }
 
 /// Deserialize a profile image.
 ///
-/// The image is untrusted (a peer may post one). Nothing sized by its
-/// rank count is allocated before the per-rank times are known to fit
-/// in the buffer and to number exactly `nprocs`; every perf and comm
-/// rank must lie in `0..nprocs`, the range `into_ppg` indexes; the keys
-/// of each section must be strictly increasing, the order
-/// [`ProfileData`] keeps; every float must be finite; nothing may follow
-/// the last section.
-pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
-    need(&buf, 4 + 2)?;
-    if buf.get_u32_le() != MAGIC {
+/// The image is untrusted (a peer may post one). Nothing sized by a
+/// count is allocated before that many elements are known to fit in the
+/// buffer, so the per-rank times exist only once `nprocs × 8` bytes do;
+/// every perf and comm rank must lie in `0..nprocs`, the range `into_ppg`
+/// indexes; the keys of each section must be strictly increasing, the
+/// order [`ProfileData`] keeps; every float must be finite; every byte
+/// must be one `save` writes ([`LoadError::Malformed`]); nothing may
+/// follow the last section.
+pub fn load(buf: Bytes) -> Result<ProfileData, LoadError> {
+    let mut r = Reader { buf: &buf, pos: 0 };
+    if r.remaining() < 4 + 2 {
+        return Err(LoadError::Truncated);
+    }
+    if u32::from_le_bytes(r.array()?) != MAGIC {
         return Err(LoadError::BadMagic);
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(r.array()?);
     if version != VERSION {
         return Err(LoadError::BadVersion(version));
     }
-    need(&buf, 8 * 4)?;
-    let nprocs = buf.get_u64_le() as usize;
-    let storage_bytes = buf.get_u64_le();
-    let sample_count = buf.get_u64_le();
-    let n_elapsed = buf.get_u64_le() as usize;
-    need_counted(&buf, n_elapsed, 8)?;
-    if n_elapsed != nprocs {
-        return Err(LoadError::ElapsedLen {
-            nprocs,
-            len: n_elapsed,
-        });
-    }
+    let nprocs = r.varint()?;
+    let storage_bytes = r.varint()?;
+    let sample_count = r.varint()?;
+    let nprocs = match nprocs.checked_mul(8) {
+        Some(bytes) if bytes <= r.remaining() as u64 => nprocs as usize,
+        _ => return Err(LoadError::Truncated),
+    };
     let mut data = ProfileData {
         nprocs,
-        rank_elapsed: (0..nprocs).map(|_| buf.get_f64_le()).collect(),
+        rank_elapsed: r
+            .bytes(nprocs * 8)?
+            .chunks_exact(8)
+            .map(|t| f64::from_le_bytes(t.try_into().expect("8 bytes")))
+            .collect(),
         storage_bytes,
         sample_count,
         ..ProfileData::default()
     };
 
-    need(&buf, 8)?;
-    let n_perf = buf.get_u64_le() as usize;
-    need_counted(&buf, n_perf, PERF_ENTRY_BYTES)?;
+    let n_perf = r.count(PERF_MIN_BYTES)?;
     data.perf.reserve_exact(n_perf);
     for _ in 0..n_perf {
-        let vertex = buf.get_u32_le();
-        let rank = rank_in(buf.get_u64_le(), nprocs)?;
-        let perf = VertexPerf {
-            time: buf.get_f64_le(),
-            count: buf.get_u64_le(),
-            tot_ins: buf.get_f64_le(),
-            tot_cyc: buf.get_f64_le(),
-            lst_ins: buf.get_f64_le(),
-            l2_miss: buf.get_f64_le(),
-            br_miss: buf.get_f64_le(),
-            wait_time: buf.get_f64_le(),
-            bytes: buf.get_f64_le(),
+        let key = (r.vertex()?, r.rank(nprocs)?);
+        let mask = u16::from_le_bytes(r.array()?);
+        if mask & !MASK_BITS != 0 {
+            return Err(LoadError::Malformed("perf mask bit above bit 8"));
+        }
+        let count = match mask & COUNT_BIT {
+            0 => 0,
+            _ => match r.varint()? {
+                0 => return Err(ZERO_PRESENT),
+                count => count,
+            },
         };
-        if data
-            .perf
-            .last()
-            .is_some_and(|(prev, _)| *prev >= (vertex, rank))
-        {
+        // The present floats are read with one bounds check and checked
+        // for `+0.0` together.
+        let mut values = [0.0; 8];
+        let mut present = r
+            .bytes(8 * (mask >> 1).count_ones() as usize)?
+            .chunks_exact(8);
+        let mut any_zero = false;
+        for (bit, value) in values.iter_mut().enumerate() {
+            if mask & (2 << bit) != 0 {
+                let word = present
+                    .next()
+                    .map_or(0, |w| u64::from_le_bytes(w.try_into().unwrap()));
+                any_zero |= word == 0;
+                *value = f64::from_bits(word);
+            }
+        }
+        if any_zero {
+            return Err(ZERO_PRESENT);
+        }
+        let [time, tot_ins, tot_cyc, lst_ins, l2_miss, br_miss, wait_time, bytes] = values;
+        let perf = VertexPerf {
+            time,
+            count,
+            tot_ins,
+            tot_cyc,
+            lst_ins,
+            l2_miss,
+            br_miss,
+            wait_time,
+            bytes,
+        };
+        if data.perf.last().is_some_and(|(prev, _)| *prev >= key) {
             return Err(LoadError::Unordered("perf"));
         }
-        data.perf.push(((vertex, rank), perf));
+        data.perf.push((key, perf));
     }
 
-    need(&buf, 8)?;
-    let n_comm = buf.get_u64_le() as usize;
-    need_counted(&buf, n_comm, COMM_ENTRY_BYTES)?;
+    let n_comm = r.count(COMM_MIN_BYTES)?;
     data.comm.reserve_exact(n_comm);
     for _ in 0..n_comm {
-        let src_rank = rank_in(buf.get_u64_le(), nprocs)?;
-        let src_vertex = buf.get_u32_le();
-        let dst_rank = rank_in(buf.get_u64_le(), nprocs)?;
-        let dst_vertex = buf.get_u32_le();
+        let order = (r.rank(nprocs)?, r.vertex()?, r.rank(nprocs)?, r.vertex()?);
         let agg = CommAgg {
-            count: buf.get_u64_le(),
-            bytes: buf.get_u64_le(),
-            wait_time: buf.get_f64_le(),
+            count: r.varint()?,
+            bytes: r.varint()?,
+            wait_time: r.f64()?,
         };
-        let key = (src_rank, src_vertex, dst_rank, dst_vertex);
         if data
             .comm
             .last()
-            .is_some_and(|(prev, _)| comm_order(prev) >= comm_order(&key))
+            .is_some_and(|(prev, _)| comm_order(prev) >= order)
         {
             return Err(LoadError::Unordered("comm"));
         }
-        data.comm.push((key, agg));
+        let (dst_rank, dst_vertex, src_rank, src_vertex) = order;
+        data.comm
+            .push(((src_rank, src_vertex, dst_rank, dst_vertex), agg));
     }
 
-    need(&buf, 8)?;
-    let n_indirect = buf.get_u64_le() as usize;
-    // Names are variable-length: the upfront check bounds the count by
-    // the minimum record size, the per-record checks do the rest.
-    need_counted(&buf, n_indirect, INDIRECT_MIN_BYTES)?;
-    for _ in 0..n_indirect {
-        need(&buf, INDIRECT_MIN_BYTES)?;
-        let ctx = buf.get_u32_le();
-        let stmt = buf.get_u32_le();
-        let len = buf.get_u16_le() as usize;
-        need(&buf, len)?;
-        let name = buf.copy_to_bytes(len);
-        data.indirect_calls
-            .push((ctx, stmt, String::from_utf8_lossy(&name).into_owned()));
-    }
-    if buf.has_remaining() {
-        return Err(LoadError::TrailingBytes(buf.remaining()));
+    if r.remaining() > 0 {
+        return Err(LoadError::TrailingBytes(r.remaining()));
     }
     check_finite(&data)?;
     Ok(data)
@@ -292,18 +407,7 @@ pub fn load(mut buf: Bytes) -> Result<ProfileData, LoadError> {
 fn check_finite(data: &ProfileData) -> Result<(), LoadError> {
     let finite = |values: &[f64]| values.iter().all(|v| v.is_finite());
     let elapsed = finite(&data.rank_elapsed);
-    let perf = data.perf.iter().all(|(_, p)| {
-        finite(&[
-            p.time,
-            p.tot_ins,
-            p.tot_cyc,
-            p.lst_ins,
-            p.l2_miss,
-            p.br_miss,
-            p.wait_time,
-            p.bytes,
-        ])
-    });
+    let perf = data.perf.iter().all(|(_, p)| finite(&floats(p)));
     let comm = data.comm.iter().all(|(_, c)| c.wait_time.is_finite());
     match (elapsed, perf, comm) {
         (true, true, true) => Ok(()),
@@ -320,6 +424,7 @@ mod tests {
     use scalana_graph::{build_psg, PsgOptions};
     use scalana_lang::parse_program;
     use scalana_mpisim::{SimConfig, Simulation};
+    use std::ops::Range;
 
     fn collected_profile() -> ProfileData {
         let src = r#"
@@ -345,18 +450,98 @@ mod tests {
         profiler.take_data()
     }
 
+    fn varint(value: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, value);
+        buf
+    }
+
+    /// `image` with `range` replaced by `with`.
+    fn splice(image: &[u8], range: Range<usize>, with: &[u8]) -> Bytes {
+        let mut out = image.to_vec();
+        out.splice(range, with.iter().copied());
+        Bytes::from(out)
+    }
+
+    /// Byte ranges of `data`'s perf entries and of its comm edges in its
+    /// image, each entry's size read off the image of a profile holding
+    /// it alone.
+    fn entry_ranges(data: &ProfileData) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        let bare = ProfileData {
+            perf: Vec::new(),
+            comm: Vec::new(),
+            ..data.clone()
+        };
+        let bare_len = save(&bare).len();
+        let alone = |one: ProfileData| save(&one).len() - bare_len;
+        let back_to_back = |mut at: usize, sizes: Vec<usize>| -> Vec<Range<usize>> {
+            sizes
+                .into_iter()
+                .map(|size| {
+                    at += size;
+                    at - size..at
+                })
+                .collect()
+        };
+        // The bare image ends with two one-byte zero counts.
+        let perf_start = bare_len - 2 + varint(data.perf.len() as u64).len();
+        let perf = back_to_back(
+            perf_start,
+            (data.perf.iter())
+                .map(|&e| {
+                    alone(ProfileData {
+                        perf: vec![e],
+                        ..bare.clone()
+                    })
+                })
+                .collect(),
+        );
+        let perf_end = perf.last().map_or(perf_start, |r| r.end);
+        let comm = back_to_back(
+            perf_end + varint(data.comm.len() as u64).len(),
+            (data.comm.iter())
+                .map(|&e| {
+                    alone(ProfileData {
+                        comm: vec![e],
+                        ..bare.clone()
+                    })
+                })
+                .collect(),
+        );
+        (perf, comm)
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn save_load_round_trip_is_lossless() {
         let original = collected_profile();
         let image = save(&original);
-        let loaded = load(image).unwrap();
+        let loaded = load(image.clone()).unwrap();
         assert_eq!(loaded.nprocs, original.nprocs);
         assert_eq!(loaded.rank_elapsed, original.rank_elapsed);
         assert_eq!(loaded.perf, original.perf);
         assert_eq!(loaded.comm, original.comm);
         assert_eq!(loaded.sample_count, original.sample_count);
         assert_eq!(loaded.storage_bytes, original.storage_bytes);
-        assert_eq!(loaded.indirect_calls, original.indirect_calls);
+        assert_eq!(save(&loaded), image);
+    }
+
+    /// The version-2 bytes themselves. `tests/sim_digest.rs` pins what
+    /// profiles hold; this pins how they are written, so a codec change
+    /// shows here and nowhere else.
+    #[test]
+    fn collected_profile_image_is_pinned() {
+        let image = save(&collected_profile());
+        assert_eq!(
+            (image.len(), fnv1a(&image)),
+            (1552, 0x3edd_4a3c_165f_b414),
+            "image length and FNV-1a"
+        );
     }
 
     #[test]
@@ -394,51 +579,44 @@ mod tests {
             load(Bytes::from(padded)).err(),
             Some(LoadError::TrailingBytes(1))
         );
-        // A callee name past `u16::MAX` bytes is saved with its length
-        // cut to 16 bits: the name comes back short and the rest of it
-        // trails the image.
-        let mut long_name = ProfileData::new(1);
-        long_name.rank_elapsed = vec![0.0];
-        long_name.indirect_calls.push((0, 0, "f".repeat(70_001)));
-        assert_eq!(
-            load(save(&long_name)).err(),
-            Some(LoadError::TrailingBytes(70_001 - 4_465))
-        );
+    }
+
+    /// A valid header, then `counts` as varints.
+    fn header_then(counts: &[u64]) -> Bytes {
+        let mut image = Vec::new();
+        image.extend_from_slice(&MAGIC.to_le_bytes());
+        image.extend_from_slice(&VERSION.to_le_bytes());
+        for &count in counts {
+            put_varint(&mut image, count);
+        }
+        Bytes::from(image)
     }
 
     #[test]
     fn rejects_hostile_element_counts_without_panicking() {
-        // A valid header followed by a u64::MAX element count: the
-        // count × size product must not overflow into a passing check.
-        let mut image = BytesMut::new();
-        image.put_u32_le(MAGIC);
-        image.put_u16_le(VERSION);
-        image.put_u64_le(4); // nprocs
-        image.put_u64_le(0); // storage_bytes
-        image.put_u64_le(0); // sample_count
-        image.put_u64_le(u64::MAX); // hostile rank_elapsed count
-        assert!(matches!(load(image.freeze()), Err(LoadError::Truncated)));
+        // A u64::MAX count in each counted place: the count × size
+        // product must not overflow into a passing check.
+        for counts in [
+            [u64::MAX, 0, 0, 0, 0], // nprocs, so the per-rank times
+            [0, 0, 0, u64::MAX, 0], // perf entries
+            [0, 0, 0, 0, u64::MAX], // comm edges
+        ] {
+            assert_eq!(
+                load(header_then(&counts)).err(),
+                Some(LoadError::Truncated),
+                "{counts:?}"
+            );
+        }
     }
 
     #[test]
     fn rejects_a_huge_rank_count_before_allocating_for_it() {
-        // 62 bytes claiming 2^40 ranks and carrying none: loading used to
-        // allocate 8 TiB of per-rank times up front and abort the process.
-        let mut image = BytesMut::new();
-        image.put_u32_le(MAGIC);
-        image.put_u16_le(VERSION);
-        image.put_u64_le(1 << 40); // nprocs
-        for _ in 0..6 {
-            image.put_u64_le(0); // storage, samples, and four empty tables
-        }
-        assert_eq!(image.len(), 62);
-        assert_eq!(
-            load(image.freeze()).err(),
-            Some(LoadError::ElapsedLen {
-                nprocs: 1 << 40,
-                len: 0
-            })
-        );
+        // 16 bytes claiming 2^40 ranks and carrying none: loading once
+        // allocated 8 TiB of per-rank times up front and aborted the
+        // process. The times' bytes are checked before they exist.
+        let image = header_then(&[1 << 40, 0, 0, 0, 0]);
+        assert_eq!(image.len(), 16);
+        assert_eq!(load(image).err(), Some(LoadError::Truncated));
     }
 
     #[test]
@@ -474,22 +652,16 @@ mod tests {
         assert_eq!(load(save(&comm)).err(), Some(LoadError::NonFinite("comm")));
     }
 
-    /// Byte offset of the first perf entry in `data`'s image.
-    fn perf_start(data: &ProfileData) -> usize {
-        4 + 2 + 3 * 8 + 8 + data.rank_elapsed.len() * 8 + 8
-    }
-
     #[test]
     fn rejects_swapped_perf_entries() {
         let data = collected_profile();
         assert!(data.perf.len() >= 2);
-        let mut image = save(&data).to_vec();
-        let (a, b) = (perf_start(&data), perf_start(&data) + PERF_ENTRY_BYTES);
-        let first = image[a..b].to_vec();
-        image.copy_within(b..b + PERF_ENTRY_BYTES, a);
-        image[b..b + PERF_ENTRY_BYTES].copy_from_slice(&first);
+        let image = save(&data);
+        let (perf, _) = entry_ranges(&data);
+        let (a, b) = (perf[0].clone(), perf[1].clone());
+        let swapped = [&image[b.clone()], &image[a.clone()]].concat();
         assert_eq!(
-            load(Bytes::from(image)).err(),
+            load(splice(&image, a.start..b.end, &swapped)).err(),
             Some(LoadError::Unordered("perf"))
         );
     }
@@ -498,39 +670,138 @@ mod tests {
     fn rejects_a_repeated_comm_key() {
         let data = collected_profile();
         assert!(data.comm.len() >= 2);
-        let mut image = save(&data).to_vec();
-        let first = perf_start(&data) + data.perf.len() * PERF_ENTRY_BYTES + 8;
+        let image = save(&data);
+        let (_, comm) = entry_ranges(&data);
         // The second edge takes the first one's key, its aggregate kept.
-        let key_bytes = 8 + 4 + 8 + 4;
-        image.copy_within(first..first + key_bytes, first + COMM_ENTRY_BYTES);
+        let key_len = |key| {
+            let (a, b, c, d) = comm_order(key);
+            [a as u64, u64::from(b), c as u64, u64::from(d)]
+                .map(|v| varint(v).len())
+                .iter()
+                .sum::<usize>()
+        };
+        let first = comm[0].start..comm[0].start + key_len(&data.comm[0].0);
+        let second = comm[1].start..comm[1].start + key_len(&data.comm[1].0);
         assert_eq!(
-            load(Bytes::from(image)).err(),
+            load(splice(&image, second, &image[first])).err(),
             Some(LoadError::Unordered("comm"))
         );
     }
 
     #[test]
     fn rejects_truncation_inside_the_last_perf_field() {
-        // Regression: the perf-entry bounds check used to be 8 bytes
+        // Regression: the perf-entry bounds check was once 8 bytes
         // short, so a buffer cut inside an entry's final field panicked
         // in the byte accessors instead of returning `Truncated`.
         let data = collected_profile();
-        assert!(!data.perf.is_empty());
         let image = save(&data);
-        let first_perf_end = perf_start(&data) + PERF_ENTRY_BYTES;
-        let truncated = image.slice(0..first_perf_end - 4);
+        let (perf, _) = entry_ranges(&data);
+        let truncated = image.slice(0..perf[0].end - 4);
         assert!(matches!(load(truncated), Err(LoadError::Truncated)));
     }
 
     #[test]
     fn rejects_future_versions() {
         let data = collected_profile();
-        let mut image = BytesMut::from(&save(&data)[..]);
+        let mut image = save(&data).to_vec();
         image[4] = 99; // bump version field
         assert!(matches!(
-            load(image.freeze()),
+            load(Bytes::from(image)),
             Err(LoadError::BadVersion(99))
         ));
+    }
+
+    /// A one-rank profile with one perf entry whose count and time are
+    /// set: `[header 0..9][elapsed 9..17][count 17][vertex 18][rank 19]
+    /// [mask 20..22][count 22][time 23..31][comm count 31]`.
+    fn one_entry() -> Vec<u8> {
+        let mut data = ProfileData::new(1);
+        let perf = VertexPerf {
+            count: 2,
+            time: 1.5,
+            ..VertexPerf::default()
+        };
+        data.perf.push(((3, 0), perf));
+        let image = save(&data).to_vec();
+        assert_eq!(image.len(), 32);
+        assert_eq!((image[18], image[20], image[21], image[22]), (3, 3, 0, 2));
+        image
+    }
+
+    #[test]
+    fn rejects_malformed_varints() {
+        let image = one_entry();
+        // `storage_bytes` is the one-byte varint at offset 7.
+        for (bytes, reason) in [
+            (&[0xff; 10][..], "varint longer than 10 bytes"),
+            (
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+                "varint overflows u64",
+            ),
+            (&[0x80, 0x00], "non-canonical varint"),
+            (&[0x81, 0x80, 0x00], "non-canonical varint"),
+        ] {
+            assert_eq!(
+                load(splice(&image, 7..8, bytes)).err(),
+                Some(LoadError::Malformed(reason)),
+                "{bytes:?}"
+            );
+        }
+        // The largest canonical varint is accepted and written back.
+        let max = splice(&image, 7..8, &varint(u64::MAX));
+        assert_eq!(load(max.clone()).unwrap().storage_bytes, u64::MAX);
+        assert_eq!(save(&load(max.clone()).unwrap()), max);
+        // A vertex id must fit the `u32` a vertex is.
+        assert_eq!(
+            load(splice(&image, 18..19, &varint(1 << 32))).err(),
+            Some(LoadError::Malformed("vertex beyond u32"))
+        );
+    }
+
+    #[test]
+    fn rejects_mask_bits_save_never_sets() {
+        let image = one_entry();
+        for high in [0x02, 0x80] {
+            assert_eq!(
+                load(splice(&image, 21..22, &[high])).err(),
+                Some(LoadError::Malformed("perf mask bit above bit 8"))
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_present_field_that_holds_zero() {
+        let image = one_entry();
+        // A zero count flagged present.
+        assert_eq!(load(splice(&image, 22..23, &[0])).err(), Some(ZERO_PRESENT));
+        // `tot_ins` (bit 2) flagged present, its bits +0.0.
+        let mut flagged = splice(&image, 20..21, &[3 | 4]).to_vec();
+        flagged.splice(31..31, 0.0f64.to_le_bytes());
+        assert_eq!(load(Bytes::from(flagged)).err(), Some(ZERO_PRESENT));
+    }
+
+    #[test]
+    fn negative_zero_round_trips_bit_for_bit() {
+        let mut data = ProfileData::new(1);
+        data.rank_elapsed[0] = -0.0;
+        let perf = VertexPerf {
+            wait_time: -0.0,
+            ..VertexPerf::default()
+        };
+        data.perf.push(((0, 0), perf));
+        data.comm.push((
+            (0, 0, 0, 0),
+            CommAgg {
+                wait_time: -0.0,
+                ..CommAgg::default()
+            },
+        ));
+        let image = save(&data);
+        let loaded = load(image.clone()).unwrap();
+        assert_eq!(loaded.rank_elapsed[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(loaded.perf[0].1.wait_time.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(loaded.comm[0].1.wait_time.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(save(&loaded), image);
     }
 
     #[test]

@@ -264,9 +264,83 @@ fn crafted_profile_image_is_refused_and_the_daemon_keeps_serving() {
     assert_eq!(nprocs, 2);
 
     let mut image = scalana_profile::store::save(&scalana_profile::ProfileData::new(0)).to_vec();
-    assert_eq!(image.len(), 62);
-    image[6..14].copy_from_slice(&(1u64 << 40).to_le_bytes()); // nprocs
+    // Magic, version, then one-byte varints: nprocs, storage_bytes,
+    // sample_count and the two empty sections' counts.
+    assert_eq!(image[6..], [0; 5]);
+    let mut nprocs = Vec::new();
+    let mut rest = 1u64 << 40;
+    while rest >= 0x80 {
+        nprocs.push(rest as u8 | 0x80);
+        rest >>= 7;
+    }
+    nprocs.push(rest as u8);
+    image.splice(6..7, nprocs);
     let dir = plant_store("crafted", &[(2, scale2), (8, Bytes::from(image))]);
+
+    assert_eq!(run_cg_on_store(&dir), (1, 1), "scale 8 re-simulated");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `data` in the retired version-1 image layout: fixed-width integers,
+/// every perf field written, and an (empty) indirect-call section.
+fn version_1_image(data: &scalana_profile::ProfileData) -> Bytes {
+    let mut image = Vec::new();
+    let u64s = |image: &mut Vec<u8>, values: &[u64]| {
+        for v in values {
+            image.extend_from_slice(&v.to_le_bytes());
+        }
+    };
+    image.extend_from_slice(&0x5ca1_a701u32.to_le_bytes());
+    image.extend_from_slice(&1u16.to_le_bytes());
+    let (nprocs, elapsed) = (data.nprocs as u64, data.rank_elapsed.len() as u64);
+    u64s(
+        &mut image,
+        &[nprocs, data.storage_bytes, data.sample_count, elapsed],
+    );
+    let times: Vec<u64> = data.rank_elapsed.iter().map(|t| t.to_bits()).collect();
+    u64s(&mut image, &times);
+    u64s(&mut image, &[data.perf.len() as u64]);
+    for ((vertex, rank), p) in &data.perf {
+        image.extend_from_slice(&vertex.to_le_bytes());
+        u64s(&mut image, &[*rank as u64, p.time.to_bits(), p.count]);
+        let floats = [
+            p.tot_ins,
+            p.tot_cyc,
+            p.lst_ins,
+            p.l2_miss,
+            p.br_miss,
+            p.wait_time,
+            p.bytes,
+        ];
+        u64s(&mut image, &floats.map(f64::to_bits));
+    }
+    u64s(&mut image, &[data.comm.len() as u64]);
+    for ((src_rank, src_vertex, dst_rank, dst_vertex), agg) in &data.comm {
+        u64s(&mut image, &[*src_rank as u64]);
+        image.extend_from_slice(&src_vertex.to_le_bytes());
+        u64s(&mut image, &[*dst_rank as u64]);
+        image.extend_from_slice(&dst_vertex.to_le_bytes());
+        u64s(&mut image, &[agg.count, agg.bytes, agg.wait_time.to_bits()]);
+    }
+    u64s(&mut image, &[0]); // indirect calls
+    Bytes::from(image)
+}
+
+/// A store directory written before the image format's version 2 holds
+/// version-1 images under keys a job still resolves. There is no reader
+/// for them: the daemon must stay healthy, never serve one, and
+/// re-simulate that scale, as for any image it cannot decode.
+#[test]
+fn version_1_profile_image_is_refused_and_its_scale_re_simulated() {
+    let mut profiles = cg_job().execute().unwrap().profiles;
+    let (nprocs, image) = profiles.pop().unwrap();
+    assert_eq!(nprocs, 8);
+    let old = version_1_image(&scalana_profile::store::load(image).unwrap());
+    assert_eq!(
+        scalana_profile::store::load(old.clone()).err(),
+        Some(scalana_profile::store::LoadError::BadVersion(1))
+    );
+    let dir = plant_store("version-1", &[profiles.remove(0), (8, old)]);
 
     assert_eq!(run_cg_on_store(&dir), (1, 1), "scale 8 re-simulated");
     let _ = std::fs::remove_dir_all(&dir);

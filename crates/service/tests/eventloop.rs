@@ -178,7 +178,7 @@ fn parked_waiters_beyond_the_old_thread_cap_do_not_starve_submits() {
     // runway even on a fast machine; the test never waits it out (the
     // shutdown below resolves the parked waiters first).
     let filler = "fn main() {\n\
-                  \x20   for it in 0 .. 200000 { comp(cycles = 400); barrier(); allreduce(bytes = 8); }\n\
+                  \x20   for it in 0 .. 2000000 { comp(cycles = 400); barrier(); allreduce(bytes = 8); }\n\
                   }";
     let body = Json::obj(vec![
         ("source", filler.into()),

@@ -206,5 +206,4 @@ fn profiler_is_bit_identical_concrete_and_as_dyn_hook() {
     let (a, b) = (concrete.take_data(), dynamic.take_data());
     assert!(!a.perf.is_empty() && !a.comm.is_empty());
     assert_eq!(profile_bits(&a), profile_bits(&b));
-    assert_eq!(a.indirect_calls, b.indirect_calls);
 }
