@@ -98,7 +98,11 @@ fn arb_profile() -> BoxedStrategy<ProfileData> {
 }
 
 /// Apply one `(kind, at, byte)` edit to `image`, `at` taken modulo its
-/// length.
+/// length. Besides flips, overwrites, inserts, deletes and cuts, two
+/// edits aim at what only the canonical-form checks catch: widening a
+/// byte into a two-byte varint of the same value (`b` → `b|0x80, 0`)
+/// and zeroing eight bytes, which turns an aligned float into a present
+/// `+0.0`.
 fn mutate(image: &mut Vec<u8>, (kind, at, byte): (u8, usize, u8)) {
     if image.is_empty() {
         return;
@@ -111,7 +115,15 @@ fn mutate(image: &mut Vec<u8>, (kind, at, byte): (u8, usize, u8)) {
         3 => {
             image.remove(at);
         }
-        _ => image.truncate(at),
+        4 => image.truncate(at),
+        5 => {
+            image[at] |= 0x80;
+            image.insert(at + 1, 0);
+        }
+        _ => {
+            let end = image.len().min(at + 8);
+            image[at..end].fill(0);
+        }
     }
 }
 
@@ -233,7 +245,7 @@ proptest! {
     #[test]
     fn store_mutations_never_panic_and_accepted_images_are_canonical(
         data in arb_profile(),
-        edits in proptest::collection::vec((0u8..5, 0usize..1 << 16, 0u8..=255), 1..4),
+        edits in proptest::collection::vec((0u8..7, 0usize..1 << 16, 0u8..=255), 1..4),
     ) {
         let mut image = store::save(&data).to_vec();
         for edit in edits {
