@@ -79,6 +79,8 @@ fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
 
 /// Serialize a profile to bytes.
 pub fn save(data: &ProfileData) -> Bytes {
+    // A guess: `Bytes::from` copies into an allocation of the exact
+    // length, so the spare capacity never outlives the call.
     let mut buf = Vec::with_capacity(
         6 + 3 * 10 + 8 * data.rank_elapsed.len() + 24 * data.perf.len() + 24 * data.comm.len(),
     );
@@ -265,16 +267,21 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// An element count, checked against the bytes left before anything
-    /// is allocated for it: `count` elements of at least `min_bytes`
-    /// each must fit. Checked arithmetic, so a hostile 2⁶⁴-ish count
-    /// cannot overflow into a passing check.
-    fn count(&mut self, min_bytes: usize) -> Result<usize, LoadError> {
-        let count = self.varint()?;
+    /// `count` checked against the bytes left before anything is
+    /// allocated for it: `count` elements of at least `min_bytes` each
+    /// must fit. Checked arithmetic, so a hostile 2⁶⁴-ish count cannot
+    /// overflow into a passing check.
+    fn fits(&self, count: u64, min_bytes: usize) -> Result<usize, LoadError> {
         match count.checked_mul(min_bytes as u64) {
             Some(total) if total <= self.remaining() as u64 => Ok(count as usize),
             _ => Err(LoadError::Truncated),
         }
+    }
+
+    /// A section's element count, checked by [`fits`](Reader::fits).
+    fn count(&mut self, min_bytes: usize) -> Result<usize, LoadError> {
+        let count = self.varint()?;
+        self.fits(count, min_bytes)
     }
 }
 
@@ -303,10 +310,7 @@ pub fn load(buf: Bytes) -> Result<ProfileData, LoadError> {
     let nprocs = r.varint()?;
     let storage_bytes = r.varint()?;
     let sample_count = r.varint()?;
-    let nprocs = match nprocs.checked_mul(8) {
-        Some(bytes) if bytes <= r.remaining() as u64 => nprocs as usize,
-        _ => return Err(LoadError::Truncated),
-    };
+    let nprocs = r.fits(nprocs, 8)?;
     let mut data = ProfileData {
         nprocs,
         rank_elapsed: r
@@ -337,15 +341,14 @@ pub fn load(buf: Bytes) -> Result<ProfileData, LoadError> {
         // The present floats are read with one bounds check and checked
         // for `+0.0` together.
         let mut values = [0.0; 8];
-        let mut present = r
+        let mut words = r
             .bytes(8 * (mask >> 1).count_ones() as usize)?
-            .chunks_exact(8);
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
         let mut any_zero = false;
         for (bit, value) in values.iter_mut().enumerate() {
             if mask & (2 << bit) != 0 {
-                let word = present
-                    .next()
-                    .map_or(0, |w| u64::from_le_bytes(w.try_into().unwrap()));
+                let word = words.next().expect("one word per set bit");
                 any_zero |= word == 0;
                 *value = f64::from_bits(word);
             }
